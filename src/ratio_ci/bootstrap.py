@@ -50,6 +50,9 @@ __all__ = [
     "hwang_set",
 ]
 
+# The methods that bootstrap the ratio itself; they share one resampling.
+_RATIO_BOOT_METHODS = (Method.BOOTSTRAP_PERCENTILE, Method.BOOTSTRAP_BCA)
+
 
 class BootstrapMethod(str, Enum):
     PERCENTILE = "percentile"
@@ -149,9 +152,13 @@ def percentile_ci(dist: EmpiricalDistribution, level: float) -> ConfidenceSet:
         raise DomainError("level must lie strictly between 0 and 1")
     if dist.count < 100:
         raise TooFewReplicates(f"{dist.count} retained replications, need 100")
-    alpha = 1.0 - level
-    lo, hi = dist.quantile([0.5 * alpha, 1.0 - 0.5 * alpha])
+    lo, hi = dist.quantile(_percentile_levels(level))
     return ConfidenceSet.bounded(float(lo), float(hi))
+
+
+def _percentile_levels(level: float) -> tuple[float, float]:
+    alpha = 1.0 - level
+    return 0.5 * alpha, 1.0 - 0.5 * alpha
 
 
 def _acceleration(jackknife: np.ndarray):
@@ -177,6 +184,38 @@ def _bca_levels(z0: float, a: float, level: float) -> tuple[float, float]:
     return out[0], out[1]
 
 
+def _bca_adjustment(
+    dist: EmpiricalDistribution,
+    estimate: float,
+    jackknife: np.ndarray,
+    level: float,
+    stacklevel: int,
+) -> tuple[float, float, float | None, float | None]:
+    """Quantile probabilities of the BCa interval, then z0 and a.
+
+    z0 comes from the fraction of bootstrap values strictly below the
+    full-sample estimate, the acceleration from the leave-one-out jackknife.
+    When either is undefined this warns and returns the plain percentile
+    probabilities with z0 and a None. stacklevel is counted from the
+    caller, as in warnings.warn.
+    """
+    below = int(np.searchsorted(dist.values, estimate, side="left"))
+    if below == 0 or below == dist.count:
+        reason, category = "estimate outside the bootstrap distribution", RuntimeWarning
+    elif not np.all(np.isfinite(jackknife)):
+        reason, category = "non-finite jackknife values", RuntimeWarning
+    else:
+        a = _acceleration(jackknife)
+        if a is not None:
+            z0 = float(ndtri(below / dist.count))
+            return (*_bca_levels(z0, a, level), z0, a)
+        reason, category = "all jackknife values coincide", DegenerateJackknife
+    warnings.warn(
+        f"{reason}; falling back to percentiles", category, stacklevel=stacklevel + 1
+    )
+    return (*_percentile_levels(level), None, None)
+
+
 def _bca_from_distribution(
     dist: EmpiricalDistribution,
     theta_hat: float,
@@ -187,31 +226,7 @@ def _bca_from_distribution(
         raise DomainError("level must lie strictly between 0 and 1")
     if dist.count < 100:
         raise TooFewReplicates(f"{dist.count} retained replications, need 100")
-    below = int(np.searchsorted(dist.values, theta_hat, side="left"))
-    if below == 0 or below == dist.count:
-        warnings.warn(
-            "estimate outside the bootstrap distribution; falling back to percentiles",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return percentile_ci(dist, level)
-    if not np.all(np.isfinite(jackknife)):
-        warnings.warn(
-            "non-finite jackknife values; falling back to percentiles",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return percentile_ci(dist, level)
-    a = _acceleration(jackknife)
-    if a is None:
-        warnings.warn(
-            "all jackknife values coincide; falling back to percentiles",
-            DegenerateJackknife,
-            stacklevel=3,
-        )
-        return percentile_ci(dist, level)
-    z0 = float(ndtri(below / dist.count))
-    lo_p, hi_p = _bca_levels(z0, a, level)
+    lo_p, hi_p, _, _ = _bca_adjustment(dist, theta_hat, jackknife, level, stacklevel=3)
     lo, hi = dist.quantile([lo_p, hi_p])
     return ConfidenceSet.bounded(float(lo), float(hi))
 
@@ -265,7 +280,7 @@ def ratio_bootstrap_results(
     sample: PairedSample,
     config: BootstrapConfig,
     spec: ConfidenceSpec,
-    methods: tuple[Method, ...] = (Method.BOOTSTRAP_PERCENTILE, Method.BOOTSTRAP_BCA),
+    methods: tuple[Method, ...] = _RATIO_BOOT_METHODS,
 ) -> dict[Method, MethodResult]:
     """Percentile and/or BCa sets for the ratio from one shared resampling.
 
@@ -274,9 +289,7 @@ def ratio_bootstrap_results(
     """
     if sample.n < 3:
         raise TooFewObservations("bootstrap ratio intervals need at least three pairs")
-    wanted = [
-        m for m in methods if m in (Method.BOOTSTRAP_PERCENTILE, Method.BOOTSTRAP_BCA)
-    ]
+    wanted = [m for m in methods if m in _RATIO_BOOT_METHODS]
     if len(wanted) != len(methods):
         raise DomainError("only the two bootstrap ratio methods are supported here")
     dist = _ratio_distribution(sample, config)
@@ -368,36 +381,12 @@ def hwang_set(
     if dist.count < 100:
         raise TooFewReplicates(f"{dist.count} retained replications, need 100")
 
-    alpha = 1.0 - spec.level
-    lo_p, hi_p = 0.5 * alpha, 1.0 - 0.5 * alpha
-    z0 = a = None
     if config.method is BootstrapMethod.BCA:
-        below = int(np.searchsorted(dist.values, 0.0, side="left"))
         jack = _jackknife_t0(sample, rho_hat)
-        if below == 0 or below == dist.count:
-            warnings.warn(
-                "all resampled pivots fall on one side of zero; "
-                "falling back to percentiles",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        elif not np.all(np.isfinite(jack)):
-            warnings.warn(
-                "non-finite jackknife pivots; falling back to percentiles",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        else:
-            a = _acceleration(jack)
-            if a is None:
-                warnings.warn(
-                    "all jackknife pivots coincide; falling back to percentiles",
-                    DegenerateJackknife,
-                    stacklevel=2,
-                )
-            else:
-                z0 = float(ndtri(below / dist.count))
-                lo_p, hi_p = _bca_levels(z0, a, spec.level)
+        lo_p, hi_p, z0, a = _bca_adjustment(dist, 0.0, jack, spec.level, stacklevel=2)
+    else:
+        lo_p, hi_p = _percentile_levels(spec.level)
+        z0 = a = None
 
     t_lo, t_hi = (float(v) for v in dist.quantile([lo_p, hi_p]))
     cset = invert_t0_band(stats, t_lo, t_hi)

@@ -26,12 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bootstrap import (
-    BootstrapConfig,
-    BootstrapMethod,
-    hwang_set,
-    ratio_bootstrap_results,
-)
+from .bootstrap import BootstrapConfig, BootstrapMethod
 from .core import ConfidenceSpec, PairedSample, summarize
 from .errors import RatioCiError
 from .geometry import construct_wedge, wedge_csv_rows, wedge_svg
@@ -46,27 +41,19 @@ from .linear_models import (
     spurious_demo,
     stork_demo_table,
 )
-from .methods import (
-    Method,
-    MethodResult,
-    SetCase,
-    fieller_set,
-    index_limits,
-    taylor_limits,
-    trimmed_index_limits,
-    zero_variance_limits,
-)
+from .methods import Method, MethodResult
 from .montecarlo import (
     GridSpec,
     SimCell,
+    _fmt,
     error_bar_experiment,
     errorbar_csv_rows,
+    evaluate_methods,
     grid_csv_rows,
     run_grid,
 )
 
 CLOSED_FORM = "fieller,taylor,index,trimmed_index,zero_variance"
-_RATIO_BOOT = (Method.BOOTSTRAP_PERCENTILE, Method.BOOTSTRAP_BCA)
 
 
 class _InputError(Exception):
@@ -173,10 +160,6 @@ def _csv_text(rows: Sequence[Sequence[str]]) -> str:
     return buf.getvalue()
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _jsonable(obj):
     """Dataclasses to dicts, enums to strings, non-finite floats to null."""
     if is_dataclass(obj) and not isinstance(obj, type):
@@ -246,16 +229,17 @@ def _read_text(path: str) -> str:
 
 def _parse_table(path: str) -> dict[str, np.ndarray]:
     reader = csv.reader(io.StringIO(_read_text(path)))
-    rows = [row for row in reader if row and any(field.strip() for field in row)]
-    if not rows:
+    # Lazy, so reader.line_num names the physical line of the current row.
+    rows = (row for row in reader if row and any(field.strip() for field in row))
+    header = [name.strip() for name in next(rows, ())]
+    if not header:
         raise _InputError(f"{path} is empty")
-    header = [name.strip() for name in rows[0]]
     if len(set(header)) != len(header) or any(not h for h in header):
         raise _InputError(f"{path}: header must be unique non-empty column names")
     columns: dict[str, list] = {name: [] for name in header}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for row in rows:
         if len(row) != len(header):
-            raise _InputError(f"{path}:{lineno}: expected {len(header)} fields")
+            raise _InputError(f"{path}:{reader.line_num}: expected {len(header)} fields")
         for name, field in zip(header, row):
             columns[name].append(field.strip())
     return {name: np.asarray(vals, dtype=object) for name, vals in columns.items()}
@@ -274,6 +258,10 @@ def _load_pairs(path: str) -> PairedSample:
     table = _parse_table(path)
     if set(table) != {"x", "y"}:
         raise _InputError(f"{path}: expected exactly the columns x,y")
+    return _table_pairs(table, path)
+
+
+def _table_pairs(table: dict, path: str) -> PairedSample:
     xs = _numeric_column(table, "x", path)
     ys = _numeric_column(table, "y", path)
     if xs.size < 2:
@@ -292,44 +280,25 @@ def _fail_method(name: str, exc: RatioCiError) -> int:
     return 3
 
 
+def _boot_config(args: argparse.Namespace, seed: int = 0) -> BootstrapConfig:
+    """BCa when a requested method reads the adjustment, else percentile."""
+    bca = Method.BOOTSTRAP_BCA in args.methods or Method.HWANG_BOOTSTRAP in args.methods
+    return BootstrapConfig(
+        replications=args.replications,
+        seed=seed,
+        method=BootstrapMethod.BCA if bca else BootstrapMethod.PERCENTILE,
+    )
+
+
 def _cmd_ci(args: argparse.Namespace) -> int:
     sample = _load_pairs(args.input)
     spec = ConfidenceSpec.two_sided(args.level, df=sample.n - 1)
-    stats = summarize(sample)
-    boot_method = (
-        BootstrapMethod.BCA if Method.BOOTSTRAP_BCA in args.methods else BootstrapMethod.PERCENTILE
-    )
-    config = BootstrapConfig(
-        replications=args.replications, seed=args.seed, method=boot_method
-    )
-    ratio_boot = None
+    config = _boot_config(args, seed=args.seed)
     results: list[MethodResult] = []
-    for method in args.methods:
-        try:
-            if method is Method.FIELLER:
-                results.append(fieller_set(stats, spec))
-            elif method is Method.TAYLOR:
-                results.append(taylor_limits(stats, spec))
-            elif method is Method.INDEX:
-                results.append(index_limits(sample, spec))
-            elif method is Method.TRIMMED_INDEX:
-                results.append(trimmed_index_limits(sample, spec, args.trim))
-            elif method is Method.ZERO_VARIANCE:
-                results.append(zero_variance_limits(sample, spec))
-            elif method is Method.HWANG_BOOTSTRAP:
-                hwang_config = BootstrapConfig(
-                    replications=args.replications,
-                    seed=args.seed,
-                    method=BootstrapMethod.BCA,
-                )
-                results.append(hwang_set(sample, hwang_config, spec))
-            else:
-                if ratio_boot is None:
-                    wanted = tuple(m for m in args.methods if m in _RATIO_BOOT)
-                    ratio_boot = ratio_bootstrap_results(sample, config, spec, wanted)
-                results.append(ratio_boot[method])
-        except RatioCiError as exc:
-            return _fail_method(method.value, exc)
+    for method, result in evaluate_methods(sample, args.methods, spec, config, args.trim):
+        if isinstance(result, RatioCiError):
+            return _fail_method(method.value, result)
+        results.append(result)
     if args.format == "json":
         text = _json_text([_result_record(r) for r in results])
     else:
@@ -342,16 +311,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     gridspec = GridSpec(
         cv_x_values=args.cv_x, cv_y_values=args.cv_y, n=args.n, corr=args.corr
     )
-    boot_config = BootstrapConfig(
-        replications=args.replications, method=BootstrapMethod.BCA
-    )
     try:
         grid = run_grid(
             gridspec,
             args.methods,
             runs=args.runs,
             master_seed=args.seed,
-            boot_config=boot_config,
+            boot_config=_boot_config(args),
             level=args.level,
             trim=args.trim,
             threads=args.threads,
@@ -465,17 +431,6 @@ def _cmd_regress(args: argparse.Namespace) -> int:
         return _fail_method(args.model, exc)
     _write(_json_text(payload) if args.format == "json" else text + "\n", args.output)
     return 0
-
-
-def _table_pairs(table: dict, path: str) -> PairedSample:
-    xs = _numeric_column(table, "x", path)
-    ys = _numeric_column(table, "y", path)
-    if xs.size < 2:
-        raise _InputError(f"{path}: need at least 2 data rows")
-    try:
-        return PairedSample(xs, ys)
-    except RatioCiError as exc:
-        raise _InputError(f"{path}: {exc}")
 
 
 def _table_groups(table: dict, path: str) -> list[PairedSample]:

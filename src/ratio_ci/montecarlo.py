@@ -22,11 +22,17 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, BootstrapMethod, hwang_set, ratio_bootstrap_results
+from .bootstrap import (
+    _RATIO_BOOT_METHODS,
+    BootstrapConfig,
+    BootstrapMethod,
+    hwang_set,
+    ratio_bootstrap_results,
+)
 from .core import BivariateNormalParams, ConfidenceSpec, PairedSample, _draw_pairs, summarize
 from .errors import DomainError, RatioCiError
 from .methods import (
@@ -48,6 +54,7 @@ __all__ = [
     "CoverageGrid",
     "ErrorBarRun",
     "ErrorBarExperiment",
+    "evaluate_methods",
     "run_cell",
     "run_grid",
     "error_bar_experiment",
@@ -55,8 +62,6 @@ __all__ = [
     "errorbar_csv_rows",
     "thread_cap",
 ]
-
-_RATIO_BOOT_METHODS = (Method.BOOTSTRAP_PERCENTILE, Method.BOOTSTRAP_BCA)
 
 
 @dataclass(frozen=True)
@@ -238,6 +243,50 @@ def _normalized_methods(methods: Iterable[Method]) -> tuple[Method, ...]:
     return tuple(m for m in Method if m in requested)
 
 
+def evaluate_methods(
+    sample: PairedSample,
+    methods: Iterable[Method],
+    spec: ConfidenceSpec,
+    boot_config: BootstrapConfig | None = None,
+    trim: float = 0.25,
+) -> Iterator[tuple[Method, MethodResult | RatioCiError]]:
+    """Yield (method, result) for each method, lazily and in the given order.
+
+    A method whose precondition fails on this sample yields its RatioCiError
+    in place of the result; what that means is left to the caller. The two
+    ratio-bootstrap methods share one resampling, drawn when the first of
+    them is reached. boot_config is read only by the bootstrap methods.
+    Method functions are looked up in this module's namespace at call time.
+    """
+    methods = tuple(methods)
+    ratio_boot_wanted = tuple(m for m in methods if m in _RATIO_BOOT_METHODS)
+    stats = summarize(sample)
+    ratio_boot: dict[Method, MethodResult] | None = None
+    for method in methods:
+        try:
+            if method is Method.FIELLER:
+                result = fieller_set(stats, spec)
+            elif method is Method.TAYLOR:
+                result = taylor_limits(stats, spec)
+            elif method is Method.INDEX:
+                result = index_limits(sample, spec)
+            elif method is Method.TRIMMED_INDEX:
+                result = trimmed_index_limits(sample, spec, trim)
+            elif method is Method.ZERO_VARIANCE:
+                result = zero_variance_limits(sample, spec)
+            elif method is Method.HWANG_BOOTSTRAP:
+                result = hwang_set(sample, boot_config, spec)
+            else:
+                if ratio_boot is None:
+                    ratio_boot = ratio_bootstrap_results(
+                        sample, boot_config, spec, ratio_boot_wanted
+                    )
+                result = ratio_boot[method]
+        except RatioCiError as exc:
+            result = exc
+        yield method, result
+
+
 def run_cell(
     cell: SimCell,
     methods: Iterable[Method],
@@ -258,7 +307,6 @@ def run_cell(
     if boot_config is None:
         boot_config = BootstrapConfig(method=BootstrapMethod.BCA)
     spec = ConfidenceSpec.two_sided(level, df=cell.n - 1)
-    ratio_boot_wanted = tuple(m for m in method_order if m in _RATIO_BOOT_METHODS)
     rho = cell.true_rho
 
     covered = {m: 0 for m in method_order}
@@ -269,30 +317,9 @@ def run_cell(
     for run in range(runs):
         sample, boot_seed, attempts = _draw_run(cell, seed, run)
         redraws += attempts
-        stats = summarize(sample)
         run_config = replace(boot_config, seed=boot_seed)
-        ratio_boot: dict[Method, MethodResult] | None = None
-        for method in method_order:
-            try:
-                if method is Method.FIELLER:
-                    result = fieller_set(stats, spec)
-                elif method is Method.TAYLOR:
-                    result = taylor_limits(stats, spec)
-                elif method is Method.INDEX:
-                    result = index_limits(sample, spec)
-                elif method is Method.TRIMMED_INDEX:
-                    result = trimmed_index_limits(sample, spec, trim)
-                elif method is Method.ZERO_VARIANCE:
-                    result = zero_variance_limits(sample, spec)
-                elif method is Method.HWANG_BOOTSTRAP:
-                    result = hwang_set(sample, run_config, spec)
-                else:
-                    if ratio_boot is None:
-                        ratio_boot = ratio_bootstrap_results(
-                            sample, run_config, spec, ratio_boot_wanted
-                        )
-                    result = ratio_boot[method]
-            except RatioCiError:
+        for method, result in evaluate_methods(sample, method_order, spec, run_config, trim):
+            if isinstance(result, RatioCiError):
                 continue
             cset = result.confidence_set
             if cset.contains(rho):
@@ -364,14 +391,13 @@ def error_bar_experiment(
         raise DomainError("need at least one run")
     spec = ConfidenceSpec.two_sided(level, df=cell.n - 1)
     rho = cell.true_rho
-    per_method: dict[Method, list[ErrorBarRun]] = {Method.FIELLER: [], Method.INDEX: []}
+    methods = (Method.FIELLER, Method.INDEX)
+    per_method: dict[Method, list[ErrorBarRun]] = {m: [] for m in methods}
     for run in range(runs):
         sample, _, _ = _draw_run(cell, seed, run)
-        stats = summarize(sample)
-        for method, result in (
-            (Method.FIELLER, fieller_set(stats, spec)),
-            (Method.INDEX, index_limits(sample, spec)),
-        ):
+        for method, result in evaluate_methods(sample, methods, spec):
+            if isinstance(result, RatioCiError):
+                raise result
             per_method[method].append(
                 ErrorBarRun(
                     method=method,
@@ -382,7 +408,7 @@ def error_bar_experiment(
                 )
             )
     rows: list[ErrorBarRun] = []
-    for method in (Method.FIELLER, Method.INDEX):
+    for method in methods:
         rows.extend(sorted(per_method[method], key=lambda r: r.estimate))
     return ErrorBarExperiment(cell=cell, seed=seed, level=level, rows=tuple(rows))
 

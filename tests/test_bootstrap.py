@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from ratio_ci import (
     summarize,
     t0_statistic,
 )
+from ratio_ci import bootstrap
 from ratio_ci.bootstrap import (
     _bca_from_distribution,
     _jackknife_t0,
@@ -362,6 +364,59 @@ def test_hwang_guards():
         hwang_set(PairedSample([1.0, 2.0], [1.0, 1.0]), config, spec)
     with pytest.raises(ZeroDenominator):
         hwang_set(PairedSample([-1.0, 0.0, 1.0], [1.0, 2.0, 3.0]), config, spec)
+
+
+def _hwang_fallback(sample):
+    """hwang_set in BCa mode, the categories of the warnings it raised, and
+    hwang_set in percentile mode on the same resamples."""
+    spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
+    config = BootstrapConfig(replications=1000, seed=5, method=BootstrapMethod.BCA)
+    plain = hwang_set(sample, replace(config, method=BootstrapMethod.PERCENTILE), spec)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = hwang_set(sample, config, spec)
+    assert all("falling back to percentiles" in str(w.message) for w in caught)
+    return result, [w.category for w in caught], plain
+
+
+def _assert_plain_percentile_band(result, plain):
+    assert result.diagnostics.bias_correction is None
+    assert result.diagnostics.acceleration is None
+    assert result.diagnostics.t_lower == plain.diagnostics.t_lower
+    assert result.diagnostics.t_upper == plain.diagnostics.t_upper
+    assert result.confidence_set == plain.confidence_set
+
+
+def test_hwang_falls_back_when_pivots_sit_on_one_side_of_zero():
+    # d = y - rho_hat*x = (3, -1, -1, -1). Resamples without the first pair
+    # have constant d and are dropped; every other one has mean(d*) >= 0.
+    sample = PairedSample([1.0, 2.0, 3.0, 2.0], [4.0, 1.0, 2.0, 1.0])
+    result, categories, plain = _hwang_fallback(sample)
+    assert categories == [RuntimeWarning]
+    assert result.diagnostics.t_lower == 0.0
+    _assert_plain_percentile_band(result, plain)
+
+
+def test_hwang_falls_back_on_non_finite_jackknife_pivots():
+    # d = y - rho_hat*x = (-2, 1, 1): leaving the first pair out leaves two
+    # equal differences, whose pivot variance is zero.
+    sample = PairedSample([1.0, 2.0, 3.0], [-1.0, 3.0, 4.0])
+    assert not np.all(np.isfinite(_jackknife_t0(sample, ratio_of_means(sample))))
+    result, categories, plain = _hwang_fallback(sample)
+    assert categories == [RuntimeWarning]
+    _assert_plain_percentile_band(result, plain)
+
+
+def test_hwang_falls_back_when_jackknife_pivots_coincide(monkeypatch):
+    # The leave-one-out pivots are proportional to -d_i with sum(d_i) = 0,
+    # so on data they coincide only when every d_i is zero, and then they
+    # are non-finite instead. Constant pivots stand in for that branch.
+    monkeypatch.setattr(
+        bootstrap, "_jackknife_t0", lambda sample, rho_hat: np.full(sample.n, 0.5)
+    )
+    result, categories, plain = _hwang_fallback(_sample(seed=23, n=50))
+    assert categories == [DegenerateJackknife]
+    _assert_plain_percentile_band(result, plain)
 
 
 def test_hwang_is_seed_deterministic():

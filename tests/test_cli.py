@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ratio_ci import (
     Method,
     PairedSample,
     fieller_set,
+    hwang_set,
     ratio_bootstrap_results,
     summarize,
     taylor_limits,
@@ -120,6 +122,48 @@ def test_ci_bootstrap_methods_match_library(capsys, worked_csv):
         assert records[method]["upper"] == wanted.upper
 
 
+def test_ci_evaluates_mixed_methods_in_request_order(capsys, tmp_path):
+    rng = np.random.default_rng(12)
+    xs = rng.normal(2.0, 0.4, 30).tolist()
+    ys = rng.normal(3.0, 0.6, 30).tolist()
+    path = tmp_path / "pairs.csv"
+    path.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(xs, ys)))
+    order = ["bootstrap_bca", "fieller", "hwang_bootstrap", "bootstrap_percentile"]
+    argv = ["ci", "--input", str(path), "--methods", ",".join(order)]
+    code, out, _ = _run(capsys, argv + ["--replications", "1000", "--seed", "9"])
+    assert code == 0
+    records = json.loads(out)
+    assert [r["method"] for r in records] == order
+
+    sample = PairedSample(xs, ys)
+    spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
+    config = BootstrapConfig(replications=1000, seed=9, method=BootstrapMethod.BCA)
+    ratio = ratio_bootstrap_results(
+        sample, config, spec, (Method.BOOTSTRAP_BCA, Method.BOOTSTRAP_PERCENTILE)
+    )
+    expected = [
+        ratio[Method.BOOTSTRAP_BCA],
+        fieller_set(summarize(sample), spec),
+        hwang_set(sample, config, spec),
+        ratio[Method.BOOTSTRAP_PERCENTILE],
+    ]
+    for record, want in zip(records, expected):
+        cset = want.confidence_set
+        assert record["method"] == want.method.value
+        assert record["estimate"] == want.estimate
+        assert record["case"] == cset.case.value
+        assert (record["lower"], record["upper"]) == (cset.lower, cset.upper)
+        assert (record["excluded_lower"], record["excluded_upper"]) == (
+            cset.excluded_lower,
+            cset.excluded_upper,
+        )
+    hwang = records[2]["diagnostics"]
+    assert hwang["t_lower"] == expected[2].diagnostics.t_lower
+    assert hwang["t_upper"] == expected[2].diagnostics.t_upper
+    assert hwang["bias_correction"] == expected[2].diagnostics.bias_correction
+    assert hwang["acceleration"] == expected[2].diagnostics.acceleration
+
+
 def test_ci_output_file(capsys, worked_csv, tmp_path):
     target = tmp_path / "out.json"
     code, out, _ = _run(
@@ -155,6 +199,7 @@ def test_ci_whole_line_case_serializes_null_bounds(capsys, tmp_path):
         "wrong_columns",
         "one_row",
         "non_numeric",
+        "ragged_after_blank_lines",
     ],
 )
 def test_ci_malformed_inputs_exit_2(capsys, tmp_path, mutation):
@@ -169,9 +214,14 @@ def test_ci_malformed_inputs_exit_2(capsys, tmp_path, mutation):
         path.write_text("x,y\n1,2\n")
     elif mutation == "non_numeric":
         path.write_text("x,y\n1,2\nfoo,4\n")
+    elif mutation == "ragged_after_blank_lines":
+        path.write_text("x,y\n\n1,2\n\n3,4,5\n")
     code, out, err = _run(capsys, ["ci", "--input", str(path)])
     assert code == 2
     assert out == "" and err.startswith("error:")
+    if mutation == "ragged_after_blank_lines":
+        # Blank lines are skipped but still counted: the bad row is line 5.
+        assert f"{path}:5: expected 2 fields" in err
 
 
 def test_ci_bad_level_and_bad_method_exit_2(capsys, worked_csv):
@@ -270,6 +320,21 @@ def test_simulate_axis_syntax_and_guards(capsys):
     assert code == 2
     code, _, _ = _run(capsys, ["simulate", "--cv-x", "junk:1:3"])
     assert code == 2
+
+
+def test_simulate_warns_about_few_replications_only_for_bca_methods(capsys):
+    argv = ["simulate", "--cv-x", "0.3", "--cv-y", "0.5", "--n", "10"]
+    argv += ["--runs", "100", "--replications", "500"]
+
+    def replication_warnings(methods):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = _run(capsys, argv + ["--methods", methods])
+        assert code == 0
+        return [w for w in caught if "1000 replications" in str(w.message)]
+
+    assert replication_warnings("fieller,taylor") == []
+    assert replication_warnings("fieller,hwang_bootstrap") != []
 
 
 # ------------------------------------------------------------- errorbars
