@@ -11,6 +11,16 @@ same machinery as the exact method, so it keeps all three set shapes.
 Empirical quantiles use the interpolated order-statistic rule with plotting
 positions (k - 1)/(B - 1) (numpy's default), applied consistently
 everywhere a bootstrap distribution is read.
+
+Resample indices are drawn in row blocks: one generator seeded with
+config.seed draws integers(0, n, (rows, n)) for rows = max(1,
+_BLOCK_ELEMENTS // n) at a time, the last block ragged, and each block's
+per-resample statistics are computed before the next is drawn. Successive
+draws from one generator continue the same stream, so the blocks
+concatenate to the one-shot (B, n) index matrix and the block size changes
+no number. Peak memory is O(rows·n + n) for any B, with rows·n at most
+max(_BLOCK_ELEMENTS, n): the block's indices and gathered values and the
+sample, besides the B floats of the statistic itself.
 """
 
 from __future__ import annotations
@@ -113,9 +123,25 @@ def ratio_of_means(sample: PairedSample) -> float:
     return float(sample.ys.mean()) / mx
 
 
-def _resample_indices(config: BootstrapConfig, n: int) -> np.ndarray:
+# Index elements per resampling block (8 MiB of int64 indices).
+_BLOCK_ELEMENTS = 1 << 20
+
+
+def _resample_indices(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
+    return rng.integers(0, n, size=(rows, n))
+
+
+def _per_resample(
+    config: BootstrapConfig, n: int, statistic: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """statistic(idx) for each block of resample indices, concatenated to B
+    values; idx is a (rows, n) block of the one-shot (B, n) index matrix."""
     rng = np.random.default_rng(config.seed)
-    return rng.integers(0, n, size=(config.replications, n))
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    return np.concatenate([
+        statistic(_resample_indices(rng, min(rows, config.replications - start), n))
+        for start in range(0, config.replications, rows)
+    ])
 
 
 def _collect(values: np.ndarray, replications: int) -> EmpiricalDistribution:
@@ -139,11 +165,13 @@ def resample_pairs(
     Deterministic in config.seed. Non-finite evaluations are dropped and
     counted; more than 50% dropped is an error.
     """
-    idx = _resample_indices(config, sample.n)
-    values = np.empty(config.replications)
-    for b, row in enumerate(idx):
-        values[b] = statistic(PairedSample(sample.xs[row], sample.ys[row]))
-    return _collect(values, config.replications)
+    def block(idx: np.ndarray) -> np.ndarray:
+        values = np.empty(len(idx))
+        for b, row in enumerate(idx):
+            values[b] = statistic(PairedSample(sample.xs[row], sample.ys[row]))
+        return values
+
+    return _collect(_per_resample(config, sample.n, block), config.replications)
 
 
 def percentile_ci(dist: EmpiricalDistribution, level: float) -> ConfidenceSet:
@@ -261,12 +289,13 @@ def _ratio_distribution(
     sample: PairedSample, config: BootstrapConfig
 ) -> EmpiricalDistribution:
     """Vectorized equivalent of resample_pairs(sample, config, ratio_of_means)."""
-    idx = _resample_indices(config, sample.n)
-    mx = sample.xs[idx].mean(axis=1)
-    my = sample.ys[idx].mean(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.where(mx != 0.0, my / mx, math.nan)
-    return _collect(values, config.replications)
+    def block(idx: np.ndarray) -> np.ndarray:
+        mx = sample.xs[idx].mean(axis=1)
+        my = sample.ys[idx].mean(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(mx != 0.0, my / mx, math.nan)
+
+    return _collect(_per_resample(config, sample.n, block), config.replications)
 
 
 def _ratio_jackknife(sample: PairedSample) -> np.ndarray:
@@ -326,20 +355,23 @@ def _resample_t0(sample: PairedSample, config: BootstrapConfig, rho_hat: float) 
     """T0(mean_x*, mean_y*, rho_hat) on each resample, using the resample's
     own variance estimates; non-finite entries mark degenerate draws."""
     n = sample.n
-    idx = _resample_indices(config, n)
-    xs = sample.xs[idx]
-    ys = sample.ys[idx]
-    mx = xs.mean(axis=1)
-    my = ys.mean(axis=1)
-    dx = xs - mx[:, None]
-    dy = ys - my[:, None]
     scale = 1.0 / (n * (n - 1))
-    vx = np.einsum("ij,ij->i", dx, dx) * scale
-    vy = np.einsum("ij,ij->i", dy, dy) * scale
-    cxy = np.einsum("ij,ij->i", dx, dy) * scale
-    q = vy - 2.0 * rho_hat * cxy + rho_hat * rho_hat * vx
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(q > 0.0, (my - rho_hat * mx) / np.sqrt(q), math.nan)
+
+    def block(idx: np.ndarray) -> np.ndarray:
+        xs = sample.xs[idx]
+        ys = sample.ys[idx]
+        mx = xs.mean(axis=1)
+        my = ys.mean(axis=1)
+        dx = xs - mx[:, None]
+        dy = ys - my[:, None]
+        vx = np.einsum("ij,ij->i", dx, dx) * scale
+        vy = np.einsum("ij,ij->i", dy, dy) * scale
+        cxy = np.einsum("ij,ij->i", dx, dy) * scale
+        q = vy - 2.0 * rho_hat * cxy + rho_hat * rho_hat * vx
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(q > 0.0, (my - rho_hat * mx) / np.sqrt(q), math.nan)
+
+    return _per_resample(config, n, block)
 
 
 def _jackknife_t0(sample: PairedSample, rho_hat: float) -> np.ndarray:

@@ -18,10 +18,11 @@ when no bootstrap method is active, for the same reason.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -255,7 +256,7 @@ def evaluate_methods(
     A method whose precondition fails on this sample yields its RatioCiError
     in place of the result; what that means is left to the caller. The two
     ratio-bootstrap methods share one resampling, drawn when the first of
-    them is reached. boot_config is read only by the bootstrap methods.
+    them is reached, and both yield its error if it fails. boot_config is read only by the bootstrap methods.
     Method functions are looked up in this module's namespace at call time.
     """
     methods = tuple(methods)
@@ -278,9 +279,12 @@ def evaluate_methods(
                 result = hwang_set(sample, boot_config, spec)
             else:
                 if ratio_boot is None:
-                    ratio_boot = ratio_bootstrap_results(
-                        sample, boot_config, spec, ratio_boot_wanted
-                    )
+                    try:
+                        ratio_boot = ratio_bootstrap_results(
+                            sample, boot_config, spec, ratio_boot_wanted
+                        )
+                    except RatioCiError as exc:
+                        ratio_boot = dict.fromkeys(ratio_boot_wanted, exc)
                 result = ratio_boot[method]
         except RatioCiError as exc:
             result = exc
@@ -317,7 +321,10 @@ def run_cell(
     for run in range(runs):
         sample, boot_seed, attempts = _draw_run(cell, seed, run)
         redraws += attempts
-        run_config = replace(boot_config, seed=boot_seed)
+        # A copy with the run's seed; dataclasses.replace would rerun the
+        # validation and repeat its warning once per run.
+        run_config = copy.copy(boot_config)
+        object.__setattr__(run_config, "seed", boot_seed)
         for method, result in evaluate_methods(sample, method_order, spec, run_config, trim):
             if isinstance(result, RatioCiError):
                 continue

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -39,6 +40,7 @@ from ratio_ci.bootstrap import (
     _jackknife_t0,
     _ratio_distribution,
     _ratio_jackknife,
+    _resample_t0,
 )
 
 from oracle_utils import bca_oracle, quantile_linear_oracle
@@ -461,3 +463,96 @@ def test_quantile_rule_matches_hand_rolled_interpolation():
         assert float(dist.quantile(q)) == pytest.approx(
             quantile_linear_oracle(list(values), q), rel=1e-12
         )
+
+
+# ------------------------------------------------------ blocked resampling
+
+
+def _unblocked_indices(config: BootstrapConfig, n: int) -> np.ndarray:
+    return np.random.default_rng(config.seed).integers(0, n, (config.replications, n))
+
+
+def _unblocked_t0(sample: PairedSample, config: BootstrapConfig, rho_hat: float):
+    n = sample.n
+    idx = _unblocked_indices(config, n)
+    xs = sample.xs[idx]
+    ys = sample.ys[idx]
+    mx = xs.mean(axis=1)
+    my = ys.mean(axis=1)
+    dx = xs - mx[:, None]
+    dy = ys - my[:, None]
+    scale = 1.0 / (n * (n - 1))
+    vx = np.einsum("ij,ij->i", dx, dx) * scale
+    vy = np.einsum("ij,ij->i", dy, dy) * scale
+    cxy = np.einsum("ij,ij->i", dx, dy) * scale
+    q = vy - 2.0 * rho_hat * cxy + rho_hat * rho_hat * vx
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(q > 0.0, (my - rho_hat * mx) / np.sqrt(q), math.nan)
+
+
+def _unblocked_ratios(sample: PairedSample, config: BootstrapConfig) -> np.ndarray:
+    idx = _unblocked_indices(config, sample.n)
+    mx = sample.xs[idx].mean(axis=1)
+    my = sample.ys[idx].mean(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(mx != 0.0, my / mx, math.nan)
+
+
+def _assert_distribution_is(dist: EmpiricalDistribution, values: np.ndarray):
+    finite = np.sort(values[np.isfinite(values)])
+    assert np.array_equal(dist.values, finite)
+    assert dist.dropped == len(values) - len(finite)
+
+
+@pytest.mark.parametrize(
+    ("block_elements", "blocks"),
+    [
+        (30, 1000),  # fewer elements than n: one resample per block
+        (7 * 31, 143),  # 142 blocks of 7 rows, then a ragged block of 6
+    ],
+)
+def test_block_size_changes_no_number(monkeypatch, block_elements, blocks):
+    sample = _sample(seed=13, n=31)
+    spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
+    config = BootstrapConfig(replications=1000, seed=8, method=BootstrapMethod.BCA)
+    rho_hat = ratio_of_means(sample)
+    hwang_default = hwang_set(sample, config, spec)
+    ratio_default = ratio_bootstrap_results(sample, config, spec)
+
+    monkeypatch.setattr(bootstrap, "_BLOCK_ELEMENTS", block_elements)
+    draws = []
+    draw = bootstrap._resample_indices
+
+    def counted_draw(rng, rows, n):
+        draws.append(rows)
+        return draw(rng, rows, n)
+
+    monkeypatch.setattr(bootstrap, "_resample_indices", counted_draw)
+    t0s = _resample_t0(sample, config, rho_hat)
+    assert len(draws) == blocks and sum(draws) == config.replications
+    assert np.array_equal(t0s, _unblocked_t0(sample, config, rho_hat), equal_nan=True)
+    ratios = _unblocked_ratios(sample, config)
+    _assert_distribution_is(_ratio_distribution(sample, config), ratios)
+    _assert_distribution_is(resample_pairs(sample, config, ratio_of_means), ratios)
+
+    hwang_blocked = hwang_set(sample, config, spec)
+    assert hwang_blocked.confidence_set == hwang_default.confidence_set
+    assert hwang_blocked.diagnostics == hwang_default.diagnostics
+    assert hwang_blocked.estimate == hwang_default.estimate
+    assert ratio_bootstrap_results(sample, config, spec) == ratio_default
+
+
+@pytest.mark.parametrize("replications", [2000, 6000])
+def test_bootstrap_peak_memory_does_not_grow_with_replications(replications):
+    # At n=5000 one (B, n) float matrix alone is 76 MiB at B=2000.
+    sample = _sample(seed=5, n=5000)
+    spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
+    config = BootstrapConfig(replications=replications, seed=1, method=BootstrapMethod.BCA)
+    for run in (hwang_set, ratio_bootstrap_results):
+        tracemalloc.start()
+        try:
+            run(sample, config, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, (run.__name__, peak)

@@ -337,6 +337,16 @@ def test_simulate_warns_about_few_replications_only_for_bca_methods(capsys):
     assert replication_warnings("fieller,hwang_bootstrap") != []
 
 
+def test_simulate_warns_about_few_replications_once(capsys):
+    argv = ["simulate", "--cv-x", "0.3,1.0", "--cv-y", "0.5", "--n", "10", "--runs", "100"]
+    argv += ["--replications", "500", "--methods", "fieller,hwang_bootstrap"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, _ = _run(capsys, argv)
+    assert code == 0
+    assert len([w for w in caught if "1000 replications" in str(w.message)]) == 1
+
+
 # ------------------------------------------------------------- errorbars
 
 

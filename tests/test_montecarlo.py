@@ -5,8 +5,10 @@ import pytest
 
 import ratio_ci.montecarlo as mc
 from ratio_ci import (
+    AllResamplesDegenerate,
     BootstrapConfig,
     BootstrapMethod,
+    ConfidenceSpec,
     DomainError,
     GridSpec,
     Method,
@@ -167,6 +169,25 @@ def test_point_estimator_variability_comparison():
     assert var_index > var_ratio
     assert var_trim < var_index
     assert res.methods[Method.TRIMMED_INDEX].coverage < 0.90
+
+
+def test_failed_ratio_bootstrap_is_resampled_once(monkeypatch):
+    error = AllResamplesDegenerate("every resample was degenerate")
+    calls = []
+
+    def degenerate(*args):
+        calls.append(args)
+        raise error
+
+    monkeypatch.setattr(mc, "ratio_bootstrap_results", degenerate)
+    sample = PairedSample([1.0, 2.0, 3.0, 4.0], [2.0, 1.0, 4.0, 3.0])
+    spec = ConfidenceSpec.two_sided(0.95, df=3)
+    methods = (Method.BOOTSTRAP_PERCENTILE, Method.FIELLER, Method.BOOTSTRAP_BCA)
+    results = dict(mc.evaluate_methods(sample, methods, spec, BootstrapConfig()))
+    assert len(calls) == 1
+    assert results[Method.BOOTSTRAP_PERCENTILE] is error
+    assert results[Method.BOOTSTRAP_BCA] is error
+    assert results[Method.FIELLER].method is Method.FIELLER
 
 
 def test_zero_x_draws_are_redrawn(monkeypatch):
