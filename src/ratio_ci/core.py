@@ -137,6 +137,87 @@ class BivariateNormalParams:
             raise DomainError("correlation must lie in [-1, 1]")
 
 
+@dataclass(frozen=True, eq=False)
+class _RowSummaries:
+    """The SummaryStats of every row of (runs, n) samples, as arrays of the
+    five moments; row(i) is the SummaryStats of row i."""
+
+    n: int
+    df: int
+    mean_x: np.ndarray
+    mean_y: np.ndarray
+    var_mean_x: np.ndarray
+    var_mean_y: np.ndarray
+    cov_mean_xy: np.ndarray
+
+    @classmethod
+    def of(cls, stats: SummaryStats) -> "_RowSummaries":
+        """A batch of one."""
+        return cls(
+            stats.n,
+            stats.df,
+            *(
+                np.array([value])
+                for value in (
+                    stats.mean_x,
+                    stats.mean_y,
+                    stats.var_mean_x,
+                    stats.var_mean_y,
+                    stats.cov_mean_xy,
+                )
+            ),
+        )
+
+    def row(self, i: int) -> SummaryStats:
+        return SummaryStats(
+            n=self.n,
+            mean_x=float(self.mean_x[i]),
+            mean_y=float(self.mean_y[i]),
+            var_mean_x=float(self.var_mean_x[i]),
+            var_mean_y=float(self.var_mean_y[i]),
+            cov_mean_xy=float(self.cov_mean_xy[i]),
+            df=self.df,
+        )
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for every row. The stacked matmul runs the dot kernel of
+    the 1-D product on each row, so every value is bit-equal to it (einsum
+    sums in another order)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _summarize_rows(xs: np.ndarray, ys: np.ndarray) -> _RowSummaries:
+    """summarize of each row of the (runs, n) arrays xs and ys, bit for bit.
+
+    Row means reduce each contiguous row as the 1-D mean does, and the
+    cross-products are _row_dots. Every row passes the checks of
+    SummaryStats, or the error of the first row that fails is raised.
+    """
+    n = xs.shape[1]
+    if n < 2:
+        raise TooFewObservations("need at least two pairs to estimate variances")
+    mean_x = xs.mean(axis=1)
+    mean_y = ys.mean(axis=1)
+    dx = xs - mean_x[:, None]
+    dy = ys - mean_y[:, None]
+    scale = 1.0 / (n * (n - 1))
+    rows = _RowSummaries(
+        n=n,
+        df=n - 1,
+        mean_x=mean_x,
+        mean_y=mean_y,
+        var_mean_x=_row_dots(dx, dx) * scale,
+        var_mean_y=_row_dots(dy, dy) * scale,
+        cov_mean_xy=_row_dots(dx, dy) * scale,
+    )
+    # Variances of self-products are nonnegative, and only a row past the
+    # exact Cauchy-Schwarz bound can fail its rounding-tolerant check.
+    for i in np.flatnonzero(rows.cov_mean_xy**2 > rows.var_mean_x * rows.var_mean_y):
+        rows.row(i)
+    return rows
+
+
 def summarize(sample: PairedSample) -> SummaryStats:
     """Means plus variance/covariance estimates of the sample means.
 
@@ -144,24 +225,7 @@ def summarize(sample: PairedSample) -> SummaryStats:
     before the quadratic sums, which keeps results comparable to a reference
     implementation of the same formulas at 1e-12 relative.
     """
-    n = sample.n
-    if n < 2:
-        raise TooFewObservations("need at least two pairs to estimate variances")
-    xs, ys = sample.xs, sample.ys
-    mean_x = float(xs.mean())
-    mean_y = float(ys.mean())
-    dx = xs - mean_x
-    dy = ys - mean_y
-    scale = 1.0 / (n * (n - 1))
-    return SummaryStats(
-        n=n,
-        mean_x=mean_x,
-        mean_y=mean_y,
-        var_mean_x=float(dx @ dx) * scale,
-        var_mean_y=float(dy @ dy) * scale,
-        cov_mean_xy=float(dx @ dy) * scale,
-        df=n - 1,
-    )
+    return _summarize_rows(sample.xs[None], sample.ys[None]).row(0)
 
 
 def coefficient_of_variation(stats: SummaryStats) -> tuple[float, float]:

@@ -24,11 +24,19 @@ from enum import Enum
 
 import numpy as np
 
-from .core import ConfidenceSpec, PairedSample, SummaryStats, summarize
+from .core import (
+    ConfidenceSpec,
+    PairedSample,
+    SummaryStats,
+    _row_dots,
+    _RowSummaries,
+    _summarize_rows,
+)
 from .errors import (
     DegenerateVariance,
     DomainError,
     NonFiniteResult,
+    RatioCiError,
     TooFewAfterTrim,
     TooFewObservations,
     ZeroDenominator,
@@ -332,6 +340,227 @@ def _diagnostics(stats: SummaryStats, cset: ConfidenceSet) -> FiellerDiagnostics
     return FiellerDiagnostics(denom_t2, t_unb2, cset.case)
 
 
+# ------------------------------------------------------------------ kernels
+#
+# One kernel per closed-form method, evaluated on a batch of samples at
+# once: the rows of (runs, n) arrays, or their _RowSummaries. Each repeats
+# the scalar arithmetic of its method elementwise and in the same order, so
+# every row is bit-equal to the method applied to that row alone; the public
+# functions below are the kernels on a batch of one.
+
+# Case codes of _RowResults.case.
+_CASES = (SetCase.BOUNDED, SetCase.UNBOUNDED_EXCLUSIVE, SetCase.WHOLE_LINE)
+_BOUNDED, _EXCLUSIVE, _WHOLE = range(len(_CASES))
+
+
+@dataclass(frozen=True, eq=False)
+class _RowResults:
+    """Per-row estimate and confidence set of one kernel call.
+
+    lower/upper hold the limits of a bounded set or the excluded interval of
+    an unbounded one (nan for the whole line), and case indexes _CASES.
+    A row whose precondition fails has its error in `errors` and nothing
+    meaningful in the arrays.
+    """
+
+    estimate: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    case: np.ndarray
+    errors: dict[int, RatioCiError]
+
+    @property
+    def failed(self) -> np.ndarray:
+        failed = np.zeros(self.estimate.shape, dtype=bool)
+        failed[list(self.errors)] = True
+        return failed
+
+    def contains(self, value: float) -> np.ndarray:
+        """ConfidenceSet.contains(value) for every row; False where failed."""
+        inside = (self.lower <= value) & (value <= self.upper)
+        excluded = (self.lower < value) & (value < self.upper)
+        whole = self.case == _WHOLE
+        return np.where(self.case == _BOUNDED, inside, whole | ~excluded) & ~self.failed
+
+    def result(self, method: Method, i: int = 0) -> MethodResult:
+        """Row i as a MethodResult; raises the row's error if it has one."""
+        if i in self.errors:
+            raise self.errors[i]
+        case = _CASES[self.case[i]]
+        lower, upper = float(self.lower[i]), float(self.upper[i])
+        if case is SetCase.BOUNDED:
+            cset = ConfidenceSet.bounded(lower, upper)
+        elif case is SetCase.UNBOUNDED_EXCLUSIVE:
+            cset = ConfidenceSet.unbounded_exclusive(lower, upper)
+        else:
+            cset = ConfidenceSet.whole_line()
+        return MethodResult(method, float(self.estimate[i]), cset)
+
+
+def _failed_rows(runs: int, error: RatioCiError) -> _RowResults:
+    nan = np.full(runs, np.nan)
+    errors = dict.fromkeys(range(runs), error)
+    return _RowResults(nan, nan, nan, np.full(runs, _BOUNDED, dtype=np.int8), errors)
+
+
+def _bounded_rows(
+    estimate: np.ndarray, lower: np.ndarray, upper: np.ndarray, errors: dict[int, RatioCiError]
+) -> _RowResults:
+    """Bounded sets; rows that ConfidenceSet.bounded rejects get its error
+    (rows that already failed keep their first error)."""
+    for i in np.flatnonzero(~(np.isfinite(lower) & np.isfinite(upper)) | (lower > upper)):
+        if int(i) not in errors:
+            try:
+                ConfidenceSet.bounded(float(lower[i]), float(upper[i]))
+            except RatioCiError as exc:
+                errors[int(i)] = exc
+    case = np.full(estimate.shape, _BOUNDED, dtype=np.int8)
+    return _RowResults(estimate, lower, upper, case, errors)
+
+
+def _fieller_rows(m: _RowSummaries, quantile: float) -> _RowResults:
+    """invert_t0_band(row, -quantile, quantile) for every row.
+
+    Rows with two distinct finite tangency slopes and a member segment take
+    invert_t0_band's own steps here, elementwise: the slopes from the
+    half-b quadratic, the tails from the asymptote and the middle segment
+    from the pivot at its midpoint. Every other row (vx == 0, a zero,
+    negative or tolerance-band discriminant, one root, no member segment)
+    is handed to invert_t0_band itself.
+    """
+    mx, my = m.mean_x, m.mean_y
+    vx, vy, cxy = m.var_mean_x, m.var_mean_y, m.cov_mean_xy
+    with np.errstate(all="ignore"):
+        estimate = np.where(mx != 0.0, my / mx, np.nan)
+        t2 = quantile * quantile
+        a = mx * mx - t2 * vx
+        half_b = mx * my - t2 * cxy
+        c = my * my - t2 * vy
+        disc = half_b * half_b - a * c
+        s = np.sqrt(disc)
+        r1 = (half_b - s) / a
+        r2 = (half_b + s) / a
+        lower = np.minimum(r1, r2)
+        upper = np.maximum(r1, r2)
+        asymptote = mx / np.sqrt(vx)
+        tails = (-quantile <= asymptote) & (asymptote <= quantile)
+        mid = 0.5 * (lower + upper)
+        q = vy - 2.0 * mid * cxy + mid * mid * vx
+        t0 = (my - mid * mx) / np.sqrt(q)
+        middle = (q > 0.0) & (-quantile <= t0) & (t0 <= quantile)
+    fast = (
+        (vx != 0.0)
+        & (disc > 0.0)
+        & (r1 != r2)
+        & np.isfinite(r1)
+        & np.isfinite(r2)
+        & (tails | middle)
+    )
+    # Both tails share one flag, since the band is symmetric.
+    case = np.where(tails, np.where(middle, _WHOLE, _EXCLUSIVE), _BOUNDED).astype(np.int8)
+    errors: dict[int, RatioCiError] = {}
+    for i in np.flatnonzero(~fast):
+        i = int(i)
+        try:
+            cset = invert_t0_band(m.row(i), -quantile, quantile)
+        except RatioCiError as exc:
+            errors[i] = exc
+            continue
+        case[i] = _CASES.index(cset.case)
+        if cset.case is SetCase.BOUNDED:
+            lower[i], upper[i] = cset.lower, cset.upper
+        elif cset.case is SetCase.UNBOUNDED_EXCLUSIVE:
+            lower[i], upper[i] = cset.excluded_lower, cset.excluded_upper
+    lower[case == _WHOLE] = upper[case == _WHOLE] = np.nan
+    return _RowResults(estimate, lower, upper, case, errors)
+
+
+def _taylor_rows(m: _RowSummaries, quantile: float) -> _RowResults:
+    mx, my = m.mean_x, m.mean_y
+    with np.errstate(all="ignore"):
+        rho = my / mx
+        arg = m.var_mean_x / (mx * mx) + m.var_mean_y / (my * my) - 2.0 * m.cov_mean_xy / (mx * my)
+        # where(0 > arg, 0, arg) is Python's max(arg, 0.0), nan and -0.0 included.
+        half = quantile * np.abs(rho) * np.sqrt(np.where(0.0 > arg, 0.0, arg))
+        lower, upper = rho - half, rho + half
+    errors: dict[int, RatioCiError] = {}
+    # Squares of subnormal means underflow to zero, so guard the squares,
+    # not the means themselves.
+    for i in np.flatnonzero((mx * mx == 0.0) | (my * my == 0.0)):
+        if mx[i] * mx[i] == 0.0:
+            errors[int(i)] = ZeroDenominator("mean of x is zero or vanishes when squared")
+        else:
+            errors[int(i)] = ZeroNumerator("mean of y is zero or vanishes when squared")
+    return _bounded_rows(rho, lower, upper, errors)
+
+
+def _zero_variance_rows(m: _RowSummaries, quantile: float) -> _RowResults:
+    mx = m.mean_x
+    with np.errstate(all="ignore"):
+        rho = m.mean_y / mx
+        half = quantile * np.sqrt(m.var_mean_y) / np.abs(mx)
+        lower, upper = rho - half, rho + half
+    errors: dict[int, RatioCiError] = {
+        int(i): ZeroDenominator("mean of x is exactly zero") for i in np.flatnonzero(mx == 0.0)
+    }
+    return _bounded_rows(rho, lower, upper, errors)
+
+
+def _pair_ratio_rows(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, dict[int, RatioCiError]]:
+    zero = xs == 0.0
+    errors: dict[int, RatioCiError] = {
+        int(i): ZeroIndividualDenominator(np.flatnonzero(zero[i]))
+        for i in np.flatnonzero(zero.any(axis=1))
+    }
+    with np.errstate(all="ignore"):
+        return ys / xs, errors
+
+
+def _index_rows(xs: np.ndarray, ys: np.ndarray, spec: ConfidenceSpec) -> _RowResults:
+    runs, n = xs.shape
+    if n < 2:
+        return _failed_rows(runs, TooFewObservations("need at least two pairs"))
+    r, errors = _pair_ratio_rows(xs, ys)
+    with np.errstate(all="ignore"):
+        rbar = r.mean(axis=1)
+        dev = r - rbar[:, None]
+        se = np.sqrt(_row_dots(dev, dev) / (n - 1) / n)
+        half = spec.quantile_for_df(n - 1) * se
+        lower, upper = rbar - half, rbar + half
+    return _bounded_rows(rbar, lower, upper, errors)
+
+
+def _trimmed_index_rows(
+    xs: np.ndarray, ys: np.ndarray, spec: ConfidenceSpec, trim: float
+) -> _RowResults:
+    runs, n = xs.shape
+    if not 0.0 <= trim < 0.5:
+        return _failed_rows(runs, DomainError("trim must lie in [0, 0.5)"))
+    g = int(math.floor(trim * n))
+    kept = n - 2 * g
+    if kept < 2:
+        return _failed_rows(
+            runs, TooFewAfterTrim(f"trimming {g} from each tail leaves {kept} of {n}")
+        )
+    r, errors = _pair_ratio_rows(xs, ys)
+    r.sort(axis=1)
+    core = r[:, g : n - g]
+    with np.errstate(all="ignore"):
+        tmean = core.mean(axis=1)
+        # Winsorize in place: each tail takes the value of its core end.
+        r[:, :g] = core[:, :1]
+        r[:, n - g :] = core[:, -1:]
+        dev = r - r.mean(axis=1)[:, None]
+        s_w = np.sqrt(_row_dots(dev, dev) / (n - 1))
+        se = s_w / ((1.0 - 2.0 * g / n) * math.sqrt(n))
+        half = spec.quantile_for_df(kept - 1) * se
+        lower, upper = tmean - half, tmean + half
+    return _bounded_rows(tmean, lower, upper, errors)
+
+
+# ---------------------------------------------------------- scalar methods
+
+
 def fieller_set(stats: SummaryStats, spec: ConfidenceSpec) -> MethodResult:
     """Exact confidence set from inverting |T0(rho)| <= quantile.
 
@@ -339,9 +568,9 @@ def fieller_set(stats: SummaryStats, spec: ConfidenceSpec) -> MethodResult:
     variances are zero the ratio is known with certainty and the result is
     the degenerate interval at the observed ratio.
     """
-    cset = invert_t0_band(stats, -spec.quantile, spec.quantile)
-    estimate = stats.mean_y / stats.mean_x if stats.mean_x != 0.0 else math.nan
-    return MethodResult(Method.FIELLER, estimate, cset, _diagnostics(stats, cset))
+    result = _fieller_rows(_RowSummaries.of(stats), spec.quantile).result(Method.FIELLER)
+    cset = result.confidence_set
+    return MethodResult(Method.FIELLER, result.estimate, cset, _diagnostics(stats, cset))
 
 
 def taylor_limits(stats: SummaryStats, spec: ConfidenceSpec) -> MethodResult:
@@ -350,29 +579,7 @@ def taylor_limits(stats: SummaryStats, spec: ConfidenceSpec) -> MethodResult:
     Always a bounded interval: estimate +/- quantile * |estimate| * sqrt(
     vx/mean_x^2 + vy/mean_y^2 - 2*cxy/(mean_x*mean_y)).
     """
-    # Squares of subnormal means underflow to zero, so guard the squares,
-    # not the means themselves.
-    if stats.mean_x * stats.mean_x == 0.0:
-        raise ZeroDenominator("mean of x is zero or vanishes when squared")
-    if stats.mean_y * stats.mean_y == 0.0:
-        raise ZeroNumerator("mean of y is zero or vanishes when squared")
-    rho = stats.mean_y / stats.mean_x
-    arg = (
-        stats.var_mean_x / (stats.mean_x * stats.mean_x)
-        + stats.var_mean_y / (stats.mean_y * stats.mean_y)
-        - 2.0 * stats.cov_mean_xy / (stats.mean_x * stats.mean_y)
-    )
-    # The argument is a variance of a linear combination; clamp rounding noise.
-    half = spec.quantile * abs(rho) * math.sqrt(max(arg, 0.0))
-    cset = ConfidenceSet.bounded(rho - half, rho + half)
-    return MethodResult(Method.TAYLOR, rho, cset)
-
-
-def _pair_ratios(sample: PairedSample) -> np.ndarray:
-    zeros = np.flatnonzero(sample.xs == 0.0)
-    if zeros.size:
-        raise ZeroIndividualDenominator(zeros)
-    return sample.ys / sample.xs
+    return _taylor_rows(_RowSummaries.of(stats), spec.quantile).result(Method.TAYLOR)
 
 
 def index_limits(sample: PairedSample, spec: ConfidenceSpec) -> MethodResult:
@@ -381,16 +588,7 @@ def index_limits(sample: PairedSample, spec: ConfidenceSpec) -> MethodResult:
     Note the estimand here is E(Y/X), not E(Y)/E(X); the two differ unless
     the denominator is noiseless.
     """
-    n = sample.n
-    if n < 2:
-        raise TooFewObservations("need at least two pairs")
-    r = _pair_ratios(sample)
-    rbar = float(r.mean())
-    dev = r - rbar
-    se = math.sqrt(float(dev @ dev) / (n - 1) / n)
-    half = spec.quantile_for_df(n - 1) * se
-    cset = ConfidenceSet.bounded(rbar - half, rbar + half)
-    return MethodResult(Method.INDEX, rbar, cset)
+    return _index_rows(sample.xs[None], sample.ys[None], spec).result(Method.INDEX)
 
 
 def trimmed_index_limits(
@@ -402,32 +600,12 @@ def trimmed_index_limits(
     trimmed mean with the winsorized variance, and uses df = n - 2g - 1.
     With trim=0 this reduces to index_limits exactly.
     """
-    if not 0.0 <= trim < 0.5:
-        raise DomainError("trim must lie in [0, 0.5)")
-    n = sample.n
-    g = int(math.floor(trim * n))
-    kept = n - 2 * g
-    if kept < 2:
-        raise TooFewAfterTrim(f"trimming {g} from each tail leaves {kept} of {n}")
-    r = np.sort(_pair_ratios(sample))
-    core = r[g : n - g]
-    tmean = float(core.mean())
-    winsorized = np.concatenate([np.full(g, core[0]), core, np.full(g, core[-1])])
-    dev = winsorized - winsorized.mean()
-    s_w = math.sqrt(float(dev @ dev) / (n - 1))
-    se = s_w / ((1.0 - 2.0 * g / n) * math.sqrt(n))
-    half = spec.quantile_for_df(kept - 1) * se
-    cset = ConfidenceSet.bounded(tmean - half, tmean + half)
-    return MethodResult(Method.TRIMMED_INDEX, tmean, cset)
+    rows = _trimmed_index_rows(sample.xs[None], sample.ys[None], spec, trim)
+    return rows.result(Method.TRIMMED_INDEX)
 
 
 def zero_variance_limits(sample: PairedSample, spec: ConfidenceSpec) -> MethodResult:
     """Interval that pretends the denominator mean is a known constant:
     estimate +/- quantile * sd_mean_y / |mean_x|."""
-    stats = summarize(sample)
-    if stats.mean_x == 0.0:
-        raise ZeroDenominator("mean of x is exactly zero")
-    rho = stats.mean_y / stats.mean_x
-    half = spec.quantile * stats.sd_mean_y / abs(stats.mean_x)
-    cset = ConfidenceSet.bounded(rho - half, rho + half)
-    return MethodResult(Method.ZERO_VARIANCE, rho, cset)
+    rows = _zero_variance_rows(_summarize_rows(sample.xs[None], sample.ys[None]), spec.quantile)
+    return rows.result(Method.ZERO_VARIANCE)

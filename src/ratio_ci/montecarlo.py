@@ -14,6 +14,15 @@ grid cell gets its seed from SeedSequence([master_seed, cell_index]), so
 results are identical regardless of thread count or which method subset is
 requested. The bootstrap seed for a run is drawn from the run's stream even
 when no bootstrap method is active, for the same reason.
+
+Batched closed-form path: run_cell still draws every run from its own
+generator as above, one run at a time, but stacks the runs of a block into
+(rows, n) arrays and evaluates each closed-form method once per block: one
+row-wise summary (core._summarize_rows) and one kernel per method
+(methods._fieller_rows and its siblings), each bit-equal per row to the
+method applied to that run alone. The per-run generators are unchanged, so
+the determinism above holds and batching changes no number. The bootstrap
+methods still run per run through evaluate_methods.
 """
 
 from __future__ import annotations
@@ -21,8 +30,9 @@ from __future__ import annotations
 import copy
 import math
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -34,12 +44,26 @@ from .bootstrap import (
     hwang_set,
     ratio_bootstrap_results,
 )
-from .core import BivariateNormalParams, ConfidenceSpec, PairedSample, _draw_pairs, summarize
+from .core import (
+    BivariateNormalParams,
+    ConfidenceSpec,
+    PairedSample,
+    _draw_pairs,
+    _summarize_rows,
+    summarize,
+)
 from .errors import DomainError, RatioCiError
 from .methods import (
     Method,
     MethodResult,
     SetCase,
+    _BOUNDED,
+    _fieller_rows,
+    _index_rows,
+    _RowResults,
+    _taylor_rows,
+    _trimmed_index_rows,
+    _zero_variance_rows,
     fieller_set,
     index_limits,
     taylor_limits,
@@ -108,7 +132,8 @@ class MethodCoverage:
     """Coverage tally for one method in one cell.
 
     Estimate moments are taken over the runs in which the method produced a
-    finite estimate; runs where it raised count as non-coverage only.
+    finite estimate. Runs where it failed count as non-coverage, and
+    failures maps the class name of each error to the number of such runs.
     """
 
     runs: int
@@ -116,6 +141,7 @@ class MethodCoverage:
     unbounded_sets: int
     estimate_mean: float
     estimate_variance: float
+    failures: dict[str, int] = field(default_factory=dict, hash=False)
 
     @property
     def coverage(self) -> float:
@@ -230,7 +256,7 @@ def _draw_run(
     while True:
         rng = np.random.default_rng([seed, run, attempt])
         sample = _draw_pairs(params, cell.n, rng)
-        if not np.any(sample.xs == 0.0):
+        if not (sample.xs == 0.0).any():
             break
         attempt += 1
     boot_seed = int(rng.integers(0, 2**63))
@@ -291,6 +317,59 @@ def evaluate_methods(
         yield method, result
 
 
+# The closed-form methods, each a kernel over the stacked runs of a block:
+# (xs, ys, summaries, spec, trim) -> _RowResults.
+_ROW_KERNELS = {
+    Method.FIELLER: lambda xs, ys, m, spec, trim: _fieller_rows(m, spec.quantile),
+    Method.TAYLOR: lambda xs, ys, m, spec, trim: _taylor_rows(m, spec.quantile),
+    Method.INDEX: lambda xs, ys, m, spec, trim: _index_rows(xs, ys, spec),
+    Method.TRIMMED_INDEX: lambda xs, ys, m, spec, trim: _trimmed_index_rows(xs, ys, spec, trim),
+    Method.ZERO_VARIANCE: lambda xs, ys, m, spec, trim: _zero_variance_rows(m, spec.quantile),
+}
+
+# Runs stacked per block: (rows, n) arrays of at most this many elements, so
+# a cell's memory stays bounded for any n and number of runs.
+_BLOCK_ELEMENTS = 1 << 14
+
+
+class _Tally:
+    """One method's running tally over the runs of a cell, in run order."""
+
+    def __init__(self):
+        self.covered = 0
+        self.unbounded = 0
+        self.estimates: list[float] = []
+        self.failures: Counter[str] = Counter()
+
+    def add(self, result: MethodResult | RatioCiError, rho: float) -> None:
+        if isinstance(result, RatioCiError):
+            self.failures[type(result).__name__] += 1
+            return
+        cset = result.confidence_set
+        self.covered += cset.contains(rho)
+        self.unbounded += cset.case is not SetCase.BOUNDED
+        if math.isfinite(result.estimate):
+            self.estimates.append(result.estimate)
+
+    def add_rows(self, rows: _RowResults, rho: float) -> None:
+        ok = ~rows.failed
+        self.failures.update(type(error).__name__ for error in rows.errors.values())
+        self.covered += int(np.count_nonzero(rows.contains(rho)))
+        self.unbounded += int(np.count_nonzero(ok & (rows.case != _BOUNDED)))
+        self.estimates += rows.estimate[ok & np.isfinite(rows.estimate)].tolist()
+
+    def coverage(self, runs: int) -> MethodCoverage:
+        est = self.estimates
+        return MethodCoverage(
+            runs=runs,
+            covered=self.covered,
+            unbounded_sets=self.unbounded,
+            estimate_mean=float(np.mean(est)) if est else math.nan,
+            estimate_variance=float(np.var(est, ddof=1)) if len(est) >= 2 else math.nan,
+            failures=dict(sorted(self.failures.items())),
+        )
+
+
 def run_cell(
     cell: SimCell,
     methods: Iterable[Method],
@@ -303,51 +382,48 @@ def run_cell(
     """Simulate one cell and tally coverage per method.
 
     Method errors on a particular draw (a degenerate resample set, say)
-    count as non-coverage for that run; they never abort the cell.
+    count as non-coverage for that run and are tallied by error class; they
+    never abort the cell. The closed-form methods run once per block of
+    stacked runs; the bootstrap methods run per run through
+    evaluate_methods.
     """
     if runs < 100:
         raise DomainError("need at least 100 runs per cell")
     method_order = _normalized_methods(methods)
+    batched = tuple(m for m in method_order if m in _ROW_KERNELS)
+    per_run = tuple(m for m in method_order if m not in _ROW_KERNELS)
     if boot_config is None:
         boot_config = BootstrapConfig(method=BootstrapMethod.BCA)
     spec = ConfidenceSpec.two_sided(level, df=cell.n - 1)
     rho = cell.true_rho
 
-    covered = {m: 0 for m in method_order}
-    unbounded = {m: 0 for m in method_order}
-    estimates: dict[Method, list[float]] = {m: [] for m in method_order}
+    tallies = {m: _Tally() for m in method_order}
     redraws = 0
+    block = max(1, _BLOCK_ELEMENTS // cell.n)
+    for start in range(0, runs, block):
+        stop = min(start + block, runs)
+        if batched:
+            xs = np.empty((stop - start, cell.n))
+            ys = np.empty_like(xs)
+        for run in range(start, stop):
+            sample, boot_seed, attempts = _draw_run(cell, seed, run)
+            redraws += attempts
+            if batched:
+                xs[run - start] = sample.xs
+                ys[run - start] = sample.ys
+            if per_run:
+                # A copy with the run's seed; dataclasses.replace would rerun
+                # the validation and repeat its warning once per run.
+                run_config = copy.copy(boot_config)
+                object.__setattr__(run_config, "seed", boot_seed)
+                for method, result in evaluate_methods(sample, per_run, spec, run_config, trim):
+                    tallies[method].add(result, rho)
+        if batched:
+            summaries = _summarize_rows(xs, ys)
+            for method in batched:
+                tallies[method].add_rows(_ROW_KERNELS[method](xs, ys, summaries, spec, trim), rho)
 
-    for run in range(runs):
-        sample, boot_seed, attempts = _draw_run(cell, seed, run)
-        redraws += attempts
-        # A copy with the run's seed; dataclasses.replace would rerun the
-        # validation and repeat its warning once per run.
-        run_config = copy.copy(boot_config)
-        object.__setattr__(run_config, "seed", boot_seed)
-        for method, result in evaluate_methods(sample, method_order, spec, run_config, trim):
-            if isinstance(result, RatioCiError):
-                continue
-            cset = result.confidence_set
-            if cset.contains(rho):
-                covered[method] += 1
-            if cset.case is not SetCase.BOUNDED:
-                unbounded[method] += 1
-            if math.isfinite(result.estimate):
-                estimates[method].append(result.estimate)
-
-    tallies = {}
-    for m in method_order:
-        est = estimates[m]
-        mean = float(np.mean(est)) if est else math.nan
-        var = float(np.var(est, ddof=1)) if len(est) >= 2 else math.nan
-        tallies[m] = MethodCoverage(
-            runs=runs,
-            covered=covered[m],
-            unbounded_sets=unbounded[m],
-            estimate_mean=mean,
-            estimate_variance=var,
-        )
+    tallies = {m: tallies[m].coverage(runs) for m in method_order}
     return CoverageResult(cell=cell, seed=seed, methods=tallies, redraws=redraws)
 
 
