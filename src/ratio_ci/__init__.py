@@ -6,14 +6,12 @@ from .bootstrap import (
     BootstrapMethod,
     EmpiricalDistribution,
     HwangDiagnostics,
-    bca_ci,
     bca_set,
     hwang_set,
     percentile_ci,
     percentile_set,
     ratio_bootstrap_results,
     ratio_of_means,
-    resample_pairs,
 )
 from .core import (
     BivariateNormalParams,

@@ -51,9 +51,7 @@ __all__ = [
     "EmpiricalDistribution",
     "HwangDiagnostics",
     "ratio_of_means",
-    "resample_pairs",
     "percentile_ci",
-    "bca_ci",
     "percentile_set",
     "bca_set",
     "ratio_bootstrap_results",
@@ -155,25 +153,6 @@ def _collect(values: np.ndarray, replications: int) -> EmpiricalDistribution:
     return EmpiricalDistribution(values=finite, count=int(finite.size), dropped=int(dropped))
 
 
-def resample_pairs(
-    sample: PairedSample,
-    config: BootstrapConfig,
-    statistic: Callable[[PairedSample], float],
-) -> EmpiricalDistribution:
-    """Evaluate a statistic on B with-replacement resamples of the pairs.
-
-    Deterministic in config.seed. Non-finite evaluations are dropped and
-    counted; more than 50% dropped is an error.
-    """
-    def block(idx: np.ndarray) -> np.ndarray:
-        values = np.empty(len(idx))
-        for b, row in enumerate(idx):
-            values[b] = statistic(PairedSample(sample.xs[row], sample.ys[row]))
-        return values
-
-    return _collect(_per_resample(config, sample.n, block), config.replications)
-
-
 def percentile_ci(dist: EmpiricalDistribution, level: float) -> ConfidenceSet:
     """Equal-tailed interval from the empirical alpha/2 quantiles."""
     if not 0.0 < level < 1.0:
@@ -259,36 +238,11 @@ def _bca_from_distribution(
     return ConfidenceSet.bounded(float(lo), float(hi))
 
 
-def bca_ci(
-    sample: PairedSample,
-    statistic: Callable[[PairedSample], float],
-    config: BootstrapConfig,
-    level: float,
-) -> ConfidenceSet:
-    """Bias-corrected accelerated interval for an arbitrary pair statistic.
-
-    z0 comes from the fraction of bootstrap values strictly below the
-    full-sample estimate, the acceleration from the leave-one-out jackknife.
-    Degenerate corrections fall back to the plain percentile interval with
-    a warning rather than failing.
-    """
-    n = sample.n
-    if n < 3:
-        raise TooFewObservations("BCa needs at least three pairs")
-    dist = resample_pairs(sample, config, statistic)
-    theta_hat = statistic(sample)
-    keep = np.arange(n - 1)
-    jack = np.empty(n)
-    for i in range(n):
-        sel = np.where(keep < i, keep, keep + 1)
-        jack[i] = statistic(PairedSample(sample.xs[sel], sample.ys[sel]))
-    return _bca_from_distribution(dist, theta_hat, jack, level)
-
-
 def _ratio_distribution(
     sample: PairedSample, config: BootstrapConfig
 ) -> EmpiricalDistribution:
-    """Vectorized equivalent of resample_pairs(sample, config, ratio_of_means)."""
+    """ratio_of_means on each resample of the pairs; non-finite ratios are
+    dropped and counted, and more than 50% dropped is an error."""
     def block(idx: np.ndarray) -> np.ndarray:
         mx = sample.xs[idx].mean(axis=1)
         my = sample.ys[idx].mean(axis=1)

@@ -153,20 +153,8 @@ class _RowSummaries:
     @classmethod
     def of(cls, stats: SummaryStats) -> "_RowSummaries":
         """A batch of one."""
-        return cls(
-            stats.n,
-            stats.df,
-            *(
-                np.array([value])
-                for value in (
-                    stats.mean_x,
-                    stats.mean_y,
-                    stats.var_mean_x,
-                    stats.var_mean_y,
-                    stats.cov_mean_xy,
-                )
-            ),
-        )
+        moments = (stats.mean_x, stats.mean_y, stats.var_mean_x, stats.var_mean_y, stats.cov_mean_xy)
+        return cls(stats.n, stats.df, *(np.array([value]) for value in moments))
 
     def row(self, i: int) -> SummaryStats:
         return SummaryStats(

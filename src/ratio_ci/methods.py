@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -323,23 +324,6 @@ def invert_t0_band(stats: SummaryStats, t_lo: float, t_hi: float) -> ConfidenceS
     return ConfidenceSet.whole_line()
 
 
-def _diagnostics(stats: SummaryStats, cset: ConfidenceSet) -> FiellerDiagnostics:
-    mx, my = stats.mean_x, stats.mean_y
-    vx, vy, cxy = stats.var_mean_x, stats.var_mean_y, stats.cov_mean_xy
-    if vx == 0.0:
-        return FiellerDiagnostics(math.inf, math.inf, cset.case)
-    denom_t2 = mx * mx / vx
-    det = vx * vy - cxy * cxy
-    resid = my * vx - mx * cxy
-    if det > 0.0:
-        t_unb2 = denom_t2 + resid * resid / (vx * det)
-    elif resid == 0.0:
-        t_unb2 = denom_t2
-    else:
-        t_unb2 = math.inf
-    return FiellerDiagnostics(denom_t2, t_unb2, cset.case)
-
-
 # ------------------------------------------------------------------ kernels
 #
 # One kernel per closed-form method, evaluated on a batch of samples at
@@ -360,7 +344,8 @@ class _RowResults:
     lower/upper hold the limits of a bounded set or the excluded interval of
     an unbounded one (nan for the whole line), and case indexes _CASES.
     A row whose precondition fails has its error in `errors` and nothing
-    meaningful in the arrays.
+    meaningful in the arrays. diagnostics(i), where the method has any, is
+    the diagnostics record of row i.
     """
 
     estimate: np.ndarray
@@ -368,6 +353,23 @@ class _RowResults:
     upper: np.ndarray
     case: np.ndarray
     errors: dict[int, RatioCiError]
+    diagnostics: Callable[[int], object] | None = None
+
+    @classmethod
+    def of(cls, results: Sequence[MethodResult | RatioCiError]) -> "_RowResults":
+        """The rows of per-sample results or errors, one row each."""
+        estimate, lower, upper = (np.full(len(results), np.nan) for _ in range(3))
+        case = np.full(len(results), _BOUNDED, dtype=np.int8)
+        errors: dict[int, RatioCiError] = {}
+        diagnostics: list[object | None] = [None] * len(results)
+        for i, result in enumerate(results):
+            if isinstance(result, RatioCiError):
+                errors[i] = result
+                continue
+            estimate[i] = result.estimate
+            case[i], lower[i], upper[i] = _set_limits(result.confidence_set)
+            diagnostics[i] = result.diagnostics
+        return cls(estimate, lower, upper, case, errors, diagnostics.__getitem__)
 
     @property
     def failed(self) -> np.ndarray:
@@ -394,13 +396,17 @@ class _RowResults:
             cset = ConfidenceSet.unbounded_exclusive(lower, upper)
         else:
             cset = ConfidenceSet.whole_line()
-        return MethodResult(method, float(self.estimate[i]), cset)
+        diagnostics = None if self.diagnostics is None else self.diagnostics(i)
+        return MethodResult(method, float(self.estimate[i]), cset, diagnostics)
 
 
-def _failed_rows(runs: int, error: RatioCiError) -> _RowResults:
-    nan = np.full(runs, np.nan)
-    errors = dict.fromkeys(range(runs), error)
-    return _RowResults(nan, nan, nan, np.full(runs, _BOUNDED, dtype=np.int8), errors)
+def _set_limits(cset: ConfidenceSet) -> tuple[int, float, float]:
+    """The case code and the lower/upper entries of cset in _RowResults."""
+    if cset.case is SetCase.BOUNDED:
+        return _BOUNDED, cset.lower, cset.upper
+    if cset.case is SetCase.UNBOUNDED_EXCLUSIVE:
+        return _EXCLUSIVE, cset.excluded_lower, cset.excluded_upper
+    return _WHOLE, math.nan, math.nan
 
 
 def _bounded_rows(
@@ -419,7 +425,8 @@ def _bounded_rows(
 
 
 def _fieller_rows(m: _RowSummaries, quantile: float) -> _RowResults:
-    """invert_t0_band(row, -quantile, quantile) for every row.
+    """invert_t0_band(row, -quantile, quantile) for every row, with its
+    FiellerDiagnostics.
 
     Rows with two distinct finite tangency slopes and a member segment take
     invert_t0_band's own steps here, elementwise: the slopes from the
@@ -448,6 +455,15 @@ def _fieller_rows(m: _RowSummaries, quantile: float) -> _RowResults:
         q = vy - 2.0 * mid * cxy + mid * mid * vx
         t0 = (my - mid * mx) / np.sqrt(q)
         middle = (q > 0.0) & (-quantile <= t0) & (t0 <= quantile)
+        # The diagnostics; vx == 0 gives det <= 0 and so t_unb2 = inf too.
+        denom_t2 = np.where(vx == 0.0, np.inf, mx * mx / vx)
+        det = vx * vy - cxy * cxy
+        resid = my * vx - mx * cxy
+        t_unb2 = np.where(
+            det > 0.0,
+            denom_t2 + resid * resid / (vx * det),
+            np.where(resid == 0.0, denom_t2, np.inf),
+        )
     fast = (
         (vx != 0.0)
         & (disc > 0.0)
@@ -466,13 +482,13 @@ def _fieller_rows(m: _RowSummaries, quantile: float) -> _RowResults:
         except RatioCiError as exc:
             errors[i] = exc
             continue
-        case[i] = _CASES.index(cset.case)
-        if cset.case is SetCase.BOUNDED:
-            lower[i], upper[i] = cset.lower, cset.upper
-        elif cset.case is SetCase.UNBOUNDED_EXCLUSIVE:
-            lower[i], upper[i] = cset.excluded_lower, cset.excluded_upper
+        case[i], lower[i], upper[i] = _set_limits(cset)
     lower[case == _WHOLE] = upper[case == _WHOLE] = np.nan
-    return _RowResults(estimate, lower, upper, case, errors)
+
+    def diagnostics(i: int) -> FiellerDiagnostics:
+        return FiellerDiagnostics(float(denom_t2[i]), float(t_unb2[i]), _CASES[case[i]])
+
+    return _RowResults(estimate, lower, upper, case, errors, diagnostics)
 
 
 def _taylor_rows(m: _RowSummaries, quantile: float) -> _RowResults:
@@ -519,7 +535,7 @@ def _pair_ratio_rows(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, dict[i
 def _index_rows(xs: np.ndarray, ys: np.ndarray, spec: ConfidenceSpec) -> _RowResults:
     runs, n = xs.shape
     if n < 2:
-        return _failed_rows(runs, TooFewObservations("need at least two pairs"))
+        return _RowResults.of([TooFewObservations("need at least two pairs")] * runs)
     r, errors = _pair_ratio_rows(xs, ys)
     with np.errstate(all="ignore"):
         rbar = r.mean(axis=1)
@@ -535,13 +551,12 @@ def _trimmed_index_rows(
 ) -> _RowResults:
     runs, n = xs.shape
     if not 0.0 <= trim < 0.5:
-        return _failed_rows(runs, DomainError("trim must lie in [0, 0.5)"))
+        return _RowResults.of([DomainError("trim must lie in [0, 0.5)")] * runs)
     g = int(math.floor(trim * n))
     kept = n - 2 * g
     if kept < 2:
-        return _failed_rows(
-            runs, TooFewAfterTrim(f"trimming {g} from each tail leaves {kept} of {n}")
-        )
+        error = TooFewAfterTrim(f"trimming {g} from each tail leaves {kept} of {n}")
+        return _RowResults.of([error] * runs)
     r, errors = _pair_ratio_rows(xs, ys)
     r.sort(axis=1)
     core = r[:, g : n - g]
@@ -568,9 +583,7 @@ def fieller_set(stats: SummaryStats, spec: ConfidenceSpec) -> MethodResult:
     variances are zero the ratio is known with certainty and the result is
     the degenerate interval at the observed ratio.
     """
-    result = _fieller_rows(_RowSummaries.of(stats), spec.quantile).result(Method.FIELLER)
-    cset = result.confidence_set
-    return MethodResult(Method.FIELLER, result.estimate, cset, _diagnostics(stats, cset))
+    return _fieller_rows(_RowSummaries.of(stats), spec.quantile).result(Method.FIELLER)
 
 
 def taylor_limits(stats: SummaryStats, spec: ConfidenceSpec) -> MethodResult:

@@ -15,14 +15,14 @@ results are identical regardless of thread count or which method subset is
 requested. The bootstrap seed for a run is drawn from the run's stream even
 when no bootstrap method is active, for the same reason.
 
-Batched closed-form path: run_cell still draws every run from its own
-generator as above, one run at a time, but stacks the runs of a block into
-(rows, n) arrays and evaluates each closed-form method once per block: one
-row-wise summary (core._summarize_rows) and one kernel per method
-(methods._fieller_rows and its siblings), each bit-equal per row to the
-method applied to that run alone. The per-run generators are unchanged, so
-the determinism above holds and batching changes no number. The bootstrap
-methods still run per run through evaluate_methods.
+Method registry: _KERNELS maps every method to one kernel over the rows of
+a batch of samples, and is the only place that knows which methods exist.
+run_cell and error_bar_experiment draw each run from its own generator as
+above but stack the runs of a block into (rows, n) arrays, summarize them
+once and run each kernel once per block; evaluate_methods is the registry
+on a batch of one. The closed-form kernels (methods._fieller_rows and its
+siblings) work on whole arrays, the bootstrap kernels loop over their rows,
+and every row is bit-equal to the method applied to that sample alone.
 """
 
 from __future__ import annotations
@@ -33,12 +33,12 @@ import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .bootstrap import (
-    _RATIO_BOOT_METHODS,
     BootstrapConfig,
     BootstrapMethod,
     hwang_set,
@@ -49,8 +49,8 @@ from .core import (
     ConfidenceSpec,
     PairedSample,
     _draw_pairs,
+    _RowSummaries,
     _summarize_rows,
-    summarize,
 )
 from .errors import DomainError, RatioCiError
 from .methods import (
@@ -64,11 +64,6 @@ from .methods import (
     _taylor_rows,
     _trimmed_index_rows,
     _zero_variance_rows,
-    fieller_set,
-    index_limits,
-    taylor_limits,
-    trimmed_index_limits,
-    zero_variance_limits,
 )
 
 __all__ = [
@@ -270,6 +265,88 @@ def _normalized_methods(methods: Iterable[Method]) -> tuple[Method, ...]:
     return tuple(m for m in Method if m in requested)
 
 
+@dataclass(frozen=True, eq=False)
+class _Batch:
+    """Samples stacked as the rows of (rows, n) arrays, with what the method
+    kernels read besides them. boot_seeds holds each row's bootstrap seed
+    and is read, like boot_config, only by the bootstrap kernels."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+    spec: ConfidenceSpec
+    trim: float = 0.25
+    boot_config: BootstrapConfig | None = None
+    boot_seeds: Sequence[int] = ()
+
+    @cached_property
+    def summaries(self) -> _RowSummaries:
+        """The row summaries, computed once, when a kernel first reads them."""
+        return _summarize_rows(self.xs, self.ys)
+
+    def samples(self) -> Iterator[tuple[PairedSample, BootstrapConfig]]:
+        """Each row as a sample, with boot_config carrying the row's seed."""
+        for x, y, seed in zip(self.xs, self.ys, self.boot_seeds, strict=True):
+            # Not dataclasses.replace, which would validate and warn per row.
+            config = copy.copy(self.boot_config)
+            object.__setattr__(config, "seed", seed)
+            yield PairedSample(x, y), config
+
+
+def _hwang_rows(batch: _Batch, methods: tuple[Method, ...]) -> tuple[_RowResults]:
+    results: list[MethodResult | RatioCiError] = []
+    for sample, config in batch.samples():
+        try:
+            results.append(hwang_set(sample, config, batch.spec))
+        except RatioCiError as exc:
+            results.append(exc)
+    return (_RowResults.of(results),)
+
+
+def _ratio_boot_rows(batch: _Batch, methods: tuple[Method, ...]) -> tuple[_RowResults, ...]:
+    """Both ratio-bootstrap methods from one resampling per row; a row whose
+    resampling fails has the same error for each of them."""
+    results: dict[Method, list[MethodResult | RatioCiError]] = {m: [] for m in methods}
+    for sample, config in batch.samples():
+        try:
+            row = ratio_bootstrap_results(sample, config, batch.spec, methods)
+        except RatioCiError as exc:
+            row = dict.fromkeys(methods, exc)
+        for method in methods:
+            results[method].append(row[method])
+    return tuple(_RowResults.of(results[m]) for m in methods)
+
+
+# The one method registry: each method's kernel over the rows of a batch,
+# (batch, methods) -> one _RowResults per method in `methods`, which holds
+# the requested methods the kernel serves. The bootstrap kernels look their
+# method functions up in this module's namespace at call time.
+_KERNELS = {
+    Method.FIELLER: lambda b, methods: (_fieller_rows(b.summaries, b.spec.quantile),),
+    Method.TAYLOR: lambda b, methods: (_taylor_rows(b.summaries, b.spec.quantile),),
+    Method.INDEX: lambda b, methods: (_index_rows(b.xs, b.ys, b.spec),),
+    Method.TRIMMED_INDEX: lambda b, methods: (_trimmed_index_rows(b.xs, b.ys, b.spec, b.trim),),
+    Method.ZERO_VARIANCE: lambda b, methods: (_zero_variance_rows(b.summaries, b.spec.quantile),),
+    Method.HWANG_BOOTSTRAP: _hwang_rows,
+    Method.BOOTSTRAP_PERCENTILE: _ratio_boot_rows,
+    Method.BOOTSTRAP_BCA: _ratio_boot_rows,
+}
+
+
+def _kernel_rows(
+    batch: _Batch, methods: tuple[Method, ...]
+) -> Iterator[tuple[Method, _RowResults]]:
+    """Yield (method, _RowResults) for each method, lazily and in order. A
+    kernel serving several of the methods runs once for all of them, when
+    the first is reached."""
+    done: dict[Method, _RowResults] = {}
+    for method in methods:
+        if method not in done:
+            kernel = _KERNELS[method]
+            served = tuple(m for m in methods if _KERNELS[m] is kernel)
+            done.update(zip(served, kernel(batch, served)))
+        yield method, done[method]
+
+
 def evaluate_methods(
     sample: PairedSample,
     methods: Iterable[Method],
@@ -280,56 +357,50 @@ def evaluate_methods(
     """Yield (method, result) for each method, lazily and in the given order.
 
     A method whose precondition fails on this sample yields its RatioCiError
-    in place of the result; what that means is left to the caller. The two
-    ratio-bootstrap methods share one resampling, drawn when the first of
-    them is reached, and both yield its error if it fails. boot_config is read only by the bootstrap methods.
-    Method functions are looked up in this module's namespace at call time.
+    in place of the result; what that means is left to the caller. The
+    sample is summarized once, first, and the two ratio-bootstrap methods
+    share one resampling, drawn when the first of them is reached; both
+    yield its error if it fails. boot_config is read only by the bootstrap
+    methods. This is the method registry on a batch of one.
     """
-    methods = tuple(methods)
-    ratio_boot_wanted = tuple(m for m in methods if m in _RATIO_BOOT_METHODS)
-    stats = summarize(sample)
-    ratio_boot: dict[Method, MethodResult] | None = None
-    for method in methods:
+    seeds = () if boot_config is None else (boot_config.seed,)
+    batch = _Batch(sample.xs[None], sample.ys[None], spec, trim, boot_config, seeds)
+    batch.summaries  # a summary that fails is no method's error
+    for method, rows in _kernel_rows(batch, tuple(methods)):
         try:
-            if method is Method.FIELLER:
-                result = fieller_set(stats, spec)
-            elif method is Method.TAYLOR:
-                result = taylor_limits(stats, spec)
-            elif method is Method.INDEX:
-                result = index_limits(sample, spec)
-            elif method is Method.TRIMMED_INDEX:
-                result = trimmed_index_limits(sample, spec, trim)
-            elif method is Method.ZERO_VARIANCE:
-                result = zero_variance_limits(sample, spec)
-            elif method is Method.HWANG_BOOTSTRAP:
-                result = hwang_set(sample, boot_config, spec)
-            else:
-                if ratio_boot is None:
-                    try:
-                        ratio_boot = ratio_bootstrap_results(
-                            sample, boot_config, spec, ratio_boot_wanted
-                        )
-                    except RatioCiError as exc:
-                        ratio_boot = dict.fromkeys(ratio_boot_wanted, exc)
-                result = ratio_boot[method]
+            yield method, rows.result(method)
         except RatioCiError as exc:
-            result = exc
-        yield method, result
+            yield method, exc
 
-
-# The closed-form methods, each a kernel over the stacked runs of a block:
-# (xs, ys, summaries, spec, trim) -> _RowResults.
-_ROW_KERNELS = {
-    Method.FIELLER: lambda xs, ys, m, spec, trim: _fieller_rows(m, spec.quantile),
-    Method.TAYLOR: lambda xs, ys, m, spec, trim: _taylor_rows(m, spec.quantile),
-    Method.INDEX: lambda xs, ys, m, spec, trim: _index_rows(xs, ys, spec),
-    Method.TRIMMED_INDEX: lambda xs, ys, m, spec, trim: _trimmed_index_rows(xs, ys, spec, trim),
-    Method.ZERO_VARIANCE: lambda xs, ys, m, spec, trim: _zero_variance_rows(m, spec.quantile),
-}
 
 # Runs stacked per block: (rows, n) arrays of at most this many elements, so
 # a cell's memory stays bounded for any n and number of runs.
 _BLOCK_ELEMENTS = 1 << 14
+
+
+def _blocks(
+    cell: SimCell,
+    seed: int,
+    runs: int,
+    spec: ConfidenceSpec,
+    trim: float = 0.25,
+    boot_config: BootstrapConfig | None = None,
+) -> Iterator[tuple[int, _Batch, int]]:
+    """(first run, batch, redraws) for each block of runs, in run order: the
+    runs are drawn one by one by _draw_run and stacked as the batch's rows."""
+    block = max(1, _BLOCK_ELEMENTS // cell.n)
+    for start in range(0, runs, block):
+        rows = min(block, runs - start)
+        xs = np.empty((rows, cell.n))
+        ys = np.empty_like(xs)
+        seeds = []
+        redraws = 0
+        for i in range(rows):
+            sample, boot_seed, attempts = _draw_run(cell, seed, start + i)
+            xs[i], ys[i] = sample.xs, sample.ys
+            seeds.append(boot_seed)
+            redraws += attempts
+        yield start, _Batch(xs, ys, spec, trim, boot_config, seeds), redraws
 
 
 class _Tally:
@@ -340,16 +411,6 @@ class _Tally:
         self.unbounded = 0
         self.estimates: list[float] = []
         self.failures: Counter[str] = Counter()
-
-    def add(self, result: MethodResult | RatioCiError, rho: float) -> None:
-        if isinstance(result, RatioCiError):
-            self.failures[type(result).__name__] += 1
-            return
-        cset = result.confidence_set
-        self.covered += cset.contains(rho)
-        self.unbounded += cset.case is not SetCase.BOUNDED
-        if math.isfinite(result.estimate):
-            self.estimates.append(result.estimate)
 
     def add_rows(self, rows: _RowResults, rho: float) -> None:
         ok = ~rows.failed
@@ -383,15 +444,11 @@ def run_cell(
 
     Method errors on a particular draw (a degenerate resample set, say)
     count as non-coverage for that run and are tallied by error class; they
-    never abort the cell. The closed-form methods run once per block of
-    stacked runs; the bootstrap methods run per run through
-    evaluate_methods.
+    never abort the cell. Every method runs once per block of stacked runs.
     """
     if runs < 100:
         raise DomainError("need at least 100 runs per cell")
     method_order = _normalized_methods(methods)
-    batched = tuple(m for m in method_order if m in _ROW_KERNELS)
-    per_run = tuple(m for m in method_order if m not in _ROW_KERNELS)
     if boot_config is None:
         boot_config = BootstrapConfig(method=BootstrapMethod.BCA)
     spec = ConfidenceSpec.two_sided(level, df=cell.n - 1)
@@ -399,29 +456,10 @@ def run_cell(
 
     tallies = {m: _Tally() for m in method_order}
     redraws = 0
-    block = max(1, _BLOCK_ELEMENTS // cell.n)
-    for start in range(0, runs, block):
-        stop = min(start + block, runs)
-        if batched:
-            xs = np.empty((stop - start, cell.n))
-            ys = np.empty_like(xs)
-        for run in range(start, stop):
-            sample, boot_seed, attempts = _draw_run(cell, seed, run)
-            redraws += attempts
-            if batched:
-                xs[run - start] = sample.xs
-                ys[run - start] = sample.ys
-            if per_run:
-                # A copy with the run's seed; dataclasses.replace would rerun
-                # the validation and repeat its warning once per run.
-                run_config = copy.copy(boot_config)
-                object.__setattr__(run_config, "seed", boot_seed)
-                for method, result in evaluate_methods(sample, per_run, spec, run_config, trim):
-                    tallies[method].add(result, rho)
-        if batched:
-            summaries = _summarize_rows(xs, ys)
-            for method in batched:
-                tallies[method].add_rows(_ROW_KERNELS[method](xs, ys, summaries, spec, trim), rho)
+    for _, batch, attempts in _blocks(cell, seed, runs, spec, trim, boot_config):
+        redraws += attempts
+        for method, rows in _kernel_rows(batch, method_order):
+            tallies[method].add_rows(rows, rho)
 
     tallies = {m: tallies[m].coverage(runs) for m in method_order}
     return CoverageResult(cell=cell, seed=seed, methods=tallies, redraws=redraws)
@@ -476,20 +514,21 @@ def error_bar_experiment(
     rho = cell.true_rho
     methods = (Method.FIELLER, Method.INDEX)
     per_method: dict[Method, list[ErrorBarRun]] = {m: [] for m in methods}
-    for run in range(runs):
-        sample, _, _ = _draw_run(cell, seed, run)
-        for method, result in evaluate_methods(sample, methods, spec):
-            if isinstance(result, RatioCiError):
-                raise result
-            per_method[method].append(
-                ErrorBarRun(
-                    method=method,
-                    run=run,
-                    estimate=result.estimate,
-                    confidence_set=result.confidence_set,
-                    covers_true=result.confidence_set.contains(rho),
+    for start, batch, _ in _blocks(cell, seed, runs, spec):
+        kernels = dict(_kernel_rows(batch, methods))
+        for i in range(len(batch.xs)):
+            for method in methods:
+                # Raises the row's error: the first failing run's, Fieller first.
+                result = kernels[method].result(method, i)
+                per_method[method].append(
+                    ErrorBarRun(
+                        method=method,
+                        run=start + i,
+                        estimate=result.estimate,
+                        confidence_set=result.confidence_set,
+                        covers_true=result.confidence_set.contains(rho),
+                    )
                 )
-            )
     rows: list[ErrorBarRun] = []
     for method in methods:
         rows.extend(sorted(per_method[method], key=lambda r: r.estimate))

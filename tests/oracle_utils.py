@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ratio_ci import PairedSample, TooFewObservations
+from ratio_ci.bootstrap import _bca_from_distribution, _collect, _per_resample
+
 # --------------------------------------------------------------------------
 # Paired summary statistics, recomputed the slow way.
 
@@ -288,3 +291,38 @@ def bca_oracle(values, theta_hat: float, jackknife, level: float):
             adj = norm_cdf_oracle(z0 + z / denom_a)
         out.append(quantile_linear_oracle(vals, min(max(adj, 0.0), 1.0)))
     return out[0], out[1]
+
+
+# --------------------------------------------------------------------------
+# A generic pair bootstrap: any statistic, one sample per resample. Unlike
+# the oracles above it is built on the library's own resampling and BCa
+# steps (bootstrap._per_resample, _collect, _bca_from_distribution), so it
+# draws the same index blocks as the vectorized statistics and checks their
+# arithmetic, not the resampling itself.
+
+
+def resample_pairs(sample, config, statistic):
+    """statistic on each of config.replications resamples of the pairs.
+
+    Deterministic in config.seed. Non-finite evaluations are dropped and
+    counted; more than 50% dropped is an error.
+    """
+    def block(idx):
+        return np.array([statistic(PairedSample(sample.xs[row], sample.ys[row])) for row in idx])
+
+    return _collect(_per_resample(config, sample.n, block), config.replications)
+
+
+def bca_ci(sample, statistic, config, level: float):
+    """BCa interval for any pair statistic: z0 from the resamples below the
+    full-sample estimate, the acceleration from the leave-one-out jackknife,
+    and the percentile interval with a warning when either is undefined."""
+    n = sample.n
+    if n < 3:
+        raise TooFewObservations("BCa needs at least three pairs")
+    dist = resample_pairs(sample, config, statistic)
+    jack = [
+        statistic(PairedSample(np.delete(sample.xs, i), np.delete(sample.ys, i)))
+        for i in range(n)
+    ]
+    return _bca_from_distribution(dist, statistic(sample), np.array(jack), level)

@@ -1,5 +1,6 @@
-"""Reference copy of the per-sample closed-form methods and of the per-run
-run_cell loop, as they were before the methods became batch kernels.
+"""Reference copy of the per-sample closed-form methods (Fieller's
+diagnostics included) and of the per-run run_cell loop, as they were before
+the methods became batch kernels.
 
 The library now evaluates the closed-form methods as one kernel per method
 over stacked samples, and the public functions are those kernels on a batch
@@ -25,6 +26,7 @@ from ratio_ci import (
     ConfidenceSpec,
     CoverageResult,
     DomainError,
+    FiellerDiagnostics,
     Method,
     MethodCoverage,
     MethodResult,
@@ -76,7 +78,24 @@ def summarize(sample: PairedSample) -> SummaryStats:
 def fieller_set(stats: SummaryStats, spec: ConfidenceSpec) -> MethodResult:
     cset = invert_t0_band(stats, -spec.quantile, spec.quantile)
     estimate = stats.mean_y / stats.mean_x if stats.mean_x != 0.0 else math.nan
-    return MethodResult(Method.FIELLER, estimate, cset)
+    return MethodResult(Method.FIELLER, estimate, cset, fieller_diagnostics(stats, cset))
+
+
+def fieller_diagnostics(stats: SummaryStats, cset: ConfidenceSet) -> FiellerDiagnostics:
+    mx, my = stats.mean_x, stats.mean_y
+    vx, vy, cxy = stats.var_mean_x, stats.var_mean_y, stats.cov_mean_xy
+    if vx == 0.0:
+        return FiellerDiagnostics(math.inf, math.inf, cset.case)
+    denom_t2 = mx * mx / vx
+    det = vx * vy - cxy * cxy
+    resid = my * vx - mx * cxy
+    if det > 0.0:
+        t_unb2 = denom_t2 + resid * resid / (vx * det)
+    elif resid == 0.0:
+        t_unb2 = denom_t2
+    else:
+        t_unb2 = math.inf
+    return FiellerDiagnostics(denom_t2, t_unb2, cset.case)
 
 
 def taylor_limits(stats: SummaryStats, spec: ConfidenceSpec) -> MethodResult:

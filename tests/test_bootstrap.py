@@ -21,7 +21,6 @@ from ratio_ci import (
     TooFewObservations,
     TooFewReplicates,
     ZeroDenominator,
-    bca_ci,
     bca_set,
     fieller_set,
     hwang_set,
@@ -30,7 +29,6 @@ from ratio_ci import (
     percentile_set,
     ratio_bootstrap_results,
     ratio_of_means,
-    resample_pairs,
     summarize,
     t0_statistic,
 )
@@ -43,7 +41,7 @@ from ratio_ci.bootstrap import (
     _resample_t0,
 )
 
-from oracle_utils import bca_oracle, quantile_linear_oracle
+from oracle_utils import bca_ci, bca_oracle, quantile_linear_oracle, resample_pairs
 
 
 def _sample(seed=3, n=30, cv_x=0.2):

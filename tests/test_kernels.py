@@ -13,13 +13,24 @@ import scalar_reference as ref
 from ratio_ci import (
     AllResamplesDegenerate,
     BootstrapConfig,
+    BootstrapMethod,
     ConfidenceSpec,
     DomainError,
     Method,
     PairedSample,
     RatioCiError,
     SimCell,
+    bca_set,
+    fieller_set,
+    hwang_set,
+    index_limits,
+    percentile_set,
+    ratio_bootstrap_results,
     run_cell,
+    summarize,
+    taylor_limits,
+    trimmed_index_limits,
+    zero_variance_limits,
 )
 from ratio_ci.core import _summarize_rows
 from ratio_ci.methods import (
@@ -59,6 +70,18 @@ def _assert_same_outcome(got, expected):
     assert got.confidence_set.case is expected.confidence_set.case
     for name in SET_FIELDS:
         assert _same(getattr(got.confidence_set, name), getattr(expected.confidence_set, name))
+    _assert_same_diagnostics(got.diagnostics, expected.diagnostics)
+
+
+def _assert_same_diagnostics(got, expected):
+    """The same record type with bit-equal floats; both None if either is."""
+    if expected is None or got is None:
+        assert got is None and expected is None
+        return
+    assert type(got) is type(expected)
+    for name, want in vars(expected).items():
+        value = getattr(got, name)
+        assert _same(value, want) if isinstance(want, float) else value == want, name
 
 
 # ------------------------------------------------------- kernels, row by row
@@ -157,6 +180,86 @@ def test_row_summaries_are_bit_equal_to_summarize(n):
         assert summaries.row(i) == ref.summarize(PairedSample(xs[i], ys[i]))
 
 
+# ------------------------------------------- the method registry, a batch of one
+
+# Each method's public function on one sample.
+PUBLIC = {
+    Method.FIELLER: lambda s, spec, trim, config: fieller_set(summarize(s), spec),
+    Method.TAYLOR: lambda s, spec, trim, config: taylor_limits(summarize(s), spec),
+    Method.INDEX: lambda s, spec, trim, config: index_limits(s, spec),
+    Method.TRIMMED_INDEX: lambda s, spec, trim, config: trimmed_index_limits(s, spec, trim),
+    Method.ZERO_VARIANCE: lambda s, spec, trim, config: zero_variance_limits(s, spec),
+    Method.HWANG_BOOTSTRAP: lambda s, spec, trim, config: hwang_set(s, config, spec),
+    Method.BOOTSTRAP_PERCENTILE: lambda s, spec, trim, config: percentile_set(s, config, spec),
+    Method.BOOTSTRAP_BCA: lambda s, spec, trim, config: bca_set(s, config, spec),
+}
+BOOTSTRAP = (Method.HWANG_BOOTSTRAP, Method.BOOTSTRAP_PERCENTILE, Method.BOOTSTRAP_BCA)
+
+
+def test_registry_has_one_kernel_per_method():
+    assert len(mc._KERNELS) == len(Method) and set(mc._KERNELS) == set(Method)
+    assert len(PUBLIC) == len(Method)
+
+
+def _assert_batch_of_one_is_public(sample, methods, spec, trim=0.25, config=None):
+    got = list(mc.evaluate_methods(sample, methods, spec, config, trim))
+    assert [method for method, _ in got] == list(methods)
+    for method, result in got:
+        expected = _outcome(lambda: PUBLIC[method](sample, spec, trim, config))
+        _assert_same_outcome(result, expected)
+
+
+@given(batches())
+def test_evaluate_methods_equals_the_public_closed_form_functions(batch):
+    _, xs, ys, spec, trim = batch
+    for x, y in zip(xs, ys):
+        sample = PairedSample(x, y)
+        summary = _outcome(lambda: summarize(sample))
+        if isinstance(summary, RatioCiError):
+            with pytest.raises(type(summary), match=str(summary)):
+                next(mc.evaluate_methods(sample, CLOSED_FORM, spec, trim=trim))
+            continue
+        _assert_batch_of_one_is_public(sample, CLOSED_FORM, spec, trim)
+        _assert_batch_of_one_is_public(sample, CLOSED_FORM[::-1], spec, trim)
+
+
+def _boot_sample(n):
+    rng = np.random.default_rng(n)
+    return PairedSample(rng.normal(2.0, 0.8, n), rng.normal(3.0, 1.0, n))
+
+
+BOOT_SAMPLES = {
+    "n3": _boot_sample(3),
+    "n5": _boot_sample(5),
+    "n20": _boot_sample(20),
+    # Every resample has the same ratio and a zero pivot variance: Hwang
+    # fails, and BCa falls back to the percentile interval with a warning.
+    "degenerate": PairedSample([1.0] * 5, [2.0] * 5),
+}
+
+
+@pytest.mark.filterwarnings("ignore:estimate outside the bootstrap distribution")
+@pytest.mark.parametrize("boot_method", list(BootstrapMethod))
+@pytest.mark.parametrize("name", BOOT_SAMPLES)
+def test_evaluate_methods_equals_the_public_bootstrap_functions(name, boot_method):
+    sample = BOOT_SAMPLES[name]
+    spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
+    config = BootstrapConfig(replications=1000, seed=11, method=boot_method)
+    for method in BOOTSTRAP:
+        _assert_batch_of_one_is_public(sample, (method,), spec, config=config)
+    # Together, the ratio-bootstrap methods come from one resampling.
+    order = (Method.BOOTSTRAP_BCA, Method.FIELLER) + BOOTSTRAP[:2]
+    got = dict(mc.evaluate_methods(sample, order, spec, config))
+    ratio = (Method.BOOTSTRAP_BCA, Method.BOOTSTRAP_PERCENTILE)
+    joint = _outcome(lambda: ratio_bootstrap_results(sample, config, spec, ratio))
+    for method in ratio:
+        expected = joint if isinstance(joint, RatioCiError) else joint[method]
+        _assert_same_outcome(got[method], expected)
+    _assert_same_outcome(
+        got[Method.HWANG_BOOTSTRAP], _outcome(lambda: hwang_set(sample, config, spec))
+    )
+
+
 # ------------------------------------------------------ run_cell, cell by cell
 
 CLOSED_FORM = ref.CLOSED_FORM
@@ -178,12 +281,19 @@ def test_run_cell_equals_the_per_run_loop(cell, runs):
     assert got == ref.run_cell(cell, CLOSED_FORM, runs, seed=3)
 
 
-def test_run_cell_mixed_with_bootstrap_equals_the_per_run_loop():
+def test_run_cell_mixed_with_bootstrap_equals_the_per_run_loop(monkeypatch):
     cell = SimCell(0.3, 0.3, 10)
-    methods = CLOSED_FORM + (Method.HWANG_BOOTSTRAP, Method.BOOTSTRAP_PERCENTILE)
     boot = BootstrapConfig(replications=150, seed=0)
-    got = run_cell(cell, methods, 100, seed=4, boot_config=boot)
-    assert got == ref.run_cell(cell, methods, 100, seed=4, boot_config=boot)
+    cases = [
+        (CLOSED_FORM + (Method.HWANG_BOOTSTRAP, Method.BOOTSTRAP_PERCENTILE), None),
+        # All eight methods, in blocks of 7 runs and a ragged last block of 2.
+        (tuple(Method), 7 * cell.n),
+    ]
+    for methods, block_elements in cases:
+        if block_elements is not None:
+            monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block_elements)
+        got = run_cell(cell, methods, 100, seed=4, boot_config=boot)
+        assert got == ref.run_cell(cell, methods, 100, seed=4, boot_config=boot)
 
 
 def test_run_cell_equals_the_per_run_loop_through_a_redraw(monkeypatch):

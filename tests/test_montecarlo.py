@@ -4,15 +4,21 @@ import numpy as np
 import pytest
 
 import ratio_ci.montecarlo as mc
+import scalar_reference as ref
+from ratio_ci import core, methods
+from test_kernels import SET_FIELDS, _same
 from ratio_ci import (
     AllResamplesDegenerate,
     BootstrapConfig,
     BootstrapMethod,
     ConfidenceSpec,
+    DegenerateVariance,
     DomainError,
     GridSpec,
     Method,
+    NonFiniteResult,
     PairedSample,
+    RatioCiError,
     SimCell,
     error_bar_experiment,
     errorbar_csv_rows,
@@ -190,6 +196,28 @@ def test_failed_ratio_bootstrap_is_resampled_once(monkeypatch):
     assert results[Method.FIELLER].method is Method.FIELLER
 
 
+def test_evaluate_methods_summarizes_the_sample_once(monkeypatch):
+    calls = []
+
+    def counted(module):
+        real = module._summarize_rows
+
+        def summarize_rows(xs, ys):
+            calls.append(module.__name__)
+            return real(xs, ys)
+
+        monkeypatch.setattr(module, "_summarize_rows", summarize_rows)
+
+    for module in (core, methods, mc):
+        counted(module)
+    sample = PairedSample([1.0, 2.0, 3.0, 4.0, 5.0], [2.0, 1.0, 4.0, 3.0, 6.0])
+    spec = ConfidenceSpec.two_sided(0.95, df=4)
+    requested = CLOSED_FORM + (Method.BOOTSTRAP_PERCENTILE,)
+    results = dict(mc.evaluate_methods(sample, requested, spec, BootstrapConfig(replications=100)))
+    assert list(results) == list(requested)
+    assert len(calls) == 1, calls
+
+
 def test_zero_x_draws_are_redrawn(monkeypatch):
     cell = SimCell(cv_x=1.0, cv_y=1.0, n=6)
     real = mc._draw_pairs
@@ -314,6 +342,80 @@ def test_errorbar_csv_layout():
         else:
             assert float(r[3]) <= float(r[4])
         assert r[6] in ("true", "false")
+
+
+def _error_bar_loop(cell, runs, seed):
+    """error_bar_experiment's rows as (method, run, result), by a per-run loop
+    over the scalar reference; raises the first error, Fieller first."""
+    spec = ConfidenceSpec.two_sided(0.95, df=cell.n - 1)
+    per_method = {Method.FIELLER: [], Method.INDEX: []}
+    for run in range(runs):
+        sample, _, _ = mc._draw_run(cell, seed, run)
+        per_method[Method.FIELLER].append((run, ref.fieller_set(ref.summarize(sample), spec)))
+        per_method[Method.INDEX].append((run, ref.index_limits(sample, spec)))
+    return [
+        (method, run, result)
+        for method, rows in per_method.items()
+        for run, result in sorted(rows, key=lambda row: row[1].estimate)
+    ]
+
+
+@pytest.mark.parametrize(
+    "cell, runs, seed",
+    [
+        (SimCell(3.0, 0.1, 20), 40, 1),
+        (SimCell(3.0, 0.1, 500), 60, 2),  # two blocks, the second ragged
+        (SimCell(3.0, 0.5, 4), 30, 11),
+    ],
+)
+def test_error_bar_experiment_equals_the_per_run_loop(cell, runs, seed):
+    rows = error_bar_experiment(cell, runs=runs, seed=seed).rows
+    expected = _error_bar_loop(cell, runs, seed)
+    assert len(rows) == len(expected) == 2 * runs
+    for row, (method, run, result) in zip(rows, expected):
+        assert (row.method, row.run) == (method, run)
+        assert _same(row.estimate, result.estimate)
+        assert row.confidence_set.case is result.confidence_set.case
+        for name in SET_FIELDS:
+            assert _same(getattr(row.confidence_set, name), getattr(result.confidence_set, name))
+        assert row.covers_true is result.confidence_set.contains(cell.true_rho)
+
+
+# Index fails: y/x overflows at x = 5e-324.
+INDEX_FAILS = PairedSample([5e-324, 1.0, 2.0, 1.5, 0.5, 1.2], [1.0] * 6)
+# Fieller fails: var_mean_x underflows to 0 with mean_x = 0, and y is constant.
+FIELLER_FAILS = PairedSample([1e-300, -1e-300] * 3, [1e-300] * 6)
+# Both fail: as above, but the per-pair ratios overflow too.
+BOTH_FAIL = PairedSample([1e-300, -1e-300] * 3, [1e10] * 6)
+
+
+@pytest.mark.parametrize(
+    "bad, block_runs, error",
+    [
+        ({5: FIELLER_FAILS, 3: INDEX_FAILS}, None, NonFiniteResult),
+        ({9: INDEX_FAILS, 6: BOTH_FAIL}, 4, DegenerateVariance),  # in the second block
+        ({2: INDEX_FAILS, 1: FIELLER_FAILS}, 1, DegenerateVariance),
+    ],
+    ids=["index_first", "both_in_the_second_block", "fieller_first_in_blocks_of_one"],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_error_bar_experiment_raises_the_first_failing_run(monkeypatch, bad, block_runs, error):
+    cell = SimCell(1.0, 1.0, 6)
+    real = mc._draw_run
+
+    def draw_run(cell, seed, run):
+        sample, boot_seed, attempts = real(cell, seed, run)
+        return bad.get(run, sample), boot_seed, attempts
+
+    monkeypatch.setattr(mc, "_draw_run", draw_run)
+    if block_runs is not None:
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block_runs * cell.n)
+    with pytest.raises(RatioCiError) as expected:
+        _error_bar_loop(cell, 12, 0)
+    with pytest.raises(error) as got:
+        error_bar_experiment(cell, runs=12, seed=0)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
 
 
 # -------------------------------------------------------------- thread cap
