@@ -20,7 +20,14 @@ draws from one generator continue the same stream, so the blocks
 concatenate to the one-shot (B, n) index matrix and the block size changes
 no number. Peak memory is O(rows·n + n) for any B, with rows·n at most
 max(_BLOCK_ELEMENTS, n): the block's indices and gathered values and the
-sample, besides the B floats of the statistic itself.
+sample, besides the B floats of each statistic.
+
+All three methods read the same config, so they share one resampling per
+sample: _bootstrap_outcomes gathers each index block once, takes the
+resample means once, and derives from them both the ratio replicates and,
+when the pivot method runs, T0*. hwang_set and ratio_bootstrap_results are
+that one path on a subset of the methods, so requesting the methods
+together or apart gives the same numbers.
 """
 
 from __future__ import annotations
@@ -29,16 +36,17 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .core import ConfidenceSpec, PairedSample, summarize
+from .core import ConfidenceSpec, PairedSample, SummaryStats, summarize
 from .errors import (
     AllResamplesDegenerate,
     DegenerateJackknife,
     DomainError,
+    RatioCiError,
     TooFewObservations,
     TooFewReplicates,
     ZeroDenominator,
@@ -58,7 +66,7 @@ __all__ = [
     "hwang_set",
 ]
 
-# The methods that bootstrap the ratio itself; they share one resampling.
+# The methods that bootstrap the ratio itself; they share one distribution.
 _RATIO_BOOT_METHODS = (Method.BOOTSTRAP_PERCENTILE, Method.BOOTSTRAP_BCA)
 
 
@@ -132,14 +140,18 @@ def _resample_indices(rng: np.random.Generator, rows: int, n: int) -> np.ndarray
 def _per_resample(
     config: BootstrapConfig, n: int, statistic: Callable[[np.ndarray], np.ndarray]
 ) -> np.ndarray:
-    """statistic(idx) for each block of resample indices, concatenated to B
-    values; idx is a (rows, n) block of the one-shot (B, n) index matrix."""
+    """statistic(idx) for each block of resample indices, concatenated along
+    the last axis to B values (per row of the statistic, if it has rows);
+    idx is a (rows, n) block of the one-shot (B, n) index matrix."""
     rng = np.random.default_rng(config.seed)
     rows = max(1, _BLOCK_ELEMENTS // n)
-    return np.concatenate([
-        statistic(_resample_indices(rng, min(rows, config.replications - start), n))
-        for start in range(0, config.replications, rows)
-    ])
+    return np.concatenate(
+        [
+            statistic(_resample_indices(rng, min(rows, config.replications - start), n))
+            for start in range(0, config.replications, rows)
+        ],
+        axis=-1,
+    )
 
 
 def _collect(values: np.ndarray, replications: int) -> EmpiricalDistribution:
@@ -192,19 +204,15 @@ def _bca_levels(z0: float, a: float, level: float) -> tuple[float, float]:
 
 
 def _bca_adjustment(
-    dist: EmpiricalDistribution,
-    estimate: float,
-    jackknife: np.ndarray,
-    level: float,
-    stacklevel: int,
-) -> tuple[float, float, float | None, float | None]:
-    """Quantile probabilities of the BCa interval, then z0 and a.
+    dist: EmpiricalDistribution, estimate: float, jackknife: np.ndarray, level: float
+) -> tuple[float, float, float | None, float | None, str | None]:
+    """Quantile probabilities of the BCa interval, then z0, a and the reason
+    for falling back (None if the adjustment was made).
 
     z0 comes from the fraction of bootstrap values strictly below the
     full-sample estimate, the acceleration from the leave-one-out jackknife.
-    When either is undefined this warns and returns the plain percentile
-    probabilities with z0 and a None. stacklevel is counted from the
-    caller, as in warnings.warn.
+    When either is undefined this warns, naming the caller's line, and
+    returns the plain percentile probabilities with z0 and a None.
     """
     below = int(np.searchsorted(dist.values, estimate, side="left"))
     if below == 0 or below == dist.count:
@@ -215,12 +223,10 @@ def _bca_adjustment(
         a = _acceleration(jackknife)
         if a is not None:
             z0 = float(ndtri(below / dist.count))
-            return (*_bca_levels(z0, a, level), z0, a)
+            return (*_bca_levels(z0, a, level), z0, a, None)
         reason, category = "all jackknife values coincide", DegenerateJackknife
-    warnings.warn(
-        f"{reason}; falling back to percentiles", category, stacklevel=stacklevel + 1
-    )
-    return (*_percentile_levels(level), None, None)
+    warnings.warn(f"{reason}; falling back to percentiles", category, stacklevel=2)
+    return (*_percentile_levels(level), None, None, reason)
 
 
 def _bca_from_distribution(
@@ -228,28 +234,59 @@ def _bca_from_distribution(
     theta_hat: float,
     jackknife: np.ndarray,
     level: float,
-) -> ConfidenceSet:
+) -> tuple[ConfidenceSet, str | None]:
+    """The BCa interval and the reason it fell back to percentiles, if it did."""
     if not 0.0 < level < 1.0:
         raise DomainError("level must lie strictly between 0 and 1")
     if dist.count < 100:
         raise TooFewReplicates(f"{dist.count} retained replications, need 100")
-    lo_p, hi_p, _, _ = _bca_adjustment(dist, theta_hat, jackknife, level, stacklevel=3)
+    lo_p, hi_p, _, _, fallback = _bca_adjustment(dist, theta_hat, jackknife, level)
     lo, hi = dist.quantile([lo_p, hi_p])
-    return ConfidenceSet.bounded(float(lo), float(hi))
+    return ConfidenceSet.bounded(float(lo), float(hi)), fallback
 
 
-def _ratio_distribution(
-    sample: PairedSample, config: BootstrapConfig
-) -> EmpiricalDistribution:
-    """ratio_of_means on each resample of the pairs; non-finite ratios are
-    dropped and counted, and more than 50% dropped is an error."""
+def _resample(
+    sample: PairedSample, config: BootstrapConfig, ratios: bool, rho_hat: float | None
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The ratio replicates (if ratios) and the pivots T0* at rho_hat (if
+    rho_hat is not None) of the same B resamples, from one pass.
+
+    Each index block is gathered once and its means taken once. A ratio
+    replicate is mean_y*/mean_x*, nan where mean_x* is zero; T0* is
+    T0(mean_x*, mean_y*, rho_hat) with the resample's own variance
+    estimates, nan where their pivot variance is not positive.
+    """
+    n = sample.n
+    scale = 1.0 / (n * (n - 1))
+
+    def gather(values: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """The row means of values[idx] and, for the pivot, the deviations
+        from them, computed in place; the ratio alone keeps no (rows, n)
+        array beyond this call."""
+        gathered = values[idx]
+        means = gathered.mean(axis=1)
+        if rho_hat is None:
+            return means, None
+        return means, np.subtract(gathered, means[:, None], out=gathered)
+
     def block(idx: np.ndarray) -> np.ndarray:
-        mx = sample.xs[idx].mean(axis=1)
-        my = sample.ys[idx].mean(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(mx != 0.0, my / mx, math.nan)
+        mx, dx = gather(sample.xs, idx)
+        my, dy = gather(sample.ys, idx)
+        out = []
+        if ratios:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out.append(np.where(mx != 0.0, my / mx, math.nan))
+        if rho_hat is not None:
+            vx = np.einsum("ij,ij->i", dx, dx) * scale
+            vy = np.einsum("ij,ij->i", dy, dy) * scale
+            cxy = np.einsum("ij,ij->i", dx, dy) * scale
+            q = vy - 2.0 * rho_hat * cxy + rho_hat * rho_hat * vx
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out.append(np.where(q > 0.0, (my - rho_hat * mx) / np.sqrt(q), math.nan))
+        return np.stack(out)
 
-    return _collect(_per_resample(config, sample.n, block), config.replications)
+    stats = iter(_per_resample(config, n, block))
+    return (next(stats) if ratios else None), (next(stats) if rho_hat is not None else None)
 
 
 def _ratio_jackknife(sample: PairedSample) -> np.ndarray:
@@ -257,75 +294,6 @@ def _ratio_jackknife(sample: PairedSample) -> np.ndarray:
     sy = float(sample.ys.sum())
     with np.errstate(divide="ignore", invalid="ignore"):
         return (sy - sample.ys) / (sx - sample.xs)
-
-
-def ratio_bootstrap_results(
-    sample: PairedSample,
-    config: BootstrapConfig,
-    spec: ConfidenceSpec,
-    methods: tuple[Method, ...] = _RATIO_BOOT_METHODS,
-) -> dict[Method, MethodResult]:
-    """Percentile and/or BCa sets for the ratio from one shared resampling.
-
-    Drawing the empirical distribution once keeps the two intervals mutually
-    consistent and halves the dominant cost when both are requested.
-    """
-    if sample.n < 3:
-        raise TooFewObservations("bootstrap ratio intervals need at least three pairs")
-    wanted = [m for m in methods if m in _RATIO_BOOT_METHODS]
-    if len(wanted) != len(methods):
-        raise DomainError("only the two bootstrap ratio methods are supported here")
-    dist = _ratio_distribution(sample, config)
-    theta_hat = ratio_of_means(sample)
-    results: dict[Method, MethodResult] = {}
-    for m in wanted:
-        if m is Method.BOOTSTRAP_PERCENTILE:
-            cset = percentile_ci(dist, spec.level)
-        else:
-            cset = _bca_from_distribution(
-                dist, theta_hat, _ratio_jackknife(sample), spec.level
-            )
-        results[m] = MethodResult(m, theta_hat, cset)
-    return results
-
-
-def percentile_set(
-    sample: PairedSample, config: BootstrapConfig, spec: ConfidenceSpec
-) -> MethodResult:
-    return ratio_bootstrap_results(sample, config, spec, (Method.BOOTSTRAP_PERCENTILE,))[
-        Method.BOOTSTRAP_PERCENTILE
-    ]
-
-
-def bca_set(
-    sample: PairedSample, config: BootstrapConfig, spec: ConfidenceSpec
-) -> MethodResult:
-    return ratio_bootstrap_results(sample, config, spec, (Method.BOOTSTRAP_BCA,))[
-        Method.BOOTSTRAP_BCA
-    ]
-
-
-def _resample_t0(sample: PairedSample, config: BootstrapConfig, rho_hat: float) -> np.ndarray:
-    """T0(mean_x*, mean_y*, rho_hat) on each resample, using the resample's
-    own variance estimates; non-finite entries mark degenerate draws."""
-    n = sample.n
-    scale = 1.0 / (n * (n - 1))
-
-    def block(idx: np.ndarray) -> np.ndarray:
-        xs = sample.xs[idx]
-        ys = sample.ys[idx]
-        mx = xs.mean(axis=1)
-        my = ys.mean(axis=1)
-        dx = xs - mx[:, None]
-        dy = ys - my[:, None]
-        vx = np.einsum("ij,ij->i", dx, dx) * scale
-        vy = np.einsum("ij,ij->i", dy, dy) * scale
-        cxy = np.einsum("ij,ij->i", dx, dy) * scale
-        q = vy - 2.0 * rho_hat * cxy + rho_hat * rho_hat * vx
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(q > 0.0, (my - rho_hat * mx) / np.sqrt(q), math.nan)
-
-    return _per_resample(config, n, block)
 
 
 def _jackknife_t0(sample: PairedSample, rho_hat: float) -> np.ndarray:
@@ -345,6 +313,153 @@ def _jackknife_t0(sample: PairedSample, rho_hat: float) -> np.ndarray:
         return np.where(q > 0.0, (my - rho_hat * mx) / np.sqrt(q), math.nan)
 
 
+class _Outcome(NamedTuple):
+    """One bootstrap method on one sample: its result or error, the reason
+    its BCa step fell back to percentiles (None if it did not), and the
+    non-finite replicates it dropped."""
+
+    result: MethodResult | RatioCiError
+    fallback: str | None = None
+    dropped: int = 0
+
+    def value(self) -> MethodResult:
+        if isinstance(self.result, RatioCiError):
+            raise self.result
+        return self.result
+
+
+def _hwang_outcome(
+    sample: PairedSample,
+    stats: SummaryStats,
+    rho_hat: float,
+    t0s: np.ndarray,
+    config: BootstrapConfig,
+    spec: ConfidenceSpec,
+) -> _Outcome:
+    """hwang_set's set from the resampled pivots T0* at rho_hat."""
+    dist = _collect(t0s, config.replications)
+    if dist.count < 100:
+        raise TooFewReplicates(f"{dist.count} retained replications, need 100")
+    fallback = None
+    if config.method is BootstrapMethod.BCA:
+        jack = _jackknife_t0(sample, rho_hat)
+        lo_p, hi_p, z0, a, fallback = _bca_adjustment(dist, 0.0, jack, spec.level)
+    else:
+        lo_p, hi_p = _percentile_levels(spec.level)
+        z0 = a = None
+    t_lo, t_hi = (float(v) for v in dist.quantile([lo_p, hi_p]))
+    cset = invert_t0_band(stats, t_lo, t_hi)
+    diag = HwangDiagnostics(t_lo, t_hi, dist.dropped, z0, a)
+    result = MethodResult(Method.HWANG_BOOTSTRAP, rho_hat, cset, diag)
+    return _Outcome(result, fallback, dist.dropped)
+
+
+def _ratio_outcomes(
+    sample: PairedSample,
+    ratios: np.ndarray,
+    config: BootstrapConfig,
+    spec: ConfidenceSpec,
+    methods: tuple[Method, ...],
+) -> dict[Method, _Outcome]:
+    """Percentile and/or BCa sets, in order, from one ratio distribution."""
+    dist = _collect(ratios, config.replications)
+    theta_hat = ratio_of_means(sample)
+    outcomes: dict[Method, _Outcome] = {}
+    for m in methods:
+        fallback = None
+        if m is Method.BOOTSTRAP_PERCENTILE:
+            cset = percentile_ci(dist, spec.level)
+        else:
+            cset, fallback = _bca_from_distribution(
+                dist, theta_hat, _ratio_jackknife(sample), spec.level
+            )
+        outcomes[m] = _Outcome(MethodResult(m, theta_hat, cset), fallback, dist.dropped)
+    return outcomes
+
+
+def _bootstrap_outcomes(
+    sample: PairedSample,
+    config: BootstrapConfig,
+    spec: ConfidenceSpec,
+    methods: tuple[Method, ...],
+) -> dict[Method, _Outcome]:
+    """Every requested bootstrap method on one sample, from one resampling.
+
+    The preconditions come first: three pairs for every method, and for the
+    pivot method a summary with a nonzero mean of x. Then the resamples are
+    drawn once for all the methods that passed (_resample), and each method
+    is finished in request order. A method that fails has its error as its
+    outcome and never stops another; an error of the ratio distribution or
+    of either interval on it is the outcome of every requested ratio method.
+    """
+    ratio_methods = tuple(m for m in methods if m in _RATIO_BOOT_METHODS)
+    outcomes: dict[Method, _Outcome] = {}
+    rho_hat = None
+    if sample.n < 3:
+        if Method.HWANG_BOOTSTRAP in methods:
+            error = TooFewObservations("pivot bootstrap needs at least three pairs")
+            outcomes[Method.HWANG_BOOTSTRAP] = _Outcome(error)
+        error = TooFewObservations("bootstrap ratio intervals need at least three pairs")
+        outcomes.update(dict.fromkeys(ratio_methods, _Outcome(error)))
+        return outcomes
+    if Method.HWANG_BOOTSTRAP in methods:
+        try:
+            stats = summarize(sample)
+            if stats.mean_x == 0.0:
+                raise ZeroDenominator("mean of x is exactly zero")
+            rho_hat = stats.mean_y / stats.mean_x
+        except RatioCiError as exc:
+            outcomes[Method.HWANG_BOOTSTRAP] = _Outcome(exc)
+    if not ratio_methods and rho_hat is None:
+        return outcomes
+    ratios, t0s = _resample(sample, config, bool(ratio_methods), rho_hat)
+    for method in methods:
+        if method in outcomes:
+            continue
+        served = (method,) if method is Method.HWANG_BOOTSTRAP else ratio_methods
+        try:
+            if method is Method.HWANG_BOOTSTRAP:
+                outcomes[method] = _hwang_outcome(sample, stats, rho_hat, t0s, config, spec)
+            else:
+                outcomes.update(_ratio_outcomes(sample, ratios, config, spec, ratio_methods))
+        except RatioCiError as exc:
+            outcomes.update(dict.fromkeys(served, _Outcome(exc)))
+    return outcomes
+
+
+def ratio_bootstrap_results(
+    sample: PairedSample,
+    config: BootstrapConfig,
+    spec: ConfidenceSpec,
+    methods: tuple[Method, ...] = _RATIO_BOOT_METHODS,
+) -> dict[Method, MethodResult]:
+    """Percentile and/or BCa sets for the ratio from one shared resampling.
+
+    Drawing the empirical distribution once keeps the two intervals mutually
+    consistent and halves the dominant cost when both are requested.
+    """
+    if any(m not in _RATIO_BOOT_METHODS for m in methods):
+        raise DomainError("only the two bootstrap ratio methods are supported here")
+    outcomes = _bootstrap_outcomes(sample, config, spec, tuple(methods))
+    return {m: outcomes[m].value() for m in methods}
+
+
+def percentile_set(
+    sample: PairedSample, config: BootstrapConfig, spec: ConfidenceSpec
+) -> MethodResult:
+    return ratio_bootstrap_results(sample, config, spec, (Method.BOOTSTRAP_PERCENTILE,))[
+        Method.BOOTSTRAP_PERCENTILE
+    ]
+
+
+def bca_set(
+    sample: PairedSample, config: BootstrapConfig, spec: ConfidenceSpec
+) -> MethodResult:
+    return ratio_bootstrap_results(sample, config, spec, (Method.BOOTSTRAP_BCA,))[
+        Method.BOOTSTRAP_BCA
+    ]
+
+
 def hwang_set(
     sample: PairedSample, config: BootstrapConfig, spec: ConfidenceSpec
 ) -> MethodResult:
@@ -355,26 +470,5 @@ def hwang_set(
     (t_lo, t_hi) read from the pivot distribution is inverted analytically;
     with a symmetric band this reduces exactly to the closed-form set.
     """
-    n = sample.n
-    if n < 3:
-        raise TooFewObservations("pivot bootstrap needs at least three pairs")
-    stats = summarize(sample)
-    if stats.mean_x == 0.0:
-        raise ZeroDenominator("mean of x is exactly zero")
-    rho_hat = stats.mean_y / stats.mean_x
-    t0s = _resample_t0(sample, config, rho_hat)
-    dist = _collect(t0s, config.replications)
-    if dist.count < 100:
-        raise TooFewReplicates(f"{dist.count} retained replications, need 100")
-
-    if config.method is BootstrapMethod.BCA:
-        jack = _jackknife_t0(sample, rho_hat)
-        lo_p, hi_p, z0, a = _bca_adjustment(dist, 0.0, jack, spec.level, stacklevel=2)
-    else:
-        lo_p, hi_p = _percentile_levels(spec.level)
-        z0 = a = None
-
-    t_lo, t_hi = (float(v) for v in dist.quantile([lo_p, hi_p]))
-    cset = invert_t0_band(stats, t_lo, t_hi)
-    diag = HwangDiagnostics(t_lo, t_hi, dist.dropped, z0, a)
-    return MethodResult(Method.HWANG_BOOTSTRAP, rho_hat, cset, diag)
+    outcomes = _bootstrap_outcomes(sample, config, spec, (Method.HWANG_BOOTSTRAP,))
+    return outcomes[Method.HWANG_BOOTSTRAP].value()

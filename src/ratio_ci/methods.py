@@ -19,9 +19,9 @@ serves the bootstrap-calibrated variant, so both share one code path here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -345,7 +345,9 @@ class _RowResults:
     an unbounded one (nan for the whole line), and case indexes _CASES.
     A row whose precondition fails has its error in `errors` and nothing
     meaningful in the arrays. diagnostics(i), where the method has any, is
-    the diagnostics record of row i.
+    the diagnostics record of row i. The bootstrap methods also count, over
+    the rows with a result, the BCa fallbacks by reason and the non-finite
+    replicates dropped.
     """
 
     estimate: np.ndarray
@@ -354,9 +356,16 @@ class _RowResults:
     case: np.ndarray
     errors: dict[int, RatioCiError]
     diagnostics: Callable[[int], object] | None = None
+    fallbacks: Mapping[str, int] = field(default_factory=dict)
+    dropped_replicates: int = 0
 
     @classmethod
-    def of(cls, results: Sequence[MethodResult | RatioCiError]) -> "_RowResults":
+    def of(
+        cls,
+        results: Sequence[MethodResult | RatioCiError],
+        fallbacks: Mapping[str, int] | None = None,
+        dropped_replicates: int = 0,
+    ) -> "_RowResults":
         """The rows of per-sample results or errors, one row each."""
         estimate, lower, upper = (np.full(len(results), np.nan) for _ in range(3))
         case = np.full(len(results), _BOUNDED, dtype=np.int8)
@@ -369,7 +378,8 @@ class _RowResults:
             estimate[i] = result.estimate
             case[i], lower[i], upper[i] = _set_limits(result.confidence_set)
             diagnostics[i] = result.diagnostics
-        return cls(estimate, lower, upper, case, errors, diagnostics.__getitem__)
+        diag = diagnostics.__getitem__
+        return cls(estimate, lower, upper, case, errors, diag, fallbacks or {}, dropped_replicates)
 
     @property
     def failed(self) -> np.ndarray:

@@ -12,8 +12,9 @@ separately so their frequency stays visible in the output.
 Determinism: each run draws from default_rng([seed, run, attempt]), and each
 grid cell gets its seed from SeedSequence([master_seed, cell_index]), so
 results are identical regardless of thread count or which method subset is
-requested. The bootstrap seed for a run is drawn from the run's stream even
-when no bootstrap method is active, for the same reason.
+requested. A run's bootstrap seed is the last draw of its stream, so
+run_cell skips it when no bootstrap method is requested without changing
+any other number.
 
 Method registry: _KERNELS maps every method to one kernel over the rows of
 a batch of samples, and is the only place that knows which methods exist.
@@ -21,13 +22,16 @@ run_cell and error_bar_experiment draw each run from its own generator as
 above but stack the runs of a block into (rows, n) arrays, summarize them
 once and run each kernel once per block; evaluate_methods is the registry
 on a batch of one. The closed-form kernels (methods._fieller_rows and its
-siblings) work on whole arrays, the bootstrap kernels loop over their rows,
-and every row is bit-equal to the method applied to that sample alone.
+siblings) work on whole arrays; the three bootstrap methods share one
+kernel, which loops over the rows and resamples each row once for all of
+them (bootstrap._bootstrap_outcomes). Every row is bit-equal to the method
+applied to that sample alone.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import os
 from collections import Counter
@@ -38,12 +42,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bootstrap import (
-    BootstrapConfig,
-    BootstrapMethod,
-    hwang_set,
-    ratio_bootstrap_results,
-)
+from .bootstrap import BootstrapConfig, BootstrapMethod, _bootstrap_outcomes, _Outcome
 from .core import (
     BivariateNormalParams,
     ConfidenceSpec,
@@ -113,6 +112,11 @@ class SimCell:
         return self.mean_y / self.mean_x
 
     def params(self) -> BivariateNormalParams:
+        return self._params
+
+    @functools.cached_property
+    def _params(self) -> BivariateNormalParams:
+        # Built once per cell: _draw_run reads it for every run.
         return BivariateNormalParams(
             mean_x=self.mean_x,
             mean_y=self.mean_y,
@@ -129,6 +133,9 @@ class MethodCoverage:
     Estimate moments are taken over the runs in which the method produced a
     finite estimate. Runs where it failed count as non-coverage, and
     failures maps the class name of each error to the number of such runs.
+    For the bootstrap methods, fallbacks maps the reason a BCa step fell
+    back to percentiles to the number of such runs, and dropped_replicates
+    sums the non-finite replicates dropped, both over the runs with a set.
     """
 
     runs: int
@@ -137,6 +144,8 @@ class MethodCoverage:
     estimate_mean: float
     estimate_variance: float
     failures: dict[str, int] = field(default_factory=dict, hash=False)
+    fallbacks: dict[str, int] = field(default_factory=dict, hash=False)
+    dropped_replicates: int = field(default=0, hash=False)
 
     @property
     def coverage(self) -> float:
@@ -238,13 +247,15 @@ def thread_cap(requested: int | None = None) -> int:
 
 
 def _draw_run(
-    cell: SimCell, seed: int, run: int
-) -> tuple[PairedSample, int, int]:
-    """Sample for one run plus its bootstrap seed and the redraw count.
+    cell: SimCell, seed: int, run: int, draw_boot_seed: bool = True
+) -> tuple[PairedSample, int | None, int]:
+    """Sample for one run plus its bootstrap seed (None unless
+    draw_boot_seed) and the redraw count.
 
     Exactly-zero x draws (possible only by floating-point chance) invalidate
     the per-pair ratio methods, so the whole run is redrawn from the next
-    attempt substream and tallied.
+    attempt substream and tallied. The bootstrap seed is the stream's last
+    draw, so skipping it changes no other number.
     """
     params = cell.params()
     attempt = 0
@@ -254,7 +265,7 @@ def _draw_run(
         if not (sample.xs == 0.0).any():
             break
         attempt += 1
-    boot_seed = int(rng.integers(0, 2**63))
+    boot_seed = int(rng.integers(0, 2**63)) if draw_boot_seed else None
     return sample, boot_seed, attempt
 
 
@@ -292,43 +303,41 @@ class _Batch:
             yield PairedSample(x, y), config
 
 
-def _hwang_rows(batch: _Batch, methods: tuple[Method, ...]) -> tuple[_RowResults]:
-    results: list[MethodResult | RatioCiError] = []
+def _bootstrap_rows(batch: _Batch, methods: tuple[Method, ...]) -> tuple[_RowResults, ...]:
+    """The requested bootstrap methods from one resampling per row, with
+    each method's BCa fallbacks and dropped replicates counted; an error
+    raised for a whole row is the error of every method."""
+    outcomes: dict[Method, list[_Outcome]] = {m: [] for m in methods}
     for sample, config in batch.samples():
         try:
-            results.append(hwang_set(sample, config, batch.spec))
+            row = _bootstrap_outcomes(sample, config, batch.spec, methods)
         except RatioCiError as exc:
-            results.append(exc)
-    return (_RowResults.of(results),)
-
-
-def _ratio_boot_rows(batch: _Batch, methods: tuple[Method, ...]) -> tuple[_RowResults, ...]:
-    """Both ratio-bootstrap methods from one resampling per row; a row whose
-    resampling fails has the same error for each of them."""
-    results: dict[Method, list[MethodResult | RatioCiError]] = {m: [] for m in methods}
-    for sample, config in batch.samples():
-        try:
-            row = ratio_bootstrap_results(sample, config, batch.spec, methods)
-        except RatioCiError as exc:
-            row = dict.fromkeys(methods, exc)
+            row = dict.fromkeys(methods, _Outcome(exc))
         for method in methods:
-            results[method].append(row[method])
-    return tuple(_RowResults.of(results[m]) for m in methods)
+            outcomes[method].append(row[method])
+    return tuple(
+        _RowResults.of(
+            [o.result for o in outcomes[m]],
+            Counter(o.fallback for o in outcomes[m] if o.fallback is not None),
+            sum(o.dropped for o in outcomes[m]),
+        )
+        for m in methods
+    )
 
 
 # The one method registry: each method's kernel over the rows of a batch,
 # (batch, methods) -> one _RowResults per method in `methods`, which holds
-# the requested methods the kernel serves. The bootstrap kernels look their
-# method functions up in this module's namespace at call time.
+# the requested methods the kernel serves. The bootstrap kernel looks
+# _bootstrap_outcomes up in this module's namespace at call time.
 _KERNELS = {
     Method.FIELLER: lambda b, methods: (_fieller_rows(b.summaries, b.spec.quantile),),
     Method.TAYLOR: lambda b, methods: (_taylor_rows(b.summaries, b.spec.quantile),),
     Method.INDEX: lambda b, methods: (_index_rows(b.xs, b.ys, b.spec),),
     Method.TRIMMED_INDEX: lambda b, methods: (_trimmed_index_rows(b.xs, b.ys, b.spec, b.trim),),
     Method.ZERO_VARIANCE: lambda b, methods: (_zero_variance_rows(b.summaries, b.spec.quantile),),
-    Method.HWANG_BOOTSTRAP: _hwang_rows,
-    Method.BOOTSTRAP_PERCENTILE: _ratio_boot_rows,
-    Method.BOOTSTRAP_BCA: _ratio_boot_rows,
+    Method.HWANG_BOOTSTRAP: _bootstrap_rows,
+    Method.BOOTSTRAP_PERCENTILE: _bootstrap_rows,
+    Method.BOOTSTRAP_BCA: _bootstrap_rows,
 }
 
 
@@ -358,10 +367,11 @@ def evaluate_methods(
 
     A method whose precondition fails on this sample yields its RatioCiError
     in place of the result; what that means is left to the caller. The
-    sample is summarized once, first, and the two ratio-bootstrap methods
-    share one resampling, drawn when the first of them is reached; both
-    yield its error if it fails. boot_config is read only by the bootstrap
-    methods. This is the method registry on a batch of one.
+    sample is summarized once, first, and the three bootstrap methods share
+    one resampling, drawn when the first of them is reached; the two
+    ratio-bootstrap methods both yield its error if their distribution
+    fails. boot_config is read only by the bootstrap methods. This is the
+    method registry on a batch of one.
     """
     seeds = () if boot_config is None else (boot_config.seed,)
     batch = _Batch(sample.xs[None], sample.ys[None], spec, trim, boot_config, seeds)
@@ -385,9 +395,12 @@ def _blocks(
     spec: ConfidenceSpec,
     trim: float = 0.25,
     boot_config: BootstrapConfig | None = None,
+    boot_seeds: bool = True,
 ) -> Iterator[tuple[int, _Batch, int]]:
     """(first run, batch, redraws) for each block of runs, in run order: the
-    runs are drawn one by one by _draw_run and stacked as the batch's rows."""
+    runs are drawn one by one by _draw_run and stacked as the batch's rows,
+    with their bootstrap seeds unless boot_seeds is False."""
+    draw = _draw_run if boot_seeds else functools.partial(_draw_run, draw_boot_seed=False)
     block = max(1, _BLOCK_ELEMENTS // cell.n)
     for start in range(0, runs, block):
         rows = min(block, runs - start)
@@ -396,11 +409,11 @@ def _blocks(
         seeds = []
         redraws = 0
         for i in range(rows):
-            sample, boot_seed, attempts = _draw_run(cell, seed, start + i)
+            sample, boot_seed, attempts = draw(cell, seed, start + i)
             xs[i], ys[i] = sample.xs, sample.ys
             seeds.append(boot_seed)
             redraws += attempts
-        yield start, _Batch(xs, ys, spec, trim, boot_config, seeds), redraws
+        yield start, _Batch(xs, ys, spec, trim, boot_config, seeds if boot_seeds else ()), redraws
 
 
 class _Tally:
@@ -411,10 +424,14 @@ class _Tally:
         self.unbounded = 0
         self.estimates: list[float] = []
         self.failures: Counter[str] = Counter()
+        self.fallbacks: Counter[str] = Counter()
+        self.dropped = 0
 
     def add_rows(self, rows: _RowResults, rho: float) -> None:
         ok = ~rows.failed
         self.failures.update(type(error).__name__ for error in rows.errors.values())
+        self.fallbacks.update(rows.fallbacks)
+        self.dropped += rows.dropped_replicates
         self.covered += int(np.count_nonzero(rows.contains(rho)))
         self.unbounded += int(np.count_nonzero(ok & (rows.case != _BOUNDED)))
         self.estimates += rows.estimate[ok & np.isfinite(rows.estimate)].tolist()
@@ -428,6 +445,8 @@ class _Tally:
             estimate_mean=float(np.mean(est)) if est else math.nan,
             estimate_variance=float(np.var(est, ddof=1)) if len(est) >= 2 else math.nan,
             failures=dict(sorted(self.failures.items())),
+            fallbacks=dict(sorted(self.fallbacks.items())),
+            dropped_replicates=self.dropped,
         )
 
 
@@ -456,7 +475,9 @@ def run_cell(
 
     tallies = {m: _Tally() for m in method_order}
     redraws = 0
-    for _, batch, attempts in _blocks(cell, seed, runs, spec, trim, boot_config):
+    boot_seeds = any(_KERNELS[m] is _bootstrap_rows for m in method_order)
+    blocks = _blocks(cell, seed, runs, spec, trim, boot_config, boot_seeds)
+    for _, batch, attempts in blocks:
         redraws += attempts
         for method, rows in _kernel_rows(batch, method_order):
             tallies[method].add_rows(rows, rho)

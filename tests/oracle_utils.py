@@ -325,4 +325,5 @@ def bca_ci(sample, statistic, config, level: float):
         statistic(PairedSample(np.delete(sample.xs, i), np.delete(sample.ys, i)))
         for i in range(n)
     ]
-    return _bca_from_distribution(dist, statistic(sample), np.array(jack), level)
+    cset, _ = _bca_from_distribution(dist, statistic(sample), np.array(jack), level)
+    return cset

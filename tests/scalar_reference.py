@@ -1,6 +1,7 @@
 """Reference copy of the per-sample closed-form methods (Fieller's
 diagnostics included) and of the per-run run_cell loop, as they were before
-the methods became batch kernels.
+the methods became batch kernels, and of the pivot and ratio bootstraps as
+they were before they shared one resampling.
 
 The library now evaluates the closed-form methods as one kernel per method
 over stacked samples, and the public functions are those kernels on a batch
@@ -27,6 +28,7 @@ from ratio_ci import (
     CoverageResult,
     DomainError,
     FiellerDiagnostics,
+    HwangDiagnostics,
     Method,
     MethodCoverage,
     MethodResult,
@@ -36,12 +38,22 @@ from ratio_ci import (
     SummaryStats,
     TooFewAfterTrim,
     TooFewObservations,
+    TooFewReplicates,
     ZeroDenominator,
     ZeroIndividualDenominator,
     ZeroNumerator,
-    hwang_set,
     invert_t0_band,
-    ratio_bootstrap_results,
+    percentile_ci,
+    ratio_of_means,
+)
+from ratio_ci.bootstrap import (
+    _bca_adjustment,
+    _bca_from_distribution,
+    _collect,
+    _jackknife_t0,
+    _per_resample,
+    _percentile_levels,
+    _ratio_jackknife,
 )
 
 CLOSED_FORM = (
@@ -166,13 +178,100 @@ def zero_variance_limits(sample: PairedSample, spec: ConfidenceSpec) -> MethodRe
     return MethodResult(Method.ZERO_VARIANCE, rho, cset)
 
 
+# ------------------------------------------------ the separate bootstraps
+# Each draws and gathers its own (B, n) index matrix from config.seed, in the
+# library's blocks, and besides its result returns the reason its BCa step
+# fell back to percentiles (None if it did not) and the replicates dropped.
+
+
+def resample_t0(sample, config, rho_hat):
+    n = sample.n
+    scale = 1.0 / (n * (n - 1))
+
+    def block(idx):
+        xs = sample.xs[idx]
+        ys = sample.ys[idx]
+        mx = xs.mean(axis=1)
+        my = ys.mean(axis=1)
+        dx = xs - mx[:, None]
+        dy = ys - my[:, None]
+        vx = np.einsum("ij,ij->i", dx, dx) * scale
+        vy = np.einsum("ij,ij->i", dy, dy) * scale
+        cxy = np.einsum("ij,ij->i", dx, dy) * scale
+        q = vy - 2.0 * rho_hat * cxy + rho_hat * rho_hat * vx
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(q > 0.0, (my - rho_hat * mx) / np.sqrt(q), math.nan)
+
+    return _per_resample(config, n, block)
+
+
+def ratio_distribution(sample, config):
+    def block(idx):
+        mx = sample.xs[idx].mean(axis=1)
+        my = sample.ys[idx].mean(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(mx != 0.0, my / mx, math.nan)
+
+    return _collect(_per_resample(config, sample.n, block), config.replications)
+
+
+def hwang_set(sample, config, spec):
+    """(MethodResult, fallback reason, dropped replicates)."""
+    n = sample.n
+    if n < 3:
+        raise TooFewObservations("pivot bootstrap needs at least three pairs")
+    stats = summarize(sample)
+    if stats.mean_x == 0.0:
+        raise ZeroDenominator("mean of x is exactly zero")
+    rho_hat = stats.mean_y / stats.mean_x
+    t0s = resample_t0(sample, config, rho_hat)
+    dist = _collect(t0s, config.replications)
+    if dist.count < 100:
+        raise TooFewReplicates(f"{dist.count} retained replications, need 100")
+    fallback = None
+    if config.method is BootstrapMethod.BCA:
+        jack = _jackknife_t0(sample, rho_hat)
+        lo_p, hi_p, z0, a, fallback = _bca_adjustment(dist, 0.0, jack, spec.level)
+    else:
+        lo_p, hi_p = _percentile_levels(spec.level)
+        z0 = a = None
+    t_lo, t_hi = (float(v) for v in dist.quantile([lo_p, hi_p]))
+    cset = invert_t0_band(stats, t_lo, t_hi)
+    diag = HwangDiagnostics(t_lo, t_hi, dist.dropped, z0, a)
+    return MethodResult(Method.HWANG_BOOTSTRAP, rho_hat, cset, diag), fallback, dist.dropped
+
+
+def ratio_bootstrap_results(sample, config, spec, methods=RATIO_BOOT):
+    """{method: (MethodResult, fallback reason, dropped replicates)}."""
+    if sample.n < 3:
+        raise TooFewObservations("bootstrap ratio intervals need at least three pairs")
+    wanted = [m for m in methods if m in RATIO_BOOT]
+    if len(wanted) != len(methods):
+        raise DomainError("only the two bootstrap ratio methods are supported here")
+    dist = ratio_distribution(sample, config)
+    theta_hat = ratio_of_means(sample)
+    results = {}
+    for m in wanted:
+        fallback = None
+        if m is Method.BOOTSTRAP_PERCENTILE:
+            cset = percentile_ci(dist, spec.level)
+        else:
+            cset, fallback = _bca_from_distribution(
+                dist, theta_hat, _ratio_jackknife(sample), spec.level
+            )
+        results[m] = MethodResult(m, theta_hat, cset), fallback, dist.dropped
+    return results
+
+
 def evaluate(sample, methods, spec, boot_config=None, trim=0.25):
-    """(method, MethodResult | RatioCiError) per method, one sample at a time."""
+    """(method, MethodResult | RatioCiError, fallback, dropped) per method,
+    one sample at a time; fallback and dropped as in hwang_set above."""
     methods = tuple(methods)
     ratio_boot_wanted = tuple(m for m in methods if m in RATIO_BOOT)
     stats = summarize(sample)
     ratio_boot = None
     for method in methods:
+        fallback, dropped = None, 0
         try:
             if method is Method.FIELLER:
                 result = fieller_set(stats, spec)
@@ -185,7 +284,7 @@ def evaluate(sample, methods, spec, boot_config=None, trim=0.25):
             elif method is Method.ZERO_VARIANCE:
                 result = zero_variance_limits(sample, spec)
             elif method is Method.HWANG_BOOTSTRAP:
-                result = hwang_set(sample, boot_config, spec)
+                result, fallback, dropped = hwang_set(sample, boot_config, spec)
             else:
                 if ratio_boot is None:
                     try:
@@ -193,11 +292,11 @@ def evaluate(sample, methods, spec, boot_config=None, trim=0.25):
                             sample, boot_config, spec, ratio_boot_wanted
                         )
                     except RatioCiError as exc:
-                        ratio_boot = dict.fromkeys(ratio_boot_wanted, exc)
-                result = ratio_boot[method]
+                        ratio_boot = dict.fromkeys(ratio_boot_wanted, (exc, None, 0))
+                result, fallback, dropped = ratio_boot[method]
         except RatioCiError as exc:
             result = exc
-        yield method, result
+        yield method, result, fallback, dropped
 
 
 def run_cell(cell, methods, runs, seed, boot_config=None, level=0.95, trim=0.25):
@@ -211,16 +310,23 @@ def run_cell(cell, methods, runs, seed, boot_config=None, level=0.95, trim=0.25)
     unbounded = dict.fromkeys(method_order, 0)
     estimates = {m: [] for m in method_order}
     failures = {m: Counter() for m in method_order}
+    fallbacks = {m: Counter() for m in method_order}
+    dropped = dict.fromkeys(method_order, 0)
     redraws = 0
     for run in range(runs):
         sample, boot_seed, attempts = mc._draw_run(cell, seed, run)
         redraws += attempts
         run_config = copy.copy(boot_config)
         object.__setattr__(run_config, "seed", boot_seed)
-        for method, result in evaluate(sample, method_order, spec, run_config, trim):
+        for method, result, fallback, drops in evaluate(
+            sample, method_order, spec, run_config, trim
+        ):
             if isinstance(result, RatioCiError):
                 failures[method][type(result).__name__] += 1
                 continue
+            if fallback is not None:
+                fallbacks[method][fallback] += 1
+            dropped[method] += drops
             cset = result.confidence_set
             if cset.contains(rho):
                 covered[method] += 1
@@ -238,5 +344,7 @@ def run_cell(cell, methods, runs, seed, boot_config=None, level=0.95, trim=0.25)
             estimate_mean=float(np.mean(est)) if est else math.nan,
             estimate_variance=float(np.var(est, ddof=1)) if len(est) >= 2 else math.nan,
             failures=dict(sorted(failures[m].items())),
+            fallbacks=dict(sorted(fallbacks[m].items())),
+            dropped_replicates=dropped[m],
         )
     return CoverageResult(cell=cell, seed=seed, methods=tallies, redraws=redraws)

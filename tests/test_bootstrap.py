@@ -35,10 +35,10 @@ from ratio_ci import (
 from ratio_ci import bootstrap
 from ratio_ci.bootstrap import (
     _bca_from_distribution,
+    _collect,
     _jackknife_t0,
-    _ratio_distribution,
     _ratio_jackknife,
-    _resample_t0,
+    _resample,
 )
 
 from oracle_utils import bca_ci, bca_oracle, quantile_linear_oracle, resample_pairs
@@ -119,7 +119,8 @@ def test_vectorized_ratio_path_equals_generic_loop():
     sample = _sample(seed=9, n=21)
     config = BootstrapConfig(replications=500, seed=77)
     generic = resample_pairs(sample, config, ratio_of_means)
-    vectorized = _ratio_distribution(sample, config)
+    ratios, _ = _resample(sample, config, True, None)
+    vectorized = _collect(ratios, config.replications)
     assert np.array_equal(generic.values, vectorized.values)
     assert generic.dropped == vectorized.dropped
 
@@ -202,7 +203,8 @@ def test_bca_reduces_to_percentile_when_unbiased_and_symmetric():
     values = np.linspace(-1.0, 1.0, 1001)  # median exactly 0
     dist = _dist(values)
     jack = np.array([-1.0, -0.5, 0.5, 1.0])  # zero skew -> acceleration 0
-    cset = _bca_from_distribution(dist, 0.0 + 1e-15, jack, 0.9)
+    cset, fallback = _bca_from_distribution(dist, 0.0 + 1e-15, jack, 0.9)
+    assert fallback is None
     plain = percentile_ci(dist, 0.9)
     # z0 = Phi^-1(#below/B); 500/1001 is not exactly half, so allow the
     # one-rank wobble that the tie convention introduces.
@@ -216,18 +218,21 @@ def test_bca_fallbacks_warn_and_match_percentile():
 
     # Estimate outside the resample range: z0 undefined.
     with pytest.warns(RuntimeWarning, match="outside the bootstrap distribution"):
-        cset = _bca_from_distribution(dist, 0.5, np.array([1.0, 2.0, 3.0]), 0.95)
+        cset, fallback = _bca_from_distribution(dist, 0.5, np.array([1.0, 2.0, 3.0]), 0.95)
     assert (cset.lower, cset.upper) == (plain.lower, plain.upper)
+    assert fallback == "estimate outside the bootstrap distribution"
 
     # Constant jackknife: acceleration undefined.
     with pytest.warns(DegenerateJackknife):
-        cset = _bca_from_distribution(dist, 100.0, np.ones(5), 0.95)
+        cset, fallback = _bca_from_distribution(dist, 100.0, np.ones(5), 0.95)
     assert (cset.lower, cset.upper) == (plain.lower, plain.upper)
+    assert fallback == "all jackknife values coincide"
 
     # Non-finite jackknife values.
     with pytest.warns(RuntimeWarning, match="non-finite jackknife"):
-        cset = _bca_from_distribution(dist, 100.0, np.array([1.0, math.nan]), 0.95)
+        cset, fallback = _bca_from_distribution(dist, 100.0, np.array([1.0, math.nan]), 0.95)
     assert (cset.lower, cset.upper) == (plain.lower, plain.upper)
+    assert fallback == "non-finite jackknife values"
 
 
 def test_bca_needs_three_pairs():
@@ -526,12 +531,14 @@ def test_block_size_changes_no_number(monkeypatch, block_elements, blocks):
         return draw(rng, rows, n)
 
     monkeypatch.setattr(bootstrap, "_resample_indices", counted_draw)
-    t0s = _resample_t0(sample, config, rho_hat)
+    # One pass gives the ratio replicates and the pivots of the same resamples.
+    ratios, t0s = _resample(sample, config, True, rho_hat)
     assert len(draws) == blocks and sum(draws) == config.replications
     assert np.array_equal(t0s, _unblocked_t0(sample, config, rho_hat), equal_nan=True)
-    ratios = _unblocked_ratios(sample, config)
-    _assert_distribution_is(_ratio_distribution(sample, config), ratios)
-    _assert_distribution_is(resample_pairs(sample, config, ratio_of_means), ratios)
+    assert np.array_equal(ratios, _unblocked_ratios(sample, config), equal_nan=True)
+    _assert_distribution_is(
+        resample_pairs(sample, config, ratio_of_means), _unblocked_ratios(sample, config)
+    )
 
     hwang_blocked = hwang_set(sample, config, spec)
     assert hwang_blocked.confidence_set == hwang_default.confidence_set

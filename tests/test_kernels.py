@@ -1,13 +1,18 @@
-"""The batch kernels of the closed-form methods against the scalar reference
-in scalar_reference.py: bit equality per row, and equal run_cell tallies."""
+"""The batch kernels against the scalar reference in scalar_reference.py:
+bit equality per row, and equal run_cell tallies. The bootstrap kernel,
+one resampling for all three bootstrap methods, is held to the separate
+resamplings of the reference."""
 
+import itertools
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import ratio_ci.bootstrap as bootstrap_module
 import ratio_ci.montecarlo as mc
 import scalar_reference as ref
 from ratio_ci import (
@@ -355,7 +360,7 @@ def test_run_cell_records_failures_of_the_per_run_methods(monkeypatch):
     def degenerate(*args):
         raise AllResamplesDegenerate("every resample was degenerate")
 
-    monkeypatch.setattr(mc, "ratio_bootstrap_results", degenerate)
+    monkeypatch.setattr(mc, "_bootstrap_outcomes", degenerate)
     methods = (Method.FIELLER, Method.BOOTSTRAP_PERCENTILE, Method.BOOTSTRAP_BCA)
     boot = BootstrapConfig(replications=100)
     res = run_cell(SimCell(1.0, 1.0, 5), methods, 100, seed=0, boot_config=boot)
@@ -363,3 +368,185 @@ def test_run_cell_records_failures_of_the_per_run_methods(monkeypatch):
         assert res.methods[method].failures == {"AllResamplesDegenerate": 100}
         assert res.methods[method].covered == 0
     assert res.methods[Method.FIELLER].failures == {}
+
+
+# ------------------------------------------- the bootstrap kernel, one resampling
+
+BOOT_KINDS = ("normal", "zero_mean_x", "constant_x", "constant")
+
+
+@st.composite
+def boot_cases(draw):
+    """A sample with n 3-60 of one kind, a config, and a non-empty subset of
+    the bootstrap methods in some request order. Integer x with a zero sum
+    has mean_x == 0 exactly; constant x has no x variance, and a constant
+    sample gives every resample the same ratio and a zero pivot variance."""
+    n = draw(st.integers(3, 60))
+    kind = draw(st.sampled_from(BOOT_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(draw(st.floats(-3.0, 3.0)), draw(st.floats(0.01, 3.0)), n)
+    y = rng.normal(draw(st.floats(-3.0, 3.0)), draw(st.floats(0.01, 3.0)), n)
+    if kind == "zero_mean_x":
+        x = rng.integers(-5, 6, n).astype(float)
+        x[-1] -= x.sum()
+    elif kind == "constant_x":
+        x = np.full(n, float(rng.integers(-2, 3)))
+    elif kind == "constant":
+        x, y = np.full(n, 1.5), np.full(n, -0.5)
+    config = BootstrapConfig(
+        replications=draw(st.sampled_from((100, 1000))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        method=draw(st.sampled_from(list(BootstrapMethod))),
+    )
+    order = draw(st.permutations(BOOTSTRAP))[: draw(st.integers(1, 3))]
+    return PairedSample(x, y), config, tuple(order)
+
+
+def _separate(paths, sample, config, spec, order):
+    """{method: outcome} from one hwang_set call and one
+    ratio_bootstrap_results call over the requested ratio methods, in
+    `paths` (the library, or the reference whose results also carry the
+    fallback reason and the dropped replicates)."""
+    out = {}
+    ratio = tuple(m for m in order if m is not Method.HWANG_BOOTSTRAP)
+    if len(ratio) < len(order):
+        out[Method.HWANG_BOOTSTRAP] = _outcome(lambda: paths.hwang_set(sample, config, spec))
+    if ratio:
+        got = _outcome(lambda: paths.ratio_bootstrap_results(sample, config, spec, ratio))
+        for m in ratio:
+            out[m] = got if isinstance(got, RatioCiError) else got[m]
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=80, deadline=None)
+@given(boot_cases())
+def test_bootstrap_methods_together_equal_the_separate_paths(case):
+    sample, config, order = case
+    spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
+    # The reference's separate resamplings, with their fallbacks and drops.
+    expected = _separate(ref, sample, config, spec, order)
+    public = _separate(bootstrap_module, sample, config, spec, order)
+    got = dict(mc.evaluate_methods(sample, order, spec, config))
+    assert list(got) == list(order)
+    batch = mc._Batch(sample.xs[None], sample.ys[None], spec, 0.25, config, (config.seed,))
+    rows = dict(mc._kernel_rows(batch, order))
+    for method in order:
+        want = expected[method]
+        if isinstance(want, RatioCiError):
+            fallback, dropped = None, 0
+        else:
+            want, fallback, dropped = want
+        _assert_same_outcome(got[method], want)
+        _assert_same_outcome(public[method], want)
+        _assert_same_outcome(_outcome(lambda: rows[method].result(method)), want)
+        assert dict(rows[method].fallbacks) == ({} if fallback is None else {fallback: 1})
+        assert rows[method].dropped_replicates == dropped
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "cell, config",
+    [
+        # One x value in three draws: the pivot drops about 1/9 of resamples.
+        (SimCell(0.5, 0.5, 3), BootstrapConfig(1000, method=BootstrapMethod.BCA)),
+        (SimCell(3.0, 0.3, 5), BootstrapConfig(100)),
+        (SimCell(0.3, 1.0, 20, corr=0.8), BootstrapConfig(1000, method=BootstrapMethod.BCA)),
+    ],
+)
+def test_run_cell_bootstrap_subsets_equal_the_separate_paths(cell, config):
+    totals = Counter()
+    for k in range(1, 4):
+        for methods in itertools.combinations(BOOTSTRAP, k):
+            got = run_cell(cell, methods, 100, seed=8, boot_config=config)
+            assert got == ref.run_cell(cell, methods, 100, seed=8, boot_config=config)
+            for method, tally in got.methods.items():
+                totals[method] += tally.dropped_replicates
+    if cell.n == 3:
+        assert totals[Method.HWANG_BOOTSTRAP] > 0
+
+
+def _counted_draws(monkeypatch):
+    draws = []
+    draw = bootstrap_module._resample_indices
+
+    def counted(rng, rows, n):
+        draws.append(rows)
+        return draw(rng, rows, n)
+
+    monkeypatch.setattr(bootstrap_module, "_resample_indices", counted)
+    return draws
+
+
+def test_hwang_and_the_ratio_bootstrap_draw_each_block_once(monkeypatch):
+    draws = _counted_draws(monkeypatch)
+    config = BootstrapConfig(replications=100)
+    cell = SimCell(0.3, 0.3, 10)
+    run_cell(cell, (Method.HWANG_BOOTSTRAP, Method.BOOTSTRAP_BCA), 100, seed=1, boot_config=config)
+    assert draws == [100] * 100  # one block per run; two before the shared kernel
+    # ci's batch of one, in 4 blocks of 27 rows and a ragged one of 4.
+    monkeypatch.setattr(bootstrap_module, "_BLOCK_ELEMENTS", 27 * 31)
+    draws.clear()
+    sample = _boot_sample(31)
+    spec = ConfidenceSpec.two_sided(0.95, df=30)
+    list(mc.evaluate_methods(sample, BOOTSTRAP[::-1], spec, BootstrapConfig(replications=112)))
+    assert draws == [27, 27, 27, 27, 4]
+
+
+def test_shared_resampling_peak_memory_is_bounded():
+    # At n=5000 one (B, n) float matrix alone is 229 MiB at B=6000.
+    sample = _boot_sample(5000)
+    spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
+    config = BootstrapConfig(replications=6000, seed=1, method=BootstrapMethod.BCA)
+    tracemalloc.start()
+    try:
+        results = dict(mc.evaluate_methods(sample, BOOTSTRAP, spec, config))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not any(isinstance(r, RatioCiError) for r in results.values())
+    assert peak < 64 * 2**20, peak
+
+
+# Samples that force each BCa fallback reason on every resampling.
+FALLBACK_SAMPLES = {
+    # Every resample has the ratio 2: the estimate is below none of them.
+    "constant": PairedSample([1.0] * 4, [2.0] * 4),
+    # d = y - rho_hat*x = (3, -1, -1, -1): no resampled pivot is below 0.
+    "one_sided_pivots": PairedSample([1.0, 2.0, 3.0, 2.0], [4.0, 1.0, 2.0, 1.0]),
+    # d = (-3, 1, 1, 1): leaving the first pair out leaves a zero pivot variance.
+    "non_finite_jackknife": PairedSample([1.0, 2.0, 3.0, 4.0], [-2.0, 3.0, 4.0, 5.0]),
+    "coinciding_jackknife": _boot_sample(20),
+}
+OUTSIDE = "estimate outside the bootstrap distribution"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "name, hwang, bca",
+    [
+        ("constant", {}, {OUTSIDE: 100}),
+        ("one_sided_pivots", {OUTSIDE: 100}, {}),
+        ("non_finite_jackknife", {"non-finite jackknife values": 100}, {}),
+        ("coinciding_jackknife", *[{"all jackknife values coincide": 100}] * 2),
+    ],
+)
+def test_run_cell_counts_each_fallback_reason(monkeypatch, name, hwang, bca):
+    sample = FALLBACK_SAMPLES[name]
+    monkeypatch.setattr(mc, "_draw_pairs", lambda params, n, rng: sample)
+    if name == "coinciding_jackknife":
+        constant = lambda sample, *args: np.full(sample.n, 0.5)  # noqa: E731
+        for module in (bootstrap_module, ref):
+            monkeypatch.setattr(module, "_jackknife_t0", constant)
+            monkeypatch.setattr(module, "_ratio_jackknife", constant)
+    cell = SimCell(1.0, 1.0, sample.n)
+    config = BootstrapConfig(replications=1000, method=BootstrapMethod.BCA)
+    got = run_cell(cell, BOOTSTRAP, 100, seed=2, boot_config=config)
+    assert got.methods[Method.HWANG_BOOTSTRAP].fallbacks == hwang
+    assert got.methods[Method.BOOTSTRAP_BCA].fallbacks == bca
+    assert got.methods[Method.BOOTSTRAP_PERCENTILE].fallbacks == {}
+    assert got == ref.run_cell(cell, BOOTSTRAP, 100, seed=2, boot_config=config)
+    if name == "constant":
+        assert got.methods[Method.HWANG_BOOTSTRAP].failures == {"AllResamplesDegenerate": 100}
+    if name == "one_sided_pivots":  # resamples without the first pair are dropped
+        assert got.methods[Method.HWANG_BOOTSTRAP].dropped_replicates > 0

@@ -185,7 +185,7 @@ def test_failed_ratio_bootstrap_is_resampled_once(monkeypatch):
         calls.append(args)
         raise error
 
-    monkeypatch.setattr(mc, "ratio_bootstrap_results", degenerate)
+    monkeypatch.setattr(mc, "_bootstrap_outcomes", degenerate)
     sample = PairedSample([1.0, 2.0, 3.0, 4.0], [2.0, 1.0, 4.0, 3.0])
     spec = ConfidenceSpec.two_sided(0.95, df=3)
     methods = (Method.BOOTSTRAP_PERCENTILE, Method.FIELLER, Method.BOOTSTRAP_BCA)
