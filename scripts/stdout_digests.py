@@ -13,6 +13,12 @@ The argvs are the four perfbench workloads at seeds 1 and 2, the default
 example, on 200 generated pairs and on samples where some methods fail,
 and the three bootstrap methods in two orders under `ci` on two such
 samples and under a small `simulate`. The generated inputs come from perfbench/workloads.py.
+
+The last four reach the rare branches of the band inversion: `simulate`
+and `errorbars` at cv_x = 3, where Fieller's and Hwang's sets are often
+unbounded and some Hwang bands leave a half-line, and `ellipse` on a
+pure-noise sample (no tangent slope: the origin is inside the ellipse) and
+on a zero-mean-x sample (the ellipse straddles the y-axis).
 """
 
 from __future__ import annotations
@@ -117,6 +123,14 @@ def argvs(files: dict[str, Path]) -> list[list[str]]:
             out.append(["simulate", "--n", n, "--runs", "100", "--replications", "200",
                         "--cv-x", "0.3,3.0", "--cv-y", "0.5", "--methods", ",".join(order),
                         "--seed", "5"])
+    out += [  # the band inversion's rare branches
+        ["simulate", "--cv-x", "3.0", "--cv-y", "0.1", "--n", "20", "--runs", "300",
+         "--methods", "fieller,hwang_bootstrap", "--seed", "1"],
+        ["errorbars", "--cv-x", "3.0", "--cv-y", "0.1", "--n", "20", "--runs", "40",
+         "--seed", "1"],
+    ]
+    for name in ("noise.csv", "zero-mean.csv"):
+        out.append(["ellipse", "--input", str(files[name]), "--format", "csv"])
     return out
 
 

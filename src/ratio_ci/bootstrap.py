@@ -51,7 +51,7 @@ from .errors import (
     TooFewReplicates,
     ZeroDenominator,
 )
-from .methods import ConfidenceSet, Method, MethodResult, invert_t0_band
+from .methods import ConfidenceSet, Method, MethodResult, _t0, invert_t0_band
 
 __all__ = [
     "BootstrapMethod",
@@ -280,9 +280,8 @@ def _resample(
             vx = np.einsum("ij,ij->i", dx, dx) * scale
             vy = np.einsum("ij,ij->i", dy, dy) * scale
             cxy = np.einsum("ij,ij->i", dx, dy) * scale
-            q = vy - 2.0 * rho_hat * cxy + rho_hat * rho_hat * vx
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out.append(np.where(q > 0.0, (my - rho_hat * mx) / np.sqrt(q), math.nan))
+            q, t0 = _t0(mx, my, vx, vy, cxy, rho_hat)
+            out.append(np.where(q > 0.0, t0, math.nan))
         return np.stack(out)
 
     stats = iter(_per_resample(config, n, block))

@@ -124,22 +124,31 @@ def _methods_arg(text: str) -> tuple[Method, ...]:
     return tuple(out)
 
 
+def _cv_arg(text: str) -> float:
+    """One coefficient of variation: a finite positive number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"not a finite positive number: {text!r}")
+    return value
+
+
 def _axis_arg(text: str) -> tuple[float, ...]:
     """Either an explicit comma list '0.3,1,3' or a log range 'lo:hi:count'."""
     try:
         if ":" in text:
             lo_s, hi_s, count_s = text.split(":")
-            lo, hi, count = float(lo_s), float(hi_s), int(count_s)
-            if not (0.0 < lo <= hi) or count < 1:
+            lo, hi, count = _cv_arg(lo_s), _cv_arg(hi_s), int(count_s)
+            if lo > hi or count < 1:
                 raise ValueError
             values = tuple(float(v) for v in np.geomspace(lo, hi, count))
         else:
-            values = tuple(float(v) for v in text.split(","))
-            if not values or any(not v > 0.0 for v in values):
-                raise ValueError
-    except ValueError:
+            values = tuple(_cv_arg(v) for v in text.split(","))
+    except (ValueError, argparse.ArgumentTypeError):
         raise argparse.ArgumentTypeError(
-            f"bad axis {text!r}: use 'v1,v2,...' or 'low:high:count', all positive"
+            f"bad axis {text!r}: use 'v1,v2,...' or 'low:high:count', all finite and positive"
         )
     return values
 
@@ -506,8 +515,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(handler=_cmd_simulate)
 
     bars = sub.add_parser("errorbars", help="per-run intervals at one cell")
-    bars.add_argument("--cv-x", type=float, required=True)
-    bars.add_argument("--cv-y", type=float, required=True)
+    bars.add_argument("--cv-x", type=_cv_arg, required=True)
+    bars.add_argument("--cv-y", type=_cv_arg, required=True)
     bars.add_argument("--n", type=_positive_int(2, "n"), default=500)
     bars.add_argument("--corr", type=_corr_arg, default=0.0)
     bars.add_argument("--runs", type=_positive_int(1, "runs"), default=40)

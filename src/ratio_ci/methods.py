@@ -13,7 +13,9 @@ mean differs significantly from zero, and otherwise either excludes a finite
 interval or is the whole real line.
 
 The same inversion, run with an asymmetric band t_lo <= T0(rho) <= t_hi,
-serves the bootstrap-calibrated variant, so both share one code path here.
+serves the bootstrap-calibrated variant, so both share one code path here:
+_band_rows, one kernel over the rows of a batch with a band per row.
+invert_t0_band is that kernel on a batch of one.
 """
 
 from __future__ import annotations
@@ -155,44 +157,12 @@ def point_estimate(stats: SummaryStats) -> float:
 
 def t0_statistic(stats: SummaryStats, rho: float) -> float:
     """The pivot T0 at a hypothesized ratio."""
-    q = stats.var_mean_y - 2.0 * rho * stats.cov_mean_xy + rho * rho * stats.var_mean_x
+    q, t0 = _t0(
+        stats.mean_x, stats.mean_y, stats.var_mean_x, stats.var_mean_y, stats.cov_mean_xy, rho
+    )
     if not q > 0.0:
         raise DegenerateVariance(f"variance of y - rho*x is not positive at rho={rho}")
-    return (stats.mean_y - rho * stats.mean_x) / math.sqrt(q)
-
-
-def _real_roots(a: float, half_b: float, c: float) -> tuple[float, ...]:
-    """Real roots of a*r^2 - 2*half_b*r + c = 0.
-
-    Written in half-b form so the bounded-interval closed form
-    (half_b -/+ sqrt(half_b^2 - a*c)) / a is reproduced bit for bit.
-    """
-    if a == 0.0:
-        if half_b == 0.0:
-            return ()
-        return (c / (2.0 * half_b),)
-    disc = half_b * half_b - a * c
-    if disc < 0.0:
-        scale = max(half_b * half_b, abs(a * c))
-        # Tiny negative discriminants are rounding noise on a true zero.
-        if -disc <= 1e-12 * scale:
-            disc = 0.0
-        else:
-            return ()
-    s = math.sqrt(disc)
-    r1 = (half_b - s) / a
-    r2 = (half_b + s) / a
-    if r1 == r2:
-        return (r1,)
-    return (min(r1, r2), max(r1, r2))
-
-
-def _band_coefficients(stats: SummaryStats, t: float) -> tuple[float, float, float]:
-    t2 = t * t
-    a = stats.mean_x * stats.mean_x - t2 * stats.var_mean_x
-    half_b = stats.mean_x * stats.mean_y - t2 * stats.cov_mean_xy
-    c = stats.mean_y * stats.mean_y - t2 * stats.var_mean_y
-    return a, half_b, c
+    return float(t0)
 
 
 def tangency_slopes(stats: SummaryStats, quantile: float) -> tuple[float, ...]:
@@ -202,126 +172,16 @@ def tangency_slopes(stats: SummaryStats, quantile: float) -> tuple[float, ...]:
     and, geometrically, the slopes of lines through the origin tangent to the
     confidence ellipse of the two means. Zero, one, or two values, ascending.
     """
-    return _real_roots(*_band_coefficients(stats, quantile))
+    first, second, count = _band_roots(_RowSummaries.of(stats), quantile)
+    return (float(first[0]), float(second[0]))[: int(count[0])]
 
 
 def invert_t0_band(stats: SummaryStats, t_lo: float, t_hi: float) -> ConfidenceSet:
-    """The set {rho : t_lo <= T0(rho) <= t_hi}.
-
-    Boundary candidates come from the two quadratics T0(rho) = t_lo and
-    T0(rho) = t_hi; membership of every segment between candidates is then
-    settled by evaluating T0 at an interior probe, and the tails follow the
-    limits T0(-inf) = mean_x/sd and T0(+inf) = -mean_x/sd. Spurious roots of
-    the squared equations only add harmless extra cut points, so no separate
-    sign filtering is required.
-    """
-    if not t_lo <= t_hi:
-        raise DomainError("t_lo must not exceed t_hi")
-    mx, my = stats.mean_x, stats.mean_y
-    vx, vy, cxy = stats.var_mean_x, stats.var_mean_y, stats.cov_mean_xy
-
-    if vx == 0.0 and vy == 0.0:
-        if mx == 0.0:
-            raise DegenerateVariance("both means are certain and the denominator is zero")
-        r = my / mx
-        return ConfidenceSet.bounded(r, r)
-
-    if vx == 0.0:
-        # cxy is forced to zero; T0 is linear in rho.
-        if mx == 0.0:
-            if t_lo <= my / math.sqrt(vy) <= t_hi:
-                return ConfidenceSet.whole_line()
-            raise DegenerateVariance("denominator mean and variance are both zero")
-        sd = math.sqrt(vy)
-        a = (my - t_hi * sd) / mx
-        b = (my - t_lo * sd) / mx
-        return ConfidenceSet.bounded(min(a, b), max(a, b))
-
-    cuts = sorted(
-        set(_real_roots(*_band_coefficients(stats, t_hi)))
-        | set(_real_roots(*_band_coefficients(stats, t_lo)))
-    )
-
-    asymptote = mx / math.sqrt(vx)  # T0 -> +asymptote as rho -> -inf
-    left_tail = t_lo <= asymptote <= t_hi
-    right_tail = t_lo <= -asymptote <= t_hi
-
-    def member(rho: float) -> bool:
-        q = vy - 2.0 * rho * cxy + rho * rho * vx
-        if not q > 0.0:
-            return False
-        return t_lo <= (my - rho * mx) / math.sqrt(q) <= t_hi
-
-    if not cuts:
-        if member(0.0):
-            return ConfidenceSet.whole_line()
-        raise NonFiniteResult("the band excludes every ratio value")
-
-    bounds = [-math.inf, *cuts, math.inf]
-    flags: list[bool] = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if lo == -math.inf:
-            flags.append(left_tail)
-        elif hi == math.inf:
-            flags.append(right_tail)
-        else:
-            flags.append(member(0.5 * (lo + hi)))
-
-    intervals: list[tuple[float, float]] = []
-    i = 0
-    while i < len(flags):
-        if flags[i]:
-            j = i
-            while j + 1 < len(flags) and flags[j + 1]:
-                j += 1
-            intervals.append((bounds[i], bounds[j + 1]))
-            i = j + 1
-        i += 1
-
-    if not intervals:
-        # No segment has interior, but the set may still be a single touch
-        # point: perfectly collinear pairs (where the pivot variance hits
-        # zero) or a band edge grazing the pivot curve. Asymmetric bands
-        # also produce spurious cuts where T0 equals the *other* edge's
-        # magnitude; the membership check rejects those.
-        tol = 1e-9 * (1.0 + max(abs(t_lo), abs(t_hi)))
-
-        def boundary_member(rho: float) -> bool:
-            q = vy - 2.0 * rho * cxy + rho * rho * vx
-            if not q > 0.0:
-                return True
-            return t_lo - tol <= (my - rho * mx) / math.sqrt(q) <= t_hi + tol
-
-        intervals = [
-            (cut, cut)
-            for k, cut in enumerate(cuts)
-            if not flags[k] and not flags[k + 1] and boundary_member(cut)
-        ]
-    intervals.sort()
-
-    if not intervals:
-        raise NonFiniteResult("the band excludes every ratio value")
-    if len(intervals) == 1:
-        lo, hi = intervals[0]
-        if lo == -math.inf and hi == math.inf:
-            return ConfidenceSet.whole_line()
-        if lo == -math.inf or hi == math.inf:
-            # Half lines cannot be represented; take the conservative superset.
-            return ConfidenceSet.whole_line()
-        return ConfidenceSet.bounded(lo, hi)
-    if (
-        len(intervals) == 2
-        and intervals[0][0] == -math.inf
-        and intervals[1][1] == math.inf
-        and math.isfinite(intervals[0][1])
-        and math.isfinite(intervals[1][0])
-    ):
-        if intervals[0][1] == intervals[1][0]:
-            return ConfidenceSet.whole_line()
-        return ConfidenceSet.unbounded_exclusive(intervals[0][1], intervals[1][0])
-    # Mixed shapes only arise for asymmetric bands that straddle exactly one
-    # asymptote; again return the conservative superset.
-    return ConfidenceSet.whole_line()
+    """The set {rho : t_lo <= T0(rho) <= t_hi}; _band_rows on a batch of one."""
+    lower, upper, case, errors = _band_rows(_RowSummaries.of(stats), t_lo, t_hi)
+    if errors:
+        raise errors[0]
+    return _confidence_set(case[0], lower[0], upper[0])
 
 
 # ------------------------------------------------------------------ kernels
@@ -330,7 +190,11 @@ def invert_t0_band(stats: SummaryStats, t_lo: float, t_hi: float) -> ConfidenceS
 # once: the rows of (runs, n) arrays, or their _RowSummaries. Each repeats
 # the scalar arithmetic of its method elementwise and in the same order, so
 # every row is bit-equal to the method applied to that row alone; the public
-# functions below are the kernels on a batch of one.
+# functions below are the kernels on a batch of one. The band inversion is
+# one such kernel, _band_rows, with no per-row fallback: Fieller's kernel
+# runs it at (-q, q), and invert_t0_band, tangency_slopes and t0_statistic
+# above are _band_rows, its root step _band_roots and the pivot _t0 on a
+# batch of one.
 
 # Case codes of _RowResults.case.
 _CASES = (SetCase.BOUNDED, SetCase.UNBOUNDED_EXCLUSIVE, SetCase.WHOLE_LINE)
@@ -343,8 +207,9 @@ class _RowResults:
 
     lower/upper hold the limits of a bounded set or the excluded interval of
     an unbounded one (nan for the whole line), and case indexes _CASES.
-    A row whose precondition fails has its error in `errors` and nothing
-    meaningful in the arrays. diagnostics(i), where the method has any, is
+    A row whose precondition fails, or whose bounded limits are not finite
+    and in order, has its error in `errors` and nothing meaningful in the
+    arrays. diagnostics(i), where the method has any, is
     the diagnostics record of row i. The bootstrap methods also count, over
     the rows with a result, the BCa fallbacks by reason and the non-finite
     replicates dropped.
@@ -358,6 +223,17 @@ class _RowResults:
     diagnostics: Callable[[int], object] | None = None
     fallbacks: Mapping[str, int] = field(default_factory=dict)
     dropped_replicates: int = 0
+
+    def __post_init__(self):
+        # A bounded row that ConfidenceSet.bounded rejects fails with its
+        # error; a row that already failed keeps its first error.
+        bad = ~(np.isfinite(self.lower) & np.isfinite(self.upper)) | (self.lower > self.upper)
+        for i in np.flatnonzero(bad & (self.case == _BOUNDED)):
+            if int(i) not in self.errors:
+                try:
+                    ConfidenceSet.bounded(float(self.lower[i]), float(self.upper[i]))
+                except RatioCiError as exc:
+                    self.errors[int(i)] = exc
 
     @classmethod
     def of(
@@ -398,14 +274,7 @@ class _RowResults:
         """Row i as a MethodResult; raises the row's error if it has one."""
         if i in self.errors:
             raise self.errors[i]
-        case = _CASES[self.case[i]]
-        lower, upper = float(self.lower[i]), float(self.upper[i])
-        if case is SetCase.BOUNDED:
-            cset = ConfidenceSet.bounded(lower, upper)
-        elif case is SetCase.UNBOUNDED_EXCLUSIVE:
-            cset = ConfidenceSet.unbounded_exclusive(lower, upper)
-        else:
-            cset = ConfidenceSet.whole_line()
+        cset = _confidence_set(self.case[i], self.lower[i], self.upper[i])
         diagnostics = None if self.diagnostics is None else self.diagnostics(i)
         return MethodResult(method, float(self.estimate[i]), cset, diagnostics)
 
@@ -419,53 +288,189 @@ def _set_limits(cset: ConfidenceSet) -> tuple[int, float, float]:
     return _WHOLE, math.nan, math.nan
 
 
+def _confidence_set(case: int, lower: float, upper: float) -> ConfidenceSet:
+    """The ConfidenceSet of a _RowResults case code and its lower/upper
+    entries; the inverse of _set_limits."""
+    if case == _BOUNDED:
+        return ConfidenceSet.bounded(float(lower), float(upper))
+    if case == _EXCLUSIVE:
+        return ConfidenceSet.unbounded_exclusive(float(lower), float(upper))
+    return ConfidenceSet.whole_line()
+
+
 def _bounded_rows(
     estimate: np.ndarray, lower: np.ndarray, upper: np.ndarray, errors: dict[int, RatioCiError]
 ) -> _RowResults:
-    """Bounded sets; rows that ConfidenceSet.bounded rejects get its error
-    (rows that already failed keep their first error)."""
-    for i in np.flatnonzero(~(np.isfinite(lower) & np.isfinite(upper)) | (lower > upper)):
-        if int(i) not in errors:
-            try:
-                ConfidenceSet.bounded(float(lower[i]), float(upper[i]))
-            except RatioCiError as exc:
-                errors[int(i)] = exc
+    """Bounded sets, checked as _RowResults checks them."""
     case = np.full(estimate.shape, _BOUNDED, dtype=np.int8)
     return _RowResults(estimate, lower, upper, case, errors)
 
 
-def _fieller_rows(m: _RowSummaries, quantile: float) -> _RowResults:
-    """invert_t0_band(row, -quantile, quantile) for every row, with its
-    FiellerDiagnostics.
+def _t0(mx, my, vx, vy, cxy, rho):
+    """The variance q of y - rho*x's mean and the pivot T0 at rho,
+    elementwise; T0 means nothing where q is not positive. t0_statistic,
+    _band_rows' probes and the bootstrap's T0* all take this one order of
+    arithmetic, so they agree bit for bit."""
+    q = vy - 2.0 * rho * cxy + rho * rho * vx
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return q, (my - rho * mx) / np.sqrt(q)
 
-    Rows with two distinct finite tangency slopes and a member segment take
-    invert_t0_band's own steps here, elementwise: the slopes from the
-    half-b quadratic, the tails from the asymptote and the middle segment
-    from the pivot at its midpoint. Every other row (vx == 0, a zero,
-    negative or tolerance-band discriminant, one root, no member segment)
-    is handed to invert_t0_band itself.
+
+def _band_roots(m: _RowSummaries, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The real roots of a*r^2 - 2*half_b*r + c = 0, the quadratic of
+    T0(r)^2 = t^2, in every row: the first and second root, ascending, and
+    how many there are (0, 1 or 2).
+
+    The half-b form reproduces the bounded closed form
+    (half_b -/+ sqrt(half_b^2 - a*c)) / a bit for bit. a == 0 leaves one
+    linear root, a negative discriminant within 1e-12 of the larger of its
+    terms is rounding noise on a double root, and equal roots count once.
     """
+    mx, my = m.mean_x, m.mean_y
+    with np.errstate(all="ignore"):
+        t2 = t * t
+        a = mx * mx - t2 * m.var_mean_x
+        half_b = mx * my - t2 * m.cov_mean_xy
+        c = my * my - t2 * m.var_mean_y
+        disc = half_b * half_b - a * c
+        noise = -disc <= 1e-12 * np.maximum(half_b * half_b, np.abs(a * c))
+        s = np.sqrt(np.where((disc < 0.0) & noise, 0.0, disc))
+        r1, r2 = (half_b - s) / a, (half_b + s) / a
+        linear = c / (2.0 * half_b)
+    # As Python's min(r1, r2) and max(r1, r2) pick them, signed zeros included.
+    first = np.where(a == 0.0, linear, np.where(r2 < r1, r2, r1))
+    second = np.where(r2 > r1, r2, r1)
+    quadratic = np.where((disc < 0.0) & ~noise, 0, np.where(r1 == r2, 1, 2))
+    return first, second, np.where(a == 0.0, half_b != 0.0, quadratic)
+
+
+# The errors of _band_rows, by code; code 0 is none.
+_BAND_ERRORS = (
+    None,
+    (DomainError, "t_lo must not exceed t_hi"),
+    (DegenerateVariance, "both means are certain and the denominator is zero"),
+    (DegenerateVariance, "denominator mean and variance are both zero"),
+    (NonFiniteResult, "the band excludes every ratio value"),
+)
+
+
+def _band_rows(
+    m: _RowSummaries, t_lo, t_hi
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, RatioCiError]]:
+    """The set {rho : t_lo <= T0(rho) <= t_hi} of every row, as the lower,
+    upper, case and errors entries of _RowResults; t_lo and t_hi are
+    scalars or one value per row.
+
+    The cuts are the distinct roots of T0(rho) = t_lo and T0(rho) = t_hi,
+    ascending: at most four, so at most five segments. A segment between
+    two cuts is a member if T0 at its midpoint lies in the band, and the
+    tails follow the limits T0(-inf) = mean_x/sd and T0(+inf) = -mean_x/sd
+    (with no cut, the probe is rho = 0). Spurious roots of the squared
+    equations only add harmless cuts. One run of member segments is a
+    bounded set, two runs reaching both infinities exclude the finite gap
+    between them, and every other shape (a half-line, say) is widened to
+    the whole line. With no member segment the set is the one cut where
+    T0 is within 1e-9 of the band (collinear pairs, or a band edge grazing
+    the pivot curve), the whole line if there are more, and empty if there
+    are none. vx == 0 makes T0 linear in rho and is solved in closed form.
+    Bounded limits that are not finite (an overflowed ratio) are rejected
+    where they become a _RowResults or a ConfidenceSet.
+
+    Every row is bit-equal to these steps in scalar floats on that row
+    alone, with the cuts deduplicated as a set that keeps a t_hi root over
+    an equal t_lo root, wherever no cut is nan (an overflowed quadratic,
+    whose place no sort defines).
+    """
+    rows = m.mean_x.shape[0]
+    mx, my = m.mean_x, m.mean_y
+    vx, vy, cxy = m.var_mean_x, m.var_mean_y, m.cov_mean_xy
+    t_lo, t_hi = np.broadcast_to(t_lo, (rows,)), np.broadcast_to(t_hi, (rows,))
+    at = np.arange(rows)
+    with np.errstate(all="ignore"):
+        hi1, hi2, n_hi = _band_roots(m, t_hi)
+        lo1, lo2, n_lo = _band_roots(m, t_lo)
+
+        def new(root):
+            return ~(((n_hi > 0) & (root == hi1)) | ((n_hi > 1) & (root == hi2)))
+
+        kept = np.stack([n_hi > 0, n_hi > 1, (n_lo > 0) & new(lo1), (n_lo > 1) & new(lo2)], 1)
+        cuts = np.sort(np.where(kept, np.stack([hi1, hi2, lo1, lo2], 1), np.inf), axis=1)
+        k = kept.sum(axis=1)[:, None]  # k cuts, k + 1 segments
+        edge = np.full((rows, 1), np.inf)
+        bounds = np.concatenate([-edge, cuts, edge], axis=1)
+        start, end = bounds[:, :-1], bounds[:, 1:]
+
+        def band(rho, tol):
+            """Whether the pivot variance at rho is positive, and whether T0
+            is within tol of the band."""
+            q, t0 = _t0(mx[:, None], my[:, None], vx[:, None], vy[:, None], cxy[:, None], rho)
+            return q > 0.0, (t_lo[:, None] - tol <= t0) & (t0 <= t_hi[:, None] + tol)
+
+        positive, inside = band(np.where(k == 0, 0.0, 0.5 * (start + end)), 0.0)
+        asymptote = mx / np.sqrt(vx)
+        left, right = (((t_lo <= v) & (v <= t_hi))[:, None] for v in (asymptote, -asymptote))
+        interior = (k == 0) | ((start != -np.inf) & (end != np.inf))
+        flags = np.where(interior, positive & inside, np.where(start == -np.inf, left, right))
+        flags &= np.arange(5) <= k
+        # +1 where a run of member segments starts, -1 past its end, at the
+        # index of that bound.
+        steps = np.diff(flags.astype(np.int8), prepend=0, append=0, axis=1)
+        runs = (steps == 1).sum(axis=1)
+
+        def bound(mask, last):
+            j = 5 - np.argmax(mask[:, ::-1], axis=1) if last else np.argmax(mask, axis=1)
+            return bounds[at, j]
+
+        lower, upper = bound(steps == 1, False), bound(steps == -1, True)
+        gap = bound(steps == -1, False), bound(steps == 1, True)
+
+        tol = 1e-9 * (1.0 + np.maximum(np.abs(t_lo), np.abs(t_hi)))
+        positive, inside = band(cuts, tol[:, None])
+        touch = (np.arange(4) < k) & (~positive | inside)
+        point = (runs == 0) & (touch.sum(axis=1) == 1)
+        lower = np.where(point, cuts[at, np.argmax(touch, axis=1)], lower)
+        upper = np.where(point, lower, upper)
+        single = ((runs == 1) | point) & (lower != -np.inf) & (upper != np.inf)
+        exclusive = (runs == 2) & (lower == -np.inf) & (upper == np.inf)
+        exclusive &= np.isfinite(gap[0]) & np.isfinite(gap[1])
+        lower, upper = np.where(exclusive, gap[0], lower), np.where(exclusive, gap[1], upper)
+
+        # vx == 0: T0 = (my - rho*mx)/sqrt(vy) is linear in rho, or constant if mx == 0.
+        certain = vx == 0.0
+        both = certain & (vy == 0.0)
+        flat = certain & ~both & (mx == 0.0)
+        sd = np.sqrt(vy)
+        a, b = (my - t_hi * sd) / mx, (my - t_lo * sd) / mx
+        # min(a, b) and max(a, b) as Python picks them.
+        lower = np.where(both, my / mx, np.where(certain, np.where(b < a, b, a), lower))
+        upper = np.where(both, my / mx, np.where(certain, np.where(b > a, b, a), upper))
+        shapes = [flat, certain | single, exclusive]
+        case = np.select(shapes, [_WHOLE, _BOUNDED, _EXCLUSIVE], _WHOLE).astype(np.int8)
+        code = np.select(
+            [
+                ~(t_lo <= t_hi),
+                both & (mx == 0.0),
+                flat & ~((t_lo <= my / sd) & (my / sd <= t_hi)),
+                ~certain & (runs == 0) & ~touch.any(axis=1),
+            ],
+            [1, 2, 3, 4],
+        )
+    lower[case == _WHOLE] = upper[case == _WHOLE] = np.nan
+    errors: dict[int, RatioCiError] = {}
+    for i in np.flatnonzero(code):
+        error, message = _BAND_ERRORS[code[i]]
+        errors[int(i)] = error(message)
+    return lower, upper, case, errors
+
+
+def _fieller_rows(m: _RowSummaries, quantile: float) -> _RowResults:
+    """invert_t0_band(row, -quantile, quantile) for every row, with the
+    estimate and the FiellerDiagnostics."""
     mx, my = m.mean_x, m.mean_y
     vx, vy, cxy = m.var_mean_x, m.var_mean_y, m.cov_mean_xy
     with np.errstate(all="ignore"):
         estimate = np.where(mx != 0.0, my / mx, np.nan)
-        t2 = quantile * quantile
-        a = mx * mx - t2 * vx
-        half_b = mx * my - t2 * cxy
-        c = my * my - t2 * vy
-        disc = half_b * half_b - a * c
-        s = np.sqrt(disc)
-        r1 = (half_b - s) / a
-        r2 = (half_b + s) / a
-        lower = np.minimum(r1, r2)
-        upper = np.maximum(r1, r2)
-        asymptote = mx / np.sqrt(vx)
-        tails = (-quantile <= asymptote) & (asymptote <= quantile)
-        mid = 0.5 * (lower + upper)
-        q = vy - 2.0 * mid * cxy + mid * mid * vx
-        t0 = (my - mid * mx) / np.sqrt(q)
-        middle = (q > 0.0) & (-quantile <= t0) & (t0 <= quantile)
-        # The diagnostics; vx == 0 gives det <= 0 and so t_unb2 = inf too.
+        # vx == 0 gives det <= 0 and so t_unb2 = inf too.
         denom_t2 = np.where(vx == 0.0, np.inf, mx * mx / vx)
         det = vx * vy - cxy * cxy
         resid = my * vx - mx * cxy
@@ -474,26 +479,7 @@ def _fieller_rows(m: _RowSummaries, quantile: float) -> _RowResults:
             denom_t2 + resid * resid / (vx * det),
             np.where(resid == 0.0, denom_t2, np.inf),
         )
-    fast = (
-        (vx != 0.0)
-        & (disc > 0.0)
-        & (r1 != r2)
-        & np.isfinite(r1)
-        & np.isfinite(r2)
-        & (tails | middle)
-    )
-    # Both tails share one flag, since the band is symmetric.
-    case = np.where(tails, np.where(middle, _WHOLE, _EXCLUSIVE), _BOUNDED).astype(np.int8)
-    errors: dict[int, RatioCiError] = {}
-    for i in np.flatnonzero(~fast):
-        i = int(i)
-        try:
-            cset = invert_t0_band(m.row(i), -quantile, quantile)
-        except RatioCiError as exc:
-            errors[i] = exc
-            continue
-        case[i], lower[i], upper[i] = _set_limits(cset)
-    lower[case == _WHOLE] = upper[case == _WHOLE] = np.nan
+    lower, upper, case, errors = _band_rows(m, -quantile, quantile)
 
     def diagnostics(i: int) -> FiellerDiagnostics:
         return FiellerDiagnostics(float(denom_t2[i]), float(t_unb2[i]), _CASES[case[i]])

@@ -21,8 +21,9 @@ a batch of samples, and is the only place that knows which methods exist.
 run_cell and error_bar_experiment draw each run from its own generator as
 above but stack the runs of a block into (rows, n) arrays, summarize them
 once and run each kernel once per block; evaluate_methods is the registry
-on a batch of one. The closed-form kernels (methods._fieller_rows and its
-siblings) work on whole arrays; the three bootstrap methods share one
+on a batch of one. The closed-form kernels (methods._fieller_rows, which is
+the band inversion methods._band_rows at (-q, q), and the four others) work
+on whole arrays, with no per-row loop; the three bootstrap methods share one
 kernel, which loops over the rows and resamples each row once for all of
 them (bootstrap._bootstrap_outcomes). Every row is bit-equal to the method
 applied to that sample alone.
@@ -98,8 +99,8 @@ class SimCell:
         for name in ("cv_x", "cv_y", "corr", "mean_x", "mean_y"):
             object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "n", int(self.n))
-        if not (self.cv_x > 0.0 and self.cv_y > 0.0):
-            raise DomainError("coefficients of variation must be positive")
+        if not (0.0 < self.cv_x < math.inf and 0.0 < self.cv_y < math.inf):
+            raise DomainError("coefficients of variation must be finite and positive")
         if not abs(self.corr) <= 1.0:
             raise DomainError("correlation must lie in [-1, 1]")
         if self.n < 2:

@@ -1,14 +1,16 @@
-"""Reference copy of the per-sample closed-form methods (Fieller's
-diagnostics included) and of the per-run run_cell loop, as they were before
-the methods became batch kernels, and of the pivot and ratio bootstraps as
-they were before they shared one resampling.
+"""Reference copy of the scalar band inversion (invert_t0_band with its
+root finder and tangency_slopes), of the per-sample closed-form methods
+(Fieller's diagnostics included) and of the per-run run_cell loop, as they
+were before the methods became batch kernels, and of the pivot and ratio
+bootstraps as they were before they shared one resampling.
 
-The library now evaluates the closed-form methods as one kernel per method
-over stacked samples, and the public functions are those kernels on a batch
-of one, so it keeps no scalar code of its own to compare against. This copy
-is that scalar code: plain Python floats, one sample at a time, every row
-through invert_t0_band. The kernel tests require bit equality with it, so
-change it only together with a deliberate change of the numbers.
+The library now evaluates the closed-form methods and the band inversion
+as one kernel each over stacked samples, and the public functions are
+those kernels on a batch of one, so it keeps no scalar code of its own to
+compare against. This copy is that scalar code: plain Python floats, one
+sample at a time, every row through this file's invert_t0_band. The kernel
+tests require bit equality with it, so change it only together with a
+deliberate change of the numbers.
 """
 
 from __future__ import annotations
@@ -26,12 +28,14 @@ from ratio_ci import (
     ConfidenceSet,
     ConfidenceSpec,
     CoverageResult,
+    DegenerateVariance,
     DomainError,
     FiellerDiagnostics,
     HwangDiagnostics,
     Method,
     MethodCoverage,
     MethodResult,
+    NonFiniteResult,
     PairedSample,
     RatioCiError,
     SetCase,
@@ -42,7 +46,6 @@ from ratio_ci import (
     ZeroDenominator,
     ZeroIndividualDenominator,
     ZeroNumerator,
-    invert_t0_band,
     percentile_ci,
     ratio_of_means,
 )
@@ -64,6 +67,175 @@ CLOSED_FORM = (
     Method.ZERO_VARIANCE,
 )
 RATIO_BOOT = (Method.BOOTSTRAP_PERCENTILE, Method.BOOTSTRAP_BCA)
+
+
+# ------------------------------------------------- the scalar band inversion
+
+
+def _real_roots(a: float, half_b: float, c: float) -> tuple[float, ...]:
+    """Real roots of a*r^2 - 2*half_b*r + c = 0.
+
+    Written in half-b form so the bounded-interval closed form
+    (half_b -/+ sqrt(half_b^2 - a*c)) / a is reproduced bit for bit.
+    """
+    if a == 0.0:
+        if half_b == 0.0:
+            return ()
+        return (c / (2.0 * half_b),)
+    disc = half_b * half_b - a * c
+    if disc < 0.0:
+        scale = max(half_b * half_b, abs(a * c))
+        # Tiny negative discriminants are rounding noise on a true zero.
+        if -disc <= 1e-12 * scale:
+            disc = 0.0
+        else:
+            return ()
+    s = math.sqrt(disc)
+    r1 = (half_b - s) / a
+    r2 = (half_b + s) / a
+    if r1 == r2:
+        return (r1,)
+    return (min(r1, r2), max(r1, r2))
+
+
+def _band_coefficients(stats: SummaryStats, t: float) -> tuple[float, float, float]:
+    t2 = t * t
+    a = stats.mean_x * stats.mean_x - t2 * stats.var_mean_x
+    half_b = stats.mean_x * stats.mean_y - t2 * stats.cov_mean_xy
+    c = stats.mean_y * stats.mean_y - t2 * stats.var_mean_y
+    return a, half_b, c
+
+
+def tangency_slopes(stats: SummaryStats, quantile: float) -> tuple[float, ...]:
+    """Slopes rho where the line y = rho*x satisfies T0(rho)^2 = quantile^2.
+
+    These are the candidate boundary points of the symmetric confidence set
+    and, geometrically, the slopes of lines through the origin tangent to the
+    confidence ellipse of the two means. Zero, one, or two values, ascending.
+    """
+    return _real_roots(*_band_coefficients(stats, quantile))
+
+
+def invert_t0_band(stats: SummaryStats, t_lo: float, t_hi: float) -> ConfidenceSet:
+    """The set {rho : t_lo <= T0(rho) <= t_hi}.
+
+    Boundary candidates come from the two quadratics T0(rho) = t_lo and
+    T0(rho) = t_hi; membership of every segment between candidates is then
+    settled by evaluating T0 at an interior probe, and the tails follow the
+    limits T0(-inf) = mean_x/sd and T0(+inf) = -mean_x/sd. Spurious roots of
+    the squared equations only add harmless extra cut points, so no separate
+    sign filtering is required.
+    """
+    if not t_lo <= t_hi:
+        raise DomainError("t_lo must not exceed t_hi")
+    mx, my = stats.mean_x, stats.mean_y
+    vx, vy, cxy = stats.var_mean_x, stats.var_mean_y, stats.cov_mean_xy
+
+    if vx == 0.0 and vy == 0.0:
+        if mx == 0.0:
+            raise DegenerateVariance("both means are certain and the denominator is zero")
+        r = my / mx
+        return ConfidenceSet.bounded(r, r)
+
+    if vx == 0.0:
+        # cxy is forced to zero; T0 is linear in rho.
+        if mx == 0.0:
+            if t_lo <= my / math.sqrt(vy) <= t_hi:
+                return ConfidenceSet.whole_line()
+            raise DegenerateVariance("denominator mean and variance are both zero")
+        sd = math.sqrt(vy)
+        a = (my - t_hi * sd) / mx
+        b = (my - t_lo * sd) / mx
+        return ConfidenceSet.bounded(min(a, b), max(a, b))
+
+    cuts = sorted(
+        set(_real_roots(*_band_coefficients(stats, t_hi)))
+        | set(_real_roots(*_band_coefficients(stats, t_lo)))
+    )
+
+    asymptote = mx / math.sqrt(vx)  # T0 -> +asymptote as rho -> -inf
+    left_tail = t_lo <= asymptote <= t_hi
+    right_tail = t_lo <= -asymptote <= t_hi
+
+    def member(rho: float) -> bool:
+        q = vy - 2.0 * rho * cxy + rho * rho * vx
+        if not q > 0.0:
+            return False
+        return t_lo <= (my - rho * mx) / math.sqrt(q) <= t_hi
+
+    if not cuts:
+        if member(0.0):
+            return ConfidenceSet.whole_line()
+        raise NonFiniteResult("the band excludes every ratio value")
+
+    bounds = [-math.inf, *cuts, math.inf]
+    flags: list[bool] = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if lo == -math.inf:
+            flags.append(left_tail)
+        elif hi == math.inf:
+            flags.append(right_tail)
+        else:
+            flags.append(member(0.5 * (lo + hi)))
+
+    intervals: list[tuple[float, float]] = []
+    i = 0
+    while i < len(flags):
+        if flags[i]:
+            j = i
+            while j + 1 < len(flags) and flags[j + 1]:
+                j += 1
+            intervals.append((bounds[i], bounds[j + 1]))
+            i = j + 1
+        i += 1
+
+    if not intervals:
+        # No segment has interior, but the set may still be a single touch
+        # point: perfectly collinear pairs (where the pivot variance hits
+        # zero) or a band edge grazing the pivot curve. Asymmetric bands
+        # also produce spurious cuts where T0 equals the *other* edge's
+        # magnitude; the membership check rejects those.
+        tol = 1e-9 * (1.0 + max(abs(t_lo), abs(t_hi)))
+
+        def boundary_member(rho: float) -> bool:
+            q = vy - 2.0 * rho * cxy + rho * rho * vx
+            if not q > 0.0:
+                return True
+            return t_lo - tol <= (my - rho * mx) / math.sqrt(q) <= t_hi + tol
+
+        intervals = [
+            (cut, cut)
+            for k, cut in enumerate(cuts)
+            if not flags[k] and not flags[k + 1] and boundary_member(cut)
+        ]
+    intervals.sort()
+
+    if not intervals:
+        raise NonFiniteResult("the band excludes every ratio value")
+    if len(intervals) == 1:
+        lo, hi = intervals[0]
+        if lo == -math.inf and hi == math.inf:
+            return ConfidenceSet.whole_line()
+        if lo == -math.inf or hi == math.inf:
+            # Half lines cannot be represented; take the conservative superset.
+            return ConfidenceSet.whole_line()
+        return ConfidenceSet.bounded(lo, hi)
+    if (
+        len(intervals) == 2
+        and intervals[0][0] == -math.inf
+        and intervals[1][1] == math.inf
+        and math.isfinite(intervals[0][1])
+        and math.isfinite(intervals[1][0])
+    ):
+        if intervals[0][1] == intervals[1][0]:
+            return ConfidenceSet.whole_line()
+        return ConfidenceSet.unbounded_exclusive(intervals[0][1], intervals[1][0])
+    # Mixed shapes only arise for asymmetric bands that straddle exactly one
+    # asymptote; again return the conservative superset.
+    return ConfidenceSet.whole_line()
+
+
+# ---------------------------------------------- the per-sample methods
 
 
 def summarize(sample: PairedSample) -> SummaryStats:

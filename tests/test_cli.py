@@ -320,6 +320,10 @@ def test_simulate_axis_syntax_and_guards(capsys):
     assert code == 2
     code, _, _ = _run(capsys, ["simulate", "--cv-x", "junk:1:3"])
     assert code == 2
+    # Non-finite CVs are malformed input, caught before any cell is built.
+    for axis in ("inf", "0.01:inf:3", "nan", "1,inf"):
+        code, out, err = _run(capsys, ["simulate", "--cv-x", axis])
+        assert code == 2 and out == "" and "bad axis" in err
 
 
 def test_simulate_warns_about_few_replications_only_for_bca_methods(capsys):
@@ -377,6 +381,13 @@ def test_errorbars_csv(capsys):
 def test_errorbars_requires_cell_flags(capsys):
     code, _, _ = _run(capsys, ["errorbars", "--cv-y", "0.1"])
     assert code == 2
+
+
+def test_errorbars_rejects_non_finite_or_non_positive_cvs(capsys):
+    for value in ("-1", "0", "nan", "inf", "junk"):
+        for flag, other in (("--cv-x", "--cv-y"), ("--cv-y", "--cv-x")):
+            code, out, err = _run(capsys, ["errorbars", flag, value, other, "0.1"])
+            assert code == 2 and out == "" and flag in err
 
 
 # --------------------------------------------------------------- ellipse

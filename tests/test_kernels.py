@@ -19,6 +19,7 @@ from ratio_ci import (
     AllResamplesDegenerate,
     BootstrapConfig,
     BootstrapMethod,
+    ConfidenceSet,
     ConfidenceSpec,
     DomainError,
     Method,
@@ -29,16 +30,20 @@ from ratio_ci import (
     fieller_set,
     hwang_set,
     index_limits,
+    invert_t0_band,
     percentile_set,
     ratio_bootstrap_results,
     run_cell,
     summarize,
+    tangency_slopes,
     taylor_limits,
     trimmed_index_limits,
     zero_variance_limits,
 )
 from ratio_ci.core import _summarize_rows
 from ratio_ci.methods import (
+    _band_rows,
+    _confidence_set,
     _fieller_rows,
     _index_rows,
     _taylor_rows,
@@ -72,10 +77,19 @@ def _assert_same_outcome(got, expected):
     assert not isinstance(got, RatioCiError), got
     assert got.method is expected.method
     assert _same(got.estimate, expected.estimate)
-    assert got.confidence_set.case is expected.confidence_set.case
-    for name in SET_FIELDS:
-        assert _same(getattr(got.confidence_set, name), getattr(expected.confidence_set, name))
+    _assert_same_set(got.confidence_set, expected.confidence_set)
     _assert_same_diagnostics(got.diagnostics, expected.diagnostics)
+
+
+def _assert_same_set(got, expected):
+    """The same ConfidenceSet with bit-equal limits, or the same error."""
+    if isinstance(expected, RatioCiError):
+        assert type(got) is type(expected) and str(got) == str(expected)
+        return
+    assert not isinstance(got, RatioCiError), got
+    assert got.case is expected.case
+    for name in SET_FIELDS:
+        assert _same(getattr(got, name), getattr(expected, name))
 
 
 def _assert_same_diagnostics(got, expected):
@@ -91,15 +105,18 @@ def _assert_same_diagnostics(got, expected):
 
 # ------------------------------------------------------- kernels, row by row
 
-ROW_KINDS = ("normal", "boundary", "constant_x", "constant_y", "one_zero_x", "collinear")
+ROW_KINDS = (
+    "normal", "boundary", "constant_x", "constant_y", "constant", "one_zero_x", "collinear"
+)
 
 
 @st.composite
 def batches(draw):
     """(runs, n) samples from one bivariate normal, with some rows reshaped:
     x shifted so that mean_x^2 / var_mean_x lies within 1e-9 relative of
-    q^2, constant x (vx == 0, zero included), constant y, one x_i = 0, or
-    y = k*x, whose discriminant is zero up to rounding."""
+    q^2, constant x (vx == 0, zero included), constant y, both constant
+    (vx == vy == 0), one x_i = 0, or y = k*x, whose discriminant is zero up
+    to rounding."""
     n = draw(st.integers(2, 60))
     kinds = draw(st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=6))
     corr = draw(st.floats(-1.0, 1.0))
@@ -123,6 +140,8 @@ def batches(draw):
             x = np.full(n, float(rng.integers(-3, 4)))
         elif kind == "constant_y":
             y = np.full(n, float(rng.integers(-3, 4)))
+        elif kind == "constant":
+            x, y = np.full((2, n), rng.integers(-3, 4, (2, 1)).astype(float))
         elif kind == "one_zero_x":
             x[rng.integers(n)] = 0.0
         elif kind == "collinear":
@@ -183,6 +202,63 @@ def test_row_summaries_are_bit_equal_to_summarize(n):
     summaries = _summarize_rows(xs, ys)
     for i in range(2):
         assert summaries.row(i) == ref.summarize(PairedSample(xs[i], ys[i]))
+
+
+# ------------------------------------------------- the band inversion
+
+BAND_KINDS = ("symmetric", "equal", "random", "tail", "empty", "graze", "inverted")
+
+
+def _band(data, stats):
+    """A band (t_lo, t_hi) for one row: symmetric; one value; random; around
+    one tail's asymptote, so that one tail is in and the other out (half-
+    lines and mixed shapes); past the largest |T0| (an empty set); at the
+    largest |T0| itself (a touch point); or inverted or nan."""
+    kind = data.draw(st.sampled_from(BAND_KINDS))
+    t, width = data.draw(st.floats(-10.0, 10.0)), data.draw(st.floats(0.0, 10.0))
+    sign = data.draw(st.sampled_from((-1.0, 1.0)))
+    diagnostics = ref.fieller_diagnostics(stats, ConfidenceSet.whole_line())
+    t_max = math.sqrt(diagnostics.t_unbounded_squared)
+    if kind == "symmetric":
+        return -abs(t), abs(t)
+    if kind == "equal":
+        return t, t
+    if kind == "tail" and stats.var_mean_x > 0.0:
+        asymptote = sign * stats.mean_x / math.sqrt(stats.var_mean_x)
+        return asymptote - abs(t), asymptote + width
+    if kind == "empty" and math.isfinite(t_max):
+        edge = t_max * (1.0 + 1e-6) + abs(t)
+        return (edge, edge + width) if sign > 0.0 else (-edge - width, -edge)
+    if kind == "graze" and math.isfinite(t_max):
+        return (t_max - width, t_max) if sign > 0.0 else (-t_max, -t_max + width)
+    if kind == "inverted":
+        return (t, t - width - 1e-3) if sign > 0.0 else (math.nan, t)
+    return t, t + width
+
+
+@given(batches(), st.data())
+def test_band_kernel_matches_the_scalar_inversion_bit_for_bit(batch, data):
+    """_band_rows with a band of its own per row, invert_t0_band (a batch of
+    one) and tangency_slopes against the scalar reference, error class and
+    message included."""
+    _, xs, ys, _, _ = batch
+    try:
+        summaries = _summarize_rows(xs, ys)
+    except DomainError:
+        return
+    stats = [summaries.row(i) for i in range(len(xs))]
+    bands = [_band(data, row) for row in stats]
+    t_lo, t_hi = (np.array(edge) for edge in zip(*bands))
+    lower, upper, case, errors = _band_rows(summaries, t_lo, t_hi)
+    for i, row in enumerate(stats):
+        expected = _outcome(lambda: ref.invert_t0_band(row, *bands[i]))
+        got = errors.get(i) or _outcome(lambda: _confidence_set(case[i], lower[i], upper[i]))
+        _assert_same_set(got, expected)
+        _assert_same_set(_outcome(lambda: invert_t0_band(row, *bands[i])), expected)
+        for t in bands[i]:
+            got_slopes, want = tangency_slopes(row, t), ref.tangency_slopes(row, t)
+            assert len(got_slopes) == len(want)
+            assert all(_same(a, b) for a, b in zip(got_slopes, want))
 
 
 # ------------------------------------------- the method registry, a batch of one

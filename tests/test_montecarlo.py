@@ -49,6 +49,11 @@ def test_cell_validation():
         SimCell(cv_x=1.0, cv_y=1.0, n=20, corr=1.5)
     with pytest.raises(DomainError):
         SimCell(cv_x=1.0, cv_y=1.0, n=20, mean_x=0.0)
+    for bad in (math.inf, math.nan, -1.0):
+        with pytest.raises(DomainError):
+            SimCell(cv_x=bad, cv_y=1.0, n=20)
+        with pytest.raises(DomainError):
+            SimCell(cv_x=1.0, cv_y=bad, n=20)
 
 
 def test_cell_params_scale_cv_by_mean():
