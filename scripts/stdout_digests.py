@@ -14,11 +14,18 @@ example, on 200 generated pairs and on samples where some methods fail,
 and the three bootstrap methods in two orders under `ci` on two such
 samples and under a small `simulate`. The generated inputs come from perfbench/workloads.py.
 
-The last four reach the rare branches of the band inversion: `simulate`
+Four more reach the rare branches of the band inversion: `simulate`
 and `errorbars` at cv_x = 3, where Fieller's and Hwang's sets are often
 unbounded and some Hwang bands leave a half-line, and `ellipse` on a
 pure-noise sample (no tangent slope: the origin is inside the ellipse) and
 on a zero-mean-x sample (the ellipse straddles the y-axis).
+
+The last two mix failing and working rows: `simulate` at n = 4 with Hwang
+and BCa, where each cell is one block in which Hwang keeps too few
+replicates on 84 and 83 of the 100 rows and returns sets on the others (6
+and 16 of them unbounded), and `ci` with both ratio bootstraps on a
+sample with x = (-1, 1, -1, 1, 2), where 13 of 100 resamples have a zero
+mean of x, so both fail with too few replicates (exit 3).
 """
 
 from __future__ import annotations
@@ -71,6 +78,10 @@ def inputs(tmp: Path) -> dict[str, Path]:
         # mean(x) == 0: Hwang fails, the ratio bootstrap drops resamples.
         "zero-mean.csv": _write_csv(
             tmp / "zero-mean.csv", "x,y", zip((-2.0, -1.0, 0.5, 1.0, 1.5), range(1, 6))
+        ),
+        # Some resamples have mean(x) == 0: the ratio bootstraps drop them.
+        "plus-minus-one.csv": _write_csv(
+            tmp / "plus-minus-one.csv", "x,y", zip((-1.0, 1.0, -1.0, 1.0, 2.0), range(1, 6))
         ),
     }
     write_pairs(tmp / "pairs200.csv", *generate_pairs(3, 200))
@@ -131,6 +142,12 @@ def argvs(files: dict[str, Path]) -> list[list[str]]:
     ]
     for name in ("noise.csv", "zero-mean.csv"):
         out.append(["ellipse", "--input", str(files[name]), "--format", "csv"])
+    out += [  # failing and working rows side by side
+        ["simulate", "--n", "4", "--runs", "100", "--replications", "100", "--cv-x", "0.3,3.0",
+         "--cv-y", "0.5", "--methods", "hwang_bootstrap,bootstrap_bca", "--seed", "5"],
+        ["ci", "--input", str(files["plus-minus-one.csv"]), "--methods",
+         "bootstrap_percentile,bootstrap_bca", "--replications", "100", "--seed", "3"],
+    ]
     return out
 
 

@@ -12,8 +12,8 @@ Empirical quantiles use the interpolated order-statistic rule with plotting
 positions (k - 1)/(B - 1) (numpy's default), applied consistently
 everywhere a bootstrap distribution is read.
 
-Resample indices are drawn in row blocks: one generator seeded with
-config.seed draws integers(0, n, (rows, n)) for rows = max(1,
+Resample indices are drawn in row blocks: one generator seeded with the
+sample's seed draws integers(0, n, (rows, n)) for rows = max(1,
 _BLOCK_ELEMENTS // n) at a time, the last block ragged, and each block's
 per-resample statistics are computed before the next is drawn. Successive
 draws from one generator continue the same stream, so the blocks
@@ -22,12 +22,17 @@ no number. Peak memory is O(rows·n + n) for any B, with rows·n at most
 max(_BLOCK_ELEMENTS, n): the block's indices and gathered values and the
 sample, besides the B floats of each statistic.
 
-All three methods read the same config, so they share one resampling per
-sample: _bootstrap_outcomes gathers each index block once, takes the
-resample means once, and derives from them both the ratio replicates and,
-when the pivot method runs, T0*. hwang_set and ratio_bootstrap_results are
-that one path on a subset of the methods, so requesting the methods
-together or apart gives the same numbers.
+All three methods read the same config, so they are one kernel over the
+rows of a batch of samples, _bootstrap_rows. Each row is resampled once,
+from its own seed, for every requested method: each index block is
+gathered once and its resample means taken once, and both the ratio
+replicates and, when the pivot method runs, T0* come from them. The
+per-row part ends with each distribution's quantiles; the preconditions,
+the estimates, the inversion of every row's pivot band (one
+methods._band_rows call) and the diagnostics are done once for the batch.
+hwang_set and ratio_bootstrap_results are the kernel on a batch of one, so
+requesting the methods together or apart, and a sample alone or among the
+runs of a simulation, gives the same numbers.
 """
 
 from __future__ import annotations
@@ -36,12 +41,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .core import ConfidenceSpec, PairedSample, SummaryStats, summarize
+from .core import ConfidenceSpec, PairedSample, _RowSummaries, _summarize_rows
 from .errors import (
     AllResamplesDegenerate,
     DegenerateJackknife,
@@ -51,7 +56,7 @@ from .errors import (
     TooFewReplicates,
     ZeroDenominator,
 )
-from .methods import ConfidenceSet, Method, MethodResult, _t0, invert_t0_band
+from .methods import ConfidenceSet, Method, MethodResult, _BOUNDED, _band_rows, _RowResults, _t0
 
 __all__ = [
     "BootstrapMethod",
@@ -138,17 +143,18 @@ def _resample_indices(rng: np.random.Generator, rows: int, n: int) -> np.ndarray
 
 
 def _per_resample(
-    config: BootstrapConfig, n: int, statistic: Callable[[np.ndarray], np.ndarray]
+    seed: int, replications: int, n: int, statistic: Callable[[np.ndarray], np.ndarray]
 ) -> np.ndarray:
     """statistic(idx) for each block of resample indices, concatenated along
-    the last axis to B values (per row of the statistic, if it has rows);
-    idx is a (rows, n) block of the one-shot (B, n) index matrix."""
-    rng = np.random.default_rng(config.seed)
+    the last axis to B = replications values (per row of the statistic, if
+    it has rows); idx is a (rows, n) block of the one-shot (B, n) index
+    matrix drawn from seed."""
+    rng = np.random.default_rng(seed)
     rows = max(1, _BLOCK_ELEMENTS // n)
     return np.concatenate(
         [
-            statistic(_resample_indices(rng, min(rows, config.replications - start), n))
-            for start in range(0, config.replications, rows)
+            statistic(_resample_indices(rng, min(rows, replications - start), n))
+            for start in range(0, replications, rows)
         ],
         axis=-1,
     )
@@ -246,17 +252,23 @@ def _bca_from_distribution(
 
 
 def _resample(
-    sample: PairedSample, config: BootstrapConfig, ratios: bool, rho_hat: float | None
+    xs: np.ndarray,
+    ys: np.ndarray,
+    seed: int,
+    replications: int,
+    ratios: bool,
+    rho_hat: float | None,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """The ratio replicates (if ratios) and the pivots T0* at rho_hat (if
-    rho_hat is not None) of the same B resamples, from one pass.
+    rho_hat is not None) of the same B = replications resamples of the
+    pairs (xs, ys) drawn from seed, from one pass.
 
     Each index block is gathered once and its means taken once. A ratio
     replicate is mean_y*/mean_x*, nan where mean_x* is zero; T0* is
     T0(mean_x*, mean_y*, rho_hat) with the resample's own variance
     estimates, nan where their pivot variance is not positive.
     """
-    n = sample.n
+    n = xs.size
     scale = 1.0 / (n * (n - 1))
 
     def gather(values: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -270,8 +282,8 @@ def _resample(
         return means, np.subtract(gathered, means[:, None], out=gathered)
 
     def block(idx: np.ndarray) -> np.ndarray:
-        mx, dx = gather(sample.xs, idx)
-        my, dy = gather(sample.ys, idx)
+        mx, dx = gather(xs, idx)
+        my, dy = gather(ys, idx)
         out = []
         if ratios:
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -284,23 +296,23 @@ def _resample(
             out.append(np.where(q > 0.0, t0, math.nan))
         return np.stack(out)
 
-    stats = iter(_per_resample(config, n, block))
+    stats = iter(_per_resample(seed, replications, n, block))
     return (next(stats) if ratios else None), (next(stats) if rho_hat is not None else None)
 
 
-def _ratio_jackknife(sample: PairedSample) -> np.ndarray:
-    sx = float(sample.xs.sum())
-    sy = float(sample.ys.sum())
+def _ratio_jackknife(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The ratio of means of each leave-one-out sample of the pairs."""
+    sx = float(xs.sum())
+    sy = float(ys.sum())
     with np.errstate(divide="ignore", invalid="ignore"):
-        return (sy - sample.ys) / (sx - sample.xs)
+        return (sy - ys) / (sx - xs)
 
 
-def _jackknife_t0(sample: PairedSample, rho_hat: float) -> np.ndarray:
-    """T0 of each leave-one-out sample at the full-sample rho_hat, via
-    running-sum identities (one vectorized pass instead of n summaries)."""
-    xs, ys = sample.xs, sample.ys
-    n = sample.n
-    m = n - 1
+def _jackknife_t0(xs: np.ndarray, ys: np.ndarray, rho_hat: float) -> np.ndarray:
+    """T0 of each leave-one-out sample of the pairs at the full-sample
+    rho_hat, via running-sum identities (one vectorized pass instead of n
+    summaries)."""
+    m = xs.size - 1
     mx = (xs.sum() - xs) / m
     my = (ys.sum() - ys) / m
     ssx = np.maximum((xs @ xs - xs * xs) - m * mx * mx, 0.0)
@@ -312,118 +324,116 @@ def _jackknife_t0(sample: PairedSample, rho_hat: float) -> np.ndarray:
         return np.where(q > 0.0, (my - rho_hat * mx) / np.sqrt(q), math.nan)
 
 
-class _Outcome(NamedTuple):
-    """One bootstrap method on one sample: its result or error, the reason
-    its BCa step fell back to percentiles (None if it did not), and the
-    non-finite replicates it dropped."""
-
-    result: MethodResult | RatioCiError
-    fallback: str | None = None
-    dropped: int = 0
-
-    def value(self) -> MethodResult:
-        if isinstance(self.result, RatioCiError):
-            raise self.result
-        return self.result
-
-
-def _hwang_outcome(
-    sample: PairedSample,
-    stats: SummaryStats,
-    rho_hat: float,
-    t0s: np.ndarray,
-    config: BootstrapConfig,
-    spec: ConfidenceSpec,
-) -> _Outcome:
-    """hwang_set's set from the resampled pivots T0* at rho_hat."""
-    dist = _collect(t0s, config.replications)
-    if dist.count < 100:
-        raise TooFewReplicates(f"{dist.count} retained replications, need 100")
-    fallback = None
-    if config.method is BootstrapMethod.BCA:
-        jack = _jackknife_t0(sample, rho_hat)
-        lo_p, hi_p, z0, a, fallback = _bca_adjustment(dist, 0.0, jack, spec.level)
-    else:
-        lo_p, hi_p = _percentile_levels(spec.level)
-        z0 = a = None
-    t_lo, t_hi = (float(v) for v in dist.quantile([lo_p, hi_p]))
-    cset = invert_t0_band(stats, t_lo, t_hi)
-    diag = HwangDiagnostics(t_lo, t_hi, dist.dropped, z0, a)
-    result = MethodResult(Method.HWANG_BOOTSTRAP, rho_hat, cset, diag)
-    return _Outcome(result, fallback, dist.dropped)
-
-
-def _ratio_outcomes(
-    sample: PairedSample,
-    ratios: np.ndarray,
+def _bootstrap_rows(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    summaries: _RowSummaries | None,
+    seeds: Sequence[int],
     config: BootstrapConfig,
     spec: ConfidenceSpec,
     methods: tuple[Method, ...],
-) -> dict[Method, _Outcome]:
-    """Percentile and/or BCa sets, in order, from one ratio distribution."""
-    dist = _collect(ratios, config.replications)
-    theta_hat = ratio_of_means(sample)
-    outcomes: dict[Method, _Outcome] = {}
-    for m in methods:
-        fallback = None
-        if m is Method.BOOTSTRAP_PERCENTILE:
-            cset = percentile_ci(dist, spec.level)
-        else:
-            cset, fallback = _bca_from_distribution(
-                dist, theta_hat, _ratio_jackknife(sample), spec.level
-            )
-        outcomes[m] = _Outcome(MethodResult(m, theta_hat, cset), fallback, dist.dropped)
-    return outcomes
-
-
-def _bootstrap_outcomes(
-    sample: PairedSample,
-    config: BootstrapConfig,
-    spec: ConfidenceSpec,
-    methods: tuple[Method, ...],
-) -> dict[Method, _Outcome]:
-    """Every requested bootstrap method on one sample, from one resampling.
+) -> tuple[_RowResults, ...]:
+    """The requested bootstrap methods on every row of the (rows, n) samples
+    xs and ys, one _RowResults per method in `methods`.
 
     The preconditions come first: three pairs for every method, and for the
-    pivot method a summary with a nonzero mean of x. Then the resamples are
-    drawn once for all the methods that passed (_resample), and each method
-    is finished in request order. A method that fails has its error as its
-    outcome and never stops another; an error of the ratio distribution or
-    of either interval on it is the outcome of every requested ratio method.
+    pivot method a nonzero mean of x (summaries holds the rows' summaries;
+    it is read only with three pairs). Then each row that some method still
+    needs is resampled once, from seeds[i] with config.replications
+    resamples (_resample), and each distribution is collected and its
+    quantiles read: for the pivot method the band (t_lo, t_hi), for each
+    ratio method its limits. An error there is the row's error for the pivot
+    method, or for every requested ratio method, and wins over an error of
+    the band inversion, which runs once for all rows.
     """
+    rows, n = xs.shape
     ratio_methods = tuple(m for m in methods if m in _RATIO_BOOT_METHODS)
-    outcomes: dict[Method, _Outcome] = {}
-    rho_hat = None
-    if sample.n < 3:
-        if Method.HWANG_BOOTSTRAP in methods:
-            error = TooFewObservations("pivot bootstrap needs at least three pairs")
-            outcomes[Method.HWANG_BOOTSTRAP] = _Outcome(error)
-        error = TooFewObservations("bootstrap ratio intervals need at least three pairs")
-        outcomes.update(dict.fromkeys(ratio_methods, _Outcome(error)))
-        return outcomes
+    if n < 3:
+        pivot = TooFewObservations("pivot bootstrap needs at least three pairs")
+        ratio = TooFewObservations("bootstrap ratio intervals need at least three pairs")
+        return tuple(
+            _RowResults.failing(rows, pivot if m is Method.HWANG_BOOTSTRAP else ratio)
+            for m in methods
+        )
+    mx, my = summaries.mean_x, summaries.mean_y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        estimate = np.where(mx != 0.0, my / mx, np.nan)
+    pivots = (mx != 0.0) & (Method.HWANG_BOOTSTRAP in methods)
+    # Per method and row: the band or the limits, the BCa fallback reason,
+    # the replicates dropped and the error; and the pivot's BCa z0 and a.
+    limits = {m: np.full((2, rows), np.nan) for m in methods}
+    fallback: dict[Method, list[str | None]] = {m: [None] * rows for m in methods}
+    dropped = {m: np.zeros(rows, dtype=np.int64) for m in methods}
+    errors: dict[Method, dict[int, RatioCiError]] = {m: {} for m in methods}
+    adjustment = [(None, None)] * rows
     if Method.HWANG_BOOTSTRAP in methods:
-        try:
-            stats = summarize(sample)
-            if stats.mean_x == 0.0:
-                raise ZeroDenominator("mean of x is exactly zero")
-            rho_hat = stats.mean_y / stats.mean_x
-        except RatioCiError as exc:
-            outcomes[Method.HWANG_BOOTSTRAP] = _Outcome(exc)
-    if not ratio_methods and rho_hat is None:
-        return outcomes
-    ratios, t0s = _resample(sample, config, bool(ratio_methods), rho_hat)
-    for method in methods:
-        if method in outcomes:
+        zero = ZeroDenominator("mean of x is exactly zero")
+        errors[Method.HWANG_BOOTSTRAP] = dict.fromkeys(np.flatnonzero(~pivots).tolist(), zero)
+    for i in range(rows):
+        if not (ratio_methods or pivots[i]):
             continue
-        served = (method,) if method is Method.HWANG_BOOTSTRAP else ratio_methods
-        try:
-            if method is Method.HWANG_BOOTSTRAP:
-                outcomes[method] = _hwang_outcome(sample, stats, rho_hat, t0s, config, spec)
-            else:
-                outcomes.update(_ratio_outcomes(sample, ratios, config, spec, ratio_methods))
-        except RatioCiError as exc:
-            outcomes.update(dict.fromkeys(served, _Outcome(exc)))
-    return outcomes
+        rho_hat = estimate[i] if pivots[i] else None
+        ratios, t0s = _resample(
+            xs[i], ys[i], seeds[i], config.replications, bool(ratio_methods), rho_hat
+        )
+        if rho_hat is not None:
+            m = Method.HWANG_BOOTSTRAP
+            try:
+                dist = _collect(t0s, config.replications)
+                if dist.count < 100:
+                    raise TooFewReplicates(f"{dist.count} retained replications, need 100")
+                if config.method is BootstrapMethod.BCA:
+                    jack = _jackknife_t0(xs[i], ys[i], rho_hat)
+                    lo_p, hi_p, z0, a, fallback[m][i] = _bca_adjustment(dist, 0.0, jack, spec.level)
+                    adjustment[i] = z0, a
+                else:
+                    lo_p, hi_p = _percentile_levels(spec.level)
+                limits[m][:, i] = dist.quantile([lo_p, hi_p])
+                dropped[m][i] = dist.dropped
+            except RatioCiError as exc:
+                errors[m][i] = exc
+        if ratio_methods:
+            try:
+                dist = _collect(ratios, config.replications)
+                for m in ratio_methods:
+                    if m is Method.BOOTSTRAP_PERCENTILE:
+                        cset = percentile_ci(dist, spec.level)
+                    else:
+                        jack = _ratio_jackknife(xs[i], ys[i])
+                        cset, fallback[m][i] = _bca_from_distribution(
+                            dist, estimate[i], jack, spec.level
+                        )
+                    limits[m][:, i] = cset.lower, cset.upper
+                    dropped[m][i] = dist.dropped
+            except RatioCiError as exc:
+                for m in ratio_methods:
+                    errors[m][i] = exc
+
+    results = []
+    for m in methods:
+        lower, upper = limits[m]
+        case, diagnostics = np.full(rows, _BOUNDED, dtype=np.int8), None
+        if m is Method.HWANG_BOOTSTRAP:
+            lower, upper, case, band_errors = _band_rows(summaries, lower, upper)
+            errors[m] = band_errors | errors[m]
+            band, drops = limits[m], dropped[m]
+
+            def diagnostics(i: int) -> HwangDiagnostics:
+                t_lo, t_hi = band[:, i]
+                return HwangDiagnostics(float(t_lo), float(t_hi), int(drops[i]), *adjustment[i])
+
+        fields = (estimate, lower, upper, case, errors[m], diagnostics, fallback[m], dropped[m])
+        results.append(_RowResults(*fields))
+    return tuple(results)
+
+
+def _sample_rows(
+    sample: PairedSample, config: BootstrapConfig, spec: ConfidenceSpec, methods: tuple[Method, ...]
+) -> tuple[_RowResults, ...]:
+    """_bootstrap_rows on the batch of one sample, resampled from config.seed."""
+    xs, ys = sample.xs[None], sample.ys[None]
+    summaries = _summarize_rows(xs, ys) if sample.n >= 3 else None
+    return _bootstrap_rows(xs, ys, summaries, (config.seed,), config, spec, methods)
 
 
 def ratio_bootstrap_results(
@@ -439,8 +449,8 @@ def ratio_bootstrap_results(
     """
     if any(m not in _RATIO_BOOT_METHODS for m in methods):
         raise DomainError("only the two bootstrap ratio methods are supported here")
-    outcomes = _bootstrap_outcomes(sample, config, spec, tuple(methods))
-    return {m: outcomes[m].value() for m in methods}
+    rows = _sample_rows(sample, config, spec, tuple(methods))
+    return {m: r.result(m) for m, r in zip(methods, rows)}
 
 
 def percentile_set(
@@ -469,5 +479,5 @@ def hwang_set(
     (t_lo, t_hi) read from the pivot distribution is inverted analytically;
     with a symmetric band this reduces exactly to the closed-form set.
     """
-    outcomes = _bootstrap_outcomes(sample, config, spec, (Method.HWANG_BOOTSTRAP,))
-    return outcomes[Method.HWANG_BOOTSTRAP].value()
+    (rows,) = _sample_rows(sample, config, spec, (Method.HWANG_BOOTSTRAP,))
+    return rows.result(Method.HWANG_BOOTSTRAP)

@@ -21,9 +21,10 @@ invert_t0_band is that kernel on a batch of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -210,9 +211,10 @@ class _RowResults:
     A row whose precondition fails, or whose bounded limits are not finite
     and in order, has its error in `errors` and nothing meaningful in the
     arrays. diagnostics(i), where the method has any, is
-    the diagnostics record of row i. The bootstrap methods also count, over
-    the rows with a result, the BCa fallbacks by reason and the non-finite
-    replicates dropped.
+    the diagnostics record of row i. The bootstrap kernel also keeps, per
+    row, the reason its BCa step fell back to percentiles (None if it did
+    not) and the non-finite replicates dropped; fallbacks and
+    dropped_replicates total them over the rows with a result.
     """
 
     estimate: np.ndarray
@@ -221,8 +223,8 @@ class _RowResults:
     case: np.ndarray
     errors: dict[int, RatioCiError]
     diagnostics: Callable[[int], object] | None = None
-    fallbacks: Mapping[str, int] = field(default_factory=dict)
-    dropped_replicates: int = 0
+    fallback: Sequence[str | None] = ()
+    dropped: Sequence[int] = ()
 
     def __post_init__(self):
         # A bounded row that ConfidenceSet.bounded rejects fails with its
@@ -236,32 +238,24 @@ class _RowResults:
                     self.errors[int(i)] = exc
 
     @classmethod
-    def of(
-        cls,
-        results: Sequence[MethodResult | RatioCiError],
-        fallbacks: Mapping[str, int] | None = None,
-        dropped_replicates: int = 0,
-    ) -> "_RowResults":
-        """The rows of per-sample results or errors, one row each."""
-        estimate, lower, upper = (np.full(len(results), np.nan) for _ in range(3))
-        case = np.full(len(results), _BOUNDED, dtype=np.int8)
-        errors: dict[int, RatioCiError] = {}
-        diagnostics: list[object | None] = [None] * len(results)
-        for i, result in enumerate(results):
-            if isinstance(result, RatioCiError):
-                errors[i] = result
-                continue
-            estimate[i] = result.estimate
-            case[i], lower[i], upper[i] = _set_limits(result.confidence_set)
-            diagnostics[i] = result.diagnostics
-        diag = diagnostics.__getitem__
-        return cls(estimate, lower, upper, case, errors, diag, fallbacks or {}, dropped_replicates)
+    def failing(cls, rows: int, error: RatioCiError) -> "_RowResults":
+        """rows rows that all fail with error."""
+        nan, case = np.full(rows, np.nan), np.full(rows, _BOUNDED, dtype=np.int8)
+        return cls(nan, nan, nan, case, dict.fromkeys(range(rows), error))
 
     @property
     def failed(self) -> np.ndarray:
         failed = np.zeros(self.estimate.shape, dtype=bool)
         failed[list(self.errors)] = True
         return failed
+
+    @property
+    def fallbacks(self) -> Counter[str]:
+        return Counter(r for r, bad in zip(self.fallback, self.failed) if r is not None and not bad)
+
+    @property
+    def dropped_replicates(self) -> int:
+        return int(sum(d for d, bad in zip(self.dropped, self.failed) if not bad))
 
     def contains(self, value: float) -> np.ndarray:
         """ConfidenceSet.contains(value) for every row; False where failed."""
@@ -279,18 +273,9 @@ class _RowResults:
         return MethodResult(method, float(self.estimate[i]), cset, diagnostics)
 
 
-def _set_limits(cset: ConfidenceSet) -> tuple[int, float, float]:
-    """The case code and the lower/upper entries of cset in _RowResults."""
-    if cset.case is SetCase.BOUNDED:
-        return _BOUNDED, cset.lower, cset.upper
-    if cset.case is SetCase.UNBOUNDED_EXCLUSIVE:
-        return _EXCLUSIVE, cset.excluded_lower, cset.excluded_upper
-    return _WHOLE, math.nan, math.nan
-
-
 def _confidence_set(case: int, lower: float, upper: float) -> ConfidenceSet:
     """The ConfidenceSet of a _RowResults case code and its lower/upper
-    entries; the inverse of _set_limits."""
+    entries."""
     if case == _BOUNDED:
         return ConfidenceSet.bounded(float(lower), float(upper))
     if case == _EXCLUSIVE:
@@ -531,7 +516,7 @@ def _pair_ratio_rows(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, dict[i
 def _index_rows(xs: np.ndarray, ys: np.ndarray, spec: ConfidenceSpec) -> _RowResults:
     runs, n = xs.shape
     if n < 2:
-        return _RowResults.of([TooFewObservations("need at least two pairs")] * runs)
+        return _RowResults.failing(runs, TooFewObservations("need at least two pairs"))
     r, errors = _pair_ratio_rows(xs, ys)
     with np.errstate(all="ignore"):
         rbar = r.mean(axis=1)
@@ -547,12 +532,12 @@ def _trimmed_index_rows(
 ) -> _RowResults:
     runs, n = xs.shape
     if not 0.0 <= trim < 0.5:
-        return _RowResults.of([DomainError("trim must lie in [0, 0.5)")] * runs)
+        return _RowResults.failing(runs, DomainError("trim must lie in [0, 0.5)"))
     g = int(math.floor(trim * n))
     kept = n - 2 * g
     if kept < 2:
         error = TooFewAfterTrim(f"trimming {g} from each tail leaves {kept} of {n}")
-        return _RowResults.of([error] * runs)
+        return _RowResults.failing(runs, error)
     r, errors = _pair_ratio_rows(xs, ys)
     r.sort(axis=1)
     core = r[:, g : n - g]

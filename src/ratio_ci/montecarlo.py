@@ -12,9 +12,9 @@ separately so their frequency stays visible in the output.
 Determinism: each run draws from default_rng([seed, run, attempt]), and each
 grid cell gets its seed from SeedSequence([master_seed, cell_index]), so
 results are identical regardless of thread count or which method subset is
-requested. A run's bootstrap seed is the last draw of its stream, so
-run_cell skips it when no bootstrap method is requested without changing
-any other number.
+requested. A run's bootstrap seed is the last draw of its stream, so it is
+drawn only for a batch that carries a bootstrap config (run_cell passes one
+when a bootstrap method is requested) without changing any other number.
 
 Method registry: _KERNELS maps every method to one kernel over the rows of
 a batch of samples, and is the only place that knows which methods exist.
@@ -23,16 +23,15 @@ above but stack the runs of a block into (rows, n) arrays, summarize them
 once and run each kernel once per block; evaluate_methods is the registry
 on a batch of one. The closed-form kernels (methods._fieller_rows, which is
 the band inversion methods._band_rows at (-q, q), and the four others) work
-on whole arrays, with no per-row loop; the three bootstrap methods share one
-kernel, which loops over the rows and resamples each row once for all of
-them (bootstrap._bootstrap_outcomes). Every row is bit-equal to the method
-applied to that sample alone.
+on whole arrays, with no per-row loop. The three bootstrap methods share one
+kernel, bootstrap._bootstrap_rows: it resamples each row once, from the
+row's own seed, for all of them, and finishes the block once (the
+estimates, and Hwang's bands inverted by one methods._band_rows call).
+Every row is bit-equal to the method applied to that sample alone.
 """
 
 from __future__ import annotations
 
-import copy
-import functools
 import math
 import os
 from collections import Counter
@@ -43,7 +42,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, BootstrapMethod, _bootstrap_outcomes, _Outcome
+from .bootstrap import BootstrapConfig, BootstrapMethod, _bootstrap_rows
 from .core import (
     BivariateNormalParams,
     ConfidenceSpec,
@@ -115,7 +114,7 @@ class SimCell:
     def params(self) -> BivariateNormalParams:
         return self._params
 
-    @functools.cached_property
+    @cached_property
     def _params(self) -> BivariateNormalParams:
         # Built once per cell: _draw_run reads it for every run.
         return BivariateNormalParams(
@@ -281,7 +280,7 @@ def _normalized_methods(methods: Iterable[Method]) -> tuple[Method, ...]:
 class _Batch:
     """Samples stacked as the rows of (rows, n) arrays, with what the method
     kernels read besides them. boot_seeds holds each row's bootstrap seed
-    and is read, like boot_config, only by the bootstrap kernels."""
+    and is read, like boot_config, only by the bootstrap kernel."""
 
     xs: np.ndarray
     ys: np.ndarray
@@ -295,50 +294,23 @@ class _Batch:
         """The row summaries, computed once, when a kernel first reads them."""
         return _summarize_rows(self.xs, self.ys)
 
-    def samples(self) -> Iterator[tuple[PairedSample, BootstrapConfig]]:
-        """Each row as a sample, with boot_config carrying the row's seed."""
-        for x, y, seed in zip(self.xs, self.ys, self.boot_seeds, strict=True):
-            # Not dataclasses.replace, which would validate and warn per row.
-            config = copy.copy(self.boot_config)
-            object.__setattr__(config, "seed", seed)
-            yield PairedSample(x, y), config
 
-
-def _bootstrap_rows(batch: _Batch, methods: tuple[Method, ...]) -> tuple[_RowResults, ...]:
-    """The requested bootstrap methods from one resampling per row, with
-    each method's BCa fallbacks and dropped replicates counted; an error
-    raised for a whole row is the error of every method."""
-    outcomes: dict[Method, list[_Outcome]] = {m: [] for m in methods}
-    for sample, config in batch.samples():
-        try:
-            row = _bootstrap_outcomes(sample, config, batch.spec, methods)
-        except RatioCiError as exc:
-            row = dict.fromkeys(methods, _Outcome(exc))
-        for method in methods:
-            outcomes[method].append(row[method])
-    return tuple(
-        _RowResults.of(
-            [o.result for o in outcomes[m]],
-            Counter(o.fallback for o in outcomes[m] if o.fallback is not None),
-            sum(o.dropped for o in outcomes[m]),
-        )
-        for m in methods
-    )
+def _bootstrap_kernel(b: _Batch, methods: tuple[Method, ...]) -> tuple[_RowResults, ...]:
+    return _bootstrap_rows(b.xs, b.ys, b.summaries, b.boot_seeds, b.boot_config, b.spec, methods)
 
 
 # The one method registry: each method's kernel over the rows of a batch,
 # (batch, methods) -> one _RowResults per method in `methods`, which holds
-# the requested methods the kernel serves. The bootstrap kernel looks
-# _bootstrap_outcomes up in this module's namespace at call time.
+# the requested methods the kernel serves.
 _KERNELS = {
     Method.FIELLER: lambda b, methods: (_fieller_rows(b.summaries, b.spec.quantile),),
     Method.TAYLOR: lambda b, methods: (_taylor_rows(b.summaries, b.spec.quantile),),
     Method.INDEX: lambda b, methods: (_index_rows(b.xs, b.ys, b.spec),),
     Method.TRIMMED_INDEX: lambda b, methods: (_trimmed_index_rows(b.xs, b.ys, b.spec, b.trim),),
     Method.ZERO_VARIANCE: lambda b, methods: (_zero_variance_rows(b.summaries, b.spec.quantile),),
-    Method.HWANG_BOOTSTRAP: _bootstrap_rows,
-    Method.BOOTSTRAP_PERCENTILE: _bootstrap_rows,
-    Method.BOOTSTRAP_BCA: _bootstrap_rows,
+    Method.HWANG_BOOTSTRAP: _bootstrap_kernel,
+    Method.BOOTSTRAP_PERCENTILE: _bootstrap_kernel,
+    Method.BOOTSTRAP_BCA: _bootstrap_kernel,
 }
 
 
@@ -396,12 +368,11 @@ def _blocks(
     spec: ConfidenceSpec,
     trim: float = 0.25,
     boot_config: BootstrapConfig | None = None,
-    boot_seeds: bool = True,
 ) -> Iterator[tuple[int, _Batch, int]]:
     """(first run, batch, redraws) for each block of runs, in run order: the
     runs are drawn one by one by _draw_run and stacked as the batch's rows,
-    with their bootstrap seeds unless boot_seeds is False."""
-    draw = _draw_run if boot_seeds else functools.partial(_draw_run, draw_boot_seed=False)
+    with their bootstrap seeds if the batch carries a boot_config."""
+    boot = boot_config is not None
     block = max(1, _BLOCK_ELEMENTS // cell.n)
     for start in range(0, runs, block):
         rows = min(block, runs - start)
@@ -410,11 +381,11 @@ def _blocks(
         seeds = []
         redraws = 0
         for i in range(rows):
-            sample, boot_seed, attempts = draw(cell, seed, start + i)
+            sample, boot_seed, attempts = _draw_run(cell, seed, start + i, boot)
             xs[i], ys[i] = sample.xs, sample.ys
             seeds.append(boot_seed)
             redraws += attempts
-        yield start, _Batch(xs, ys, spec, trim, boot_config, seeds if boot_seeds else ()), redraws
+        yield start, _Batch(xs, ys, spec, trim, boot_config, seeds if boot else ()), redraws
 
 
 class _Tally:
@@ -469,16 +440,16 @@ def run_cell(
     if runs < 100:
         raise DomainError("need at least 100 runs per cell")
     method_order = _normalized_methods(methods)
-    if boot_config is None:
+    if not any(_KERNELS[m] is _bootstrap_kernel for m in method_order):
+        boot_config = None
+    elif boot_config is None:
         boot_config = BootstrapConfig(method=BootstrapMethod.BCA)
     spec = ConfidenceSpec.two_sided(level, df=cell.n - 1)
     rho = cell.true_rho
 
     tallies = {m: _Tally() for m in method_order}
     redraws = 0
-    boot_seeds = any(_KERNELS[m] is _bootstrap_rows for m in method_order)
-    blocks = _blocks(cell, seed, runs, spec, trim, boot_config, boot_seeds)
-    for _, batch, attempts in blocks:
+    for _, batch, attempts in _blocks(cell, seed, runs, spec, trim, boot_config):
         redraws += attempts
         for method, rows in _kernel_rows(batch, method_order):
             tallies[method].add_rows(rows, rho)

@@ -310,7 +310,9 @@ def resample_pairs(sample, config, statistic):
     def block(idx):
         return np.array([statistic(PairedSample(sample.xs[row], sample.ys[row])) for row in idx])
 
-    return _collect(_per_resample(config, sample.n, block), config.replications)
+    return _collect(
+        _per_resample(config.seed, config.replications, sample.n, block), config.replications
+    )
 
 
 def bca_ci(sample, statistic, config, level: float):

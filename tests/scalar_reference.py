@@ -374,7 +374,7 @@ def resample_t0(sample, config, rho_hat):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(q > 0.0, (my - rho_hat * mx) / np.sqrt(q), math.nan)
 
-    return _per_resample(config, n, block)
+    return _per_resample(config.seed, config.replications, n, block)
 
 
 def ratio_distribution(sample, config):
@@ -384,7 +384,9 @@ def ratio_distribution(sample, config):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(mx != 0.0, my / mx, math.nan)
 
-    return _collect(_per_resample(config, sample.n, block), config.replications)
+    return _collect(
+        _per_resample(config.seed, config.replications, sample.n, block), config.replications
+    )
 
 
 def hwang_set(sample, config, spec):
@@ -402,7 +404,7 @@ def hwang_set(sample, config, spec):
         raise TooFewReplicates(f"{dist.count} retained replications, need 100")
     fallback = None
     if config.method is BootstrapMethod.BCA:
-        jack = _jackknife_t0(sample, rho_hat)
+        jack = _jackknife_t0(sample.xs, sample.ys, rho_hat)
         lo_p, hi_p, z0, a, fallback = _bca_adjustment(dist, 0.0, jack, spec.level)
     else:
         lo_p, hi_p = _percentile_levels(spec.level)
@@ -429,7 +431,7 @@ def ratio_bootstrap_results(sample, config, spec, methods=RATIO_BOOT):
             cset = percentile_ci(dist, spec.level)
         else:
             cset, fallback = _bca_from_distribution(
-                dist, theta_hat, _ratio_jackknife(sample), spec.level
+                dist, theta_hat, _ratio_jackknife(sample.xs, sample.ys), spec.level
             )
         results[m] = MethodResult(m, theta_hat, cset), fallback, dist.dropped
     return results

@@ -119,7 +119,7 @@ def test_vectorized_ratio_path_equals_generic_loop():
     sample = _sample(seed=9, n=21)
     config = BootstrapConfig(replications=500, seed=77)
     generic = resample_pairs(sample, config, ratio_of_means)
-    ratios, _ = _resample(sample, config, True, None)
+    ratios, _ = _resample(sample.xs, sample.ys, config.seed, config.replications, True, None)
     vectorized = _collect(ratios, config.replications)
     assert np.array_equal(generic.values, vectorized.values)
     assert generic.dropped == vectorized.dropped
@@ -272,7 +272,7 @@ def test_ratio_results_reject_foreign_methods():
 
 def test_ratio_jackknife_matches_literal_loop():
     sample = _sample(seed=17, n=19)
-    fast = _ratio_jackknife(sample)
+    fast = _ratio_jackknife(sample.xs, sample.ys)
     slow = [
         ratio_of_means(PairedSample(np.delete(sample.xs, i), np.delete(sample.ys, i)))
         for i in range(sample.n)
@@ -354,7 +354,7 @@ def test_hwang_resampled_pivots_match_literal_loop():
 def test_hwang_jackknife_pivots_match_literal_loop():
     sample = _sample(seed=31, n=14)
     rho_hat = ratio_of_means(sample)
-    fast = _jackknife_t0(sample, rho_hat)
+    fast = _jackknife_t0(sample.xs, sample.ys, rho_hat)
     slow = []
     for i in range(sample.n):
         loo = PairedSample(np.delete(sample.xs, i), np.delete(sample.ys, i))
@@ -406,7 +406,7 @@ def test_hwang_falls_back_on_non_finite_jackknife_pivots():
     # d = y - rho_hat*x = (-2, 1, 1): leaving the first pair out leaves two
     # equal differences, whose pivot variance is zero.
     sample = PairedSample([1.0, 2.0, 3.0], [-1.0, 3.0, 4.0])
-    assert not np.all(np.isfinite(_jackknife_t0(sample, ratio_of_means(sample))))
+    assert not np.all(np.isfinite(_jackknife_t0(sample.xs, sample.ys, ratio_of_means(sample))))
     result, categories, plain = _hwang_fallback(sample)
     assert categories == [RuntimeWarning]
     _assert_plain_percentile_band(result, plain)
@@ -417,7 +417,7 @@ def test_hwang_falls_back_when_jackknife_pivots_coincide(monkeypatch):
     # so on data they coincide only when every d_i is zero, and then they
     # are non-finite instead. Constant pivots stand in for that branch.
     monkeypatch.setattr(
-        bootstrap, "_jackknife_t0", lambda sample, rho_hat: np.full(sample.n, 0.5)
+        bootstrap, "_jackknife_t0", lambda xs, ys, rho_hat: np.full(xs.size, 0.5)
     )
     result, categories, plain = _hwang_fallback(_sample(seed=23, n=50))
     assert categories == [DegenerateJackknife]
@@ -532,7 +532,9 @@ def test_block_size_changes_no_number(monkeypatch, block_elements, blocks):
 
     monkeypatch.setattr(bootstrap, "_resample_indices", counted_draw)
     # One pass gives the ratio replicates and the pivots of the same resamples.
-    ratios, t0s = _resample(sample, config, True, rho_hat)
+    ratios, t0s = _resample(
+        sample.xs, sample.ys, config.seed, config.replications, True, rho_hat
+    )
     assert len(draws) == blocks and sum(draws) == config.replications
     assert np.array_equal(t0s, _unblocked_t0(sample, config, rho_hat), equal_nan=True)
     assert np.array_equal(ratios, _unblocked_ratios(sample, config), equal_nan=True)

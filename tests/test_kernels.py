@@ -432,18 +432,24 @@ def test_run_cell_records_failures_by_error_class():
     assert res.methods[Method.FIELLER].failures == {}
 
 
-def test_run_cell_records_failures_of_the_per_run_methods(monkeypatch):
-    def degenerate(*args):
-        raise AllResamplesDegenerate("every resample was degenerate")
+# About 10% of the resamples of this sample have mean(x) == 0, and so no
+# ratio: at B = 100 the ratio methods fail with too few replicates.
+PLUS_MINUS_ONE = PairedSample([-1.0, 1.0, -1.0, 1.0, 2.0], [1.0, 2.0, 3.0, 4.0, 5.0])
 
-    monkeypatch.setattr(mc, "_bootstrap_outcomes", degenerate)
+
+def test_run_cell_records_failures_of_the_per_run_methods(monkeypatch):
+    monkeypatch.setattr(mc, "_draw_pairs", lambda params, n, rng: PLUS_MINUS_ONE)
+    draws = _counted_draws(monkeypatch)
     methods = (Method.FIELLER, Method.BOOTSTRAP_PERCENTILE, Method.BOOTSTRAP_BCA)
     boot = BootstrapConfig(replications=100)
-    res = run_cell(SimCell(1.0, 1.0, 5), methods, 100, seed=0, boot_config=boot)
+    cell = SimCell(1.0, 1.0, 5)
+    res = run_cell(cell, methods, 100, seed=0, boot_config=boot)
+    assert draws == [100] * 100  # one resampling per run for both methods
     for method in methods[1:]:
-        assert res.methods[method].failures == {"AllResamplesDegenerate": 100}
+        assert res.methods[method].failures == {"TooFewReplicates": 100}
         assert res.methods[method].covered == 0
     assert res.methods[Method.FIELLER].failures == {}
+    assert res == ref.run_cell(cell, methods, 100, seed=0, boot_config=boot)
 
 
 # ------------------------------------------- the bootstrap kernel, one resampling
@@ -542,6 +548,40 @@ def test_run_cell_bootstrap_subsets_equal_the_separate_paths(cell, config):
         assert totals[Method.HWANG_BOOTSTRAP] > 0
 
 
+# Rows that fail differently side by side: a normal sample; mean(x) == 0,
+# where the pivot method fails; a constant sample, where every resampled
+# pivot is degenerate and BCa falls back; and PLUS_MINUS_ONE, where the
+# ratio methods keep too few replicates.
+MIXED_SAMPLES = (
+    _boot_sample(5),
+    PairedSample([-2.0, -1.0, 0.5, 1.0, 1.5], [1.0, 2.0, 3.0, 4.0, 5.0]),
+    PairedSample([1.0] * 5, [2.0] * 5),
+    PLUS_MINUS_ONE,
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("block_runs", [None, 7], ids=["one_block", "ragged_blocks"])
+def test_bootstrap_rows_fail_independently_within_a_block(monkeypatch, block_runs):
+    drawn = itertools.count()
+    monkeypatch.setattr(
+        mc, "_draw_pairs", lambda params, n, rng: MIXED_SAMPLES[next(drawn) % len(MIXED_SAMPLES)]
+    )
+    cell = SimCell(1.0, 1.0, 5)
+    if block_runs is not None:
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block_runs * cell.n)
+    config = BootstrapConfig(100, method=BootstrapMethod.BCA)
+    got = run_cell(cell, BOOTSTRAP, 100, seed=4, boot_config=config)
+    drawn = itertools.count()
+    assert got == ref.run_cell(cell, BOOTSTRAP, 100, seed=4, boot_config=config)
+    hwang = got.methods[Method.HWANG_BOOTSTRAP]
+    assert hwang.failures["ZeroDenominator"] == hwang.failures["AllResamplesDegenerate"] == 25
+    assert hwang.unbounded_sets > 0
+    assert got.methods[Method.BOOTSTRAP_BCA].fallbacks == {OUTSIDE: 25}
+    for method in BOOTSTRAP[1:]:  # the rows with mean(x) == 0 in some resamples
+        assert got.methods[method].failures == {"TooFewReplicates": 50}
+
+
 def _counted_draws(monkeypatch):
     draws = []
     draw = bootstrap_module._resample_indices
@@ -611,7 +651,7 @@ def test_run_cell_counts_each_fallback_reason(monkeypatch, name, hwang, bca):
     sample = FALLBACK_SAMPLES[name]
     monkeypatch.setattr(mc, "_draw_pairs", lambda params, n, rng: sample)
     if name == "coinciding_jackknife":
-        constant = lambda sample, *args: np.full(sample.n, 0.5)  # noqa: E731
+        constant = lambda xs, *args: np.full(xs.size, 0.5)  # noqa: E731
         for module in (bootstrap_module, ref):
             monkeypatch.setattr(module, "_jackknife_t0", constant)
             monkeypatch.setattr(module, "_ratio_jackknife", constant)

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import ratio_ci.bootstrap as bootstrap
 import ratio_ci.montecarlo as mc
 import scalar_reference as ref
 from ratio_ci import core, methods
 from test_kernels import SET_FIELDS, _same
 from ratio_ci import (
-    AllResamplesDegenerate,
     BootstrapConfig,
     BootstrapMethod,
     ConfidenceSpec,
@@ -20,11 +20,14 @@ from ratio_ci import (
     PairedSample,
     RatioCiError,
     SimCell,
+    TooFewReplicates,
     error_bar_experiment,
     errorbar_csv_rows,
+    fieller_set,
     grid_csv_rows,
     run_cell,
     run_grid,
+    summarize,
     thread_cap,
 )
 
@@ -183,22 +186,26 @@ def test_point_estimator_variability_comparison():
 
 
 def test_failed_ratio_bootstrap_is_resampled_once(monkeypatch):
-    error = AllResamplesDegenerate("every resample was degenerate")
-    calls = []
+    draws = []
+    draw = bootstrap._resample_indices
 
-    def degenerate(*args):
-        calls.append(args)
-        raise error
+    def counted(rng, rows, n):
+        draws.append(rows)
+        return draw(rng, rows, n)
 
-    monkeypatch.setattr(mc, "_bootstrap_outcomes", degenerate)
-    sample = PairedSample([1.0, 2.0, 3.0, 4.0], [2.0, 1.0, 4.0, 3.0])
-    spec = ConfidenceSpec.two_sided(0.95, df=3)
+    monkeypatch.setattr(bootstrap, "_resample_indices", counted)
+    # 13 of these 100 resamples have mean(x) == 0, and so no ratio.
+    sample = PairedSample([-1.0, 1.0, -1.0, 1.0, 2.0], [1.0, 2.0, 3.0, 4.0, 5.0])
+    spec = ConfidenceSpec.two_sided(0.95, df=4)
+    config = BootstrapConfig(replications=100, seed=3)
     methods = (Method.BOOTSTRAP_PERCENTILE, Method.FIELLER, Method.BOOTSTRAP_BCA)
-    results = dict(mc.evaluate_methods(sample, methods, spec, BootstrapConfig()))
-    assert len(calls) == 1
-    assert results[Method.BOOTSTRAP_PERCENTILE] is error
+    results = dict(mc.evaluate_methods(sample, methods, spec, config))
+    assert draws == [100]
+    error = results[Method.BOOTSTRAP_PERCENTILE]
+    assert isinstance(error, TooFewReplicates)
+    assert str(error) == "87 retained replications, need 100"
     assert results[Method.BOOTSTRAP_BCA] is error
-    assert results[Method.FIELLER].method is Method.FIELLER
+    assert results[Method.FIELLER] == fieller_set(summarize(sample), spec)
 
 
 def test_evaluate_methods_summarizes_the_sample_once(monkeypatch):
@@ -408,8 +415,8 @@ def test_error_bar_experiment_raises_the_first_failing_run(monkeypatch, bad, blo
     cell = SimCell(1.0, 1.0, 6)
     real = mc._draw_run
 
-    def draw_run(cell, seed, run):
-        sample, boot_seed, attempts = real(cell, seed, run)
+    def draw_run(cell, seed, run, *args):
+        sample, boot_seed, attempts = real(cell, seed, run, *args)
         return bad.get(run, sample), boot_seed, attempts
 
     monkeypatch.setattr(mc, "_draw_run", draw_run)
