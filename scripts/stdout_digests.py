@@ -26,6 +26,11 @@ replicates on 84 and 83 of the 100 rows and returns sets on the others (6
 and 16 of them unbounded), and `ci` with both ratio bootstraps on a
 sample with x = (-1, 1, -1, 1, 2), where 13 of 100 resamples have a zero
 mean of x, so both fail with too few replicates (exit 3).
+
+The last two pin the runs' streams, default_rng([seed, run, attempt]):
+`errorbars --seed 18446744073709551621` (2^64 + 5), whose five-word
+entropy reaches SeedSequence's extra mixing loop, and `errorbars --n 500
+--runs 60`, which spans two blocks of runs, the second ragged.
 """
 
 from __future__ import annotations
@@ -147,6 +152,11 @@ def argvs(files: dict[str, Path]) -> list[list[str]]:
          "--cv-y", "0.5", "--methods", "hwang_bootstrap,bootstrap_bca", "--seed", "5"],
         ["ci", "--input", str(files["plus-minus-one.csv"]), "--methods",
          "bootstrap_percentile,bootstrap_bca", "--replications", "100", "--seed", "3"],
+    ]
+    out += [  # the runs' streams: a long entropy, and a ragged second block
+        ["errorbars", "--cv-x", "3", "--cv-y", "0.1", "--seed", "18446744073709551621"],
+        ["errorbars", "--cv-x", "3", "--cv-y", "0.1", "--n", "500", "--runs", "60",
+         "--seed", "2"],
     ]
     return out
 

@@ -248,12 +248,17 @@ def t_quantile(p: float, df: float) -> float:
     return _t_quantile_cached(float(p), df)
 
 
-def _draw_pairs(params: BivariateNormalParams, n: int, rng: np.random.Generator) -> PairedSample:
-    z = rng.standard_normal((2, n))
-    xs = params.mean_x + params.sd_x * z[0]
-    mix = params.corr * z[0] + math.sqrt(1.0 - params.corr * params.corr) * z[1]
+def _bivariate_pairs(
+    params: BivariateNormalParams, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, ys) from standard normals z of shape (..., 2, n): x from z[..., 0, :]
+    and y from the Cholesky mix of both. Elementwise, so a stack of samples
+    gets each sample's own bits."""
+    z0, z1 = z[..., 0, :], z[..., 1, :]
+    xs = params.mean_x + params.sd_x * z0
+    mix = params.corr * z0 + math.sqrt(1.0 - params.corr * params.corr) * z1
     ys = params.mean_y + params.sd_y * mix
-    return PairedSample(xs, ys)
+    return xs, ys
 
 
 def sample_bivariate_normal(params: BivariateNormalParams, n: int, seed) -> PairedSample:
@@ -264,4 +269,5 @@ def sample_bivariate_normal(params: BivariateNormalParams, n: int, seed) -> Pair
     """
     if n < 1:
         raise DomainError("n must be at least 1")
-    return _draw_pairs(params, n, np.random.default_rng(seed))
+    z = np.random.default_rng(seed).standard_normal((2, n))
+    return PairedSample(*_bivariate_pairs(params, z))

@@ -12,18 +12,22 @@ separately so their frequency stays visible in the output.
 Determinism: each run draws from default_rng([seed, run, attempt]), and each
 grid cell gets its seed from SeedSequence([master_seed, cell_index]), so
 results are identical regardless of thread count or which method subset is
-requested. A run's bootstrap seed is the last draw of its stream, so it is
+requested. The runs of a block are drawn together without building a
+generator per run: _run_streams hashes SeedSequence([seed, run, attempt])
+for all of them at once and seeds PCG64 from it, and one generator is set to
+each run's state in turn, so every run gets the bits its own default_rng
+would give. A run's bootstrap seed is the last draw of its stream, so it is
 drawn only for a batch that carries a bootstrap config (run_cell passes one
 when a bootstrap method is requested) without changing any other number.
 
 Method registry: _KERNELS maps every method to one kernel over the rows of
 a batch of samples, and is the only place that knows which methods exist.
-run_cell and error_bar_experiment draw each run from its own generator as
-above but stack the runs of a block into (rows, n) arrays, summarize them
-once and run each kernel once per block; evaluate_methods is the registry
-on a batch of one. The closed-form kernels (methods._fieller_rows, which is
-the band inversion methods._band_rows at (-q, q), and the four others) work
-on whole arrays, with no per-row loop. The three bootstrap methods share one
+run_cell and error_bar_experiment draw the runs of a block as above into
+(rows, n) arrays, summarize them once and run each kernel once per block;
+evaluate_methods is the registry on a batch of one. The closed-form
+kernels (methods._fieller_rows, which is the band inversion
+methods._band_rows at (-q, q), and the four others) work on whole arrays,
+with no per-row loop. The three bootstrap methods share one
 kernel, bootstrap._bootstrap_rows: it resamples each row once, from the
 row's own seed, for all of them, and finishes the block once (the
 estimates, and Hwang's bands inverted by one methods._band_rows call).
@@ -33,6 +37,7 @@ Every row is bit-equal to the method applied to that sample alone.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -47,7 +52,7 @@ from .core import (
     BivariateNormalParams,
     ConfidenceSpec,
     PairedSample,
-    _draw_pairs,
+    _bivariate_pairs,
     _RowSummaries,
     _summarize_rows,
 )
@@ -116,7 +121,6 @@ class SimCell:
 
     @cached_property
     def _params(self) -> BivariateNormalParams:
-        # Built once per cell: _draw_run reads it for every run.
         return BivariateNormalParams(
             mean_x=self.mean_x,
             mean_y=self.mean_y,
@@ -246,27 +250,152 @@ def thread_cap(requested: int | None = None) -> int:
     return requested
 
 
-def _draw_run(
-    cell: SimCell, seed: int, run: int, draw_boot_seed: bool = True
-) -> tuple[PairedSample, int | None, int]:
-    """Sample for one run plus its bootstrap seed (None unless
-    draw_boot_seed) and the redraw count.
+# SeedSequence's hash (O'Neill's seed_seq_fe) and PCG64's seeding constants.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL = 4  # SeedSequence's pool size, in uint32 words
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # mix_entropy's hash
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state's hash
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-    Exactly-zero x draws (possible only by floating-point chance) invalidate
-    the per-pair ratio methods, so the whole run is redrawn from the next
-    attempt substream and tallied. The bootstrap seed is the stream's last
-    draw, so skipping it changes no other number.
+
+def _words(value) -> list[int]:
+    """SeedSequence's uint32 words of a non-negative integer, least
+    significant first; 0 is one word."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix over uint32 arrays, wrapping like C. The
+    running constant advances once per call whatever the values, so one
+    hasher serves a whole vector of entropies."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ result >> 16
+
+
+def _run_streams(seed: int, runs: np.ndarray, attempt: int) -> list[tuple[int, int]]:
+    """PCG64's (state, inc) as seeded by SeedSequence([seed, run, attempt]),
+    for each run in the uint64 array runs: the SeedSequence hash of every
+    run at once, then pcg_setseq_128_srandom_r on Python ints. An entropy
+    longer than the pool (a seed of 2^64 or more, or a run of 2^32 or more
+    beside a seed of 2^32 or more) is folded in by mix_entropy's extra loop."""
+    seed_words, attempt_words = _words(seed), _words(attempt)
+    k = len(seed_words)
+    high = (runs >> np.uint64(32)).astype(np.uint32)
+    wide = high != 0  # runs of two words
+    lengths = k + 1 + wide + len(attempt_words)
+    width = max(_POOL, int(lengths.max()))
+    entropy = np.zeros((runs.size, width), np.uint32)
+    entropy[:, :k] = seed_words
+    entropy[:, k] = runs.astype(np.uint32)
+    entropy[wide, k + 1] = high[wide]
+    for j, word in enumerate(attempt_words):
+        entropy[np.arange(runs.size), k + 1 + wide + j] = word
+
+    # mix_entropy: the first words (zeros past the entropy) into the pool,
+    # every pool word into every other, then any words beyond the pool.
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[:, i]) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, width):
+        longer = lengths > src
+        for dst in range(_POOL):
+            pool[dst] = np.where(longer, _mix(pool[dst], hashmix(entropy[:, src])), pool[dst])
+
+    # generate_state(4, uint64): eight words cycling over the pool, paired
+    # little-endian into seed_hi, seed_lo, inc_hi, inc_lo.
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    out = [hashmix(pool[i % _POOL]).astype(np.uint64) for i in range(2 * _POOL)]
+    state = [(out[2 * i] | out[2 * i + 1] << np.uint64(32)).tolist() for i in range(4)]
+
+    streams = []
+    for seed_hi, seed_lo, inc_hi, inc_lo in zip(*state):
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        streams.append((((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc & _MASK128, inc))
+    return streams
+
+
+def _draw_normals(
+    seed: int, runs: np.ndarray, attempt: int, n: int, boot: bool
+) -> tuple[np.ndarray, list[int]]:
+    """The (len(runs), 2, n) standard normals of the runs at this attempt,
+    each from its own stream, and, if boot, each stream's next draw as the
+    run's bootstrap seed. One generator is set to each stream in turn."""
+    z = np.empty((runs.size, 2, n))
+    boot_seeds = []
+    gen = np.random.Generator(np.random.PCG64(0))
+    bits = gen.bit_generator
+    for row, (state, inc) in enumerate(_run_streams(seed, runs, attempt)):
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        gen.standard_normal(out=z[row])
+        if boot:
+            boot_seeds.append(int(gen.integers(0, 2**63)))
+    return z, boot_seeds
+
+
+def _draw_run(
+    cell: SimCell, seed: int, start: int, rows: int, boot: bool
+) -> tuple[np.ndarray, np.ndarray, int, list[int]]:
+    """Runs start, ..., start + rows - 1 of the cell: their (rows, n) xs and
+    ys, the block's redraw count and, if boot, each run's bootstrap seed.
+
+    Each run is the sample default_rng([seed, run, 0]) gives. Exactly-zero
+    x draws (possible only by floating-point chance) invalidate the per-pair
+    ratio methods, so such a run is redrawn from the next attempt's stream,
+    and tallied. The bootstrap seed is the last draw of the stream kept, so
+    skipping it changes no other number. A run with a non-finite value
+    raises NonFiniteInput, as its PairedSample would.
     """
     params = cell.params()
-    attempt = 0
-    while True:
-        rng = np.random.default_rng([seed, run, attempt])
-        sample = _draw_pairs(params, cell.n, rng)
-        if not (sample.xs == 0.0).any():
-            break
+    runs = np.arange(start, start + rows, dtype=np.uint64)
+
+    def draw(todo: np.ndarray, attempt: int):
+        z, boot_seeds = _draw_normals(seed, todo, attempt, cell.n, boot)
+        xs, ys = _bivariate_pairs(params, z)
+        finite = np.isfinite(xs).all(axis=1) & np.isfinite(ys).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            PairedSample(xs[row], ys[row])  # raises the first such run's error
+        return xs, ys, boot_seeds
+
+    xs, ys, boot_seeds = draw(runs, 0)
+    redraws = attempt = 0
+    redo = np.flatnonzero((xs == 0.0).any(axis=1))
+    while redo.size:
         attempt += 1
-    boot_seed = int(rng.integers(0, 2**63)) if draw_boot_seed else None
-    return sample, boot_seed, attempt
+        redraws += redo.size
+        xs[redo], ys[redo], seeds = draw(runs[redo], attempt)
+        for row, boot_seed in zip(redo.tolist(), seeds):
+            boot_seeds[row] = boot_seed
+        redo = redo[(xs[redo] == 0.0).any(axis=1)]
+    return xs, ys, redraws, boot_seeds
 
 
 def _normalized_methods(methods: Iterable[Method]) -> tuple[Method, ...]:
@@ -370,22 +499,13 @@ def _blocks(
     boot_config: BootstrapConfig | None = None,
 ) -> Iterator[tuple[int, _Batch, int]]:
     """(first run, batch, redraws) for each block of runs, in run order: the
-    runs are drawn one by one by _draw_run and stacked as the batch's rows,
-    with their bootstrap seeds if the batch carries a boot_config."""
-    boot = boot_config is not None
+    runs drawn by _draw_run as the batch's rows, with their bootstrap seeds
+    if the batch carries a boot_config."""
     block = max(1, _BLOCK_ELEMENTS // cell.n)
     for start in range(0, runs, block):
         rows = min(block, runs - start)
-        xs = np.empty((rows, cell.n))
-        ys = np.empty_like(xs)
-        seeds = []
-        redraws = 0
-        for i in range(rows):
-            sample, boot_seed, attempts = _draw_run(cell, seed, start + i, boot)
-            xs[i], ys[i] = sample.xs, sample.ys
-            seeds.append(boot_seed)
-            redraws += attempts
-        yield start, _Batch(xs, ys, spec, trim, boot_config, seeds if boot else ()), redraws
+        xs, ys, redraws, seeds = _draw_run(cell, seed, start, rows, boot_config is not None)
+        yield start, _Batch(xs, ys, spec, trim, boot_config, seeds), redraws
 
 
 class _Tally:

@@ -1,8 +1,10 @@
 """Reference copy of the scalar band inversion (invert_t0_band with its
 root finder and tangency_slopes), of the per-sample closed-form methods
 (Fieller's diagnostics included) and of the per-run run_cell loop, as they
-were before the methods became batch kernels, and of the pivot and ratio
-bootstraps as they were before they shared one resampling.
+were before the methods became batch kernels, of the pivot and ratio
+bootstraps as they were before they shared one resampling, and of the
+per-run draw, one default_rng([seed, run, attempt]) per run, as it was
+before the runs of a block were drawn without a generator each.
 
 The library now evaluates the closed-form methods and the band inversion
 as one kernel each over stacked samples, and the public functions are
@@ -21,7 +23,6 @@ from collections import Counter
 
 import numpy as np
 
-import ratio_ci.montecarlo as mc
 from ratio_ci import (
     BootstrapConfig,
     BootstrapMethod,
@@ -350,6 +351,33 @@ def zero_variance_limits(sample: PairedSample, spec: ConfidenceSpec) -> MethodRe
     return MethodResult(Method.ZERO_VARIANCE, rho, cset)
 
 
+# ------------------------------------------------------ the per-run draw
+
+
+def _draw_pairs(params, n, rng):
+    z = rng.standard_normal((2, n))
+    xs = params.mean_x + params.sd_x * z[0]
+    mix = params.corr * z[0] + math.sqrt(1.0 - params.corr * params.corr) * z[1]
+    ys = params.mean_y + params.sd_y * mix
+    return PairedSample(xs, ys)
+
+
+def _draw_run(cell, seed, run, draw_boot_seed=True):
+    """Sample for one run plus its bootstrap seed (None unless
+    draw_boot_seed) and the redraw count: a run with an exactly-zero x is
+    redrawn from the next attempt's generator."""
+    params = cell.params()
+    attempt = 0
+    while True:
+        rng = np.random.default_rng([seed, run, attempt])
+        sample = _draw_pairs(params, cell.n, rng)
+        if not (sample.xs == 0.0).any():
+            break
+        attempt += 1
+    boot_seed = int(rng.integers(0, 2**63)) if draw_boot_seed else None
+    return sample, boot_seed, attempt
+
+
 # ------------------------------------------------ the separate bootstraps
 # Each draws and gathers its own (B, n) index matrix from config.seed, in the
 # library's blocks, and besides its result returns the reason its BCa step
@@ -488,7 +516,7 @@ def run_cell(cell, methods, runs, seed, boot_config=None, level=0.95, trim=0.25)
     dropped = dict.fromkeys(method_order, 0)
     redraws = 0
     for run in range(runs):
-        sample, boot_seed, attempts = mc._draw_run(cell, seed, run)
+        sample, boot_seed, attempts = _draw_run(cell, seed, run)
         redraws += attempts
         run_config = copy.copy(boot_config)
         object.__setattr__(run_config, "seed", boot_seed)

@@ -343,6 +343,44 @@ def test_evaluate_methods_equals_the_public_bootstrap_functions(name, boot_metho
 
 # ------------------------------------------------------ run_cell, cell by cell
 
+
+def _zero_x(monkeypatch, run, attempts):
+    """Make the draw of `run` at each of `attempts` have x[1] == 0 exactly,
+    in a cell with mean_x == sd_x: its normal is set to -mean_x/sd_x = -1."""
+    real = mc._draw_normals
+
+    def draw_normals(seed, runs, attempt, n, boot):
+        z, boot_seeds = real(seed, runs, attempt, n, boot)
+        if attempt in attempts:
+            z[runs == run, 0, 1] = -1.0
+        return z, boot_seeds
+
+    monkeypatch.setattr(mc, "_draw_normals", draw_normals)
+
+
+def _replace_samples(monkeypatch, sample_of_run):
+    """Make each run drawn by run_cell and by ref.run_cell (or by
+    ref._draw_run) be sample_of_run(run) where that is not None. The runs'
+    bootstrap seeds and redraws stay their own."""
+    block, per_run = mc._draw_run, ref._draw_run
+
+    def draw_block(cell, seed, start, rows, boot):
+        xs, ys, redraws, boot_seeds = block(cell, seed, start, rows, boot)
+        for i in range(rows):
+            sample = sample_of_run(start + i)
+            if sample is not None:
+                xs[i], ys[i] = sample.xs, sample.ys
+        return xs, ys, redraws, boot_seeds
+
+    def draw_run(cell, seed, run, draw_boot_seed=True):
+        sample, boot_seed, attempts = per_run(cell, seed, run, draw_boot_seed)
+        replaced = sample_of_run(run)
+        return sample if replaced is None else replaced, boot_seed, attempts
+
+    monkeypatch.setattr(mc, "_draw_run", draw_block)
+    monkeypatch.setattr(ref, "_draw_run", draw_run)
+
+
 CLOSED_FORM = ref.CLOSED_FORM
 
 
@@ -378,7 +416,7 @@ def test_run_cell_mixed_with_bootstrap_equals_the_per_run_loop(monkeypatch):
 
 
 def test_run_cell_equals_the_per_run_loop_through_a_redraw(monkeypatch):
-    real = mc._draw_pairs
+    real = ref._draw_pairs
     calls = {"count": 0}
 
     def flaky(params, n, rng):
@@ -391,9 +429,9 @@ def test_run_cell_equals_the_per_run_loop_through_a_redraw(monkeypatch):
         return sample
 
     cell = SimCell(1.0, 1.0, 6)
-    monkeypatch.setattr(mc, "_draw_pairs", flaky)
+    _zero_x(monkeypatch, run=4, attempts=(0, 1))
+    monkeypatch.setattr(ref, "_draw_pairs", flaky)
     got = run_cell(cell, CLOSED_FORM, 100, seed=5)
-    calls["count"] = 0
     expected = ref.run_cell(cell, CLOSED_FORM, 100, seed=5)
     assert got.redraws == 2
     assert got == expected
@@ -438,7 +476,7 @@ PLUS_MINUS_ONE = PairedSample([-1.0, 1.0, -1.0, 1.0, 2.0], [1.0, 2.0, 3.0, 4.0, 
 
 
 def test_run_cell_records_failures_of_the_per_run_methods(monkeypatch):
-    monkeypatch.setattr(mc, "_draw_pairs", lambda params, n, rng: PLUS_MINUS_ONE)
+    _replace_samples(monkeypatch, lambda run: PLUS_MINUS_ONE)
     draws = _counted_draws(monkeypatch)
     methods = (Method.FIELLER, Method.BOOTSTRAP_PERCENTILE, Method.BOOTSTRAP_BCA)
     boot = BootstrapConfig(replications=100)
@@ -563,16 +601,12 @@ MIXED_SAMPLES = (
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("block_runs", [None, 7], ids=["one_block", "ragged_blocks"])
 def test_bootstrap_rows_fail_independently_within_a_block(monkeypatch, block_runs):
-    drawn = itertools.count()
-    monkeypatch.setattr(
-        mc, "_draw_pairs", lambda params, n, rng: MIXED_SAMPLES[next(drawn) % len(MIXED_SAMPLES)]
-    )
+    _replace_samples(monkeypatch, lambda run: MIXED_SAMPLES[run % len(MIXED_SAMPLES)])
     cell = SimCell(1.0, 1.0, 5)
     if block_runs is not None:
         monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block_runs * cell.n)
     config = BootstrapConfig(100, method=BootstrapMethod.BCA)
     got = run_cell(cell, BOOTSTRAP, 100, seed=4, boot_config=config)
-    drawn = itertools.count()
     assert got == ref.run_cell(cell, BOOTSTRAP, 100, seed=4, boot_config=config)
     hwang = got.methods[Method.HWANG_BOOTSTRAP]
     assert hwang.failures["ZeroDenominator"] == hwang.failures["AllResamplesDegenerate"] == 25
@@ -649,7 +683,7 @@ OUTSIDE = "estimate outside the bootstrap distribution"
 )
 def test_run_cell_counts_each_fallback_reason(monkeypatch, name, hwang, bca):
     sample = FALLBACK_SAMPLES[name]
-    monkeypatch.setattr(mc, "_draw_pairs", lambda params, n, rng: sample)
+    _replace_samples(monkeypatch, lambda run: sample)
     if name == "coinciding_jackknife":
         constant = lambda xs, *args: np.full(xs.size, 0.5)  # noqa: E731
         for module in (bootstrap_module, ref):

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import ratio_ci.bootstrap as bootstrap
 import ratio_ci.montecarlo as mc
 import scalar_reference as ref
 from ratio_ci import core, methods
-from test_kernels import SET_FIELDS, _same
+from test_kernels import SET_FIELDS, _replace_samples, _same, _zero_x
 from ratio_ci import (
     BootstrapConfig,
     BootstrapMethod,
@@ -16,6 +17,7 @@ from ratio_ci import (
     DomainError,
     GridSpec,
     Method,
+    NonFiniteInput,
     NonFiniteResult,
     PairedSample,
     RatioCiError,
@@ -232,42 +234,90 @@ def test_evaluate_methods_summarizes_the_sample_once(monkeypatch):
 
 def test_zero_x_draws_are_redrawn(monkeypatch):
     cell = SimCell(cv_x=1.0, cv_y=1.0, n=6)
-    real = mc._draw_pairs
-    calls = {"count": 0}
-
-    def flaky(params, n, rng):
-        calls["count"] += 1
-        sample = real(params, n, rng)
-        if calls["count"] <= 2:
-            xs = sample.xs.copy()
-            xs[0] = 0.0
-            return PairedSample(xs, sample.ys)
-        return sample
-
-    monkeypatch.setattr(mc, "_draw_pairs", flaky)
-    sample, boot_seed, attempts = mc._draw_run(cell, seed=5, run=0)
+    _zero_x(monkeypatch, run=0, attempts=(0, 1))
+    xs, ys, attempts, boot_seeds = mc._draw_run(cell, seed=5, start=0, rows=1, boot=True)
     assert attempts == 2
-    assert not np.any(sample.xs == 0.0)
-    assert isinstance(boot_seed, int)
+    assert not np.any(xs == 0.0)
+    assert isinstance(boot_seeds[0], int)
 
 
 def test_redraw_tally_reaches_coverage_result(monkeypatch):
     cell = SimCell(cv_x=1.0, cv_y=1.0, n=6)
-    real = mc._draw_pairs
-    calls = {"count": 0}
-
-    def flaky(params, n, rng):
-        calls["count"] += 1
-        sample = real(params, n, rng)
-        if calls["count"] == 1:
-            xs = sample.xs.copy()
-            xs[0] = 0.0
-            return PairedSample(xs, sample.ys)
-        return sample
-
-    monkeypatch.setattr(mc, "_draw_pairs", flaky)
+    _zero_x(monkeypatch, run=0, attempts=(0,))
     res = run_cell(cell, (Method.FIELLER,), runs=100, seed=5)
     assert res.redraws == 1
+
+
+# Entropy of SeedSequence([seed, run, attempt]) longer than its four-word
+# pool reaches mix_entropy's extra loop: seeds of 2^64 or more, and runs of
+# 2^32 or more beside seeds of 2^32 or more.
+SEEDS = st.integers(0, 2**130 - 1)
+RUNS = st.lists(st.integers(0, 2**40 - 1), min_size=1, max_size=6)
+ATTEMPTS = st.integers(0, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=SEEDS, runs=RUNS, attempt=ATTEMPTS)
+@example(seed=0, runs=[0, 1, 2**32 - 1, 2**32], attempt=0)
+@example(seed=2**32 + 5, runs=[2**32 - 1, 2**32, 2**40 - 1], attempt=2)
+@example(seed=2**64 - 1, runs=[0, 2**32 + 7], attempt=4)
+@example(seed=2**64 + 5, runs=[0, 7, 2**33], attempt=1)
+def test_run_streams_equal_numpys_seeding(seed, runs, attempt):
+    got = mc._run_streams(seed, np.array(runs, dtype=np.uint64), attempt)
+    assert len(got) == len(runs)
+    for run, stream in zip(runs, got):
+        bits = np.random.PCG64(np.random.SeedSequence([seed, run, attempt]))
+        assert stream == (bits.state["state"]["state"], bits.state["state"]["inc"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, runs=RUNS, attempt=ATTEMPTS, n=st.integers(1, 40))
+@example(seed=2**64 + 5, runs=[0, 2**32], attempt=0, n=20)
+def test_drawn_normals_and_boot_seeds_equal_default_rng(seed, runs, attempt, n):
+    z, boot_seeds = mc._draw_normals(seed, np.array(runs, dtype=np.uint64), attempt, n, True)
+    assert z.shape == (len(runs), 2, n)
+    for row, run in enumerate(runs):
+        rng = np.random.default_rng([seed, run, attempt])
+        assert z[row].tobytes() == rng.standard_normal((2, n)).tobytes()
+        assert boot_seeds[row] == int(rng.integers(0, 2**63))
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**64 + 5])
+def test_a_block_equals_the_per_run_draws(seed):
+    cell = SimCell(0.5, 2.0, 7, corr=-0.3)
+    start = 2**32 - 3  # runs of one and of two words in one block
+    xs, ys, redraws, boot_seeds = mc._draw_run(cell, seed, start, 6, True)
+    assert redraws == 0
+    for i in range(6):
+        sample, boot_seed, _ = ref._draw_run(cell, seed, start + i)
+        assert xs[i].tobytes() == sample.xs.tobytes()
+        assert ys[i].tobytes() == sample.ys.tobytes()
+        assert boot_seeds[i] == boot_seed
+    assert mc._draw_run(cell, seed, start, 6, False)[3] == []
+
+
+# Pinned at the per-run draw: a run with a non-finite value raises the error
+# its PairedSample raises, x checked before y, and a negative seed is refused.
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        (SimCell(1e10, 1.0, 5, mean_x=1e300, mean_y=1e300), "xs contains non-finite values"),
+        (SimCell(1.0, 1e10, 5, mean_y=1e300), "ys contains non-finite values"),
+    ],
+    ids=["xs", "ys"],
+)
+def test_non_finite_draws_raise(cell, message):
+    with pytest.raises(NonFiniteInput) as error:
+        run_cell(cell, [Method.FIELLER], 100, 0)
+    assert str(error.value) == message
+    with pytest.raises(NonFiniteInput) as error:
+        error_bar_experiment(cell)
+    assert str(error.value) == message
+
+
+def test_negative_seed_raises():
+    with pytest.raises(ValueError):
+        run_cell(SimCell(1.0, 1.0, 5), [Method.FIELLER], 100, -1)
 
 
 # ---------------------------------------------------------------- run_grid
@@ -362,7 +412,7 @@ def _error_bar_loop(cell, runs, seed):
     spec = ConfidenceSpec.two_sided(0.95, df=cell.n - 1)
     per_method = {Method.FIELLER: [], Method.INDEX: []}
     for run in range(runs):
-        sample, _, _ = mc._draw_run(cell, seed, run)
+        sample, _, _ = ref._draw_run(cell, seed, run)
         per_method[Method.FIELLER].append((run, ref.fieller_set(ref.summarize(sample), spec)))
         per_method[Method.INDEX].append((run, ref.index_limits(sample, spec)))
     return [
@@ -378,6 +428,7 @@ def _error_bar_loop(cell, runs, seed):
         (SimCell(3.0, 0.1, 20), 40, 1),
         (SimCell(3.0, 0.1, 500), 60, 2),  # two blocks, the second ragged
         (SimCell(3.0, 0.5, 4), 30, 11),
+        (SimCell(3.0, 0.1, 20), 40, 2**64 + 5),  # five-word entropy
     ],
 )
 def test_error_bar_experiment_equals_the_per_run_loop(cell, runs, seed):
@@ -413,13 +464,7 @@ BOTH_FAIL = PairedSample([1e-300, -1e-300] * 3, [1e10] * 6)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_error_bar_experiment_raises_the_first_failing_run(monkeypatch, bad, block_runs, error):
     cell = SimCell(1.0, 1.0, 6)
-    real = mc._draw_run
-
-    def draw_run(cell, seed, run, *args):
-        sample, boot_seed, attempts = real(cell, seed, run, *args)
-        return bad.get(run, sample), boot_seed, attempts
-
-    monkeypatch.setattr(mc, "_draw_run", draw_run)
+    _replace_samples(monkeypatch, bad.get)
     if block_runs is not None:
         monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block_runs * cell.n)
     with pytest.raises(RatioCiError) as expected:
