@@ -1,6 +1,15 @@
 """Confidence sets for ratios of paired means, with the simulation and
 regression tooling to see when the simple recipes break."""
 
+import os
+
+# OpenBLAS splits a dot product of more than 10 000 elements across its
+# threads, so on a long sample the last bits of a variance would depend on
+# the machine's core count, and each such call leaves a worker spinning on
+# a core after it returns. One BLAS thread unless the caller set its own;
+# it takes effect when this import is the first of numpy, as under the CLI.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .bootstrap import (
     BootstrapConfig,
     BootstrapMethod,

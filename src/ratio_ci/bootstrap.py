@@ -44,8 +44,8 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from ._special import ndtr, ndtri
 from .core import ConfidenceSpec, PairedSample, _RowSummaries, _summarize_rows
 from .errors import (
     AllResamplesDegenerate,
@@ -142,6 +142,11 @@ def _resample_indices(rng: np.random.Generator, rows: int, n: int) -> np.ndarray
     return rng.integers(0, n, size=(rows, n))
 
 
+def _block_rows(n: int) -> int:
+    """Resamples per block at n pairs."""
+    return max(1, _BLOCK_ELEMENTS // n)
+
+
 def _per_resample(
     seed: int, replications: int, n: int, statistic: Callable[[np.ndarray], np.ndarray]
 ) -> np.ndarray:
@@ -150,7 +155,7 @@ def _per_resample(
     it has rows); idx is a (rows, n) block of the one-shot (B, n) index
     matrix drawn from seed."""
     rng = np.random.default_rng(seed)
-    rows = max(1, _BLOCK_ELEMENTS // n)
+    rows = _block_rows(n)
     return np.concatenate(
         [
             statistic(_resample_indices(rng, min(rows, replications - start), n))
@@ -205,7 +210,7 @@ def _bca_levels(z0: float, a: float, level: float) -> tuple[float, float]:
             # Past the adjustment's pole; saturate at the distribution edge.
             out.append(1.0 if num > 0.0 else 0.0)
         else:
-            out.append(float(ndtr(z0 + num / denom)))
+            out.append(ndtr(z0 + num / denom))
     return out[0], out[1]
 
 
@@ -228,7 +233,7 @@ def _bca_adjustment(
     else:
         a = _acceleration(jackknife)
         if a is not None:
-            z0 = float(ndtri(below / dist.count))
+            z0 = ndtri(below / dist.count)
             return (*_bca_levels(z0, a, level), z0, a, None)
         reason, category = "all jackknife values coincide", DegenerateJackknife
     warnings.warn(f"{reason}; falling back to percentiles", category, stacklevel=2)
@@ -270,20 +275,29 @@ def _resample(
     """
     n = xs.size
     scale = 1.0 / (n * (n - 1))
+    # Every block gathers into the leading rows of the same two buffers, so
+    # the only (rows, n) array allocated per block is its indices. A gathered
+    # array of this size is mapped afresh by malloc and page-faulted in each
+    # time it is allocated: 2000 resamples of 20 000 pairs took 57 000 faults.
+    shape = (min(replications, _block_rows(n)), n)
+    x_buffer, y_buffer = np.empty(shape, xs.dtype), np.empty(shape, ys.dtype)
 
-    def gather(values: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """The row means of values[idx] and, for the pivot, the deviations
-        from them, computed in place; the ratio alone keeps no (rows, n)
-        array beyond this call."""
-        gathered = values[idx]
+    def gather(
+        values: np.ndarray, idx: np.ndarray, buffer: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The row means of values[idx], gathered into buffer, and for the
+        pivot the deviations from them, computed in place there."""
+        # mode="clip" writes into out directly ("raise" would buffer); the
+        # indices are all in range, so it clips nothing.
+        gathered = np.take(values, idx, out=buffer[: len(idx)], mode="clip")
         means = gathered.mean(axis=1)
         if rho_hat is None:
             return means, None
         return means, np.subtract(gathered, means[:, None], out=gathered)
 
     def block(idx: np.ndarray) -> np.ndarray:
-        mx, dx = gather(xs, idx)
-        my, dy = gather(ys, idx)
+        mx, dx = gather(xs, idx, x_buffer)
+        my, dy = gather(ys, idx, y_buffer)
         out = []
         if ratios:
             with np.errstate(divide="ignore", invalid="ignore"):

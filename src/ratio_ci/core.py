@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
+from ._special import stdtrit
 from .errors import DomainError, NonFiniteInput, TooFewObservations, ZeroMean
 
 __all__ = [
@@ -223,19 +223,7 @@ def coefficient_of_variation(stats: SummaryStats) -> tuple[float, float]:
     return stats.sd_mean_x / stats.mean_x, stats.sd_mean_y / stats.mean_y
 
 
-@lru_cache(maxsize=1024)
-def _t_quantile_cached(p: float, df: float) -> float:
-    if math.isinf(df):
-        return float(special.ndtri(p))
-    if p == 0.5:
-        return 0.0
-    if p < 0.5:
-        return -_t_quantile_cached(1.0 - p, df)
-    # Upper tail through the inverse regularized incomplete beta function.
-    x = float(special.betaincinv(0.5 * df, 0.5, 2.0 * (1.0 - p)))
-    if not 0.0 < x <= 1.0:
-        raise DomainError(f"t quantile out of range for p={p}, df={df}")
-    return math.sqrt(df * (1.0 - x) / x)
+_stdtrit_cached = lru_cache(maxsize=1024)(stdtrit)
 
 
 def t_quantile(p: float, df: float) -> float:
@@ -243,9 +231,9 @@ def t_quantile(p: float, df: float) -> float:
     if not 0.0 < p < 1.0:
         raise DomainError("p must lie strictly between 0 and 1")
     df = float(df)
-    if not math.isinf(df) and df < 1.0:
+    if not df >= 1.0:
         raise DomainError("df must be >= 1 or infinite")
-    return _t_quantile_cached(float(p), df)
+    return _stdtrit_cached(df, float(p))
 
 
 def _bivariate_pairs(

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import fdtrc
 
+from ._special import fdtrc
 from .core import PairedSample, _validated_array
 from .errors import (
     DomainError,

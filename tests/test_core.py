@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,8 @@ from ratio_ci import (
 )
 
 from oracle_utils import summarize_oracle, t_cdf_oracle, t_quantile_oracle
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -110,6 +116,34 @@ def test_summarize_needs_two_pairs():
         summarize(PairedSample([1.0], [2.0]))
 
 
+def _long_summary(threads):
+    """summarize of 20 000 pairs in a fresh process that imports ratio_ci
+    before numpy, with OPENBLAS_NUM_THREADS unset (None) or set."""
+    code = (
+        "import os, ratio_ci, numpy as np; "
+        "rng = np.random.default_rng(3); "
+        "s = ratio_ci.summarize(ratio_ci.PairedSample("
+        "1.0 + rng.standard_normal(20_000), 2.0 + rng.standard_normal(20_000))); "
+        "print(os.environ['OPENBLAS_NUM_THREADS'], repr(s))"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(SRC)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60, env=env
+    )
+    return out.stdout.split(" ", 1)
+
+
+def test_long_sample_summary_uses_one_blas_thread_by_default():
+    # Past 10 000 elements OpenBLAS splits a dot product across its threads.
+    default_threads, default = _long_summary(None)
+    assert default_threads == "1"
+    assert default == _long_summary("1")[1]
+    assert _long_summary("2")[0] == "2"
+
+
 def test_summary_stats_reject_impossible_moments():
     from ratio_ci import SummaryStats
 
@@ -159,6 +193,13 @@ def test_t_quantile_domain():
             t_quantile(bad_p, 5)
     with pytest.raises(DomainError):
         t_quantile(0.9, 0.5)
+
+
+def test_t_quantile_rejects_nan():
+    with pytest.raises(DomainError, match="df must be"):
+        t_quantile(0.9, math.nan)
+    with pytest.raises(DomainError, match="p must"):
+        t_quantile(math.nan, 5)
 
 
 # ---------------------------------------------------------- ConfidenceSpec

@@ -115,6 +115,20 @@ def test_nested_f_basic_properties():
         _nested_f(10.0, 8.0, 2, 0)
 
 
+@given(
+    st.floats(0.0, 50.0),
+    st.floats(0.01, 100.0),
+    st.integers(1, 100),
+    st.integers(1, 10_000),
+)
+def test_nested_f_p_value_matches_scipy(extra, sse_f, num_df, df_f):
+    # SciPy is a test referee only; the library computes the tail itself.
+    from scipy import stats
+
+    f, p = _nested_f(sse_f + extra, sse_f, df_f + num_df, df_f)
+    assert p == pytest.approx(float(stats.f.sf(f, num_df, df_f)), rel=1e-10, abs=1e-300)
+
+
 # ----------------------------------------------------------------- ancova
 
 
