@@ -22,7 +22,7 @@ on a zero-mean-x sample (the ellipse straddles the y-axis).
 
 The last two mix failing and working rows: `simulate` at n = 4 with Hwang
 and BCa, where each cell is one block in which Hwang keeps too few
-replicates on 84 and 83 of the 100 rows and returns sets on the others (6
+replicates on 84 and 83 of the 100 rows and returns sets on the others (7
 and 16 of them unbounded), and `ci` with both ratio bootstraps on a
 sample with x = (-1, 1, -1, 1, 2), where 13 of 100 resamples have a zero
 mean of x, so both fail with too few replicates (exit 3).

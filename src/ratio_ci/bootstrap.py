@@ -4,9 +4,10 @@ Plain percentile and BCa intervals bootstrap the ratio statistic directly
 and are therefore always bounded; they cannot reproduce the unbounded cases
 that an exact inversion produces when the denominator is indistinguishable
 from zero. The bootstrap-on-T0 variant instead resamples the pivot
-T0* = (mean_y* - rho_hat * mean_x*) / sd*(y - rho_hat x), reads off its
-empirical band (t_lo, t_hi), and inverts t_lo <= T0(rho) <= t_hi with the
-same machinery as the exact method, so it keeps all three set shapes.
+T0* = mean(d*) / se(d*), the one-sample t of the resampled differences
+d = y - rho_hat x, reads off its empirical band (t_lo, t_hi), and inverts
+t_lo <= T0(rho) <= t_hi with the same machinery as the exact method, so it
+keeps all three set shapes.
 
 Empirical quantiles use the interpolated order-statistic rule with plotting
 positions (k - 1)/(B - 1) (numpy's default), applied consistently
@@ -25,8 +26,10 @@ sample, besides the B floats of each statistic.
 All three methods read the same config, so they are one kernel over the
 rows of a batch of samples, _bootstrap_rows. Each row is resampled once,
 from its own seed, for every requested method: each index block is
-gathered once and its resample means taken once, and both the ratio
-replicates and, when the pivot method runs, T0* come from them. The
+gathered once, into two buffers held for the whole batch, and both the
+ratio replicates (from the resample means) and, when the pivot method
+runs, T0* (from the resampled differences) come from that gather. The
+jackknife of T0* is the same one-sample t with each d_i left out. The
 per-row part ends with each distribution's quantiles; the preconditions,
 the estimates, the inversion of every row's pivot band (one
 methods._band_rows call) and the diagnostics are done once for the batch.
@@ -56,7 +59,7 @@ from .errors import (
     TooFewReplicates,
     ZeroDenominator,
 )
-from .methods import ConfidenceSet, Method, MethodResult, _BOUNDED, _band_rows, _RowResults, _t0
+from .methods import ConfidenceSet, Method, MethodResult, _BOUNDED, _band_rows, _RowResults
 
 __all__ = [
     "BootstrapMethod",
@@ -256,6 +259,14 @@ def _bca_from_distribution(
     return ConfidenceSet.bounded(float(lo), float(hi)), fallback
 
 
+def _one_sample_t(mean, ss, k: int):
+    """The one-sample t, mean / sqrt(ss / (k (k - 1))), of k values with
+    this mean and sum of squared deviations ss; nan where ss is not
+    positive."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(ss > 0.0, mean / np.sqrt(ss / (k * (k - 1))), math.nan)
+
+
 def _resample(
     xs: np.ndarray,
     ys: np.ndarray,
@@ -263,51 +274,40 @@ def _resample(
     replications: int,
     ratios: bool,
     rho_hat: float | None,
+    buffers: np.ndarray,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """The ratio replicates (if ratios) and the pivots T0* at rho_hat (if
     rho_hat is not None) of the same B = replications resamples of the
     pairs (xs, ys) drawn from seed, from one pass.
 
-    Each index block is gathered once and its means taken once. A ratio
-    replicate is mean_y*/mean_x*, nan where mean_x* is zero; T0* is
-    T0(mean_x*, mean_y*, rho_hat) with the resample's own variance
-    estimates, nan where their pivot variance is not positive.
+    Each index block is gathered once, into the leading rows of the two
+    (rows, n) arrays of buffers, which hold at least a block. A ratio
+    replicate is mean_y*/mean_x*, nan where mean_x* is zero. T0* is the
+    one-sample t of the resample's d* = y* - rho_hat x*, formed in place of
+    x*: elementwise it is d = ys - rho_hat xs gathered. Each row of d* is
+    centred on its first value before its mean is taken, so a resample
+    whose d* are all equal has a sum of squares of exactly 0, and T0* nan.
     """
     n = xs.size
-    scale = 1.0 / (n * (n - 1))
-    # Every block gathers into the leading rows of the same two buffers, so
-    # the only (rows, n) array allocated per block is its indices. A gathered
-    # array of this size is mapped afresh by malloc and page-faulted in each
-    # time it is allocated: 2000 resamples of 20 000 pairs took 57 000 faults.
-    shape = (min(replications, _block_rows(n)), n)
-    x_buffer, y_buffer = np.empty(shape, xs.dtype), np.empty(shape, ys.dtype)
-
-    def gather(
-        values: np.ndarray, idx: np.ndarray, buffer: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """The row means of values[idx], gathered into buffer, and for the
-        pivot the deviations from them, computed in place there."""
-        # mode="clip" writes into out directly ("raise" would buffer); the
-        # indices are all in range, so it clips nothing.
-        gathered = np.take(values, idx, out=buffer[: len(idx)], mode="clip")
-        means = gathered.mean(axis=1)
-        if rho_hat is None:
-            return means, None
-        return means, np.subtract(gathered, means[:, None], out=gathered)
+    x_buffer, y_buffer = buffers
 
     def block(idx: np.ndarray) -> np.ndarray:
-        mx, dx = gather(xs, idx, x_buffer)
-        my, dy = gather(ys, idx, y_buffer)
+        # mode="clip" writes into out directly ("raise" would buffer); the
+        # indices are all in range, so it clips nothing.
+        x = np.take(xs, idx, out=x_buffer[: len(idx)], mode="clip")
+        y = np.take(ys, idx, out=y_buffer[: len(idx)], mode="clip")
         out = []
         if ratios:
+            mx, my = x.mean(axis=1), y.mean(axis=1)
             with np.errstate(divide="ignore", invalid="ignore"):
                 out.append(np.where(mx != 0.0, my / mx, math.nan))
         if rho_hat is not None:
-            vx = np.einsum("ij,ij->i", dx, dx) * scale
-            vy = np.einsum("ij,ij->i", dy, dy) * scale
-            cxy = np.einsum("ij,ij->i", dx, dy) * scale
-            q, t0 = _t0(mx, my, vx, vy, cxy, rho_hat)
-            out.append(np.where(q > 0.0, t0, math.nan))
+            d = np.subtract(y, np.multiply(x, rho_hat, out=x), out=x)
+            first = d[:, :1].copy()
+            d -= first
+            shift = d.mean(axis=1)
+            d -= shift[:, None]
+            out.append(_one_sample_t(first[:, 0] + shift, np.einsum("ij,ij->i", d, d), n))
         return np.stack(out)
 
     stats = iter(_per_resample(seed, replications, n, block))
@@ -323,19 +323,16 @@ def _ratio_jackknife(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 def _jackknife_t0(xs: np.ndarray, ys: np.ndarray, rho_hat: float) -> np.ndarray:
-    """T0 of each leave-one-out sample of the pairs at the full-sample
-    rho_hat, via running-sum identities (one vectorized pass instead of n
-    summaries)."""
-    m = xs.size - 1
-    mx = (xs.sum() - xs) / m
-    my = (ys.sum() - ys) / m
-    ssx = np.maximum((xs @ xs - xs * xs) - m * mx * mx, 0.0)
-    ssy = np.maximum((ys @ ys - ys * ys) - m * my * my, 0.0)
-    sxy = (xs @ ys - xs * ys) - m * mx * my
-    scale = 1.0 / (m * (m - 1))
-    q = (ssy - 2.0 * rho_hat * sxy + rho_hat * rho_hat * ssx) * scale
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(q > 0.0, (my - rho_hat * mx) / np.sqrt(q), math.nan)
+    """T0 at the full-sample rho_hat of each leave-one-out sample of the
+    pairs: the one-sample t of d = ys - rho_hat xs with d_i left out. With
+    e = d - mean(d) and m = n - 1, that sample's mean is mean(d) - e_i/m
+    and its sum of squares sum(e^2) - (n/m) e_i^2."""
+    d = ys - rho_hat * xs
+    n = d.size
+    m = n - 1
+    mean = d.mean()
+    e = d - mean
+    return _one_sample_t(mean - e / m, e @ e - (n / m) * (e * e), m)
 
 
 def _bootstrap_rows(
@@ -383,12 +380,17 @@ def _bootstrap_rows(
     if Method.HWANG_BOOTSTRAP in methods:
         zero = ZeroDenominator("mean of x is exactly zero")
         errors[Method.HWANG_BOOTSTRAP] = dict.fromkeys(np.flatnonzero(~pivots).tolist(), zero)
+    # Every row gathers into the leading rows of the same two buffers, so
+    # the only (rows, n) array allocated per block is its indices. A gathered
+    # array of this size is mapped afresh by malloc and page-faulted in each
+    # time it is allocated: 2000 resamples of 20 000 pairs took 57 000 faults.
+    buffers = np.empty((2, min(config.replications, _block_rows(n)), n))
     for i in range(rows):
         if not (ratio_methods or pivots[i]):
             continue
         rho_hat = estimate[i] if pivots[i] else None
         ratios, t0s = _resample(
-            xs[i], ys[i], seeds[i], config.replications, bool(ratio_methods), rho_hat
+            xs[i], ys[i], seeds[i], config.replications, bool(ratio_methods), rho_hat, buffers
         )
         if rho_hat is not None:
             m = Method.HWANG_BOOTSTRAP

@@ -293,9 +293,10 @@ def _bounded_rows(
 
 def _t0(mx, my, vx, vy, cxy, rho):
     """The variance q of y - rho*x's mean and the pivot T0 at rho,
-    elementwise; T0 means nothing where q is not positive. t0_statistic,
-    _band_rows' probes and the bootstrap's T0* all take this one order of
-    arithmetic, so they agree bit for bit."""
+    elementwise, from the moments; T0 means nothing where q is not
+    positive. t0_statistic and _band_rows' probes both take this one order
+    of arithmetic, so they agree bit for bit. (The bootstrap's T0*, at the
+    one rho_hat, is the one-sample t of the resampled y - rho_hat*x.)"""
     q = vy - 2.0 * rho * cxy + rho * rho * vx
     with np.errstate(divide="ignore", invalid="ignore"):
         return q, (my - rho * mx) / np.sqrt(q)

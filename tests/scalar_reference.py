@@ -386,21 +386,16 @@ def _draw_run(cell, seed, run, draw_boot_seed=True):
 
 def resample_t0(sample, config, rho_hat):
     n = sample.n
-    scale = 1.0 / (n * (n - 1))
 
     def block(idx):
-        xs = sample.xs[idx]
-        ys = sample.ys[idx]
-        mx = xs.mean(axis=1)
-        my = ys.mean(axis=1)
-        dx = xs - mx[:, None]
-        dy = ys - my[:, None]
-        vx = np.einsum("ij,ij->i", dx, dx) * scale
-        vy = np.einsum("ij,ij->i", dy, dy) * scale
-        cxy = np.einsum("ij,ij->i", dx, dy) * scale
-        q = vy - 2.0 * rho_hat * cxy + rho_hat * rho_hat * vx
+        d = sample.ys[idx] - rho_hat * sample.xs[idx]
+        first = d[:, 0]
+        centred = d - first[:, None]
+        shift = centred.mean(axis=1)
+        dev = centred - shift[:, None]
+        ss = np.einsum("ij,ij->i", dev, dev)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(q > 0.0, (my - rho_hat * mx) / np.sqrt(q), math.nan)
+            return np.where(ss > 0.0, (first + shift) / np.sqrt(ss / (n * (n - 1))), math.nan)
 
     return _per_resample(config.seed, config.replications, n, block)
 

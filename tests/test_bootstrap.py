@@ -3,6 +3,7 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -119,7 +120,10 @@ def test_vectorized_ratio_path_equals_generic_loop():
     sample = _sample(seed=9, n=21)
     config = BootstrapConfig(replications=500, seed=77)
     generic = resample_pairs(sample, config, ratio_of_means)
-    ratios, _ = _resample(sample.xs, sample.ys, config.seed, config.replications, True, None)
+    buffers = np.empty((2, config.replications, sample.n))
+    ratios, _ = _resample(
+        sample.xs, sample.ys, config.seed, config.replications, True, None, buffers
+    )
     vectorized = _collect(ratios, config.replications)
     assert np.array_equal(generic.values, vectorized.values)
     assert generic.dropped == vectorized.dropped
@@ -351,6 +355,25 @@ def test_hwang_resampled_pivots_match_literal_loop():
     assert hw.diagnostics.t_upper == pytest.approx(float(hi), rel=1e-9)
 
 
+def test_resamples_of_one_repeated_pair_give_no_pivot():
+    # At n = 3, 3 of the 27 resamples repeat one pair, so their d* are all
+    # equal and T0* is undefined. A mean of three copies of a value that is
+    # not a binary fraction need not round back to it; the deviations from
+    # such a mean are rounding noise, and T0* would come out near 1e15.
+    sample = PairedSample([6.34, 4.02, 2.88], [4.87, 8.30, 11.66])
+    config = BootstrapConfig(replications=1000, seed=3)
+    buffers = np.empty((2, config.replications, sample.n))
+    _, t0s = _resample(
+        sample.xs, sample.ys, config.seed, config.replications, False,
+        ratio_of_means(sample), buffers,
+    )
+    idx = _unblocked_indices(config, sample.n)
+    repeated = (idx == idx[:, :1]).all(axis=1)
+    assert repeated.any()
+    assert np.isnan(t0s[repeated]).all()
+    assert np.isfinite(t0s[~repeated]).all()
+
+
 def test_hwang_jackknife_pivots_match_literal_loop():
     sample = _sample(seed=31, n=14)
     rho_hat = ratio_of_means(sample)
@@ -360,6 +383,26 @@ def test_hwang_jackknife_pivots_match_literal_loop():
         loo = PairedSample(np.delete(sample.xs, i), np.delete(sample.ys, i))
         slow.append(t0_statistic(summarize(loo), rho_hat))
     assert fast == pytest.approx(slow, rel=1e-9)
+
+
+def test_hwang_jackknife_pivots_keep_their_digits_far_from_zero():
+    # At mean/sd 1e6, leave-one-out moments taken from running sums of
+    # squares cancel in about 12 of their 16 digits.
+    rng = np.random.default_rng(17)
+    xs = rng.normal(1e6, 1.0, 50)
+    ys = rng.normal(2e6, 2.0, 50)
+    rho_hat = ratio_of_means(PairedSample(xs, ys))
+    fast = _jackknife_t0(xs, ys, rho_hat)
+    exact = []
+    with mpmath.workdps(50):
+        d = [mpmath.mpf(y) - mpmath.mpf(rho_hat) * mpmath.mpf(x) for x, y in zip(xs, ys)]
+        m = len(d) - 1
+        for i in range(len(d)):
+            loo = d[:i] + d[i + 1 :]
+            mean = mpmath.fsum(loo) / m
+            ss = mpmath.fsum((v - mean) ** 2 for v in loo)
+            exact.append(float(mean / mpmath.sqrt(ss / (m * (m - 1)))))
+    assert fast == pytest.approx(exact, rel=1e-7)
 
 
 def test_hwang_guards():
@@ -478,19 +521,14 @@ def _unblocked_indices(config: BootstrapConfig, n: int) -> np.ndarray:
 def _unblocked_t0(sample: PairedSample, config: BootstrapConfig, rho_hat: float):
     n = sample.n
     idx = _unblocked_indices(config, n)
-    xs = sample.xs[idx]
-    ys = sample.ys[idx]
-    mx = xs.mean(axis=1)
-    my = ys.mean(axis=1)
-    dx = xs - mx[:, None]
-    dy = ys - my[:, None]
-    scale = 1.0 / (n * (n - 1))
-    vx = np.einsum("ij,ij->i", dx, dx) * scale
-    vy = np.einsum("ij,ij->i", dy, dy) * scale
-    cxy = np.einsum("ij,ij->i", dx, dy) * scale
-    q = vy - 2.0 * rho_hat * cxy + rho_hat * rho_hat * vx
+    d = sample.ys[idx] - rho_hat * sample.xs[idx]
+    first = d[:, 0]
+    centred = d - first[:, None]
+    shift = centred.mean(axis=1)
+    dev = centred - shift[:, None]
+    ss = np.einsum("ij,ij->i", dev, dev)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(q > 0.0, (my - rho_hat * mx) / np.sqrt(q), math.nan)
+        return np.where(ss > 0.0, (first + shift) / np.sqrt(ss / (n * (n - 1))), math.nan)
 
 
 def _unblocked_ratios(sample: PairedSample, config: BootstrapConfig) -> np.ndarray:
@@ -532,8 +570,9 @@ def test_block_size_changes_no_number(monkeypatch, block_elements, blocks):
 
     monkeypatch.setattr(bootstrap, "_resample_indices", counted_draw)
     # One pass gives the ratio replicates and the pivots of the same resamples.
+    buffers = np.empty((2, config.replications, sample.n))
     ratios, t0s = _resample(
-        sample.xs, sample.ys, config.seed, config.replications, True, rho_hat
+        sample.xs, sample.ys, config.seed, config.replications, True, rho_hat, buffers
     )
     assert len(draws) == blocks and sum(draws) == config.replications
     assert np.array_equal(t0s, _unblocked_t0(sample, config, rho_hat), equal_nan=True)

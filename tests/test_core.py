@@ -168,7 +168,9 @@ def test_t_quantile_anchor_values():
     for p, df in ((0.975, 2), (0.975, 19), (0.9, 4), (0.6, 1)):
         q = t_quantile(p, df)
         assert t_cdf_oracle(q, df) == pytest.approx(p, abs=1e-12)
-    assert t_quantile(0.975, 2) == pytest.approx(4.302652729911275, abs=1e-9)
+    # 0.95 / sqrt(0.04875), within the module's 4 ulp.
+    exact = 4.30265272974946385
+    assert abs(t_quantile(0.975, 2) - exact) <= 4 * math.ulp(exact)
     assert t_quantile(0.975, math.inf) == pytest.approx(1.959963984540054, abs=1e-12)
 
 

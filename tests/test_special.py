@@ -135,6 +135,16 @@ def test_t_quantile_lower_tail_is_not_rounded_through_one_minus_p(df):
         assert ulps(t, t_quantile_mp(p, df, t)) <= 4.0
 
 
+@pytest.mark.parametrize("df,p", [(1.5, 1e-200), (3, 1e-250), (16, 1e-300)])
+def test_t_quantile_far_tail(df, p):
+    # Out here the t density is below the least normal double or near it.
+    t = _special.stdtrit(df, p)
+    with mpmath.workdps(50):
+        nu, half = mpmath.mpf(df), mpmath.mpf(1) / 2
+        tail = mpmath.betainc(nu / 2, half, 0, nu / (nu + mpmath.mpf(t) ** 2), regularized=True) / 2
+        assert abs(tail - p) <= 1e-12 * p
+
+
 def test_t_quantile_closed_forms():
     assert _special.stdtrit(1, 0.75) == pytest.approx(1.0, rel=1e-15)
     # 0.95 / sqrt(0.04875) for the double nearest 0.975.
