@@ -31,6 +31,11 @@ The last two pin the runs' streams, default_rng([seed, run, attempt]):
 `errorbars --seed 18446744073709551621` (2^64 + 5), whose five-word
 entropy reaches SeedSequence's extra mixing loop, and `errorbars --n 500
 --runs 60`, which spans two blocks of runs, the second ragged.
+
+The last three fail a precondition in the subcommand itself, so `main`
+prints `error: <subcommand>: ...` and exits 3: `ellipse` on three equal
+pairs (both mean variances are zero), and `errorbars` and `simulate` at
+cv_x = 1e308, where every draw of x overflows.
 """
 
 from __future__ import annotations
@@ -79,6 +84,7 @@ def inputs(tmp: Path) -> dict[str, Path]:
         # Every resample of a constant sample is the same: Hwang fails and
         # the ratio BCa falls back to percentiles.
         "constant.csv": _write_csv(tmp / "constant.csv", "x,y", [(1.0, 2.0)] * 5),
+        "equal.csv": _write_csv(tmp / "equal.csv", "x,y", [(1.0, 2.0)] * 3),
         "noise.csv": _write_csv(tmp / "noise.csv", "x,y", zip(*noise.tolist())),
         # mean(x) == 0: Hwang fails, the ratio bootstrap drops resamples.
         "zero-mean.csv": _write_csv(
@@ -157,6 +163,12 @@ def argvs(files: dict[str, Path]) -> list[list[str]]:
         ["errorbars", "--cv-x", "3", "--cv-y", "0.1", "--seed", "18446744073709551621"],
         ["errorbars", "--cv-x", "3", "--cv-y", "0.1", "--n", "500", "--runs", "60",
          "--seed", "2"],
+    ]
+    out += [  # preconditions that fail in the subcommand: exit 3
+        ["ellipse", "--input", str(files["equal.csv"])],
+        ["errorbars", "--cv-x", "1e308", "--cv-y", "1", "--n", "20", "--runs", "5"],
+        ["simulate", "--cv-x", "1e308", "--cv-y", "1", "--n", "5", "--runs", "100",
+         "--methods", "fieller"],
     ]
     return out
 

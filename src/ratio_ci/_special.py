@@ -22,6 +22,7 @@ the tail at large df; the t quantile carries the roundings of both
 from __future__ import annotations
 
 import math
+import sys
 
 __all__ = ["ndtr", "ndtri", "stdtrit", "fdtrc"]
 
@@ -274,11 +275,14 @@ def _beta_series(a: float, b: float, x: float, x_lo: float) -> tuple[float, floa
 
 # Smallest df for the large-a expansion of the t tail above x = 1/2.
 _BGRAT_DF = 16.0
+_DBL_MAX = sys.float_info.max
+_LOG_DBL_MAX = math.log(_DBL_MAX)
 
 
 def _hill_guess(df: float, two_tail: float) -> float:
     """Hill's ACM Algorithm 396 (1970): |t| with P(|T| > t) = two_tail, to
-    about six digits for df > 2."""
+    about six digits for df > 2. Capped at the largest double, from which
+    `_t_far_tail` finds a t beyond the double range to be inf."""
     a = 1.0 / (df - 0.5)
     b = 48.0 / (a * a)
     c = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
@@ -294,11 +298,12 @@ def _hill_guess(df: float, two_tail: float) -> float:
         y = math.expm1(a * y * y)
     elif y == 0.0:
         # Far enough out that y underflows: t = sqrt(df / y) to leading order.
-        return math.sqrt(df) * math.exp(-math.log(d * two_tail) / df)
+        inv_root_y = math.exp(min(-math.log(d * two_tail) / df, _LOG_DBL_MAX))
+        return min(math.sqrt(df) * inv_root_y, _DBL_MAX)
     else:
         y = ((1.0 / (((df + 6.0) / (df * y) - 0.089 * d - 0.822) * (df + 2.0) * 3.0)
               + 0.5 / (df + 4.0)) * y - 1.0) * (df + 1.0) / (df + 2.0) + 1.0 / y
-    return math.sqrt(df * y)
+    return min(math.sqrt(df * y), _DBL_MAX)
 
 
 def _t_tail_bgrat(a: float, x: float, y: float, log_scale: float) -> float:
@@ -423,7 +428,8 @@ def stdtrit(df: float, p: float) -> float:
     double (p below about 1e-150 for df near 1, 1e-290 for df near 16) the
     tail is solved in log space instead (`_t_far_tail`). Against mpmath the
     CDF of the result is within 3e-13 relative of p for p from 1e-100 to
-    1e-310 and df from 1.01 to 1e5 (measured: 2.5e-13).
+    1e-310 and df from 1.01 to 1e5 (measured: 2.5e-13). Where |t| passes
+    the largest double, as at df 1.01 for p = 1e-320, the result is +-inf.
     """
     if df > 1e20:
         # t - z = (z^3 + z)/(4 df) + O(1/df^2) is below z's last bit.

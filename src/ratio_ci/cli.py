@@ -4,8 +4,9 @@ Subcommands: ci (confidence sets for one dataset), simulate (coverage
 grid), errorbars (per-run interval experiment), ellipse (geometric
 construction export), regress (regression views), demo (worked examples).
 
-Exit codes: 0 success, 2 malformed input or usage, 3 a method's
-precondition failed on valid input (the message names the method).
+Exit codes: 0 success, 2 malformed input or usage, 3 a precondition failed
+on valid input. `main` maps every RatioCiError to `error: <subcommand>: ...`
+and exit 3; only ci and regress name the method or the model instead.
 All output is deterministic given the flags; nothing reads the clock or
 ambient entropy, and RATIO_CI_THREADS only changes the schedule, never
 the numbers.
@@ -32,7 +33,6 @@ from .errors import RatioCiError
 from .geometry import construct_wedge, wedge_csv_rows, wedge_svg
 from .linear_models import (
     RATIO_SLOPE_NOTE,
-    ModelComparison,
     RegressionFit,
     allometric_fit,
     ancova_ratio_compare,
@@ -63,34 +63,26 @@ class _InputError(Exception):
 # ---------------------------------------------------------------- arg types
 
 
-def _level_arg(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError("level must lie strictly between 0 and 1")
-    return value
+def _float_arg(accept, message: str):
+    """A float for which accept(value) holds; else message, formatted with text."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+        if not accept(value):
+            raise argparse.ArgumentTypeError(message.format(text=text))
+        return value
+
+    return parse
 
 
-def _trim_arg(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not 0.0 <= value < 0.5:
-        raise argparse.ArgumentTypeError("trim must lie in [0, 0.5)")
-    return value
-
-
-def _corr_arg(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not abs(value) <= 1.0:
-        raise argparse.ArgumentTypeError("correlation must lie in [-1, 1]")
-    return value
+_level_arg = _float_arg(lambda v: 0.0 < v < 1.0, "level must lie strictly between 0 and 1")
+_trim_arg = _float_arg(lambda v: 0.0 <= v < 0.5, "trim must lie in [0, 0.5)")
+_corr_arg = _float_arg(lambda v: abs(v) <= 1.0, "correlation must lie in [-1, 1]")
+# One coefficient of variation: a finite positive number.
+_cv_arg = _float_arg(lambda v: 0.0 < v < math.inf, "not a finite positive number: {text!r}")
 
 
 def _positive_int(minimum: int, what: str):
@@ -122,17 +114,6 @@ def _methods_arg(text: str) -> tuple[Method, ...]:
     if not out:
         raise argparse.ArgumentTypeError("need at least one method")
     return tuple(out)
-
-
-def _cv_arg(text: str) -> float:
-    """One coefficient of variation: a finite positive number."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"not a finite positive number: {text!r}")
-    return value
 
 
 def _axis_arg(text: str) -> tuple[float, ...]:
@@ -205,25 +186,17 @@ def _result_record(result: MethodResult) -> dict:
 
 
 def _ci_csv_rows(results: Sequence[MethodResult]) -> list[list[str]]:
-    rows = [["method", "estimate", "case", "lower", "upper", "excluded_lower", "excluded_upper"]]
-    for r in results:
-        cset = r.confidence_set
+    """The JSON records' fields but the diagnostics; an infinite or absent
+    bound is an empty cell."""
 
-        def cell(value: float | None) -> str:
-            return "" if value is None or not math.isfinite(value) else _fmt(value)
+    def cell(value: str | float | None) -> str:
+        if isinstance(value, str):
+            return value
+        return "" if value is None or not math.isfinite(value) else _fmt(value)
 
-        rows.append(
-            [
-                r.method.value,
-                cell(r.estimate),
-                cset.case.value,
-                cell(cset.lower),
-                cell(cset.upper),
-                cell(cset.excluded_lower),
-                cell(cset.excluded_upper),
-            ]
-        )
-    return rows
+    records = [_result_record(r) for r in results]
+    fields = [name for name in records[0] if name != "diagnostics"]
+    return [fields] + [[cell(record[name]) for name in fields] for record in records]
 
 
 # -------------------------------------------------------------------- input
@@ -236,29 +209,31 @@ def _read_text(path: str) -> str:
         raise _InputError(f"cannot read {path}: {exc}")
 
 
-def _parse_table(path: str) -> dict[str, np.ndarray]:
+def _parse_table(path: str) -> dict[str, list[str]]:
+    """The raw fields of each column, by stripped header name; blank rows skipped."""
     reader = csv.reader(io.StringIO(_read_text(path)))
     # Lazy, so reader.line_num names the physical line of the current row.
-    rows = (row for row in reader if row and any(field.strip() for field in row))
+    rows = (row for row in reader if "".join(row).strip())
     header = [name.strip() for name in next(rows, ())]
     if not header:
         raise _InputError(f"{path} is empty")
     if len(set(header)) != len(header) or any(not h for h in header):
         raise _InputError(f"{path}: header must be unique non-empty column names")
-    columns: dict[str, list] = {name: [] for name in header}
+    columns: list[list[str]] = [[] for _ in header]
     for row in rows:
         if len(row) != len(header):
             raise _InputError(f"{path}:{reader.line_num}: expected {len(header)} fields")
-        for name, field in zip(header, row):
-            columns[name].append(field.strip())
-    return {name: np.asarray(vals, dtype=object) for name, vals in columns.items()}
+        for column, field in zip(columns, row):
+            column.append(field)
+    return dict(zip(header, columns))
 
 
 def _numeric_column(table: dict, name: str, path: str) -> np.ndarray:
     if name not in table:
         raise _InputError(f"{path}: missing column {name!r}")
+    column = table[name]
     try:
-        return np.asarray([float(v) for v in table[name]], dtype=float)
+        return np.fromiter(map(float, map(str.strip, column)), dtype=float, count=len(column))
     except ValueError as exc:
         raise _InputError(f"{path}: column {name!r}: {exc}")
 
@@ -285,6 +260,7 @@ def _table_pairs(table: dict, path: str) -> PairedSample:
 
 
 def _fail_method(name: str, exc: RatioCiError) -> int:
+    """Exit 3 naming the method or model rather than the subcommand."""
     print(f"error: {name}: {exc}", file=sys.stderr)
     return 3
 
@@ -320,19 +296,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     gridspec = GridSpec(
         cv_x_values=args.cv_x, cv_y_values=args.cv_y, n=args.n, corr=args.corr
     )
-    try:
-        grid = run_grid(
-            gridspec,
-            args.methods,
-            runs=args.runs,
-            master_seed=args.seed,
-            boot_config=_boot_config(args),
-            level=args.level,
-            trim=args.trim,
-            threads=args.threads,
-        )
-    except RatioCiError as exc:
-        return _fail_method("simulate", exc)
+    grid = run_grid(
+        gridspec,
+        args.methods,
+        runs=args.runs,
+        master_seed=args.seed,
+        boot_config=_boot_config(args),
+        level=args.level,
+        trim=args.trim,
+        threads=args.threads,
+    )
     print(
         f"reference: cv of the mean of x reaches 0.5 at cv_x = "
         f"{grid.reference_cv_x:.4g} for n = {gridspec.n}",
@@ -344,10 +317,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_errorbars(args: argparse.Namespace) -> int:
     cell = SimCell(cv_x=args.cv_x, cv_y=args.cv_y, n=args.n, corr=args.corr)
-    try:
-        experiment = error_bar_experiment(cell, runs=args.runs, seed=args.seed, level=args.level)
-    except RatioCiError as exc:
-        return _fail_method("errorbars", exc)
+    experiment = error_bar_experiment(cell, runs=args.runs, seed=args.seed, level=args.level)
     _write(_csv_text(errorbar_csv_rows(experiment)), args.output)
     return 0
 
@@ -355,10 +325,7 @@ def _cmd_errorbars(args: argparse.Namespace) -> int:
 def _cmd_ellipse(args: argparse.Namespace) -> int:
     sample = _load_pairs(args.input)
     spec = ConfidenceSpec.two_sided(args.level, df=sample.n - 1)
-    try:
-        wedge = construct_wedge(summarize(sample), spec)
-    except RatioCiError as exc:
-        return _fail_method("ellipse", exc)
+    wedge = construct_wedge(summarize(sample), spec)
     if args.format == "svg":
         text = wedge_svg(wedge, k=args.points)
     else:
@@ -367,25 +334,6 @@ def _cmd_ellipse(args: argparse.Namespace) -> int:
         text = _csv_text(rows)
     _write(text, args.output)
     return 0
-
-
-def _fit_record(fit: RegressionFit) -> dict:
-    return {
-        "coefficients": fit.coefficients,
-        "standard_errors": fit.standard_errors,
-        "residual_variance": fit.residual_variance,
-        "df": fit.df,
-        "r_squared": fit.r_squared,
-    }
-
-
-def _comparison_record(comparison: ModelComparison) -> dict:
-    return {
-        "restricted": _fit_record(comparison.restricted),
-        "full": _fit_record(comparison.full),
-        "f_statistic": comparison.f_statistic,
-        "p_value": comparison.p_value,
-    }
 
 
 def _fit_text(fit: RegressionFit, title: str) -> str:
@@ -414,20 +362,16 @@ def _cmd_regress(args: argparse.Namespace) -> int:
                 for name in args.regressors.split(",")
             }
             fit = ols_fit(y, regs, intercept=args.intercept)
-            payload, text = _fit_record(fit), _fit_text(fit, "least-squares fit")
+            payload, text = fit, _fit_text(fit, "least-squares fit")
         elif args.model == "deflated":
-            sample = _table_pairs(table, path)
-            fit = deflated_fit(sample)
-            payload, text = _fit_record(fit), _fit_text(fit, "deflated fit of y = alpha + beta*x")
+            fit = deflated_fit(_table_pairs(table, path))
+            payload, text = fit, _fit_text(fit, "deflated fit of y = alpha + beta*x")
         elif args.model == "allometric":
-            sample = _table_pairs(table, path)
-            fit = allometric_fit(sample)
-            payload, text = _fit_record(fit), _fit_text(fit, "power-law fit y = beta * x^gamma")
+            fit = allometric_fit(_table_pairs(table, path))
+            payload, text = fit, _fit_text(fit, "power-law fit y = beta * x^gamma")
         else:  # ancova
-            groups = _table_groups(table, path)
-            comparison = ancova_ratio_compare(groups)
-            payload = _comparison_record(comparison)
-            payload["note"] = RATIO_SLOPE_NOTE
+            comparison = ancova_ratio_compare(_table_groups(table, path))
+            payload = {**asdict(comparison), "note": RATIO_SLOPE_NOTE}
             text = "\n".join(
                 [
                     _fit_text(comparison.restricted, "restricted: one common slope"),
@@ -447,10 +391,13 @@ def _table_groups(table: dict, path: str) -> list[PairedSample]:
         raise _InputError(f"{path}: ancova needs columns x,y,group")
     xs = _numeric_column(table, "x", path)
     ys = _numeric_column(table, "y", path)
-    labels = [str(v) for v in table["group"]]
+    labels = [v.strip() for v in table["group"]]
+    names = sorted(set(labels))
+    index = {name: i for i, name in enumerate(names)}
+    codes = np.array([index[v] for v in labels])
     groups = []
-    for label in sorted(set(labels)):
-        mask = np.asarray([v == label for v in labels])
+    for i, label in enumerate(names):
+        mask = codes == i
         try:
             groups.append(PairedSample(xs[mask], ys[mask]))
         except RatioCiError as exc:
@@ -483,9 +430,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser, *, seed_default: int = 0) -> None:
-        p.add_argument("--level", type=_level_arg, default=0.95)
-        p.add_argument("--seed", type=_positive_int(0, "seed"), default=seed_default)
+    def common(p: argparse.ArgumentParser, *, level: bool = True, seed: bool = True) -> None:
+        if level:
+            p.add_argument("--level", type=_level_arg, default=0.95)
+        if seed:
+            p.add_argument("--seed", type=_positive_int(0, "seed"), default=0)
         p.add_argument("--output", default=None, help="write here instead of stdout")
 
     ci = sub.add_parser("ci", help="confidence sets for one x,y dataset")
@@ -527,7 +476,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ell.add_argument("--input", required=True, help="CSV with header x,y")
     ell.add_argument("--points", type=_positive_int(3, "points"), default=256)
     ell.add_argument("--format", choices=("svg", "csv"), default="svg")
-    common(ell)
+    common(ell, seed=False)
     ell.set_defaults(handler=_cmd_ellipse)
 
     reg = sub.add_parser("regress", help="regression views of ratio data")
@@ -539,7 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
     reg.add_argument("--regressors", default=None, help="comma-separated column names")
     reg.add_argument("--intercept", action=argparse.BooleanOptionalAction, default=True)
     reg.add_argument("--format", choices=("json", "text"), default="json")
-    common(reg)
+    common(reg, level=False, seed=False)
     reg.set_defaults(handler=_cmd_regress)
 
     demo = sub.add_parser("demo", help="worked examples")

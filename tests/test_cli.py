@@ -188,6 +188,63 @@ def test_ci_whole_line_case_serializes_null_bounds(capsys, tmp_path):
     assert record["lower"] is None and record["upper"] is None
 
 
+def _write_pairs(path, xs, ys):
+    path.write_text("x,y\n" + "".join(f"{x},{y}\n" for x, y in zip(xs, ys)))
+    return str(path)
+
+
+def test_ci_csv_leaves_unbounded_cells_empty(capsys, tmp_path):
+    # Pure noise gives Fieller's whole line; a mean of x within noise of zero
+    # against a precise y gives the line minus an interval.
+    noise = np.random.default_rng(3).normal(0.0, 1.0, (10, 2))
+    rng = np.random.default_rng(5)
+    xs = 0.6 + rng.normal(0.0, 1.0, 12)
+    ys = 3.0 + rng.normal(0.0, 0.3, 12)
+    samples = {
+        "whole_line": _write_pairs(tmp_path / "noise.csv", *noise.T),
+        "unbounded_exclusive": _write_pairs(tmp_path / "exclusive.csv", xs, ys),
+    }
+    for case, path in samples.items():
+        code, out, _ = _run(capsys, ["ci", "--input", path, "--format", "csv"])
+        assert code == 0
+        header, *rows = _parse_csv(out)
+        code, out, _ = _run(capsys, ["ci", "--input", path])
+        assert code == 0
+        records = json.loads(out)
+        fieller = dict(zip(header, rows[0]))
+        assert fieller["method"] == "fieller" and fieller["case"] == case
+        assert fieller["lower"] == fieller["upper"] == ""
+        if case == "whole_line":
+            assert fieller["excluded_lower"] == fieller["excluded_upper"] == ""
+        else:
+            assert float(fieller["excluded_lower"]) < float(fieller["excluded_upper"])
+        for row, record in zip(rows, records, strict=True):
+            for name, cell in zip(header, row, strict=True):
+                value = record[name]
+                if value is None:
+                    assert cell == ""
+                elif isinstance(value, str):
+                    assert cell == value
+                else:
+                    assert float(cell) == value
+
+
+def test_ci_numeric_fields_parse_like_python_float(capsys, tmp_path):
+    # Fields are stripped, then read by float(): underscores and any Unicode
+    # decimal digits are numbers, and a bad value is named without padding.
+    plain = _write_pairs(tmp_path / "plain.csv", (1.5, 1000, 12, 4), (2, 3, 5, 7))
+    spellings = (" 1.5 ", "1_000", "\u0661\u0662", "4")  # 12 in Arabic-Indic digits
+    odd = _write_pairs(tmp_path / "odd.csv", spellings, (2, 3, 5, 7))
+    code, expected, _ = _run(capsys, ["ci", "--input", plain])
+    assert code == 0
+    assert _run(capsys, ["ci", "--input", odd]) == (0, expected, "")
+
+    bad = _write_pairs(tmp_path / "bad.csv", ("1", " foo ", "3"), (2, 4, 6))
+    code, out, err = _run(capsys, ["ci", "--input", bad])
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: column 'x': could not convert string to float: 'foo'\n"
+
+
 # -------------------------------------------------------- ci error paths
 
 
@@ -293,6 +350,16 @@ def test_simulate_deterministic_and_thread_invariant(capsys):
     assert len(rows) == 1 + 2 * 2
 
 
+def test_simulate_precondition_failure_exits_3(capsys):
+    # cv_x = 1e308 overflows the draws of x: no run can be made.
+    argv = ["simulate", "--cv-x", "1e308", "--cv-y", "1", "--n", "5", "--runs", "100"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, out, err = _run(capsys, argv + ["--methods", "fieller"])
+    assert (code, out) == (3, "")
+    assert err == "error: simulate: xs contains non-finite values\n"
+
+
 def test_simulate_axis_syntax_and_guards(capsys):
     code, out, _ = _run(
         capsys,
@@ -378,6 +445,15 @@ def test_errorbars_csv(capsys):
     assert out2 == out
 
 
+def test_errorbars_precondition_failure_exits_3(capsys):
+    argv = ["errorbars", "--cv-x", "1e308", "--cv-y", "1", "--n", "20", "--runs", "5"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, out, err = _run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err == "error: errorbars: xs contains non-finite values\n"
+
+
 def test_errorbars_requires_cell_flags(capsys):
     code, _, _ = _run(capsys, ["errorbars", "--cv-y", "0.1"])
     assert code == 2
@@ -413,6 +489,22 @@ def test_ellipse_svg_and_csv(capsys, worked_csv):
 def test_ellipse_point_guard(capsys, worked_csv):
     code, _, _ = _run(capsys, ["ellipse", "--input", worked_csv, "--points", "2"])
     assert code == 2
+
+
+def test_ellipse_on_equal_pairs_exits_3(capsys, tmp_path):
+    path = _write_pairs(tmp_path / "equal.csv", (1.0, 1.0, 1.0), (2.0, 2.0, 2.0))
+    code, out, err = _run(capsys, ["ellipse", "--input", path])
+    assert (code, out) == (3, "")
+    assert err == "error: ellipse: both mean variances are zero\n"
+
+
+def test_ellipse_and_regress_take_no_unused_flags(capsys, worked_csv):
+    # ellipse draws nothing at random and regress builds no interval.
+    assert _run(capsys, ["ellipse", "--input", worked_csv, "--seed", "3"])[0] == 2
+    argv = ["regress", "--input", worked_csv, "--model", "deflated"]
+    assert _run(capsys, argv)[0] == 0
+    assert _run(capsys, argv + ["--level", "0.9"])[0] == 2
+    assert _run(capsys, argv + ["--seed", "3"])[0] == 2
 
 
 # --------------------------------------------------------------- regress

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ratio_ci import _special
+from ratio_ci.core import t_quantile
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -143,6 +144,32 @@ def test_t_quantile_far_tail(df, p):
         nu, half = mpmath.mpf(df), mpmath.mpf(1) / 2
         tail = mpmath.betainc(nu / 2, half, 0, nu / (nu + mpmath.mpf(t) ** 2), regularized=True) / 2
         assert abs(tail - p) <= 1e-12 * p
+
+
+def t_tail_mp(df: float, t: float):
+    """P(T > |t|) at 50 digits."""
+    with mpmath.workdps(50):
+        nu, half = mpmath.mpf(df), mpmath.mpf(1) / 2
+        return mpmath.betainc(nu / 2, half, 0, nu / (nu + mpmath.mpf(t) ** 2), regularized=True) / 2
+
+
+@pytest.mark.parametrize("df,p", [(1.01, 1e-320), (1.01, 5e-324)])
+def test_t_quantile_beyond_the_double_range_is_infinite(df, p):
+    # |t| is about 10^316.34 at (1.01, 1e-320): even the largest double
+    # leaves more than p in the tail.
+    assert t_tail_mp(df, sys.float_info.max) > p
+    assert _special.stdtrit(df, p) == -math.inf
+    assert t_quantile(p, df) == -math.inf
+
+
+@pytest.mark.parametrize("df,p", [(1.01, 1e-310), (1.05, 1e-320), (1.9, 1e-300)])
+def test_t_quantile_next_to_the_double_range(df, p):
+    # Finite neighbours of the infinite quantiles; at (1.9, 1e-300) Hill's
+    # starting guess passes the double range although t is about 1e158.
+    t = _special.stdtrit(df, p)
+    assert -math.inf < t < 0.0
+    # In mpmath: 1e-12 times a subnormal p underflows in doubles.
+    assert abs(t_tail_mp(df, t) - p) <= mpmath.mpf("1e-12") * p
 
 
 def test_t_quantile_closed_forms():
