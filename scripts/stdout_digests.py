@@ -36,6 +36,11 @@ The last three fail a precondition in the subcommand itself, so `main`
 prints `error: <subcommand>: ...` and exits 3: `ellipse` on three equal
 pairs (both mean variances are zero), and `errorbars` and `simulate` at
 cv_x = 1e308, where every draw of x overflows.
+
+The very last three run `ci` on the three-pair worked example with each
+bootstrap method alone (`--methods hwang_bootstrap`, `bootstrap_percentile`
+and `bootstrap_bca`, each `--replications 1000 --seed 3`), so each method's
+path is pinned apart from the others.
 """
 
 from __future__ import annotations
@@ -170,6 +175,9 @@ def argvs(files: dict[str, Path]) -> list[list[str]]:
         ["simulate", "--cv-x", "1e308", "--cv-y", "1", "--n", "5", "--runs", "100",
          "--methods", "fieller"],
     ]
+    for method in BOOTSTRAP:  # each bootstrap method's path alone
+        out.append(["ci", "--input", worked, "--methods", method, "--replications", "1000",
+                    "--seed", "3"])
     return out
 
 

@@ -13,11 +13,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .bootstrap import (
     BootstrapConfig,
     BootstrapMethod,
-    EmpiricalDistribution,
     HwangDiagnostics,
     bca_set,
     hwang_set,
-    percentile_ci,
     percentile_set,
     ratio_bootstrap_results,
     ratio_of_means,

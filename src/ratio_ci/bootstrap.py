@@ -9,9 +9,13 @@ d = y - rho_hat x, reads off its empirical band (t_lo, t_hi), and inverts
 t_lo <= T0(rho) <= t_hi with the same machinery as the exact method, so it
 keeps all three set shapes.
 
-Empirical quantiles use the interpolated order-statistic rule with plotting
-positions (k - 1)/(B - 1) (numpy's default), applied consistently
-everywhere a bootstrap distribution is read.
+Every bootstrap distribution is read by one collect-and-read step: _collect
+keeps the finite values, sorted, or fails the distribution, and _limits
+reads the limits at the percentile levels, or at the BCa levels when given
+a jackknife, by the interpolated order-statistic rule with plotting
+positions (k - 1)/(B - 1) (numpy's default). The three methods differ only
+in the values read (T0* or the ratio replicates) and the BCa estimate (0 or
+rho_hat).
 
 Resample indices are drawn in row blocks: one generator seeded with the
 sample's seed draws integers(0, n, (rows, n)) for rows = max(1,
@@ -30,8 +34,8 @@ gathered once, into two buffers held for the whole batch, and both the
 ratio replicates (from the resample means) and, when the pivot method
 runs, T0* (from the resampled differences) come from that gather. The
 jackknife of T0* is the same one-sample t with each d_i left out. The
-per-row part ends with each distribution's quantiles; the preconditions,
-the estimates, the inversion of every row's pivot band (one
+per-row part ends with one loop reading each method's limits; the
+preconditions, the estimates, the inversion of every row's pivot band (one
 methods._band_rows call) and the diagnostics are done once for the batch.
 hwang_set and ratio_bootstrap_results are the kernel on a batch of one, so
 requesting the methods together or apart, and a sample alone or among the
@@ -59,15 +63,13 @@ from .errors import (
     TooFewReplicates,
     ZeroDenominator,
 )
-from .methods import ConfidenceSet, Method, MethodResult, _BOUNDED, _band_rows, _RowResults
+from .methods import Method, MethodResult, _BOUNDED, _band_rows, _RowResults
 
 __all__ = [
     "BootstrapMethod",
     "BootstrapConfig",
-    "EmpiricalDistribution",
     "HwangDiagnostics",
     "ratio_of_means",
-    "percentile_ci",
     "percentile_set",
     "bca_set",
     "ratio_bootstrap_results",
@@ -98,24 +100,6 @@ class BootstrapConfig:
                 RuntimeWarning,
                 stacklevel=2,
             )
-
-
-@dataclass(frozen=True, eq=False)
-class EmpiricalDistribution:
-    """Sorted finite bootstrap values; dropped counts the non-finite draws."""
-
-    values: np.ndarray
-    count: int
-    dropped: int = 0
-
-    def __post_init__(self):
-        if self.count != len(self.values):
-            raise DomainError("count must equal the number of retained values")
-        if self.count and not np.all(np.diff(self.values) >= 0.0):
-            raise DomainError("values must be sorted ascending")
-
-    def quantile(self, q) -> np.ndarray:
-        return np.quantile(self.values, q)
 
 
 @dataclass(frozen=True)
@@ -168,25 +152,19 @@ def _per_resample(
     )
 
 
-def _collect(values: np.ndarray, replications: int) -> EmpiricalDistribution:
+def _collect(values: np.ndarray, replications: int) -> tuple[np.ndarray, int]:
+    """The finite values, sorted, and the number of the B = replications
+    dropped; more than half dropped, or fewer than 100 kept, is an error."""
     finite = values[np.isfinite(values)]
     dropped = replications - finite.size
     if dropped * 2 > replications:
         raise AllResamplesDegenerate(
             f"{dropped} of {replications} bootstrap draws were non-finite"
         )
+    if finite.size < 100:
+        raise TooFewReplicates(f"{finite.size} retained replications, need 100")
     finite.sort()
-    return EmpiricalDistribution(values=finite, count=int(finite.size), dropped=int(dropped))
-
-
-def percentile_ci(dist: EmpiricalDistribution, level: float) -> ConfidenceSet:
-    """Equal-tailed interval from the empirical alpha/2 quantiles."""
-    if not 0.0 < level < 1.0:
-        raise DomainError("level must lie strictly between 0 and 1")
-    if dist.count < 100:
-        raise TooFewReplicates(f"{dist.count} retained replications, need 100")
-    lo, hi = dist.quantile(_percentile_levels(level))
-    return ConfidenceSet.bounded(float(lo), float(hi))
+    return finite, int(dropped)
 
 
 def _percentile_levels(level: float) -> tuple[float, float]:
@@ -218,45 +196,43 @@ def _bca_levels(z0: float, a: float, level: float) -> tuple[float, float]:
 
 
 def _bca_adjustment(
-    dist: EmpiricalDistribution, estimate: float, jackknife: np.ndarray, level: float
+    finite: np.ndarray, estimate: float, jackknife: np.ndarray, level: float
 ) -> tuple[float, float, float | None, float | None, str | None]:
-    """Quantile probabilities of the BCa interval, then z0, a and the reason
-    for falling back (None if the adjustment was made).
+    """Quantile probabilities of the BCa interval on the sorted values finite,
+    then z0, a and the reason for falling back (None if the adjustment was made).
 
     z0 comes from the fraction of bootstrap values strictly below the
     full-sample estimate, the acceleration from the leave-one-out jackknife.
     When either is undefined this warns, naming the caller's line, and
     returns the plain percentile probabilities with z0 and a None.
     """
-    below = int(np.searchsorted(dist.values, estimate, side="left"))
-    if below == 0 or below == dist.count:
+    below = int(np.searchsorted(finite, estimate, side="left"))
+    if below == 0 or below == finite.size:
         reason, category = "estimate outside the bootstrap distribution", RuntimeWarning
     elif not np.all(np.isfinite(jackknife)):
         reason, category = "non-finite jackknife values", RuntimeWarning
     else:
         a = _acceleration(jackknife)
         if a is not None:
-            z0 = ndtri(below / dist.count)
+            z0 = ndtri(below / finite.size)
             return (*_bca_levels(z0, a, level), z0, a, None)
         reason, category = "all jackknife values coincide", DegenerateJackknife
     warnings.warn(f"{reason}; falling back to percentiles", category, stacklevel=2)
     return (*_percentile_levels(level), None, None, reason)
 
 
-def _bca_from_distribution(
-    dist: EmpiricalDistribution,
-    theta_hat: float,
-    jackknife: np.ndarray,
-    level: float,
-) -> tuple[ConfidenceSet, str | None]:
-    """The BCa interval and the reason it fell back to percentiles, if it did."""
-    if not 0.0 < level < 1.0:
-        raise DomainError("level must lie strictly between 0 and 1")
-    if dist.count < 100:
-        raise TooFewReplicates(f"{dist.count} retained replications, need 100")
-    lo_p, hi_p, _, _, fallback = _bca_adjustment(dist, theta_hat, jackknife, level)
-    lo, hi = dist.quantile([lo_p, hi_p])
-    return ConfidenceSet.bounded(float(lo), float(hi)), fallback
+def _limits(
+    finite: np.ndarray, level: float, estimate: float, jackknife: np.ndarray | None
+) -> tuple[float, float, float | None, float | None, str | None]:
+    """The limits read from the sorted values finite, then z0, a and the
+    BCa fallback reason: the equal-tailed percentile limits when jackknife
+    is None, else the BCa limits about estimate (_bca_adjustment)."""
+    if jackknife is None:
+        lo_p, hi_p, z0, a, fallback = (*_percentile_levels(level), None, None, None)
+    else:
+        lo_p, hi_p, z0, a, fallback = _bca_adjustment(finite, estimate, jackknife, level)
+    lo, hi = np.quantile(finite, [lo_p, hi_p])
+    return lo, hi, z0, a, fallback
 
 
 def _one_sample_t(mean, ss, k: int):
@@ -351,11 +327,12 @@ def _bootstrap_rows(
     pivot method a nonzero mean of x (summaries holds the rows' summaries;
     it is read only with three pairs). Then each row that some method still
     needs is resampled once, from seeds[i] with config.replications
-    resamples (_resample), and each distribution is collected and its
-    quantiles read: for the pivot method the band (t_lo, t_hi), for each
-    ratio method its limits. An error there is the row's error for the pivot
-    method, or for every requested ratio method, and wins over an error of
-    the band inversion, which runs once for all rows.
+    resamples (_resample), and one loop over the methods, the pivot method
+    first, reads each distribution: for the pivot method the band (t_lo,
+    t_hi), for each ratio method its limits, from ratio replicates collected
+    once for both. An error there is the row's error for the pivot method,
+    or for every requested ratio method, and wins over an error of the band
+    inversion, which runs once for all rows.
     """
     rows, n = xs.shape
     ratio_methods = tuple(m for m in methods if m in _RATIO_BOOT_METHODS)
@@ -385,6 +362,7 @@ def _bootstrap_rows(
     # array of this size is mapped afresh by malloc and page-faulted in each
     # time it is allocated: 2000 resamples of 20 000 pairs took 57 000 faults.
     buffers = np.empty((2, min(config.replications, _block_rows(n)), n))
+    ordered = sorted(methods, key=lambda m: m is not Method.HWANG_BOOTSTRAP)
     for i in range(rows):
         if not (ratio_methods or pivots[i]):
             continue
@@ -392,38 +370,27 @@ def _bootstrap_rows(
         ratios, t0s = _resample(
             xs[i], ys[i], seeds[i], config.replications, bool(ratio_methods), rho_hat, buffers
         )
-        if rho_hat is not None:
-            m = Method.HWANG_BOOTSTRAP
+        shared = None  # the ratio replicates, collected once for both ratio methods
+        for m in ordered:
+            if i in errors[m]:  # no pivot, or the shared replicates failed
+                continue
             try:
-                dist = _collect(t0s, config.replications)
-                if dist.count < 100:
-                    raise TooFewReplicates(f"{dist.count} retained replications, need 100")
-                if config.method is BootstrapMethod.BCA:
-                    jack = _jackknife_t0(xs[i], ys[i], rho_hat)
-                    lo_p, hi_p, z0, a, fallback[m][i] = _bca_adjustment(dist, 0.0, jack, spec.level)
-                    adjustment[i] = z0, a
+                if m is Method.HWANG_BOOTSTRAP:
+                    finite, drops = _collect(t0s, config.replications)
+                    theta, bca = 0.0, config.method is BootstrapMethod.BCA
+                    jack = _jackknife_t0(xs[i], ys[i], rho_hat) if bca else None
                 else:
-                    lo_p, hi_p = _percentile_levels(spec.level)
-                limits[m][:, i] = dist.quantile([lo_p, hi_p])
-                dropped[m][i] = dist.dropped
+                    finite, drops = shared = shared or _collect(ratios, config.replications)
+                    theta, bca = estimate[i], m is Method.BOOTSTRAP_BCA
+                    jack = _ratio_jackknife(xs[i], ys[i]) if bca else None
+                lo, hi, z0, a, fallback[m][i] = _limits(finite, spec.level, theta, jack)
+                limits[m][:, i] = lo, hi
+                dropped[m][i] = drops
+                if m is Method.HWANG_BOOTSTRAP:
+                    adjustment[i] = z0, a
             except RatioCiError as exc:
-                errors[m][i] = exc
-        if ratio_methods:
-            try:
-                dist = _collect(ratios, config.replications)
-                for m in ratio_methods:
-                    if m is Method.BOOTSTRAP_PERCENTILE:
-                        cset = percentile_ci(dist, spec.level)
-                    else:
-                        jack = _ratio_jackknife(xs[i], ys[i])
-                        cset, fallback[m][i] = _bca_from_distribution(
-                            dist, estimate[i], jack, spec.level
-                        )
-                    limits[m][:, i] = cset.lower, cset.upper
-                    dropped[m][i] = dist.dropped
-            except RatioCiError as exc:
-                for m in ratio_methods:
-                    errors[m][i] = exc
+                for failed in ratio_methods if m in ratio_methods else (m,):
+                    errors[failed][i] = exc
 
     results = []
     for m in methods:
@@ -472,17 +439,15 @@ def ratio_bootstrap_results(
 def percentile_set(
     sample: PairedSample, config: BootstrapConfig, spec: ConfidenceSpec
 ) -> MethodResult:
-    return ratio_bootstrap_results(sample, config, spec, (Method.BOOTSTRAP_PERCENTILE,))[
-        Method.BOOTSTRAP_PERCENTILE
-    ]
+    (rows,) = _sample_rows(sample, config, spec, (Method.BOOTSTRAP_PERCENTILE,))
+    return rows.result(Method.BOOTSTRAP_PERCENTILE)
 
 
 def bca_set(
     sample: PairedSample, config: BootstrapConfig, spec: ConfidenceSpec
 ) -> MethodResult:
-    return ratio_bootstrap_results(sample, config, spec, (Method.BOOTSTRAP_BCA,))[
-        Method.BOOTSTRAP_BCA
-    ]
+    (rows,) = _sample_rows(sample, config, spec, (Method.BOOTSTRAP_BCA,))
+    return rows.result(Method.BOOTSTRAP_BCA)
 
 
 def hwang_set(

@@ -241,11 +241,13 @@ def _bivariate_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(xs, ys) from standard normals z of shape (..., 2, n): x from z[..., 0, :]
     and y from the Cholesky mix of both. Elementwise, so a stack of samples
-    gets each sample's own bits."""
+    gets each sample's own bits. A draw past the double range is inf, without
+    a warning: the callers reject non-finite samples with their own error."""
     z0, z1 = z[..., 0, :], z[..., 1, :]
-    xs = params.mean_x + params.sd_x * z0
-    mix = params.corr * z0 + math.sqrt(1.0 - params.corr * params.corr) * z1
-    ys = params.mean_y + params.sd_y * mix
+    with np.errstate(over="ignore"):
+        xs = params.mean_x + params.sd_x * z0
+        mix = params.corr * z0 + math.sqrt(1.0 - params.corr * params.corr) * z1
+        ys = params.mean_y + params.sd_y * mix
     return xs, ys
 
 

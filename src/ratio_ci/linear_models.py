@@ -79,8 +79,12 @@ class ModelComparison:
     p_value: float
 
 
-def _column(values, name: str) -> np.ndarray:
-    return _validated_array(values, name)
+def _r_squared(sse: float, tss: float) -> float:
+    """1 - sse/tss; 1 for a perfect fit of all-zero data, nan when tss is 0
+    and the fit is not perfect."""
+    if tss > 0.0:
+        return 1.0 - sse / tss
+    return 1.0 if sse == 0.0 else math.nan
 
 
 def ols_fit(
@@ -93,12 +97,12 @@ def ols_fit(
     R-squared is centered when an intercept is fitted and uncentered
     otherwise (share of the raw sum of squares explained).
     """
-    yv = _column(y, "y")
+    yv = _validated_array(y, "y")
     n = yv.size
     names = (["intercept"] if intercept else []) + list(regressors)
     columns = [np.ones(n)] if intercept else []
     for name, values in regressors.items():
-        col = _column(values, name)
+        col = _validated_array(values, name)
         if col.size != n:
             raise DomainError(f"regressor {name} has {col.size} values, expected {n}")
         columns.append(col)
@@ -124,17 +128,13 @@ def ols_fit(
         tss = float(dev @ dev)
     else:
         tss = float(yv @ yv)
-    if tss > 0.0:
-        r_squared = 1.0 - sse / tss
-    else:
-        r_squared = 1.0 if sse == 0.0 else math.nan
 
     return RegressionFit(
         coefficients={name: float(b) for name, b in zip(names, beta)},
         standard_errors={name: float(s) for name, s in zip(names, ses)},
         residual_variance=s2,
         df=df,
-        r_squared=r_squared,
+        r_squared=_r_squared(sse, tss),
     )
 
 
@@ -187,20 +187,14 @@ def ancova_ratio_compare(groups: Sequence[PairedSample]) -> ModelComparison:
     sse_restricted = max(sum(syy) - common * sum(sxy), 0.0)
     df_restricted = n_total - 1
 
-    tss = sum(syy)
-
-    def uncentered_r2(sse: float) -> float:
-        if tss > 0.0:
-            return 1.0 - sse / tss
-        return 1.0 if sse == 0.0 else math.nan
-
+    tss = sum(syy)  # uncentered: neither model has an intercept
     s2_r = sse_restricted / df_restricted
     restricted = RegressionFit(
         coefficients={"slope": common},
         standard_errors={"slope": math.sqrt(s2_r / sum(sxx))},
         residual_variance=s2_r,
         df=df_restricted,
-        r_squared=uncentered_r2(sse_restricted),
+        r_squared=_r_squared(sse_restricted, tss),
     )
     s2_f = sse_full / df_full
     full = RegressionFit(
@@ -210,7 +204,7 @@ def ancova_ratio_compare(groups: Sequence[PairedSample]) -> ModelComparison:
         },
         residual_variance=s2_f,
         df=df_full,
-        r_squared=uncentered_r2(sse_full),
+        r_squared=_r_squared(sse_full, tss),
     )
     f, p = _nested_f(sse_restricted, sse_full, df_restricted, df_full)
     return ModelComparison(restricted=restricted, full=full, f_statistic=f, p_value=p)
@@ -262,8 +256,8 @@ def allometric_fit(
     else:
         if not regressors:
             raise DomainError("need at least one regressor")
-        response = _column(data, "response")
-        regs = {name: _column(v, name) for name, v in regressors.items()}
+        response = _validated_array(data, "response")
+        regs = {name: _validated_array(v, name) for name, v in regressors.items()}
     if np.any(response <= 0.0) or any(np.any(v <= 0.0) for v in regs.values()):
         raise NonPositiveData("log-scale fitting needs strictly positive values")
 
@@ -332,9 +326,9 @@ def spurious_demo(
     against a constant birth rate. Same data, same question, and only the
     deflated version finds an effect when none was put in.
     """
-    x = _column(women, "women")
-    y = _column(babies, "babies")
-    z = _column(storks, "storks")
+    x = _validated_array(women, "women")
+    y = _validated_array(babies, "babies")
+    z = _validated_array(storks, "storks")
     if not (x.size == y.size == z.size):
         raise DomainError("all three columns must have the same length")
     if x.size < 4:

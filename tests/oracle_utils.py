@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ratio_ci import PairedSample, TooFewObservations
-from ratio_ci.bootstrap import _bca_from_distribution, _collect, _per_resample
+from ratio_ci import ConfidenceSet, PairedSample, TooFewObservations
+from ratio_ci.bootstrap import _collect, _limits, _per_resample
 
 # --------------------------------------------------------------------------
 # Paired summary statistics, recomputed the slow way.
@@ -296,16 +296,17 @@ def bca_oracle(values, theta_hat: float, jackknife, level: float):
 # --------------------------------------------------------------------------
 # A generic pair bootstrap: any statistic, one sample per resample. Unlike
 # the oracles above it is built on the library's own resampling and BCa
-# steps (bootstrap._per_resample, _collect, _bca_from_distribution), so it
-# draws the same index blocks as the vectorized statistics and checks their
-# arithmetic, not the resampling itself.
+# steps (bootstrap._per_resample, _collect, _limits), so it draws the same
+# index blocks as the vectorized statistics and checks their arithmetic,
+# not the resampling itself.
 
 
 def resample_pairs(sample, config, statistic):
-    """statistic on each of config.replications resamples of the pairs.
+    """statistic on each of config.replications resamples of the pairs:
+    the finite values, sorted, and the number of non-finite ones dropped.
 
-    Deterministic in config.seed. Non-finite evaluations are dropped and
-    counted; more than 50% dropped is an error.
+    Deterministic in config.seed. More than 50% dropped, or fewer than 100
+    kept, is an error.
     """
     def block(idx):
         return np.array([statistic(PairedSample(sample.xs[row], sample.ys[row])) for row in idx])
@@ -322,10 +323,10 @@ def bca_ci(sample, statistic, config, level: float):
     n = sample.n
     if n < 3:
         raise TooFewObservations("BCa needs at least three pairs")
-    dist = resample_pairs(sample, config, statistic)
+    values, _ = resample_pairs(sample, config, statistic)
     jack = [
         statistic(PairedSample(np.delete(sample.xs, i), np.delete(sample.ys, i)))
         for i in range(n)
     ]
-    cset, _ = _bca_from_distribution(dist, statistic(sample), np.array(jack), level)
-    return cset
+    lo, hi, *_ = _limits(values, level, statistic(sample), np.array(jack))
+    return ConfidenceSet.bounded(float(lo), float(hi))

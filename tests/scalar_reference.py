@@ -4,7 +4,9 @@ root finder and tangency_slopes), of the per-sample closed-form methods
 were before the methods became batch kernels, of the pivot and ratio
 bootstraps as they were before they shared one resampling, and of the
 per-run draw, one default_rng([seed, run, attempt]) per run, as it was
-before the runs of a block were drawn without a generator each.
+before the runs of a block were drawn without a generator each, and of the
+reading of each bootstrap distribution, as it was before the three
+bootstrap methods shared one collect-and-read step.
 
 The library now evaluates the closed-form methods and the band inversion
 as one kernel each over stacked samples, and the public functions are
@@ -19,16 +21,19 @@ from __future__ import annotations
 
 import copy
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
 
 from ratio_ci import (
+    AllResamplesDegenerate,
     BootstrapConfig,
     BootstrapMethod,
     ConfidenceSet,
     ConfidenceSpec,
     CoverageResult,
+    DegenerateJackknife,
     DegenerateVariance,
     DomainError,
     FiellerDiagnostics,
@@ -47,16 +52,14 @@ from ratio_ci import (
     ZeroDenominator,
     ZeroIndividualDenominator,
     ZeroNumerator,
-    percentile_ci,
     ratio_of_means,
 )
+from ratio_ci._special import ndtri
 from ratio_ci.bootstrap import (
-    _bca_adjustment,
-    _bca_from_distribution,
-    _collect,
+    _acceleration,
+    _bca_levels,
     _jackknife_t0,
     _per_resample,
-    _percentile_levels,
     _ratio_jackknife,
 )
 
@@ -378,6 +381,67 @@ def _draw_run(cell, seed, run, draw_boot_seed=True):
     return sample, boot_seed, attempt
 
 
+# --------------------------------------------- the separate distribution reads
+# Each bootstrap distribution is its sorted finite values. The pivot bootstrap
+# checks their count itself and picks its quantile levels; the ratio
+# bootstraps read through percentile_ci and _bca_from_distribution, which
+# check the level and the count again.
+
+
+def _collect(values, replications):
+    """(sorted finite values, number dropped)."""
+    finite = values[np.isfinite(values)]
+    dropped = replications - finite.size
+    if dropped * 2 > replications:
+        raise AllResamplesDegenerate(
+            f"{dropped} of {replications} bootstrap draws were non-finite"
+        )
+    finite.sort()
+    return finite, int(dropped)
+
+
+def _percentile_levels(level):
+    alpha = 1.0 - level
+    return 0.5 * alpha, 1.0 - 0.5 * alpha
+
+
+def _bca_adjustment(values, estimate, jackknife, level):
+    """(lower p, upper p, z0, a, fallback reason) on the sorted values."""
+    below = int(np.searchsorted(values, estimate, side="left"))
+    if below == 0 or below == values.size:
+        reason, category = "estimate outside the bootstrap distribution", RuntimeWarning
+    elif not np.all(np.isfinite(jackknife)):
+        reason, category = "non-finite jackknife values", RuntimeWarning
+    else:
+        a = _acceleration(jackknife)
+        if a is not None:
+            z0 = ndtri(below / values.size)
+            return (*_bca_levels(z0, a, level), z0, a, None)
+        reason, category = "all jackknife values coincide", DegenerateJackknife
+    warnings.warn(f"{reason}; falling back to percentiles", category, stacklevel=2)
+    return (*_percentile_levels(level), None, None, reason)
+
+
+def percentile_ci(values, level):
+    if not 0.0 < level < 1.0:
+        raise DomainError("level must lie strictly between 0 and 1")
+    if values.size < 100:
+        raise TooFewReplicates(f"{values.size} retained replications, need 100")
+    lo, hi = np.quantile(values, _percentile_levels(level))
+    return ConfidenceSet.bounded(float(lo), float(hi))
+
+
+def _bca_from_distribution(values, theta_hat, jackknife, level):
+    """(the BCa interval, fallback reason)."""
+    if not 0.0 < level < 1.0:
+        raise DomainError("level must lie strictly between 0 and 1")
+    if values.size < 100:
+        raise TooFewReplicates(f"{values.size} retained replications, need 100")
+    lo_p, hi_p, _, _, fallback = _bca_adjustment(values, theta_hat, jackknife, level)
+    lo, hi = np.quantile(values, [lo_p, hi_p])
+    return ConfidenceSet.bounded(float(lo), float(hi)), fallback
+
+
 # ------------------------------------------------ the separate bootstraps
 # Each draws and gathers its own (B, n) index matrix from config.seed, in the
 # library's blocks, and besides its result returns the reason its BCa step
@@ -422,20 +486,20 @@ def hwang_set(sample, config, spec):
         raise ZeroDenominator("mean of x is exactly zero")
     rho_hat = stats.mean_y / stats.mean_x
     t0s = resample_t0(sample, config, rho_hat)
-    dist = _collect(t0s, config.replications)
-    if dist.count < 100:
-        raise TooFewReplicates(f"{dist.count} retained replications, need 100")
+    values, dropped = _collect(t0s, config.replications)
+    if values.size < 100:
+        raise TooFewReplicates(f"{values.size} retained replications, need 100")
     fallback = None
     if config.method is BootstrapMethod.BCA:
         jack = _jackknife_t0(sample.xs, sample.ys, rho_hat)
-        lo_p, hi_p, z0, a, fallback = _bca_adjustment(dist, 0.0, jack, spec.level)
+        lo_p, hi_p, z0, a, fallback = _bca_adjustment(values, 0.0, jack, spec.level)
     else:
         lo_p, hi_p = _percentile_levels(spec.level)
         z0 = a = None
-    t_lo, t_hi = (float(v) for v in dist.quantile([lo_p, hi_p]))
+    t_lo, t_hi = (float(v) for v in np.quantile(values, [lo_p, hi_p]))
     cset = invert_t0_band(stats, t_lo, t_hi)
-    diag = HwangDiagnostics(t_lo, t_hi, dist.dropped, z0, a)
-    return MethodResult(Method.HWANG_BOOTSTRAP, rho_hat, cset, diag), fallback, dist.dropped
+    diag = HwangDiagnostics(t_lo, t_hi, dropped, z0, a)
+    return MethodResult(Method.HWANG_BOOTSTRAP, rho_hat, cset, diag), fallback, dropped
 
 
 def ratio_bootstrap_results(sample, config, spec, methods=RATIO_BOOT):
@@ -445,18 +509,18 @@ def ratio_bootstrap_results(sample, config, spec, methods=RATIO_BOOT):
     wanted = [m for m in methods if m in RATIO_BOOT]
     if len(wanted) != len(methods):
         raise DomainError("only the two bootstrap ratio methods are supported here")
-    dist = ratio_distribution(sample, config)
+    values, dropped = ratio_distribution(sample, config)
     theta_hat = ratio_of_means(sample)
     results = {}
     for m in wanted:
         fallback = None
         if m is Method.BOOTSTRAP_PERCENTILE:
-            cset = percentile_ci(dist, spec.level)
+            cset = percentile_ci(values, spec.level)
         else:
             cset, fallback = _bca_from_distribution(
-                dist, theta_hat, _ratio_jackknife(sample.xs, sample.ys), spec.level
+                values, theta_hat, _ratio_jackknife(sample.xs, sample.ys), spec.level
             )
-        results[m] = MethodResult(m, theta_hat, cset), fallback, dist.dropped
+        results[m] = MethodResult(m, theta_hat, cset), fallback, dropped
     return results
 
 

@@ -15,7 +15,6 @@ from ratio_ci import (
     ConfidenceSpec,
     DegenerateJackknife,
     DomainError,
-    EmpiricalDistribution,
     Method,
     PairedSample,
     SetCase,
@@ -26,7 +25,6 @@ from ratio_ci import (
     fieller_set,
     hwang_set,
     invert_t0_band,
-    percentile_ci,
     percentile_set,
     ratio_bootstrap_results,
     ratio_of_means,
@@ -35,9 +33,9 @@ from ratio_ci import (
 )
 from ratio_ci import bootstrap
 from ratio_ci.bootstrap import (
-    _bca_from_distribution,
     _collect,
     _jackknife_t0,
+    _limits,
     _ratio_jackknife,
     _resample,
 )
@@ -53,8 +51,10 @@ def _sample(seed=3, n=30, cv_x=0.2):
 
 
 def _dist(values):
-    vals = np.sort(np.asarray(values, dtype=float))
-    return EmpiricalDistribution(values=vals, count=len(vals))
+    """The values, sorted by the library's collect step."""
+    vals = np.asarray(values, dtype=float)
+    finite, _ = _collect(vals, vals.size)
+    return finite
 
 
 # ----------------------------------------------------------- configuration
@@ -71,24 +71,17 @@ def test_config_validation():
         BootstrapConfig(replications=500, method=BootstrapMethod.PERCENTILE)
 
 
-def test_distribution_validation():
-    with pytest.raises(DomainError):
-        EmpiricalDistribution(values=np.array([2.0, 1.0]), count=2)
-    with pytest.raises(DomainError):
-        EmpiricalDistribution(values=np.array([1.0, 2.0]), count=3)
-
-
 # -------------------------------------------------------------- resampling
 
 
 def test_resampling_is_seed_deterministic():
     sample = _sample()
     config = BootstrapConfig(replications=300, seed=11)
-    a = resample_pairs(sample, config, ratio_of_means)
-    b = resample_pairs(sample, config, ratio_of_means)
-    assert np.array_equal(a.values, b.values)
-    c = resample_pairs(sample, BootstrapConfig(replications=300, seed=12), ratio_of_means)
-    assert not np.array_equal(a.values, c.values)
+    a, _ = resample_pairs(sample, config, ratio_of_means)
+    b, _ = resample_pairs(sample, config, ratio_of_means)
+    assert np.array_equal(a, b)
+    c, _ = resample_pairs(sample, BootstrapConfig(replications=300, seed=12), ratio_of_means)
+    assert not np.array_equal(a, c)
 
 
 def test_resampling_drops_non_finite_and_counts():
@@ -101,10 +94,10 @@ def test_resampling_drops_non_finite_and_counts():
         return float(s.ys.mean())
 
     config = BootstrapConfig(replications=400, seed=2)
-    dist = resample_pairs(sample, config, statistic)
-    assert dist.dropped > 0
-    assert dist.count + dist.dropped == 400
-    assert np.isfinite(dist.values).all()
+    values, dropped = resample_pairs(sample, config, statistic)
+    assert dropped > 0
+    assert values.size + dropped == 400
+    assert np.isfinite(values).all()
 
 
 def test_resampling_majority_degenerate_raises():
@@ -119,14 +112,14 @@ def test_vectorized_ratio_path_equals_generic_loop():
     # bit for bit: same seed, same index matrix, same arithmetic.
     sample = _sample(seed=9, n=21)
     config = BootstrapConfig(replications=500, seed=77)
-    generic = resample_pairs(sample, config, ratio_of_means)
+    generic, generic_dropped = resample_pairs(sample, config, ratio_of_means)
     buffers = np.empty((2, config.replications, sample.n))
     ratios, _ = _resample(
         sample.xs, sample.ys, config.seed, config.replications, True, None, buffers
     )
-    vectorized = _collect(ratios, config.replications)
-    assert np.array_equal(generic.values, vectorized.values)
-    assert generic.dropped == vectorized.dropped
+    vectorized, vectorized_dropped = _collect(ratios, config.replications)
+    assert np.array_equal(generic, vectorized)
+    assert generic_dropped == vectorized_dropped
 
 
 # ------------------------------------------------------------- percentiles
@@ -137,9 +130,9 @@ def test_percentile_frozen_quantile_rule():
     # for values 1..1000 at level 0.95 the endpoints sit at ranks
     # 1 + 0.025*999 = 25.975 and 1 + 0.975*999 = 975.025.
     dist = _dist(np.arange(1.0, 1001.0))
-    cset = percentile_ci(dist, 0.95)
-    assert cset.lower == pytest.approx(25.975, abs=1e-9)
-    assert cset.upper == pytest.approx(975.025, abs=1e-9)
+    lower, upper, *_ = _limits(dist, 0.95, None, None)
+    assert lower == pytest.approx(25.975, abs=1e-9)
+    assert upper == pytest.approx(975.025, abs=1e-9)
 
 
 @given(
@@ -148,22 +141,18 @@ def test_percentile_frozen_quantile_rule():
 )
 def test_percentile_containment(values, level):
     dist = _dist(values)
-    cset = percentile_ci(dist, level)
-    assert cset.case is SetCase.BOUNDED
-    assert dist.values[0] <= cset.lower <= cset.upper <= dist.values[-1]
+    lower, upper, *_ = _limits(dist, level, None, None)
+    assert dist[0] <= lower <= upper <= dist[-1]
 
 
 def test_percentile_on_constant_values():
-    cset = percentile_ci(_dist([4.2] * 150), 0.95)
-    assert (cset.lower, cset.upper) == (4.2, 4.2)
+    lower, upper, *_ = _limits(_dist([4.2] * 150), 0.95, None, None)
+    assert (lower, upper) == (4.2, 4.2)
 
 
 def test_percentile_guards():
-    dist = _dist(np.arange(120.0))
-    with pytest.raises(DomainError):
-        percentile_ci(dist, 1.0)
     with pytest.raises(TooFewReplicates):
-        percentile_ci(_dist(np.arange(99.0)), 0.95)
+        _limits(_dist(np.arange(99.0)), 0.95, None, None)
 
 
 def test_bootstrap_sd_matches_plugin_formula():
@@ -173,8 +162,8 @@ def test_bootstrap_sd_matches_plugin_formula():
     # the 10% band asserted here.
     sample = _sample(seed=21, n=40)
     config = BootstrapConfig(replications=4000, seed=5)
-    dist = resample_pairs(sample, config, lambda s: float(s.ys.mean()))
-    boot_sd = float(dist.values.std(ddof=1))
+    values, _ = resample_pairs(sample, config, lambda s: float(s.ys.mean()))
+    boot_sd = float(values.std(ddof=1))
     stats = summarize(sample)
     target = stats.sd_mean_y * math.sqrt((sample.n - 1) / sample.n)
     assert boot_sd == pytest.approx(target, rel=0.10)
@@ -192,13 +181,13 @@ def test_bca_matches_textbook_oracle():
     statistic = ratio_of_means
     cset = bca_ci(sample, statistic, config, 0.95)
 
-    dist = resample_pairs(sample, config, statistic)
+    values, _ = resample_pairs(sample, config, statistic)
     theta_hat = statistic(sample)
     jack = [
         statistic(PairedSample(np.delete(sample.xs, i), np.delete(sample.ys, i)))
         for i in range(sample.n)
     ]
-    lo, hi = bca_oracle(dist.values, theta_hat, jack, 0.95)
+    lo, hi = bca_oracle(values, theta_hat, jack, 0.95)
     assert cset.lower == pytest.approx(lo, rel=1e-6)
     assert cset.upper == pytest.approx(hi, rel=1e-6)
 
@@ -207,35 +196,35 @@ def test_bca_reduces_to_percentile_when_unbiased_and_symmetric():
     values = np.linspace(-1.0, 1.0, 1001)  # median exactly 0
     dist = _dist(values)
     jack = np.array([-1.0, -0.5, 0.5, 1.0])  # zero skew -> acceleration 0
-    cset, fallback = _bca_from_distribution(dist, 0.0 + 1e-15, jack, 0.9)
+    lower, upper, _, _, fallback = _limits(dist, 0.9, 0.0 + 1e-15, jack)
     assert fallback is None
-    plain = percentile_ci(dist, 0.9)
+    plain_lower, plain_upper, *_ = _limits(dist, 0.9, None, None)
     # z0 = Phi^-1(#below/B); 500/1001 is not exactly half, so allow the
     # one-rank wobble that the tie convention introduces.
-    assert cset.lower == pytest.approx(plain.lower, abs=2e-3)
-    assert cset.upper == pytest.approx(plain.upper, abs=2e-3)
+    assert lower == pytest.approx(plain_lower, abs=2e-3)
+    assert upper == pytest.approx(plain_upper, abs=2e-3)
 
 
 def test_bca_fallbacks_warn_and_match_percentile():
     dist = _dist(np.arange(1.0, 201.0))
-    plain = percentile_ci(dist, 0.95)
+    plain = _limits(dist, 0.95, None, None)[:2]
 
     # Estimate outside the resample range: z0 undefined.
     with pytest.warns(RuntimeWarning, match="outside the bootstrap distribution"):
-        cset, fallback = _bca_from_distribution(dist, 0.5, np.array([1.0, 2.0, 3.0]), 0.95)
-    assert (cset.lower, cset.upper) == (plain.lower, plain.upper)
+        lower, upper, _, _, fallback = _limits(dist, 0.95, 0.5, np.array([1.0, 2.0, 3.0]))
+    assert (lower, upper) == plain
     assert fallback == "estimate outside the bootstrap distribution"
 
     # Constant jackknife: acceleration undefined.
     with pytest.warns(DegenerateJackknife):
-        cset, fallback = _bca_from_distribution(dist, 100.0, np.ones(5), 0.95)
-    assert (cset.lower, cset.upper) == (plain.lower, plain.upper)
+        lower, upper, _, _, fallback = _limits(dist, 0.95, 100.0, np.ones(5))
+    assert (lower, upper) == plain
     assert fallback == "all jackknife values coincide"
 
     # Non-finite jackknife values.
     with pytest.warns(RuntimeWarning, match="non-finite jackknife"):
-        cset, fallback = _bca_from_distribution(dist, 100.0, np.array([1.0, math.nan]), 0.95)
-    assert (cset.lower, cset.upper) == (plain.lower, plain.upper)
+        lower, upper, _, _, fallback = _limits(dist, 0.95, 100.0, np.array([1.0, math.nan]))
+    assert (lower, upper) == plain
     assert fallback == "non-finite jackknife values"
 
 
@@ -504,9 +493,11 @@ def test_ratio_bootstrap_is_always_bounded_even_when_exact_set_is_not():
 def test_quantile_rule_matches_hand_rolled_interpolation():
     rng = np.random.default_rng(51)
     values = np.sort(rng.normal(size=501))
-    dist = EmpiricalDistribution(values=values, count=501)
+    dist = _dist(values)
     for q in (0.025, 0.3, 0.5, 0.91, 0.975):
-        assert float(dist.quantile(q)) == pytest.approx(
+        # The percentile limits at level |1 - 2q| sit at q and 1 - q.
+        lower, upper, *_ = _limits(dist, abs(1.0 - 2.0 * q), None, None)
+        assert float(lower if q <= 0.5 else upper) == pytest.approx(
             quantile_linear_oracle(list(values), q), rel=1e-12
         )
 
@@ -539,10 +530,10 @@ def _unblocked_ratios(sample: PairedSample, config: BootstrapConfig) -> np.ndarr
         return np.where(mx != 0.0, my / mx, math.nan)
 
 
-def _assert_distribution_is(dist: EmpiricalDistribution, values: np.ndarray):
+def _assert_distribution_is(collected: tuple[np.ndarray, int], values: np.ndarray):
     finite = np.sort(values[np.isfinite(values)])
-    assert np.array_equal(dist.values, finite)
-    assert dist.dropped == len(values) - len(finite)
+    assert np.array_equal(collected[0], finite)
+    assert collected[1] == len(values) - len(finite)
 
 
 @pytest.mark.parametrize(

@@ -354,7 +354,7 @@ def test_simulate_precondition_failure_exits_3(capsys):
     # cv_x = 1e308 overflows the draws of x: no run can be made.
     argv = ["simulate", "--cv-x", "1e308", "--cv-y", "1", "--n", "5", "--runs", "100"]
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         code, out, err = _run(capsys, argv + ["--methods", "fieller"])
     assert (code, out) == (3, "")
     assert err == "error: simulate: xs contains non-finite values\n"
@@ -448,7 +448,7 @@ def test_errorbars_csv(capsys):
 def test_errorbars_precondition_failure_exits_3(capsys):
     argv = ["errorbars", "--cv-x", "1e308", "--cv-y", "1", "--n", "20", "--runs", "5"]
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         code, out, err = _run(capsys, argv)
     assert (code, out) == (3, "")
     assert err == "error: errorbars: xs contains non-finite values\n"

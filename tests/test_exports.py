@@ -1,9 +1,11 @@
-"""Every module's __all__ names what it defines, and the package imports
-only names that its modules export."""
+"""Every module's __all__ names what it defines, the package imports only
+names that its modules export, and the README's methods table names only
+exported functions."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -33,3 +35,14 @@ def test_package_imports_exist_and_are_exported():
         for alias in node.names:
             assert hasattr(ratio_ci, alias.name), (node.module, alias.name)
             assert alias.name in exported, (node.module, alias.name)
+
+
+def test_readme_methods_table_names_exported_functions():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    table = text.split("## Methods at a glance", 1)[1].split("\n\n", 2)[1]
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    names = [name for row in rows for name in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert len(names) >= 8
+    for name in names:
+        assert callable(getattr(ratio_ci, name, None)), name
