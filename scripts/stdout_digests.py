@@ -37,10 +37,16 @@ prints `error: <subcommand>: ...` and exits 3: `ellipse` on three equal
 pairs (both mean variances are zero), and `errorbars` and `simulate` at
 cv_x = 1e308, where every draw of x overflows.
 
-The very last three run `ci` on the three-pair worked example with each
+The next three run `ci` on the three-pair worked example with each
 bootstrap method alone (`--methods hwang_bootstrap`, `bootstrap_percentile`
 and `bootstrap_bca`, each `--replications 1000 --seed 3`), so each method's
 path is pinned apart from the others.
+
+The very last four run `ci --format csv` on the worked example written four
+other ways: with quoted fields, with a whitespace-only row, with `6.3_4`
+and Arabic-Indic spellings, and with the columns in the order y,x. The
+first three are read by the csv module's path, the last by NumPy's reader;
+all four should print the bytes of criterion 8's `ci --format csv` line.
 """
 
 from __future__ import annotations
@@ -100,6 +106,16 @@ def inputs(tmp: Path) -> dict[str, Path]:
             tmp / "plus-minus-one.csv", "x,y", zip((-1.0, 1.0, -1.0, 1.0, 2.0), range(1, 6))
         ),
     }
+    rows = list(zip(WORKED_X, WORKED_Y))
+    spelled = (("\u0666.\u0663\u0664", "4.8_7"), ("4.02", "8.3_0"), ("\u0662.88", "1_1.66"))
+    for name, text in {
+        "worked-quoted.csv": '"x","y"\n' + "".join(f'"{x}","{y}"\n' for x, y in rows),
+        "worked-blank-row.csv": "x,y\n \t \n" + "".join(f"{x},{y}\n" for x, y in rows),
+        "worked-spelled.csv": "x,y\n" + "".join(f"{x},{y}\n" for x, y in spelled),
+        "worked-yx.csv": "y,x\n" + "".join(f"{y},{x}\n" for x, y in rows),
+    }.items():
+        files[name] = tmp / name
+        files[name].write_text(text, encoding="utf-8")
     write_pairs(tmp / "pairs200.csv", *generate_pairs(3, 200))
     files["pairs200.csv"] = tmp / "pairs200.csv"
     for name in ("ci-large", "ci-boot"):
@@ -178,6 +194,9 @@ def argvs(files: dict[str, Path]) -> list[list[str]]:
     for method in BOOTSTRAP:  # each bootstrap method's path alone
         out.append(["ci", "--input", worked, "--methods", method, "--replications", "1000",
                     "--seed", "3"])
+    for name in ("worked-quoted.csv", "worked-blank-row.csv", "worked-spelled.csv",
+                 "worked-yx.csv"):  # the worked example, spelled four other ways
+        out.append(["ci", "--input", str(files[name]), "--format", "csv"])
     return out
 
 

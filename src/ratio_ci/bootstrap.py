@@ -121,8 +121,8 @@ def ratio_of_means(sample: PairedSample) -> float:
     return float(sample.ys.mean()) / mx
 
 
-# Index elements per resampling block (8 MiB of int64 indices).
-_BLOCK_ELEMENTS = 1 << 20
+# Index elements per resampling block (2 MiB of int64 indices).
+_BLOCK_ELEMENTS = 1 << 18
 
 
 def _resample_indices(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:

@@ -19,7 +19,9 @@ import csv
 import io
 import json
 import math
+import os
 import sys
+import warnings
 from dataclasses import asdict, is_dataclass
 from enum import Enum
 from pathlib import Path
@@ -205,7 +207,7 @@ def _ci_csv_rows(results: Sequence[MethodResult]) -> list[list[str]]:
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _InputError(f"cannot read {path}: {exc}")
 
 
@@ -214,17 +216,20 @@ def _parse_table(path: str) -> dict[str, list[str]]:
     reader = csv.reader(io.StringIO(_read_text(path)))
     # Lazy, so reader.line_num names the physical line of the current row.
     rows = (row for row in reader if "".join(row).strip())
-    header = [name.strip() for name in next(rows, ())]
-    if not header:
-        raise _InputError(f"{path} is empty")
-    if len(set(header)) != len(header) or any(not h for h in header):
-        raise _InputError(f"{path}: header must be unique non-empty column names")
-    columns: list[list[str]] = [[] for _ in header]
-    for row in rows:
-        if len(row) != len(header):
-            raise _InputError(f"{path}:{reader.line_num}: expected {len(header)} fields")
-        for column, field in zip(columns, row):
-            column.append(field)
+    try:
+        header = [name.strip() for name in next(rows, ())]
+        if not header:
+            raise _InputError(f"{path} is empty")
+        if len(set(header)) != len(header) or any(not h for h in header):
+            raise _InputError(f"{path}: header must be unique non-empty column names")
+        columns: list[list[str]] = [[] for _ in header]
+        for row in rows:
+            if len(row) != len(header):
+                raise _InputError(f"{path}:{reader.line_num}: expected {len(header)} fields")
+            for column, field in zip(columns, row):
+                column.append(field)
+    except csv.Error as exc:
+        raise _InputError(f"{path}:{reader.line_num}: {exc}")
     return dict(zip(header, columns))
 
 
@@ -238,7 +243,39 @@ def _numeric_column(table: dict, name: str, path: str) -> np.ndarray:
         raise _InputError(f"{path}: column {name!r}: {exc}")
 
 
+def _plain_columns(path: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The x and y columns by NumPy's C reader, or None if it does not apply.
+
+    It applies when the input is a regular file whose first line is the
+    header x,y (either order) and whose other lines are two plain numbers.
+    The csv path stays the rule: NumPy's reader rejects every spelling that
+    path reads differently (quotes, empty fields, whitespace-only rows,
+    underscores, non-ASCII digits) and gives the same doubles where it
+    accepts. On None the input goes to the csv path, which names the error;
+    a pipe is left to it unread, as it can be read only once.
+    """
+    if not os.path.isfile(path):
+        return None
+    try:
+        with open(path, encoding="utf-8") as f:
+            header = [name.strip() for name in f.readline().split(",")]
+            if sorted(header) != ["x", "y"]:
+                return None
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                data = np.loadtxt(f, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except (OSError, ValueError, Warning):
+        return None
+    if data.shape[0] < 2 or data.shape[1] != 2:
+        return None
+    xs, ys = (np.ascontiguousarray(data[:, header.index(name)]) for name in ("x", "y"))
+    return xs, ys
+
+
 def _load_pairs(path: str) -> PairedSample:
+    columns = _plain_columns(path)
+    if columns is not None:
+        return _paired(*columns, path)
     table = _parse_table(path)
     if set(table) != {"x", "y"}:
         raise _InputError(f"{path}: expected exactly the columns x,y")
@@ -246,8 +283,10 @@ def _load_pairs(path: str) -> PairedSample:
 
 
 def _table_pairs(table: dict, path: str) -> PairedSample:
-    xs = _numeric_column(table, "x", path)
-    ys = _numeric_column(table, "y", path)
+    return _paired(_numeric_column(table, "x", path), _numeric_column(table, "y", path), path)
+
+
+def _paired(xs: np.ndarray, ys: np.ndarray, path: str) -> PairedSample:
     if xs.size < 2:
         raise _InputError(f"{path}: need at least 2 data rows")
     try:

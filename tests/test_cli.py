@@ -1,10 +1,16 @@
 import csv
+import importlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ratio_ci import (
     BootstrapConfig,
@@ -18,6 +24,7 @@ from ratio_ci import (
     summarize,
     taylor_limits,
 )
+from ratio_ci import cli
 from ratio_ci.cli import main
 
 from test_methods import WORKED_X, WORKED_Y
@@ -245,7 +252,91 @@ def test_ci_numeric_fields_parse_like_python_float(capsys, tmp_path):
     assert err == f"error: {bad}: column 'x': could not convert string to float: 'foo'\n"
 
 
+# ------------------------------------------------------ the two readers
+
+
+def _csv_columns(path):
+    """The columns as the csv path reads them, or its _InputError."""
+    table = cli._parse_table(path)
+    if set(table) != {"x", "y"}:
+        raise cli._InputError("expected exactly the columns x,y")
+    return cli._numeric_column(table, "x", path), cli._numeric_column(table, "y", path)
+
+
+_TOKENS = (
+    list("0123456789+-.e_ \t,\"\x00")
+    + ["\xa0", "nan", "inf", "\u0661\u0662", "\uff11", "\x85", "\x0c"]
+)
+_padding = st.sampled_from(["", " ", "\t", "\xa0", "\x0c", "\x85", "\u3000"])
+_number = st.tuples(
+    _padding, st.one_of(st.floats().map(repr), st.integers(-10**20, 10**20).map(str)), _padding
+).map("".join)
+_field = st.one_of(_number, st.lists(st.sampled_from(_TOKENS), max_size=6).map("".join))
+_row = st.one_of(
+    st.tuples(_number, _number).map(",".join),
+    st.tuples(_field, _field).map(",".join),
+    st.lists(_field, max_size=3).map(",".join),
+)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], max_examples=300)
+@given(
+    header=st.sampled_from(["x,y", " x , y ", "y,x", '"x",y', "x,y,z"]),
+    rows=st.lists(_row, min_size=2, max_size=6),
+    ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=7, max_size=7),
+)
+def test_numpy_reader_returns_the_csv_paths_bytes_or_nothing(tmp_path, header, rows, ends):
+    lines = [header, *rows]
+    path = tmp_path / "data.csv"
+    path.write_bytes("".join(map(str.__add__, lines, ends)).encode("utf-8"))
+    fast = cli._plain_columns(str(path))
+    try:
+        slow = _csv_columns(str(path))
+    except cli._InputError:
+        assert fast is None
+        return
+    if fast is not None:
+        assert [c.tobytes() for c in fast] == [c.tobytes() for c in slow]
+        assert all(c.dtype == np.float64 and c.flags.c_contiguous for c in fast)
+
+
+def test_benchmark_pairs_file_takes_the_numpy_reader(monkeypatch, tmp_path):
+    # Guards the speed-up: a file as perfbench writes it never reaches csv.
+    monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "perfbench")
+    workloads = importlib.import_module("workloads")
+    xs, ys = workloads.generate_pairs(1, 1000)
+    path = tmp_path / "pairs.csv"
+    workloads.write_pairs(path, xs, ys)
+
+    def no_csv(path):
+        raise AssertionError("the csv path was taken")
+
+    monkeypatch.setattr(cli, "_parse_table", no_csv)
+    sample = cli._load_pairs(str(path))
+    assert sample.xs.tobytes() == xs.tobytes() and sample.ys.tobytes() == ys.tobytes()
+
+
+def test_ci_reads_a_piped_input_once(tmp_path):
+    # A pipe can be read only once, so it goes to the csv path unread.
+    text = '"x","y"\n' + "".join(f'"{x}","{y}"\n' for x, y in zip(WORKED_X, WORKED_Y))
+    path = tmp_path / "quoted.csv"
+    path.write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = [sys.executable, "-m", "ratio_ci.cli", "ci", "--input"]
+    piped = subprocess.run(
+        argv + ["/dev/stdin"], input=text.encode(), capture_output=True, env=env, timeout=60
+    )
+    from_file = subprocess.run(argv + [str(path)], capture_output=True, env=env, timeout=60)
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert piped.stdout == from_file.stdout
+
+
 # -------------------------------------------------------- ci error paths
+
+
+_NOT_UTF8 = b"x,y\n1,2\n\xff,4\n"
+# One non-numeric field longer than the csv module's default field limit.
+_OVERSIZED = b"x,y\n" + b"a" * 200_000 + b",2\n3,4\n"
 
 
 @pytest.mark.parametrize(
@@ -257,6 +348,8 @@ def test_ci_numeric_fields_parse_like_python_float(capsys, tmp_path):
         "one_row",
         "non_numeric",
         "ragged_after_blank_lines",
+        "not_utf8",
+        "oversized_field",
     ],
 )
 def test_ci_malformed_inputs_exit_2(capsys, tmp_path, mutation):
@@ -273,12 +366,35 @@ def test_ci_malformed_inputs_exit_2(capsys, tmp_path, mutation):
         path.write_text("x,y\n1,2\nfoo,4\n")
     elif mutation == "ragged_after_blank_lines":
         path.write_text("x,y\n\n1,2\n\n3,4,5\n")
+    elif mutation == "not_utf8":
+        path.write_bytes(_NOT_UTF8)
+    elif mutation == "oversized_field":
+        path.write_bytes(_OVERSIZED)
     code, out, err = _run(capsys, ["ci", "--input", str(path)])
     assert code == 2
     assert out == "" and err.startswith("error:")
     if mutation == "ragged_after_blank_lines":
         # Blank lines are skipped but still counted: the bad row is line 5.
         assert f"{path}:5: expected 2 fields" in err
+    elif mutation == "not_utf8":
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+    elif mutation == "oversized_field":
+        assert err == f"error: {path}:2: field larger than field limit (131072)\n"
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (_NOT_UTF8, "cannot read {path}: 'utf-8' codec can't decode"),
+        (_OVERSIZED, "{path}:2: field larger than field limit"),
+    ],
+)
+def test_regress_unreadable_input_exits_2(capsys, tmp_path, content, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content)
+    code, out, err = _run(capsys, ["regress", "--input", str(path), "--model", "deflated"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message.format(path=path))
 
 
 def test_ci_bad_level_and_bad_method_exit_2(capsys, worked_csv):
