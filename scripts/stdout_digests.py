@@ -16,9 +16,10 @@ samples and under a small `simulate`. The generated inputs come from perfbench/w
 
 Four more reach the rare branches of the band inversion: `simulate`
 and `errorbars` at cv_x = 3, where Fieller's and Hwang's sets are often
-unbounded and some Hwang bands leave a half-line, and `ellipse` on a
-pure-noise sample (no tangent slope: the origin is inside the ellipse) and
-on a zero-mean-x sample (the ellipse straddles the y-axis).
+unbounded and some Hwang sets are a half-line or a half-line beside a
+bounded interval, and `ellipse` on a pure-noise sample (no tangent slope:
+the origin is inside the ellipse) and on a zero-mean-x sample (the ellipse
+straddles the y-axis).
 
 The last two mix failing and working rows: `simulate` at n = 4 with Hwang
 and BCa, where each cell is one block in which Hwang keeps too few
@@ -42,11 +43,16 @@ bootstrap method alone (`--methods hwang_bootstrap`, `bootstrap_percentile`
 and `bootstrap_bca`, each `--replications 1000 --seed 3`), so each method's
 path is pinned apart from the others.
 
-The very last four run `ci --format csv` on the worked example written four
+The next four run `ci --format csv` on the worked example written four
 other ways: with quoted fields, with a whitespace-only row, with `6.3_4`
 and Arabic-Indic spellings, and with the columns in the order y,x. The
 first three are read by the csv module's path, the last by NumPy's reader;
 all four should print the bytes of criterion 8's `ci --format csv` line.
+
+The last two run `ci --methods hwang_bootstrap --seed 1` on 20 pairs
+drawn as in the simulation cell (cv_x, cv_y, n) = (3.0, 0.1, 20), from
+default_rng(9) and default_rng(39): the first set is a half-line [a, inf),
+the second (-inf, b] joined with a bounded [c, d].
 """
 
 from __future__ import annotations
@@ -116,6 +122,9 @@ def inputs(tmp: Path) -> dict[str, Path]:
     }.items():
         files[name] = tmp / name
         files[name].write_text(text, encoding="utf-8")
+    for name, seed in (("cell-half-line.csv", 9), ("cell-union.csv", 39)):
+        z = np.random.default_rng(seed).standard_normal((2, 20))
+        files[name] = _write_csv(tmp / name, "x,y", zip(1.0 + 3.0 * z[0], 1.0 + 0.1 * z[1]))
     write_pairs(tmp / "pairs200.csv", *generate_pairs(3, 200))
     files["pairs200.csv"] = tmp / "pairs200.csv"
     for name in ("ci-large", "ci-boot"):
@@ -197,6 +206,9 @@ def argvs(files: dict[str, Path]) -> list[list[str]]:
     for name in ("worked-quoted.csv", "worked-blank-row.csv", "worked-spelled.csv",
                  "worked-yx.csv"):  # the worked example, spelled four other ways
         out.append(["ci", "--input", str(files[name]), "--format", "csv"])
+    for name in ("cell-half-line.csv", "cell-union.csv"):  # Hwang's other unbounded shapes
+        out.append(["ci", "--input", str(files[name]), "--methods", "hwang_bootstrap",
+                    "--seed", "1"])
     return out
 
 

@@ -7,7 +7,8 @@ from zero. The bootstrap-on-T0 variant instead resamples the pivot
 T0* = mean(d*) / se(d*), the one-sample t of the resampled differences
 d = y - rho_hat x, reads off its empirical band (t_lo, t_hi), and inverts
 t_lo <= T0(rho) <= t_hi with the same machinery as the exact method, so it
-keeps all three set shapes.
+returns the same union of closed intervals, or from an asymmetric band
+also a half-line, alone or with a bounded interval.
 
 Every bootstrap distribution is read by one collect-and-read step: _collect
 keeps the finite values, sorted, or fails the distribution, and _limits
@@ -63,7 +64,7 @@ from .errors import (
     TooFewReplicates,
     ZeroDenominator,
 )
-from .methods import Method, MethodResult, _BOUNDED, _band_rows, _RowResults
+from .methods import Method, MethodResult, _band_rows, _bounded_rows, _RowResults
 
 __all__ = [
     "BootstrapMethod",
@@ -394,19 +395,18 @@ def _bootstrap_rows(
 
     results = []
     for m in methods:
-        lower, upper = limits[m]
-        case, diagnostics = np.full(rows, _BOUNDED, dtype=np.int8), None
-        if m is Method.HWANG_BOOTSTRAP:
-            lower, upper, case, band_errors = _band_rows(summaries, lower, upper)
-            errors[m] = band_errors | errors[m]
-            band, drops = limits[m], dropped[m]
+        extra = (fallback[m], dropped[m])
+        if m is not Method.HWANG_BOOTSTRAP:
+            results.append(_bounded_rows(estimate, *limits[m], errors[m], None, *extra))
+            continue
+        lower, upper, failed = _band_rows(summaries, *limits[m])
+        band, drops = limits[m], dropped[m]
 
-            def diagnostics(i: int) -> HwangDiagnostics:
-                t_lo, t_hi = band[:, i]
-                return HwangDiagnostics(float(t_lo), float(t_hi), int(drops[i]), *adjustment[i])
+        def diagnostics(i: int) -> HwangDiagnostics:
+            t_lo, t_hi = band[:, i]
+            return HwangDiagnostics(float(t_lo), float(t_hi), int(drops[i]), *adjustment[i])
 
-        fields = (estimate, lower, upper, case, errors[m], diagnostics, fallback[m], dropped[m])
-        results.append(_RowResults(*fields))
+        results.append(_RowResults(estimate, lower, upper, failed | errors[m], diagnostics, *extra))
     return tuple(results)
 
 

@@ -183,17 +183,20 @@ def _result_record(result: MethodResult) -> dict:
         "upper": cset.upper,
         "excluded_lower": cset.excluded_lower,
         "excluded_upper": cset.excluded_upper,
+        "intervals": cset.intervals,
         "diagnostics": result.diagnostics,
     }
 
 
 def _ci_csv_rows(results: Sequence[MethodResult]) -> list[list[str]]:
     """The JSON records' fields but the diagnostics; an infinite or absent
-    bound is an empty cell."""
+    bound is an empty cell, and the intervals are lo:hi pairs joined by ;"""
 
-    def cell(value: str | float | None) -> str:
+    def cell(value: str | float | tuple | None) -> str:
         if isinstance(value, str):
             return value
+        if isinstance(value, tuple):
+            return ";".join(f"{_fmt(lo)}:{_fmt(hi)}" for lo, hi in value)
         return "" if value is None or not math.isfinite(value) else _fmt(value)
 
     records = [_result_record(r) for r in results]
@@ -246,8 +249,8 @@ def _numeric_column(table: dict, name: str, path: str) -> np.ndarray:
 def _plain_columns(path: str) -> tuple[np.ndarray, np.ndarray] | None:
     """The x and y columns by NumPy's C reader, or None if it does not apply.
 
-    It applies when the input is a regular file whose first line is the
-    header x,y (either order) and whose other lines are two plain numbers.
+    It applies to a regular file whose first line is a csv row x,y (either
+    order, names quoted or not) and whose other lines are two plain numbers.
     The csv path stays the rule: NumPy's reader rejects every spelling that
     path reads differently (quotes, empty fields, whitespace-only rows,
     underscores, non-ASCII digits) and gives the same doubles where it
@@ -258,13 +261,13 @@ def _plain_columns(path: str) -> tuple[np.ndarray, np.ndarray] | None:
         return None
     try:
         with open(path, encoding="utf-8") as f:
-            header = [name.strip() for name in f.readline().split(",")]
+            header = [name.strip() for name in next(csv.reader([f.readline()], strict=True))]
             if sorted(header) != ["x", "y"]:
                 return None
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 data = np.loadtxt(f, delimiter=",", comments=None, ndmin=2, dtype=float)
-    except (OSError, ValueError, Warning):
+    except (OSError, ValueError, Warning, csv.Error):
         return None
     if data.shape[0] < 2 or data.shape[1] != 2:
         return None

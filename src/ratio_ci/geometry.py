@@ -38,8 +38,8 @@ class EllipseConstruction:
     projections onto the axes are the marginal confidence intervals.
     touches_y_axis is true exactly when 0 lies inside the x projection,
     i.e. when the denominator mean is not significantly nonzero; zero
-    tangent slopes means the origin lies inside the ellipse (whole-line
-    case), one means the second tangent is vertical.
+    tangent slopes means the origin lies inside the ellipse (whole line),
+    one that the other tangent is vertical and Fieller's set a half-line.
     """
 
     center: tuple[float, float]

@@ -15,7 +15,8 @@ interval or is the whole real line.
 The same inversion, run with an asymmetric band t_lo <= T0(rho) <= t_hi,
 serves the bootstrap-calibrated variant, so both share one code path here:
 _band_rows, one kernel over the rows of a batch with a band per row.
-invert_t0_band is that kernel on a batch of one.
+invert_t0_band is that kernel on a batch of one. Each set is a union of
+closed intervals, so the half-lines some asymmetric bands give are sets too.
 """
 
 from __future__ import annotations
@@ -74,44 +75,50 @@ class SetCase(str, Enum):
 
 @dataclass(frozen=True)
 class ConfidenceSet:
-    """A bounded interval, the complement of an open interval, or all of R."""
+    """A union of closed intervals: a sorted tuple of disjoint (lo, hi)
+    pairs, of which only the first lo and the last hi may be infinite.
+    lower and upper are the infimum and the supremum, and case is BOUNDED
+    when both are finite, WHOLE_LINE for ((-inf, inf),) and
+    UNBOUNDED_EXCLUSIVE for the line minus an interval, a half-line, or a
+    half-line and an interval."""
 
-    case: SetCase
-    lower: float | None = None
-    upper: float | None = None
-    excluded_lower: float | None = None
-    excluded_upper: float | None = None
+    intervals: tuple[tuple[float, float], ...]
 
-    @classmethod
-    def bounded(cls, lower: float, upper: float) -> "ConfidenceSet":
-        if not (math.isfinite(lower) and math.isfinite(upper)):
-            raise NonFiniteResult("bounded interval limits must be finite")
-        if lower > upper:
-            raise NonFiniteResult("bounded interval limits out of order")
-        return cls(SetCase.BOUNDED, lower=lower, upper=upper)
+    def __post_init__(self):
+        ends = [end for interval in self.intervals for end in interval]
+        # Each lo <= its hi < the next lo, nan nowhere, inf only at the ends.
+        ordered = all(a < b if k % 2 else a <= b for k, (a, b) in enumerate(zip(ends, ends[1:])))
+        inner = all(map(math.isfinite, ends[1:-1]))
+        if not (ends and ordered and inner and ends[0] < math.inf and ends[-1] > -math.inf):
+            raise NonFiniteResult("a confidence set is ordered, disjoint closed intervals")
 
-    @classmethod
-    def unbounded_exclusive(cls, excluded_lower: float, excluded_upper: float) -> "ConfidenceSet":
-        if not (math.isfinite(excluded_lower) and math.isfinite(excluded_upper)):
-            raise NonFiniteResult("excluded interval limits must be finite")
-        if not excluded_lower < excluded_upper:
-            raise NonFiniteResult("excluded interval must be nonempty")
-        return cls(
-            SetCase.UNBOUNDED_EXCLUSIVE,
-            excluded_lower=excluded_lower,
-            excluded_upper=excluded_upper,
-        )
+    @property
+    def lower(self) -> float:
+        return self.intervals[0][0]
 
-    @classmethod
-    def whole_line(cls) -> "ConfidenceSet":
-        return cls(SetCase.WHOLE_LINE)
+    @property
+    def upper(self) -> float:
+        return self.intervals[-1][1]
+
+    @property
+    def case(self) -> SetCase:
+        if math.isfinite(self.lower) and math.isfinite(self.upper):
+            return SetCase.BOUNDED
+        if self.intervals == ((-math.inf, math.inf),):
+            return SetCase.WHOLE_LINE
+        return SetCase.UNBOUNDED_EXCLUSIVE
+
+    def _gap(self) -> tuple[float | None, float | None]:
+        """The ends of the complement when it is one open interval."""
+        ends = (-math.inf, *(end for interval in self.intervals for end in interval), math.inf)
+        gaps = [(a, b) for a, b in zip(ends[::2], ends[1::2]) if a != b]
+        return gaps[0] if len(gaps) == 1 else (None, None)
+
+    excluded_lower = property(lambda self: self._gap()[0])
+    excluded_upper = property(lambda self: self._gap()[1])
 
     def contains(self, value: float) -> bool:
-        if self.case is SetCase.WHOLE_LINE:
-            return True
-        if self.case is SetCase.BOUNDED:
-            return self.lower <= value <= self.upper
-        return not (self.excluded_lower < value < self.excluded_upper)
+        return any(lo <= value <= hi for lo, hi in self.intervals)
 
 
 class Method(str, Enum):
@@ -128,9 +135,9 @@ class Method(str, Enum):
 @dataclass(frozen=True)
 class FiellerDiagnostics:
     """Denominator significance and the threshold separating the two
-    unbounded regimes. denom_t_squared > quantile^2 iff the set is bounded;
-    otherwise t_unbounded_squared > quantile^2 iff a finite interval is
-    excluded rather than the set being the whole line."""
+    unbounded regimes. denom_t_squared > quantile^2 iff the set is bounded
+    (at equality it is a half-line); otherwise t_unbounded_squared >
+    quantile^2 iff a finite interval is excluded rather than the whole line."""
 
     denom_t_squared: float
     t_unbounded_squared: float
@@ -179,10 +186,10 @@ def tangency_slopes(stats: SummaryStats, quantile: float) -> tuple[float, ...]:
 
 def invert_t0_band(stats: SummaryStats, t_lo: float, t_hi: float) -> ConfidenceSet:
     """The set {rho : t_lo <= T0(rho) <= t_hi}; _band_rows on a batch of one."""
-    lower, upper, case, errors = _band_rows(_RowSummaries.of(stats), t_lo, t_hi)
+    lower, upper, errors = _band_rows(_RowSummaries.of(stats), t_lo, t_hi)
     if errors:
         raise errors[0]
-    return _confidence_set(case[0], lower[0], upper[0])
+    return _row_set(lower[0], upper[0])
 
 
 # ------------------------------------------------------------------ kernels
@@ -197,51 +204,33 @@ def invert_t0_band(stats: SummaryStats, t_lo: float, t_hi: float) -> ConfidenceS
 # above are _band_rows, its root step _band_roots and the pivot _t0 on a
 # batch of one.
 
-# Case codes of _RowResults.case.
-_CASES = (SetCase.BOUNDED, SetCase.UNBOUNDED_EXCLUSIVE, SetCase.WHOLE_LINE)
-_BOUNDED, _EXCLUSIVE, _WHOLE = range(len(_CASES))
-
-
 @dataclass(frozen=True, eq=False)
 class _RowResults:
     """Per-row estimate and confidence set of one kernel call.
 
-    lower/upper hold the limits of a bounded set or the excluded interval of
-    an unbounded one (nan for the whole line), and case indexes _CASES.
-    A row whose precondition fails, or whose bounded limits are not finite
-    and in order, has its error in `errors` and nothing meaningful in the
-    arrays. diagnostics(i), where the method has any, is
-    the diagnostics record of row i. The bootstrap kernel also keeps, per
-    row, the reason its BCa step fell back to percentiles (None if it did
-    not) and the non-finite replicates dropped; fallbacks and
+    Row i's set is the intervals (lower[i, j], upper[i, j]) of the (rows, J)
+    arrays, ascending and nan-padded. A row whose precondition fails, or
+    whose limits are not finite and in order, has its error in `errors` and
+    nothing meaningful in the arrays. diagnostics(i), where the method has
+    any, is the diagnostics record of row i. The bootstrap kernel also
+    keeps, per row, the reason its BCa step fell back to percentiles (None
+    if it did not) and the non-finite replicates dropped; fallbacks and
     dropped_replicates total them over the rows with a result.
     """
 
     estimate: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    case: np.ndarray
     errors: dict[int, RatioCiError]
     diagnostics: Callable[[int], object] | None = None
     fallback: Sequence[str | None] = ()
     dropped: Sequence[int] = ()
 
-    def __post_init__(self):
-        # A bounded row that ConfidenceSet.bounded rejects fails with its
-        # error; a row that already failed keeps its first error.
-        bad = ~(np.isfinite(self.lower) & np.isfinite(self.upper)) | (self.lower > self.upper)
-        for i in np.flatnonzero(bad & (self.case == _BOUNDED)):
-            if int(i) not in self.errors:
-                try:
-                    ConfidenceSet.bounded(float(self.lower[i]), float(self.upper[i]))
-                except RatioCiError as exc:
-                    self.errors[int(i)] = exc
-
     @classmethod
     def failing(cls, rows: int, error: RatioCiError) -> "_RowResults":
         """rows rows that all fail with error."""
-        nan, case = np.full(rows, np.nan), np.full(rows, _BOUNDED, dtype=np.int8)
-        return cls(nan, nan, nan, case, dict.fromkeys(range(rows), error))
+        nan = np.full((rows, 1), np.nan)
+        return cls(nan[:, 0], nan, nan, dict.fromkeys(range(rows), error))
 
     @property
     def failed(self) -> np.ndarray:
@@ -260,35 +249,33 @@ class _RowResults:
     def contains(self, value: float) -> np.ndarray:
         """ConfidenceSet.contains(value) for every row; False where failed."""
         inside = (self.lower <= value) & (value <= self.upper)
-        excluded = (self.lower < value) & (value < self.upper)
-        whole = self.case == _WHOLE
-        return np.where(self.case == _BOUNDED, inside, whole | ~excluded) & ~self.failed
+        return inside.any(axis=1) & ~self.failed
 
     def result(self, method: Method, i: int = 0) -> MethodResult:
         """Row i as a MethodResult; raises the row's error if it has one."""
         if i in self.errors:
             raise self.errors[i]
-        cset = _confidence_set(self.case[i], self.lower[i], self.upper[i])
+        cset = _row_set(self.lower[i], self.upper[i])
         diagnostics = None if self.diagnostics is None else self.diagnostics(i)
         return MethodResult(method, float(self.estimate[i]), cset, diagnostics)
 
 
-def _confidence_set(case: int, lower: float, upper: float) -> ConfidenceSet:
-    """The ConfidenceSet of a _RowResults case code and its lower/upper
-    entries."""
-    if case == _BOUNDED:
-        return ConfidenceSet.bounded(float(lower), float(upper))
-    if case == _EXCLUSIVE:
-        return ConfidenceSet.unbounded_exclusive(float(lower), float(upper))
-    return ConfidenceSet.whole_line()
+def _row_set(lower: np.ndarray, upper: np.ndarray) -> ConfidenceSet:
+    """The ConfidenceSet of one row of nan-padded lower and upper limits."""
+    keep = ~np.isnan(lower)
+    return ConfidenceSet(tuple(zip(lower[keep].tolist(), upper[keep].tolist())))
 
 
 def _bounded_rows(
-    estimate: np.ndarray, lower: np.ndarray, upper: np.ndarray, errors: dict[int, RatioCiError]
+    estimate: np.ndarray, lower: np.ndarray, upper: np.ndarray, errors: dict, *extra
 ) -> _RowResults:
-    """Bounded sets, checked as _RowResults checks them."""
-    case = np.full(estimate.shape, _BOUNDED, dtype=np.int8)
-    return _RowResults(estimate, lower, upper, case, errors)
+    """One closed interval per row, and extra _RowResults fields; a row whose
+    limits are not finite and in order fails, unless it already failed."""
+    for i in np.flatnonzero(~(np.isfinite(lower) & np.isfinite(upper))):
+        errors.setdefault(int(i), NonFiniteResult("bounded interval limits must be finite"))
+    for i in np.flatnonzero(lower > upper):
+        errors.setdefault(int(i), NonFiniteResult("bounded interval limits out of order"))
+    return _RowResults(estimate, lower[:, None], upper[:, None], errors, *extra)
 
 
 def _t0(mx, my, vx, vy, cxy, rho):
@@ -336,42 +323,39 @@ _BAND_ERRORS = (
     (DomainError, "t_lo must not exceed t_hi"),
     (DegenerateVariance, "both means are certain and the denominator is zero"),
     (DegenerateVariance, "denominator mean and variance are both zero"),
+    (NonFiniteResult, "a limit of the set is not finite"),
     (NonFiniteResult, "the band excludes every ratio value"),
 )
 
 
 def _band_rows(
     m: _RowSummaries, t_lo, t_hi
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, RatioCiError]]:
+) -> tuple[np.ndarray, np.ndarray, dict[int, RatioCiError]]:
     """The set {rho : t_lo <= T0(rho) <= t_hi} of every row, as the lower,
-    upper, case and errors entries of _RowResults; t_lo and t_hi are
-    scalars or one value per row.
+    upper and errors entries of _RowResults; t_lo and t_hi are scalars or
+    one value per row.
 
     The cuts are the distinct roots of T0(rho) = t_lo and T0(rho) = t_hi,
     ascending: at most four, so at most five segments. A segment between
-    two cuts is a member if T0 at its midpoint lies in the band, and the
-    tails follow the limits T0(-inf) = mean_x/sd and T0(+inf) = -mean_x/sd
-    (with no cut, the probe is rho = 0). Spurious roots of the squared
-    equations only add harmless cuts. One run of member segments is a
-    bounded set, two runs reaching both infinities exclude the finite gap
-    between them, and every other shape (a half-line, say) is widened to
-    the whole line. With no member segment the set is the one cut where
+    two cuts is a member if T0 at its midpoint lies in the band (with no
+    cut, the probe is rho = 0). The tails follow the limits T0(-inf) =
+    mean_x/sd and T0(+inf) = -mean_x/sd, which T0 approaches from the side
+    of the sign of my*vx - mx*cxy. Spurious roots of the squared equations
+    only add harmless cuts. Each run of member segments with its end cuts
+    is one interval, so there are at most three; with none, each cut where
     T0 is within 1e-9 of the band (collinear pairs, or a band edge grazing
-    the pivot curve), the whole line if there are more, and empty if there
-    are none. vx == 0 makes T0 linear in rho and is solved in closed form.
-    Bounded limits that are not finite (an overflowed ratio) are rejected
-    where they become a _RowResults or a ConfidenceSet.
+    the pivot curve) is a point, and with no such cut the set is empty.
+    vx == 0 makes T0 linear in rho and is solved in closed form. A kept cut
+    or closed-form limit that is not finite (an overflow) fails the row.
 
     Every row is bit-equal to these steps in scalar floats on that row
     alone, with the cuts deduplicated as a set that keeps a t_hi root over
-    an equal t_lo root, wherever no cut is nan (an overflowed quadratic,
-    whose place no sort defines).
+    an equal t_lo root.
     """
     rows = m.mean_x.shape[0]
     mx, my = m.mean_x, m.mean_y
     vx, vy, cxy = m.var_mean_x, m.var_mean_y, m.cov_mean_xy
     t_lo, t_hi = np.broadcast_to(t_lo, (rows,)), np.broadcast_to(t_hi, (rows,))
-    at = np.arange(rows)
     with np.errstate(all="ignore"):
         hi1, hi2, n_hi = _band_roots(m, t_hi)
         lo1, lo2, n_lo = _band_roots(m, t_lo)
@@ -380,7 +364,9 @@ def _band_rows(
             return ~(((n_hi > 0) & (root == hi1)) | ((n_hi > 1) & (root == hi2)))
 
         kept = np.stack([n_hi > 0, n_hi > 1, (n_lo > 0) & new(lo1), (n_lo > 1) & new(lo2)], 1)
-        cuts = np.sort(np.where(kept, np.stack([hi1, hi2, lo1, lo2], 1), np.inf), axis=1)
+        roots = np.stack([hi1, hi2, lo1, lo2], 1)
+        finite = np.isfinite(np.where(kept, roots, 0.0)).all(axis=1)
+        cuts = np.sort(np.where(kept, roots, np.inf), axis=1)
         k = kept.sum(axis=1)[:, None]  # k cuts, k + 1 segments
         edge = np.full((rows, 1), np.inf)
         bounds = np.concatenate([-edge, cuts, edge], axis=1)
@@ -393,33 +379,41 @@ def _band_rows(
             return q > 0.0, (t_lo[:, None] - tol <= t0) & (t0 <= t_hi[:, None] + tol)
 
         positive, inside = band(np.where(k == 0, 0.0, 0.5 * (start + end)), 0.0)
-        asymptote = mx / np.sqrt(vx)
-        left, right = (((t_lo <= v) & (v <= t_hi))[:, None] for v in (asymptote, -asymptote))
+        asymptote, drift = mx / np.sqrt(vx), my * vx - mx * cxy
+
+        def tail(limit):
+            """Whether the tail where T0 tends to limit is a member."""
+            above = (t_lo < limit) | (t_lo == limit) & (drift >= 0.0)
+            below = (limit < t_hi) | (limit == t_hi) & (drift <= 0.0)
+            return (above & below)[:, None]
+
+        left, right = tail(asymptote), tail(-asymptote)
         interior = (k == 0) | ((start != -np.inf) & (end != np.inf))
         flags = np.where(interior, positive & inside, np.where(start == -np.inf, left, right))
         flags &= np.arange(5) <= k
-        # +1 where a run of member segments starts, -1 past its end, at the
-        # index of that bound.
-        steps = np.diff(flags.astype(np.int8), prepend=0, append=0, axis=1)
-        runs = (steps == 1).sum(axis=1)
 
-        def bound(mask, last):
-            j = 5 - np.argmax(mask[:, ::-1], axis=1) if last else np.argmax(mask, axis=1)
-            return bounds[at, j]
-
-        lower, upper = bound(steps == 1, False), bound(steps == -1, True)
-        gap = bound(steps == -1, False), bound(steps == 1, True)
-
+        # Segments and cuts alternate in members: a cut belongs to the set
+        # where a member segment meets it or, with no member segment, where
+        # T0 touches the band there.
         tol = 1e-9 * (1.0 + np.maximum(np.abs(t_lo), np.abs(t_hi)))
         positive, inside = band(cuts, tol[:, None])
-        touch = (np.arange(4) < k) & (~positive | inside)
-        point = (runs == 0) & (touch.sum(axis=1) == 1)
-        lower = np.where(point, cuts[at, np.argmax(touch, axis=1)], lower)
-        upper = np.where(point, lower, upper)
-        single = ((runs == 1) | point) & (lower != -np.inf) & (upper != np.inf)
-        exclusive = (runs == 2) & (lower == -np.inf) & (upper == np.inf)
-        exclusive &= np.isfinite(gap[0]) & np.isfinite(gap[1])
-        lower, upper = np.where(exclusive, gap[0], lower), np.where(exclusive, gap[1], upper)
+        on_cut = np.where(flags.any(1)[:, None], flags[:, :-1] | flags[:, 1:], ~positive | inside)
+        members = np.zeros((rows, 9), dtype=bool)
+        members[:, ::2], members[:, 1::2] = flags, on_cut & (np.arange(4) < k)
+        # +1 where a run of members starts, -1 past its end: at step p,
+        # whose limit is bounds[(p + 1) // 2] either way.
+        steps = np.diff(members.astype(np.int8), prepend=0, append=0, axis=1)
+        limits = bounds[:, (np.arange(10) + 1) // 2]
+        width = max(1, int((steps == 1).sum(axis=1).max(initial=0)))
+
+        def gather(mask):
+            """The limits at the True steps of each row, in order, nan-padded."""
+            out = np.full((rows, width), np.nan)
+            r, p = np.nonzero(mask)
+            out[r, np.cumsum(mask, axis=1)[r, p] - 1] = limits[r, p]
+            return out
+
+        lower, upper = gather(steps == 1), gather(steps == -1)
 
         # vx == 0: T0 = (my - rho*mx)/sqrt(vy) is linear in rho, or constant if mx == 0.
         certain = vx == 0.0
@@ -428,25 +422,26 @@ def _band_rows(
         sd = np.sqrt(vy)
         a, b = (my - t_hi * sd) / mx, (my - t_lo * sd) / mx
         # min(a, b) and max(a, b) as Python picks them.
-        lower = np.where(both, my / mx, np.where(certain, np.where(b < a, b, a), lower))
-        upper = np.where(both, my / mx, np.where(certain, np.where(b > a, b, a), upper))
-        shapes = [flat, certain | single, exclusive]
-        case = np.select(shapes, [_WHOLE, _BOUNDED, _EXCLUSIVE], _WHOLE).astype(np.int8)
+        lo = np.where(both, my / mx, np.where(flat, -np.inf, np.where(b < a, b, a)))
+        hi = np.where(both, my / mx, np.where(flat, np.inf, np.where(b > a, b, a)))
+        finite = np.where(certain, flat | np.isfinite(lo) & np.isfinite(hi), finite)
+        lower[certain], upper[certain] = np.nan, np.nan
+        lower[certain, 0], upper[certain, 0] = lo[certain], hi[certain]
         code = np.select(
             [
                 ~(t_lo <= t_hi),
                 both & (mx == 0.0),
                 flat & ~((t_lo <= my / sd) & (my / sd <= t_hi)),
-                ~certain & (runs == 0) & ~touch.any(axis=1),
+                ~finite,
+                ~certain & ~members.any(axis=1),
             ],
-            [1, 2, 3, 4],
+            [1, 2, 3, 4, 5],
         )
-    lower[case == _WHOLE] = upper[case == _WHOLE] = np.nan
     errors: dict[int, RatioCiError] = {}
     for i in np.flatnonzero(code):
         error, message = _BAND_ERRORS[code[i]]
         errors[int(i)] = error(message)
-    return lower, upper, case, errors
+    return lower, upper, errors
 
 
 def _fieller_rows(m: _RowSummaries, quantile: float) -> _RowResults:
@@ -465,12 +460,13 @@ def _fieller_rows(m: _RowSummaries, quantile: float) -> _RowResults:
             denom_t2 + resid * resid / (vx * det),
             np.where(resid == 0.0, denom_t2, np.inf),
         )
-    lower, upper, case, errors = _band_rows(m, -quantile, quantile)
+    lower, upper, errors = _band_rows(m, -quantile, quantile)
 
     def diagnostics(i: int) -> FiellerDiagnostics:
-        return FiellerDiagnostics(float(denom_t2[i]), float(t_unb2[i]), _CASES[case[i]])
+        case = _row_set(lower[i], upper[i]).case
+        return FiellerDiagnostics(float(denom_t2[i]), float(t_unb2[i]), case)
 
-    return _RowResults(estimate, lower, upper, case, errors, diagnostics)
+    return _RowResults(estimate, lower, upper, errors, diagnostics)
 
 
 def _taylor_rows(m: _RowSummaries, quantile: float) -> _RowResults:

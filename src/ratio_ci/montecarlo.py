@@ -5,9 +5,9 @@ two measurements. Population means default to 1, so the true ratio is 1 and
 the CVs double as the standard deviations; every method under study is
 scale equivariant, so this loses no generality.
 
-Unbounded confidence sets count as covering when the true ratio is not in
-the excluded interval (the whole line always covers); they are also tallied
-separately so their frequency stays visible in the output.
+A confidence set covers when the true ratio lies in one of its closed
+intervals (the whole line always covers). Sets with an infinite end are
+also tallied separately, so their frequency stays visible in the output.
 
 Determinism: each run draws from default_rng([seed, run, attempt]), and each
 grid cell gets its seed from SeedSequence([master_seed, cell_index]), so
@@ -61,7 +61,6 @@ from .methods import (
     Method,
     MethodResult,
     SetCase,
-    _BOUNDED,
     _fieller_rows,
     _index_rows,
     _RowResults,
@@ -525,7 +524,8 @@ class _Tally:
         self.fallbacks.update(rows.fallbacks)
         self.dropped += rows.dropped_replicates
         self.covered += int(np.count_nonzero(rows.contains(rho)))
-        self.unbounded += int(np.count_nonzero(ok & (rows.case != _BOUNDED)))
+        infinite = np.isinf(rows.lower).any(axis=1) | np.isinf(rows.upper).any(axis=1)
+        self.unbounded += int(np.count_nonzero(ok & infinite))
         self.estimates += rows.estimate[ok & np.isfinite(rows.estimate)].tolist()
 
     def coverage(self, runs: int) -> MethodCoverage:

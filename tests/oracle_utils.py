@@ -205,6 +205,23 @@ def grid_scan_membership(
     return grid, member
 
 
+def member_runs(stats, t_lo: float, t_hi: float, grid: np.ndarray) -> list[tuple[float, float]]:
+    """Runs of consecutive grid points in the band, by grid_scan_membership's
+    rule, each end bisected to ~1e-13 against its outside neighbour; -inf or
+    inf stands for a run that reaches the first or the last grid point."""
+    vals = t0_values(stats, grid)
+    member = np.where(np.isnan(vals), True, (vals >= t_lo) & (vals <= t_hi))
+    edges = np.diff(member.astype(np.int8), prepend=0, append=0)
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
+
+    def limit(inside: int, outside: int) -> float:
+        if not 0 <= outside < grid.size:
+            return math.copysign(math.inf, outside)
+        return refine_boundary(stats, t_lo, t_hi, float(grid[outside]), float(grid[inside]))
+
+    return [(limit(s, s - 1), limit(e, e + 1)) for s, e in zip(starts, ends)]
+
+
 def band_member(stats, t_lo: float, t_hi: float, rho: float) -> bool:
     q = stats.var_mean_y - 2.0 * rho * stats.cov_mean_xy + rho * rho * stats.var_mean_x
     if not q > 0.0:
@@ -234,8 +251,7 @@ def set_membership(cset, rhos: np.ndarray) -> np.ndarray:
 
 def set_boundaries(cset) -> list[float]:
     """Finite boundary points of a confidence set (empty for whole-line)."""
-    vals = [cset.lower, cset.upper, cset.excluded_lower, cset.excluded_upper]
-    return [v for v in vals if v is not None and math.isfinite(v)]
+    return [v for interval in cset.intervals for v in interval if math.isfinite(v)]
 
 
 # --------------------------------------------------------------------------
@@ -329,4 +345,4 @@ def bca_ci(sample, statistic, config, level: float):
         for i in range(n)
     ]
     lo, hi, *_ = _limits(values, level, statistic(sample), np.array(jack))
-    return ConfidenceSet.bounded(float(lo), float(hi))
+    return ConfidenceSet(((float(lo), float(hi)),))

@@ -126,9 +126,10 @@ def invert_t0_band(stats: SummaryStats, t_lo: float, t_hi: float) -> ConfidenceS
     Boundary candidates come from the two quadratics T0(rho) = t_lo and
     T0(rho) = t_hi; membership of every segment between candidates is then
     settled by evaluating T0 at an interior probe, and the tails follow the
-    limits T0(-inf) = mean_x/sd and T0(+inf) = -mean_x/sd. Spurious roots of
-    the squared equations only add harmless extra cut points, so no separate
-    sign filtering is required.
+    limits T0(-inf) = mean_x/sd and T0(+inf) = -mean_x/sd, approached from
+    the side of the sign of my*vx - mx*cxy. Spurious roots of the squared
+    equations only add harmless extra cut points, so no separate sign
+    filtering is required. Each run of member segments is one interval.
     """
     if not t_lo <= t_hi:
         raise DomainError("t_lo must not exceed t_hi")
@@ -139,27 +140,32 @@ def invert_t0_band(stats: SummaryStats, t_lo: float, t_hi: float) -> ConfidenceS
         if mx == 0.0:
             raise DegenerateVariance("both means are certain and the denominator is zero")
         r = my / mx
-        return ConfidenceSet.bounded(r, r)
+        return _closed_form_set(r, r)
 
     if vx == 0.0:
         # cxy is forced to zero; T0 is linear in rho.
         if mx == 0.0:
             if t_lo <= my / math.sqrt(vy) <= t_hi:
-                return ConfidenceSet.whole_line()
+                return ConfidenceSet(((-math.inf, math.inf),))
             raise DegenerateVariance("denominator mean and variance are both zero")
         sd = math.sqrt(vy)
         a = (my - t_hi * sd) / mx
         b = (my - t_lo * sd) / mx
-        return ConfidenceSet.bounded(min(a, b), max(a, b))
+        return _closed_form_set(min(a, b), max(a, b))
 
-    cuts = sorted(
-        set(_real_roots(*_band_coefficients(stats, t_hi)))
-        | set(_real_roots(*_band_coefficients(stats, t_lo)))
-    )
+    hi_roots = _real_roots(*_band_coefficients(stats, t_hi))
+    lo_roots = _real_roots(*_band_coefficients(stats, t_lo))
+    if not all(map(math.isfinite, hi_roots + lo_roots)):
+        raise NonFiniteResult("a limit of the set is not finite")
+    cuts = sorted(set(hi_roots) | set(lo_roots))
 
     asymptote = mx / math.sqrt(vx)  # T0 -> +asymptote as rho -> -inf
-    left_tail = t_lo <= asymptote <= t_hi
-    right_tail = t_lo <= -asymptote <= t_hi
+    drift = my * vx - mx * cxy  # the sign of T0 minus its limit in both tails
+
+    def tail(limit: float) -> bool:
+        above = t_lo < limit or (t_lo == limit and drift >= 0.0)
+        below = limit < t_hi or (limit == t_hi and drift <= 0.0)
+        return above and below
 
     def member(rho: float) -> bool:
         q = vy - 2.0 * rho * cxy + rho * rho * vx
@@ -169,16 +175,16 @@ def invert_t0_band(stats: SummaryStats, t_lo: float, t_hi: float) -> ConfidenceS
 
     if not cuts:
         if member(0.0):
-            return ConfidenceSet.whole_line()
+            return ConfidenceSet(((-math.inf, math.inf),))
         raise NonFiniteResult("the band excludes every ratio value")
 
     bounds = [-math.inf, *cuts, math.inf]
     flags: list[bool] = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if lo == -math.inf:
-            flags.append(left_tail)
+            flags.append(tail(asymptote))
         elif hi == math.inf:
-            flags.append(right_tail)
+            flags.append(tail(-asymptote))
         else:
             flags.append(member(0.5 * (lo + hi)))
 
@@ -194,11 +200,11 @@ def invert_t0_band(stats: SummaryStats, t_lo: float, t_hi: float) -> ConfidenceS
         i += 1
 
     if not intervals:
-        # No segment has interior, but the set may still be a single touch
-        # point: perfectly collinear pairs (where the pivot variance hits
-        # zero) or a band edge grazing the pivot curve. Asymmetric bands
-        # also produce spurious cuts where T0 equals the *other* edge's
-        # magnitude; the membership check rejects those.
+        # No segment has interior, but the set may still be touch points:
+        # perfectly collinear pairs (where the pivot variance hits zero) or
+        # a band edge grazing the pivot curve. Asymmetric bands also produce
+        # spurious cuts where T0 equals the *other* edge's magnitude; the
+        # membership check rejects those.
         tol = 1e-9 * (1.0 + max(abs(t_lo), abs(t_hi)))
 
         def boundary_member(rho: float) -> bool:
@@ -207,36 +213,27 @@ def invert_t0_band(stats: SummaryStats, t_lo: float, t_hi: float) -> ConfidenceS
                 return True
             return t_lo - tol <= (my - rho * mx) / math.sqrt(q) <= t_hi + tol
 
-        intervals = [
-            (cut, cut)
-            for k, cut in enumerate(cuts)
-            if not flags[k] and not flags[k + 1] and boundary_member(cut)
-        ]
-    intervals.sort()
+        intervals = [(cut, cut) for cut in cuts if boundary_member(cut)]
 
     if not intervals:
         raise NonFiniteResult("the band excludes every ratio value")
-    if len(intervals) == 1:
-        lo, hi = intervals[0]
-        if lo == -math.inf and hi == math.inf:
-            return ConfidenceSet.whole_line()
-        if lo == -math.inf or hi == math.inf:
-            # Half lines cannot be represented; take the conservative superset.
-            return ConfidenceSet.whole_line()
-        return ConfidenceSet.bounded(lo, hi)
-    if (
-        len(intervals) == 2
-        and intervals[0][0] == -math.inf
-        and intervals[1][1] == math.inf
-        and math.isfinite(intervals[0][1])
-        and math.isfinite(intervals[1][0])
-    ):
-        if intervals[0][1] == intervals[1][0]:
-            return ConfidenceSet.whole_line()
-        return ConfidenceSet.unbounded_exclusive(intervals[0][1], intervals[1][0])
-    # Mixed shapes only arise for asymmetric bands that straddle exactly one
-    # asymptote; again return the conservative superset.
-    return ConfidenceSet.whole_line()
+    return ConfidenceSet(tuple(intervals))
+
+
+def _closed_form_set(lower: float, upper: float) -> ConfidenceSet:
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise NonFiniteResult("a limit of the set is not finite")
+    return ConfidenceSet(((lower, upper),))
+
+
+def _bounded(lower: float, upper: float) -> ConfidenceSet:
+    """One closed interval, checked as the kernels check closed-form and
+    bootstrap limits."""
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise NonFiniteResult("bounded interval limits must be finite")
+    if lower > upper:
+        raise NonFiniteResult("bounded interval limits out of order")
+    return ConfidenceSet(((lower, upper),))
 
 
 # ---------------------------------------------- the per-sample methods
@@ -298,7 +295,7 @@ def taylor_limits(stats: SummaryStats, spec: ConfidenceSpec) -> MethodResult:
         - 2.0 * stats.cov_mean_xy / (stats.mean_x * stats.mean_y)
     )
     half = spec.quantile * abs(rho) * math.sqrt(max(arg, 0.0))
-    cset = ConfidenceSet.bounded(rho - half, rho + half)
+    cset = _bounded(rho - half, rho + half)
     return MethodResult(Method.TAYLOR, rho, cset)
 
 
@@ -318,7 +315,7 @@ def index_limits(sample: PairedSample, spec: ConfidenceSpec) -> MethodResult:
     dev = r - rbar
     se = math.sqrt(float(dev @ dev) / (n - 1) / n)
     half = spec.quantile_for_df(n - 1) * se
-    cset = ConfidenceSet.bounded(rbar - half, rbar + half)
+    cset = _bounded(rbar - half, rbar + half)
     return MethodResult(Method.INDEX, rbar, cset)
 
 
@@ -340,7 +337,7 @@ def trimmed_index_limits(
     s_w = math.sqrt(float(dev @ dev) / (n - 1))
     se = s_w / ((1.0 - 2.0 * g / n) * math.sqrt(n))
     half = spec.quantile_for_df(kept - 1) * se
-    cset = ConfidenceSet.bounded(tmean - half, tmean + half)
+    cset = _bounded(tmean - half, tmean + half)
     return MethodResult(Method.TRIMMED_INDEX, tmean, cset)
 
 
@@ -350,7 +347,7 @@ def zero_variance_limits(sample: PairedSample, spec: ConfidenceSpec) -> MethodRe
         raise ZeroDenominator("mean of x is exactly zero")
     rho = stats.mean_y / stats.mean_x
     half = spec.quantile * stats.sd_mean_y / abs(stats.mean_x)
-    cset = ConfidenceSet.bounded(rho - half, rho + half)
+    cset = _bounded(rho - half, rho + half)
     return MethodResult(Method.ZERO_VARIANCE, rho, cset)
 
 
@@ -428,7 +425,7 @@ def percentile_ci(values, level):
     if values.size < 100:
         raise TooFewReplicates(f"{values.size} retained replications, need 100")
     lo, hi = np.quantile(values, _percentile_levels(level))
-    return ConfidenceSet.bounded(float(lo), float(hi))
+    return _bounded(float(lo), float(hi))
 
 
 def _bca_from_distribution(values, theta_hat, jackknife, level):
@@ -439,7 +436,7 @@ def _bca_from_distribution(values, theta_hat, jackknife, level):
         raise TooFewReplicates(f"{values.size} retained replications, need 100")
     lo_p, hi_p, _, _, fallback = _bca_adjustment(values, theta_hat, jackknife, level)
     lo, hi = np.quantile(values, [lo_p, hi_p])
-    return ConfidenceSet.bounded(float(lo), float(hi)), fallback
+    return _bounded(float(lo), float(hi)), fallback
 
 
 # ------------------------------------------------ the separate bootstraps

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import mpmath
@@ -18,6 +19,7 @@ from ratio_ci import (
     Method,
     PairedSample,
     SetCase,
+    SimCell,
     TooFewObservations,
     TooFewReplicates,
     ZeroDenominator,
@@ -31,7 +33,9 @@ from ratio_ci import (
     summarize,
     t0_statistic,
 )
+import ratio_ci.montecarlo as mc
 from ratio_ci import bootstrap
+from ratio_ci.core import _summarize_rows
 from ratio_ci.bootstrap import (
     _collect,
     _jackknife_t0,
@@ -40,7 +44,7 @@ from ratio_ci.bootstrap import (
     _resample,
 )
 
-from oracle_utils import bca_ci, bca_oracle, quantile_linear_oracle, resample_pairs
+from oracle_utils import bca_ci, bca_oracle, member_runs, quantile_linear_oracle, resample_pairs
 
 
 def _sample(seed=3, n=30, cv_x=0.2):
@@ -488,6 +492,38 @@ def test_ratio_bootstrap_is_always_bounded_even_when_exact_set_is_not():
         assert result.confidence_set.case is SetCase.BOUNDED
     hw = hwang_set(sample, config, spec)
     assert hw.confidence_set.case is not SetCase.BOUNDED
+
+
+def test_hwang_sets_beyond_the_three_shapes_are_the_probe_runs():
+    # Hwang BCa on the 300 runs of `simulate --cv-x 3.0 --cv-y 0.1 --n 20
+    # --runs 300 --methods fieller,hwang_bootstrap --seed 1`: 12 sets are
+    # neither bounded, nor the line minus an interval, nor the whole line.
+    # Each is the runs of the band's members on a grid of rho well past its
+    # finite limits, with each limit bisected between grid points.
+    cell, runs = SimCell(3.0, 0.1, 20), 300
+    spec = ConfidenceSpec.two_sided(0.95, df=cell.n - 1)
+    config = BootstrapConfig(method=BootstrapMethod.BCA)
+    shapes = Counter()
+    for _, batch, _ in mc._blocks(cell, mc._cell_seed(1, 0), runs, spec, boot_config=config):
+        ((_, rows),) = mc._kernel_rows(batch, (Method.HWANG_BOOTSTRAP,))
+        summaries = _summarize_rows(batch.xs, batch.ys)
+        for i in np.flatnonzero(~rows.failed):
+            result = rows.result(Method.HWANG_BOOTSTRAP, i)
+            intervals = result.confidence_set.intervals
+            shape = tuple((math.isinf(lo), math.isinf(hi)) for lo, hi in intervals)
+            if shape in (((False, False),), ((True, False), (False, True)), ((True, True),)):
+                continue
+            shapes[shape] += 1
+            finite = [v for interval in intervals for v in interval if math.isfinite(v)]
+            reach = 10.0 * (1.0 + max(finite) - min(finite))
+            grid = np.linspace(min(finite) - reach, max(finite) + reach, 200_001)
+            band = result.diagnostics.t_lower, result.diagnostics.t_upper
+            probe = member_runs(summaries.row(int(i)), *band, grid)
+            assert len(probe) == len(intervals)
+            for run, interval in zip(probe, intervals):
+                for got, want in zip(run, interval):
+                    assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+    assert shapes == {((False, True),): 8, ((True, False), (False, False)): 4}
 
 
 def test_quantile_rule_matches_hand_rolled_interpolation():

@@ -2,6 +2,7 @@ import csv
 import importlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -87,6 +88,7 @@ def test_ci_csv_layout(capsys, worked_csv):
         "upper",
         "excluded_lower",
         "excluded_upper",
+        "intervals",
     ]
     assert len(rows) == 6
     fieller = rows[1]
@@ -94,6 +96,7 @@ def test_ci_csv_layout(capsys, worked_csv):
     # Cells hold repr() of the float: parsing them back is lossless.
     assert float(fieller[3]) < 0.0 < float(fieller[4])
     assert fieller[5] == "" and fieller[6] == ""
+    assert fieller[7] == f"{fieller[3]}:{fieller[4]}"
 
 
 @pytest.mark.filterwarnings("ignore:fewer than 1000 replications")
@@ -232,6 +235,13 @@ def test_ci_csv_leaves_unbounded_cells_empty(capsys, tmp_path):
                     assert cell == ""
                 elif isinstance(value, str):
                     assert cell == value
+                elif name == "intervals":
+                    # JSON null is an infinite end; the cell spells it out.
+                    pairs = [pair.split(":") for pair in cell.split(";")]
+                    assert [len(pair) for pair in pairs] == [2] * len(value)
+                    for pair, interval in zip(pairs, value):
+                        for end, want, infinite in zip(map(float, pair), interval, (-1, 1)):
+                            assert end == (infinite * math.inf if want is None else want)
                 else:
                     assert float(cell) == value
 
@@ -281,7 +291,7 @@ _row = st.one_of(
 
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], max_examples=300)
 @given(
-    header=st.sampled_from(["x,y", " x , y ", "y,x", '"x",y', "x,y,z"]),
+    header=st.sampled_from(["x,y", " x , y ", "y,x", '"x",y', '"x","y"', '"y","x"', "x,y,z"]),
     rows=st.lists(_row, min_size=2, max_size=6),
     ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=7, max_size=7),
 )
@@ -300,19 +310,34 @@ def test_numpy_reader_returns_the_csv_paths_bytes_or_nothing(tmp_path, header, r
         assert all(c.dtype == np.float64 and c.flags.c_contiguous for c in fast)
 
 
-def test_benchmark_pairs_file_takes_the_numpy_reader(monkeypatch, tmp_path):
-    # Guards the speed-up: a file as perfbench writes it never reaches csv.
+def _load_benchmark_pairs(monkeypatch, tmp_path, header=None):
+    """Load a perfbench pairs file, its header replaced by header if given,
+    with the csv path patched to fail; the library's and the file's pairs."""
     monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "perfbench")
     workloads = importlib.import_module("workloads")
     xs, ys = workloads.generate_pairs(1, 1000)
     path = tmp_path / "pairs.csv"
     workloads.write_pairs(path, xs, ys)
+    if header is not None:
+        text = path.read_text()
+        path.write_text(header + text[text.index("\n"):])
 
     def no_csv(path):
         raise AssertionError("the csv path was taken")
 
     monkeypatch.setattr(cli, "_parse_table", no_csv)
-    sample = cli._load_pairs(str(path))
+    return cli._load_pairs(str(path)), xs, ys
+
+
+def test_benchmark_pairs_file_takes_the_numpy_reader(monkeypatch, tmp_path):
+    # Guards the speed-up: a file as perfbench writes it never reaches csv.
+    sample, xs, ys = _load_benchmark_pairs(monkeypatch, tmp_path)
+    assert sample.xs.tobytes() == xs.tobytes() and sample.ys.tobytes() == ys.tobytes()
+
+
+def test_quoted_header_pairs_file_takes_the_numpy_reader(monkeypatch, tmp_path):
+    # The same file with its header quoted, as R's write.csv writes it.
+    sample, xs, ys = _load_benchmark_pairs(monkeypatch, tmp_path, '"x","y"')
     assert sample.xs.tobytes() == xs.tobytes() and sample.ys.tobytes() == ys.tobytes()
 
 

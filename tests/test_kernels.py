@@ -43,15 +43,13 @@ from ratio_ci import (
 from ratio_ci.core import _summarize_rows
 from ratio_ci.methods import (
     _band_rows,
-    _confidence_set,
     _fieller_rows,
     _index_rows,
     _taylor_rows,
     _trimmed_index_rows,
+    _row_set,
     _zero_variance_rows,
 )
-
-SET_FIELDS = ("lower", "upper", "excluded_lower", "excluded_upper")
 
 
 def _same(a, b) -> bool:
@@ -88,8 +86,9 @@ def _assert_same_set(got, expected):
         return
     assert not isinstance(got, RatioCiError), got
     assert got.case is expected.case
-    for name in SET_FIELDS:
-        assert _same(getattr(got, name), getattr(expected, name))
+    assert len(got.intervals) == len(expected.intervals)
+    for a, b in zip(got.intervals, expected.intervals):
+        assert _same(a[0], b[0]) and _same(a[1], b[1])
 
 
 def _assert_same_diagnostics(got, expected):
@@ -188,7 +187,7 @@ def test_kernels_match_scalar_reference_bit_for_bit(batch):
                 continue
             cset = expected.confidence_set
             probes = [1.0, expected.estimate] + [
-                v for v in (getattr(cset, name) for name in SET_FIELDS) if v is not None
+                v for interval in cset.intervals for v in interval if math.isfinite(v)
             ]
             for value in probes:
                 assert rows.contains(value)[i] == cset.contains(value)
@@ -217,7 +216,7 @@ def _band(data, stats):
     kind = data.draw(st.sampled_from(BAND_KINDS))
     t, width = data.draw(st.floats(-10.0, 10.0)), data.draw(st.floats(0.0, 10.0))
     sign = data.draw(st.sampled_from((-1.0, 1.0)))
-    diagnostics = ref.fieller_diagnostics(stats, ConfidenceSet.whole_line())
+    diagnostics = ref.fieller_diagnostics(stats, ConfidenceSet(((-math.inf, math.inf),)))
     t_max = math.sqrt(diagnostics.t_unbounded_squared)
     if kind == "symmetric":
         return -abs(t), abs(t)
@@ -249,10 +248,10 @@ def test_band_kernel_matches_the_scalar_inversion_bit_for_bit(batch, data):
     stats = [summaries.row(i) for i in range(len(xs))]
     bands = [_band(data, row) for row in stats]
     t_lo, t_hi = (np.array(edge) for edge in zip(*bands))
-    lower, upper, case, errors = _band_rows(summaries, t_lo, t_hi)
+    lower, upper, errors = _band_rows(summaries, t_lo, t_hi)
     for i, row in enumerate(stats):
         expected = _outcome(lambda: ref.invert_t0_band(row, *bands[i]))
-        got = errors.get(i) or _outcome(lambda: _confidence_set(case[i], lower[i], upper[i]))
+        got = errors.get(i) or _outcome(lambda: _row_set(lower[i], upper[i]))
         _assert_same_set(got, expected)
         _assert_same_set(_outcome(lambda: invert_t0_band(row, *bands[i])), expected)
         for t in bands[i]:

@@ -381,6 +381,37 @@ def test_asymmetric_band_matches_grid_scan(stats, t_lo, width):
         assert bounds and min(abs(rho - b) for b in bounds) <= tol
 
 
+@given(stats_strategy(), st.floats(-4.0, 1.0), st.floats(0.1, 5.0))
+def test_asymmetric_band_matches_grid_scan_both_ways(stats, t_lo, width):
+    # No member is dropped and no non-member is added, away from the limits:
+    # a half-line, or a half-line beside an interval, is returned as it is.
+    t_hi = t_lo + width
+    try:
+        cset = invert_t0_band(stats, t_lo, t_hi)
+    except NonFiniteResult:
+        return  # the empty set: test_asymmetric_band_matches_grid_scan
+    grid, oracle = grid_scan_membership(stats, t_lo, t_hi, -50, 50, 2001)
+    bounds = set_boundaries(cset)
+    for rho in grid[set_membership(cset, grid) != oracle]:
+        tol = 1e-6 * (1.0 + abs(rho))
+        assert bounds and min(abs(rho - b) for b in bounds) <= tol
+
+
+@pytest.mark.parametrize("cov, expected", [(0.3, ((-1.875, math.inf),)), (0.6, ((-math.inf, 3.75),))])
+def test_band_inversion_half_line_at_the_boundedness_threshold(cov, expected):
+    # mean_x^2 == q^2 * var_mean_x: a == 0, so T0^2 = q^2 is linear with the
+    # one root (mean_y^2 - q^2 var_mean_y) / (2 (mean_x mean_y - q^2 cov)).
+    # Both tails tend to a band edge; each is a member on the side that
+    # mean_y*vx - mean_x*cov says T0 comes from.
+    stats = SummaryStats(10, 2.0, 1.0, 1.0, 1.0, cov, 9)
+    cset = invert_t0_band(stats, -2.0, 2.0)
+    assert len(cset.intervals) == 1
+    assert cset.intervals[0] == pytest.approx(expected[0], rel=1e-15)
+    assert tangency_slopes(stats, 2.0) == tuple(v for v in cset.intervals[0] if math.isfinite(v))
+    grid, oracle = grid_scan_membership(stats, -2.0, 2.0, -1e4, 1e4, 20_001)
+    assert (set_membership(cset, grid) == oracle).all()
+
+
 def test_band_inversion_rejects_inverted_band():
     stats = SummaryStats(10, 1.0, 1.0, 0.01, 0.01, 0.0, 9)
     with pytest.raises(DomainError):
@@ -478,19 +509,40 @@ def test_trimmed_index_rejects_overtrim():
 
 
 def test_confidence_set_contains_semantics():
-    b = ConfidenceSet.bounded(1.0, 2.0)
+    b = ConfidenceSet(((1.0, 2.0),))
     assert b.contains(1.0) and b.contains(2.0) and not b.contains(0.999)
-    u = ConfidenceSet.unbounded_exclusive(-1.0, 1.0)
+    u = ConfidenceSet(((-math.inf, -1.0), (1.0, math.inf)))
     assert u.contains(-1.0) and u.contains(1.0) and u.contains(5.0)
     assert not u.contains(0.0)
-    w = ConfidenceSet.whole_line()
+    w = ConfidenceSet(((-math.inf, math.inf),))
     assert w.contains(1e308) and w.contains(-1e308)
+    h = ConfidenceSet(((-math.inf, -1.0), (1.0, 2.0)))
+    assert h.contains(-1e308) and h.contains(1.5) and not h.contains(0.0)
+    assert not h.contains(3.0)
+
+
+def test_confidence_set_derived_fields():
+    cases = {
+        ((1.0, 2.0),): (SetCase.BOUNDED, 1.0, 2.0, None, None),
+        ((3.0, 3.0),): (SetCase.BOUNDED, 3.0, 3.0, None, None),
+        ((-math.inf, -1.0), (1.0, math.inf)): (SetCase.UNBOUNDED_EXCLUSIVE, -math.inf, math.inf, -1.0, 1.0),
+        ((-math.inf, math.inf),): (SetCase.WHOLE_LINE, -math.inf, math.inf, None, None),
+        ((2.0, math.inf),): (SetCase.UNBOUNDED_EXCLUSIVE, 2.0, math.inf, -math.inf, 2.0),
+        ((-math.inf, -1.0), (1.0, 2.0)): (SetCase.UNBOUNDED_EXCLUSIVE, -math.inf, 2.0, None, None),
+    }
+    for intervals, expected in cases.items():
+        cset = ConfidenceSet(intervals)
+        got = (cset.case, cset.lower, cset.upper, cset.excluded_lower, cset.excluded_upper)
+        assert got == expected, intervals
 
 
 def test_confidence_set_validation():
     with pytest.raises(NonFiniteResult):
-        ConfidenceSet.bounded(2.0, 1.0)
+        ConfidenceSet(((2.0, 1.0),))
     with pytest.raises(NonFiniteResult):
-        ConfidenceSet.bounded(0.0, math.inf)
+        ConfidenceSet(((0.0, math.inf), (5.0, 6.0)))
     with pytest.raises(NonFiniteResult):
-        ConfidenceSet.unbounded_exclusive(1.0, 1.0)
+        ConfidenceSet(((-math.inf, 1.0), (1.0, math.inf)))
+    for bad in ((), ((math.nan, 1.0),), ((math.inf, math.inf),), ((1.0, 2.0), (0.0, 0.5))):
+        with pytest.raises(NonFiniteResult):
+            ConfidenceSet(bad)

@@ -8,7 +8,7 @@ import ratio_ci.bootstrap as bootstrap
 import ratio_ci.montecarlo as mc
 import scalar_reference as ref
 from ratio_ci import core, methods
-from test_kernels import SET_FIELDS, _replace_samples, _same, _zero_x
+from test_kernels import _assert_same_set, _replace_samples, _same, _zero_x
 from ratio_ci import (
     BootstrapConfig,
     BootstrapMethod,
@@ -438,9 +438,7 @@ def test_error_bar_experiment_equals_the_per_run_loop(cell, runs, seed):
     for row, (method, run, result) in zip(rows, expected):
         assert (row.method, row.run) == (method, run)
         assert _same(row.estimate, result.estimate)
-        assert row.confidence_set.case is result.confidence_set.case
-        for name in SET_FIELDS:
-            assert _same(getattr(row.confidence_set, name), getattr(result.confidence_set, name))
+        _assert_same_set(row.confidence_set, result.confidence_set)
         assert row.covers_true is result.confidence_set.contains(cell.true_rho)
 
 
