@@ -294,10 +294,10 @@ def _band_roots(m: _RowSummaries, t) -> tuple[np.ndarray, np.ndarray, np.ndarray
     T0(r)^2 = t^2, in every row: the first and second root, ascending, and
     how many there are (0, 1 or 2).
 
-    The half-b form reproduces the bounded closed form
-    (half_b -/+ sqrt(half_b^2 - a*c)) / a bit for bit. a == 0 leaves one
-    linear root, a negative discriminant within 1e-12 of the larger of its
-    terms is rounding noise on a double root, and equal roots count once.
+    With q = half_b + copysign(sqrt(half_b^2 - a*c), half_b) the roots are
+    q/a and c/q (q/a twice at q == 0), and neither cancels near a == 0; at
+    a == 0, q is 2*half_b, unrounded, and c/q the linear root. A negative
+    discriminant within 1e-12 of its larger term is noise on a double root.
     """
     mx, my = m.mean_x, m.mean_y
     with np.errstate(all="ignore"):
@@ -308,10 +308,10 @@ def _band_roots(m: _RowSummaries, t) -> tuple[np.ndarray, np.ndarray, np.ndarray
         disc = half_b * half_b - a * c
         noise = -disc <= 1e-12 * np.maximum(half_b * half_b, np.abs(a * c))
         s = np.sqrt(np.where((disc < 0.0) & noise, 0.0, disc))
-        r1, r2 = (half_b - s) / a, (half_b + s) / a
-        linear = c / (2.0 * half_b)
+        q = half_b + np.copysign(np.where(a == 0.0, half_b, s), half_b)
+        r1, r2 = q / a, np.where(q == 0.0, q / a, c / q)
     # As Python's min(r1, r2) and max(r1, r2) pick them, signed zeros included.
-    first = np.where(a == 0.0, linear, np.where(r2 < r1, r2, r1))
+    first = np.where(a == 0.0, r2, np.where(r2 < r1, r2, r1))
     second = np.where(r2 > r1, r2, r1)
     quadratic = np.where((disc < 0.0) & ~noise, 0, np.where(r1 == r2, 1, 2))
     return first, second, np.where(a == 0.0, half_b != 0.0, quadratic)

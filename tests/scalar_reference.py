@@ -79,13 +79,10 @@ RATIO_BOOT = (Method.BOOTSTRAP_PERCENTILE, Method.BOOTSTRAP_BCA)
 def _real_roots(a: float, half_b: float, c: float) -> tuple[float, ...]:
     """Real roots of a*r^2 - 2*half_b*r + c = 0.
 
-    Written in half-b form so the bounded-interval closed form
-    (half_b -/+ sqrt(half_b^2 - a*c)) / a is reproduced bit for bit.
+    With q = half_b + copysign(sqrt(disc), half_b), the roots are q/a and
+    c/q, so neither subtracts nearly equal numbers; at a == 0, q is
+    2*half_b and c/q the linear root c/(2*half_b).
     """
-    if a == 0.0:
-        if half_b == 0.0:
-            return ()
-        return (c / (2.0 * half_b),)
     disc = half_b * half_b - a * c
     if disc < 0.0:
         scale = max(half_b * half_b, abs(a * c))
@@ -94,9 +91,11 @@ def _real_roots(a: float, half_b: float, c: float) -> tuple[float, ...]:
             disc = 0.0
         else:
             return ()
-    s = math.sqrt(disc)
-    r1 = (half_b - s) / a
-    r2 = (half_b + s) / a
+    q = half_b + math.copysign(half_b if a == 0.0 else math.sqrt(disc), half_b)
+    if a == 0.0:
+        return () if half_b == 0.0 else (c / q,)
+    r1 = q / a
+    r2 = r1 if q == 0.0 else c / q
     if r1 == r2:
         return (r1,)
     return (min(r1, r2), max(r1, r2))

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -432,6 +433,42 @@ def test_tangency_slopes_shape_and_on_band(stats):
         if q > 1e-12:
             t0 = abs(t0_statistic(stats, rho))
             assert t0 == pytest.approx(spec.quantile, rel=1e-6)
+
+
+@given(
+    st.integers(20, 51),
+    st.sampled_from((-1.0, 1.0)),
+    st.floats(-3.0, 3.0),
+    st.floats(0.01, 4.0),
+    st.floats(-0.95, 0.95),
+)
+def test_tangency_slopes_are_stable_near_the_boundedness_threshold(k, sign, my, vy, corr):
+    # mean_x = 1 +- 2^-k with var_mean_x = 1 at t = 1 puts the leading
+    # coefficient a = mean_x^2 - var_mean_x within 2^(1-k) of zero, where
+    # (half_b - s)/a cancels. Both roots of the quadratic in the same double
+    # coefficients, from 50-digit mpmath, must agree to 1e-12 relative
+    # wherever the roots are well apart (a discriminant of at least 1e-3
+    # half_b^2).
+    mx, cxy = 1.0 + sign * 2.0**-k, corr * math.sqrt(vy)
+    stats = SummaryStats(10, mx, my, 1.0, vy, cxy, 9)
+    with mpmath.workdps(50):
+        a, half_b, c = (mpmath.mpf(v) for v in (mx * mx - 1.0, mx * my - cxy, my * my - vy))
+        disc = half_b * half_b - a * c
+        assume(disc >= 1e-3 * half_b * half_b and half_b != 0)
+        exact = sorted([(half_b - mpmath.sqrt(disc)) / a, (half_b + mpmath.sqrt(disc)) / a])
+        slopes = tangency_slopes(stats, 1.0)
+        assert len(slopes) == 2
+        for got, want in zip(slopes, exact):
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("mean_y, cov", [(1.0, 0.25), (1e-160, 0.0), (1e-170, 0.0)])
+def test_tangency_slope_at_the_threshold_is_the_linear_root(mean_y, cov):
+    # a == 0 exactly: the one slope is c / (2 half_b), also where half_b^2
+    # is subnormal or underflows to zero.
+    stats = SummaryStats(10, 2.0, mean_y, 1.0, 1.0, cov, 9)
+    half_b, c = 2.0 * mean_y - 4.0 * cov, mean_y * mean_y - 4.0
+    assert tangency_slopes(stats, 2.0) == (c / (2.0 * half_b),)
 
 
 def test_tangency_equals_bounded_fieller_limits(worked):
