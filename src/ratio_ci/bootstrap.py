@@ -400,9 +400,8 @@ def _bootstrap_rows(
             results.append(_bounded_rows(estimate, *limits[m], errors[m], None, *extra))
             continue
         lower, upper, failed = _band_rows(summaries, *limits[m])
-        band, drops = limits[m], dropped[m]
 
-        def diagnostics(i: int) -> HwangDiagnostics:
+        def diagnostics(i: int, band=limits[m], drops=dropped[m]) -> HwangDiagnostics:
             t_lo, t_hi = band[:, i]
             return HwangDiagnostics(float(t_lo), float(t_hi), int(drops[i]), *adjustment[i])
 

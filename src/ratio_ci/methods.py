@@ -271,10 +271,9 @@ def _bounded_rows(
 ) -> _RowResults:
     """One closed interval per row, and extra _RowResults fields; a row whose
     limits are not finite and in order fails, unless it already failed."""
-    for i in np.flatnonzero(~(np.isfinite(lower) & np.isfinite(upper))):
-        errors.setdefault(int(i), NonFiniteResult("bounded interval limits must be finite"))
-    for i in np.flatnonzero(lower > upper):
-        errors.setdefault(int(i), NonFiniteResult("bounded interval limits out of order"))
+    for i in np.flatnonzero(~(np.isfinite(lower) & np.isfinite(upper)) | (lower > upper)):
+        fault = "out of order" if np.isfinite([lower[i], upper[i]]).all() else "must be finite"
+        errors.setdefault(int(i), NonFiniteResult(f"bounded interval limits {fault}"))
     return _RowResults(estimate, lower[:, None], upper[:, None], errors, *extra)
 
 
@@ -317,9 +316,8 @@ def _band_roots(m: _RowSummaries, t) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return first, second, np.where(a == 0.0, half_b != 0.0, quadratic)
 
 
-# The errors of _band_rows, by code; code 0 is none.
+# The errors of _band_rows, by code from 1; code 0 is none.
 _BAND_ERRORS = (
-    None,
     (DomainError, "t_lo must not exceed t_hi"),
     (DegenerateVariance, "both means are certain and the denominator is zero"),
     (DegenerateVariance, "denominator mean and variance are both zero"),
@@ -336,17 +334,18 @@ def _band_rows(
     one value per row.
 
     The cuts are the distinct roots of T0(rho) = t_lo and T0(rho) = t_hi,
-    ascending: at most four, so at most five segments. A segment between
-    two cuts is a member if T0 at its midpoint lies in the band (with no
-    cut, the probe is rho = 0). The tails follow the limits T0(-inf) =
-    mean_x/sd and T0(+inf) = -mean_x/sd, which T0 approaches from the side
-    of the sign of my*vx - mx*cxy. Spurious roots of the squared equations
-    only add harmless cuts. Each run of member segments with its end cuts
-    is one interval, so there are at most three; with none, each cut where
-    T0 is within 1e-9 of the band (collinear pairs, or a band edge grazing
-    the pivot curve) is a point, and with no such cut the set is empty.
-    vx == 0 makes T0 linear in rho and is solved in closed form. A kept cut
-    or closed-form limit that is not finite (an overflow) fails the row.
+    at most four, ascending; an edge within 1e-150 of 0, whose square
+    underflows, counts as 0 there and in the tails. A segment between two
+    cuts is a member if T0 lies in the band at a probe inside it (rho = 0
+    if there is no cut), and a tail if T0's limit, mean_x/sd at -inf or
+    -mean_x/sd at inf, does, approached from the side of the sign of
+    my*vx - mx*cxy. Spurious roots of the squared equations only add
+    harmless cuts. Each run of member segments with its end cuts is one
+    interval, at most three; with none, each cut where T0 is within 1e-9 of
+    the band (collinear pairs, or a band edge grazing the pivot curve) is a
+    point, and with no such cut the set is empty. vx == 0 makes T0 linear in
+    rho and is solved in closed form. A kept cut or closed-form limit that
+    is not finite (an overflow) fails the row.
 
     Every row is bit-equal to these steps in scalar floats on that row
     alone, with the cuts deduplicated as a set that keeps a t_hi root over
@@ -357,19 +356,18 @@ def _band_rows(
     vx, vy, cxy = m.var_mean_x, m.var_mean_y, m.cov_mean_xy
     t_lo, t_hi = np.broadcast_to(t_lo, (rows,)), np.broadcast_to(t_hi, (rows,))
     with np.errstate(all="ignore"):
-        hi1, hi2, n_hi = _band_roots(m, t_hi)
-        lo1, lo2, n_lo = _band_roots(m, t_lo)
+        near_lo, near_hi = (np.where(abs(t) < 1e-150, 0.0, t) for t in (t_lo, t_hi))
+        hi1, hi2, n_hi = _band_roots(m, near_hi)
+        lo1, lo2, n_lo = _band_roots(m, near_lo)
 
         def new(root):
             return ~(((n_hi > 0) & (root == hi1)) | ((n_hi > 1) & (root == hi2)))
 
         kept = np.stack([n_hi > 0, n_hi > 1, (n_lo > 0) & new(lo1), (n_lo > 1) & new(lo2)], 1)
-        roots = np.stack([hi1, hi2, lo1, lo2], 1)
-        finite = np.isfinite(np.where(kept, roots, 0.0)).all(axis=1)
-        cuts = np.sort(np.where(kept, roots, np.inf), axis=1)
+        cuts = np.sort(np.where(kept, np.stack([hi1, hi2, lo1, lo2], 1), np.inf), axis=1)
         k = kept.sum(axis=1)[:, None]  # k cuts, k + 1 segments
-        edge = np.full((rows, 1), np.inf)
-        bounds = np.concatenate([-edge, cuts, edge], axis=1)
+        finite = np.isfinite(cuts).sum(axis=1) == k[:, 0]
+        bounds = np.pad(cuts, ((0, 0), (1, 1)), constant_values=(-np.inf, np.inf))
         start, end = bounds[:, :-1], bounds[:, 1:]
 
         def band(rho, tol):
@@ -378,13 +376,16 @@ def _band_rows(
             q, t0 = _t0(mx[:, None], my[:, None], vx[:, None], vy[:, None], cxy[:, None], rho)
             return q > 0.0, (t_lo[:, None] - tol <= t0) & (t0 <= t_hi[:, None] + tol)
 
-        positive, inside = band(np.where(k == 0, 0.0, 0.5 * (start + end)), 0.0)
+        # Geometric mean of the ends (midpoint if they straddle 0 at like size): clear of huge cuts.
+        geo = np.sign(start + end) * np.sqrt(np.abs(start)) * np.sqrt(np.abs(end))
+        probe = np.where(abs(start + end) > 0.6 * abs(start - end), geo, 0.5 * (start + end))
+        probe = np.where((start < probe) & (probe < end), probe, 0.5 * (start + end))
+        positive, inside = band(np.where(k == 0, 0.0, probe), 0.0)
         asymptote, drift = mx / np.sqrt(vx), my * vx - mx * cxy
 
         def tail(limit):
-            """Whether the tail where T0 tends to limit is a member."""
-            above = (t_lo < limit) | (t_lo == limit) & (drift >= 0.0)
-            below = (limit < t_hi) | (limit == t_hi) & (drift <= 0.0)
+            above = (near_lo < limit) | (near_lo == limit) & (drift >= 0.0)
+            below = (limit < near_hi) | (limit == near_hi) & (drift <= 0.0)
             return (above & below)[:, None]
 
         left, right = tail(asymptote), tail(-asymptote)
@@ -439,7 +440,7 @@ def _band_rows(
         )
     errors: dict[int, RatioCiError] = {}
     for i in np.flatnonzero(code):
-        error, message = _BAND_ERRORS[code[i]]
+        error, message = _BAND_ERRORS[code[i] - 1]
         errors[int(i)] = error(message)
     return lower, upper, errors
 

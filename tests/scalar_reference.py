@@ -124,7 +124,8 @@ def invert_t0_band(stats: SummaryStats, t_lo: float, t_hi: float) -> ConfidenceS
 
     Boundary candidates come from the two quadratics T0(rho) = t_lo and
     T0(rho) = t_hi; membership of every segment between candidates is then
-    settled by evaluating T0 at an interior probe, and the tails follow the
+    settled by evaluating T0 at an interior probe (the signed geometric mean
+    of its ends, or their midpoint), and the tails follow the
     limits T0(-inf) = mean_x/sd and T0(+inf) = -mean_x/sd, approached from
     the side of the sign of my*vx - mx*cxy. Spurious roots of the squared
     equations only add harmless extra cut points, so no separate sign
@@ -152,8 +153,11 @@ def invert_t0_band(stats: SummaryStats, t_lo: float, t_hi: float) -> ConfidenceS
         b = (my - t_lo * sd) / mx
         return _closed_form_set(min(a, b), max(a, b))
 
-    hi_roots = _real_roots(*_band_coefficients(stats, t_hi))
-    lo_roots = _real_roots(*_band_coefficients(stats, t_lo))
+    # An edge within 1e-150 of 0, whose square underflows, counts as 0 in
+    # the roots and in the tails.
+    near_lo, near_hi = (0.0 if abs(t) < 1e-150 else t for t in (t_lo, t_hi))
+    hi_roots = _real_roots(*_band_coefficients(stats, near_hi))
+    lo_roots = _real_roots(*_band_coefficients(stats, near_lo))
     if not all(map(math.isfinite, hi_roots + lo_roots)):
         raise NonFiniteResult("a limit of the set is not finite")
     cuts = sorted(set(hi_roots) | set(lo_roots))
@@ -162,8 +166,8 @@ def invert_t0_band(stats: SummaryStats, t_lo: float, t_hi: float) -> ConfidenceS
     drift = my * vx - mx * cxy  # the sign of T0 minus its limit in both tails
 
     def tail(limit: float) -> bool:
-        above = t_lo < limit or (t_lo == limit and drift >= 0.0)
-        below = limit < t_hi or (limit == t_hi and drift <= 0.0)
+        above = near_lo < limit or (near_lo == limit and drift >= 0.0)
+        below = limit < near_hi or (limit == near_hi and drift <= 0.0)
         return above and below
 
     def member(rho: float) -> bool:
@@ -177,6 +181,15 @@ def invert_t0_band(stats: SummaryStats, t_lo: float, t_hi: float) -> ConfidenceS
             return ConfidenceSet(((-math.inf, math.inf),))
         raise NonFiniteResult("the band excludes every ratio value")
 
+    def probe(lo: float, hi: float) -> float:
+        """The signed geometric mean of lo and hi, unless they straddle 0 at
+        like sizes or it is not strictly between them; else their midpoint."""
+        sign = (lo + hi > 0.0) - (lo + hi < 0.0)
+        p = sign * math.sqrt(abs(lo)) * math.sqrt(abs(hi))
+        if not abs(lo + hi) > 0.6 * abs(lo - hi):
+            p = 0.5 * (lo + hi)
+        return p if lo < p < hi else 0.5 * (lo + hi)
+
     bounds = [-math.inf, *cuts, math.inf]
     flags: list[bool] = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -185,7 +198,7 @@ def invert_t0_band(stats: SummaryStats, t_lo: float, t_hi: float) -> ConfidenceS
         elif hi == math.inf:
             flags.append(tail(-asymptote))
         else:
-            flags.append(member(0.5 * (lo + hi)))
+            flags.append(member(probe(lo, hi)))
 
     intervals: list[tuple[float, float]] = []
     i = 0

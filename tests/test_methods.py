@@ -413,6 +413,19 @@ def test_band_inversion_half_line_at_the_boundedness_threshold(cov, expected):
     assert (set_membership(cset, grid) == oracle).all()
 
 
+@pytest.mark.parametrize("mean_y, t_lo", [(1.0, 1e-200), (3.0, 2.2e-313)])
+def test_band_edge_within_1e150_of_zero_counts_as_zero(mean_y, t_lo):
+    # mean_x = 0: T0 = mean_y/sd tends to 0 from above in both tails and
+    # crosses t_lo only near |rho| = 1/|t_lo|, where t_lo^2 underflows. The
+    # edge counts as 0, so every rho up to about 1e150 is a member (the exact
+    # set of the first band ends near 1e200, the second past the doubles).
+    stats = SummaryStats(3, 0.0, mean_y, 1.0, 1.0, 0.0, 2)
+    cset = invert_t0_band(stats, t_lo, 1.0 + mean_y)
+    assert cset.intervals == ((-math.inf, math.inf),)
+    grid, oracle = grid_scan_membership(stats, t_lo, 1.0 + mean_y, -1e149, 1e149, 2001)
+    assert oracle.all()
+
+
 def test_band_inversion_rejects_inverted_band():
     stats = SummaryStats(10, 1.0, 1.0, 0.01, 0.01, 0.0, 9)
     with pytest.raises(DomainError):
