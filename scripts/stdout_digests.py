@@ -7,57 +7,60 @@ one at a time, and prints one line: the sha256 of its stdout, its exit code
 and the argv, with input files by name. Run it in two checkouts and diff
 the two outputs to check that a change leaves the CLI's bytes alone.
 
-The argvs are the four perfbench workloads at seeds 1 and 2, the default
-`simulate`, the argvs of acceptance criterion 8 (tests/test_acceptance.py),
-`ci` with all eight methods in both orders on the three-pair worked
-example, on 200 generated pairs and on samples where some methods fail,
-and the three bootstrap methods in two orders under `ci` on two such
-samples and under a small `simulate`. The generated inputs come from perfbench/workloads.py.
+The argvs, in list order:
 
-Four more reach the rare branches of the band inversion: `simulate`
-and `errorbars` at cv_x = 3, where Fieller's and Hwang's sets are often
-unbounded and some Hwang sets are a half-line or a half-line beside a
-bounded interval, and `ellipse` on a pure-noise sample (no tangent slope:
-the origin is inside the ellipse) and on a zero-mean-x sample (the ellipse
-straddles the y-axis).
-
-The last two mix failing and working rows: `simulate` at n = 4 with Hwang
-and BCa, where each cell is one block in which Hwang keeps too few
-replicates on 84 and 83 of the 100 rows and returns sets on the others (7
-and 16 of them unbounded), and `ci` with both ratio bootstraps on a
-sample with x = (-1, 1, -1, 1, 2), where 13 of 100 resamples have a zero
-mean of x, so both fail with too few replicates (exit 3).
-
-The last two pin the runs' streams, default_rng([seed, run, attempt]):
-`errorbars --seed 18446744073709551621` (2^64 + 5), whose five-word
-entropy reaches SeedSequence's extra mixing loop, and `errorbars --n 500
---runs 60`, which spans two blocks of runs, the second ragged.
-
-The last three fail a precondition in the subcommand itself, so `main`
-prints `error: <subcommand>: ...` and exits 3: `ellipse` on three equal
-pairs (both mean variances are zero), and `errorbars` and `simulate` at
-cv_x = 1e308, where every draw of x overflows.
-
-The next three run `ci` on the three-pair worked example with each
-bootstrap method alone (`--methods hwang_bootstrap`, `bootstrap_percentile`
-and `bootstrap_bca`, each `--replications 1000 --seed 3`), so each method's
-path is pinned apart from the others.
-
-The next four run `ci --format csv` on the worked example written four
-other ways: with quoted fields, with a whitespace-only row, with `6.3_4`
-and Arabic-Indic spellings, and with the columns in the order y,x. The
-first three are read by the csv module's path, the last by NumPy's reader;
-all four should print the bytes of criterion 8's `ci --format csv` line.
-
-The last two run `ci --methods hwang_bootstrap --seed 1` on 20 pairs
-drawn as in the simulation cell (cv_x, cv_y, n) = (3.0, 0.1, 20), from
-default_rng(9) and default_rng(39): the first set is a half-line [a, inf),
-the second (-inf, b] joined with a bounded [c, d].
+- the four perfbench workloads at seeds 1 and 2, the default `simulate`,
+  and the argvs of acceptance criterion 8 (tests/test_acceptance.py);
+- `ci` with all eight methods in both orders on the three-pair worked
+  example, on 200 generated pairs (from perfbench/workloads.py) and on
+  samples where some methods fail;
+- the three bootstrap methods in two orders under `ci` on two such
+  samples and under a small `simulate`;
+- four that reach the rare branches of the band inversion: `simulate` and
+  `errorbars` at cv_x = 3, where Fieller's and Hwang's sets are often
+  unbounded and some Hwang sets are a half-line or a half-line beside a
+  bounded interval, and `ellipse` on a pure-noise sample (no tangent slope:
+  the origin is inside the ellipse) and on a zero-mean-x sample (the
+  ellipse straddles the y-axis);
+- two that mix failing and working rows: `simulate` at n = 4 with Hwang
+  and BCa, where each cell is one block in which Hwang keeps too few
+  replicates on 84 and 83 of the 100 rows and returns sets on the others
+  (7 and 16 of them unbounded), and `ci` with both ratio bootstraps on a
+  sample with x = (-1, 1, -1, 1, 2), where 13 of 100 resamples have a
+  zero mean of x, so both fail with too few replicates (exit 3);
+- two that pin the runs' streams, default_rng([seed, run, attempt]):
+  `errorbars --seed 18446744073709551621` (2^64 + 5), whose five-word
+  entropy reaches SeedSequence's extra mixing loop, and `errorbars --n 500
+  --runs 60`, which spans two blocks of runs, the second ragged;
+- three that fail a precondition in the subcommand itself, so `main`
+  prints `error: <subcommand>: ...` and exits 3: `ellipse` on three equal
+  pairs (both mean variances are zero), and `errorbars` and `simulate` at
+  cv_x = 1e308, where every draw of x overflows;
+- three that run `ci` on the worked example with each bootstrap method
+  alone (`--methods hwang_bootstrap`, `bootstrap_percentile` and
+  `bootstrap_bca`, each `--replications 1000 --seed 3`), so each method's
+  path is pinned apart from the others;
+- four that run `ci --format csv` on the worked example written four other
+  ways: with quoted fields, with a whitespace-only row, with `6.3_4` and
+  Arabic-Indic spellings, and with the columns in the order y,x. The first
+  three are read by the csv module's path, the last by NumPy's reader; all
+  four should print the bytes of criterion 8's `ci --format csv` line;
+- two that run `ci --methods hwang_bootstrap --seed 1` on 20 pairs drawn
+  as in the simulation cell (cv_x, cv_y, n) = (3.0, 0.1, 20), from
+  default_rng(9) and default_rng(39): the first set is a half-line
+  [a, inf), the second (-inf, b] joined with a bounded [c, d];
+- two that run `ci` on three pairs at the boundedness threshold, x = (1 - d,
+  1 + d, 1) and y = (0.5, 0.9, 0.4) with d = sqrt(3)/t (1 -+ 1e-10) and t
+  the 0.975 t quantile at df 2, so that mean_x^2/var_mean_x is t^2 (1 +-
+  2e-10): Fieller's set is [-0.3488, 1.0317e9] on the first and
+  (-inf, -1.0317e9] joined with [-0.3488, inf) on the second, segments
+  beside a huge cut.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -122,6 +125,10 @@ def inputs(tmp: Path) -> dict[str, Path]:
     }.items():
         files[name] = tmp / name
         files[name].write_text(text, encoding="utf-8")
+    t = 0.95 / math.sqrt(0.04875)  # the 0.975 t quantile at df 2, in closed form
+    for name, sign in (("threshold-bounded.csv", -1.0), ("threshold-unbounded.csv", 1.0)):
+        d = math.sqrt(3.0) / t * (1.0 + sign * 1e-10)
+        files[name] = _write_csv(tmp / name, "x,y", zip((1.0 - d, 1.0 + d, 1.0), (0.5, 0.9, 0.4)))
     for name, seed in (("cell-half-line.csv", 9), ("cell-union.csv", 39)):
         z = np.random.default_rng(seed).standard_normal((2, 20))
         files[name] = _write_csv(tmp / name, "x,y", zip(1.0 + 3.0 * z[0], 1.0 + 0.1 * z[1]))
@@ -209,6 +216,8 @@ def argvs(files: dict[str, Path]) -> list[list[str]]:
     for name in ("cell-half-line.csv", "cell-union.csv"):  # Hwang's other unbounded shapes
         out.append(["ci", "--input", str(files[name]), "--methods", "hwang_bootstrap",
                     "--seed", "1"])
+    for name in ("threshold-bounded.csv", "threshold-unbounded.csv"):  # beside a huge cut
+        out.append(["ci", "--input", str(files[name])])
     return out
 
 

@@ -17,6 +17,11 @@ serves the bootstrap-calibrated variant, so both share one code path here:
 _band_rows, one kernel over the rows of a batch with a band per row.
 invert_t0_band is that kernel on a batch of one. Each set is a union of
 closed intervals, so the half-lines some asymmetric bands give are sets too.
+
+Geometrically rho is the slope of the line y = rho*x through the origin,
+and the set is the wedge of lines on which T0 lies in the band. The band's
+edges cross at most four lines, the cut slopes, so _band_rows reads the
+wedge sector by sector between them, each sector on one line inside it.
 """
 
 from __future__ import annotations
@@ -166,7 +171,7 @@ def point_estimate(stats: SummaryStats) -> float:
 def t0_statistic(stats: SummaryStats, rho: float) -> float:
     """The pivot T0 at a hypothesized ratio."""
     q, t0 = _t0(
-        stats.mean_x, stats.mean_y, stats.var_mean_x, stats.var_mean_y, stats.cov_mean_xy, rho
+        stats.mean_x, stats.mean_y, stats.var_mean_x, stats.var_mean_y, stats.cov_mean_xy, 1.0, rho
     )
     if not q > 0.0:
         raise DegenerateVariance(f"variance of y - rho*x is not positive at rho={rho}")
@@ -277,15 +282,17 @@ def _bounded_rows(
     return _RowResults(estimate, lower[:, None], upper[:, None], errors, *extra)
 
 
-def _t0(mx, my, vx, vy, cxy, rho):
-    """The variance q of y - rho*x's mean and the pivot T0 at rho,
-    elementwise, from the moments; T0 means nothing where q is not
-    positive. t0_statistic and _band_rows' probes both take this one order
-    of arithmetic, so they agree bit for bit. (The bootstrap's T0*, at the
+def _t0(mx, my, vx, vy, cxy, c, s):
+    """The variance q of c*y - s*x's mean and the pivot T0 on the line
+    through the origin in direction (c, s), elementwise, from the moments;
+    T0 means nothing where q is not positive. Any positive multiple of
+    (c, s) gives the same T0: T0(s/c) for c > 0, its limit at +-inf on the
+    y axis (0, +-1). At c = 1 the arithmetic is T0(s)'s, as t0_statistic
+    and _band_rows' check of its cuts take it. (The bootstrap's T0*, at the
     one rho_hat, is the one-sample t of the resampled y - rho_hat*x.)"""
-    q = vy - 2.0 * rho * cxy + rho * rho * vx
+    q = vy * c * c - 2.0 * s * c * cxy + s * s * vx
     with np.errstate(divide="ignore", invalid="ignore"):
-        return q, (my - rho * mx) / np.sqrt(q)
+        return q, (my * c - s * mx) / np.sqrt(q)
 
 
 def _band_roots(m: _RowSummaries, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -334,18 +341,19 @@ def _band_rows(
     one value per row.
 
     The cuts are the distinct roots of T0(rho) = t_lo and T0(rho) = t_hi,
-    at most four, ascending; an edge within 1e-150 of 0, whose square
-    underflows, counts as 0 there and in the tails. A segment between two
-    cuts is a member if T0 lies in the band at a probe inside it (rho = 0
-    if there is no cut), and a tail if T0's limit, mean_x/sd at -inf or
-    -mean_x/sd at inf, does, approached from the side of the sign of
-    my*vx - mx*cxy. Spurious roots of the squared equations only add
-    harmless cuts. Each run of member segments with its end cuts is one
-    interval, at most three; with none, each cut where T0 is within 1e-9 of
-    the band (collinear pairs, or a band edge grazing the pivot curve) is a
-    point, and with no such cut the set is empty. vx == 0 makes T0 linear in
-    rho and is solved in closed form. A kept cut or closed-form limit that
-    is not finite (an overflow) fails the row.
+    at most four, ascending; spurious roots of the squared equations only
+    add harmless cuts. One rule reads every segment between neighbouring
+    bounds (the cuts and +-inf), the tails included: each bound rho is the
+    direction (c, s) = (1, rho)/max(1, |rho|) of its line y = rho*x, (0,
+    +-1) at +-inf, and the segment is a member if T0 lies in the band on
+    the line of the sum of its two bounds' directions, which lies between
+    them (rho = 0 if there is no cut); no part of the sum exceeds 2, so T0
+    there never overflows. Each run of member segments with its end cuts is
+    one interval, at most three; with none, each cut where T0 is within
+    1e-9 of the band (collinear pairs, or a band edge grazing the pivot
+    curve) is a point, and with no such cut the set is empty. vx == 0 makes
+    T0 linear in rho and is solved in closed form. A kept cut or closed-form
+    limit that is not finite (an overflow) fails the row.
 
     Every row is bit-equal to these steps in scalar floats on that row
     alone, with the cuts deduplicated as a set that keeps a t_hi root over
@@ -356,9 +364,8 @@ def _band_rows(
     vx, vy, cxy = m.var_mean_x, m.var_mean_y, m.cov_mean_xy
     t_lo, t_hi = np.broadcast_to(t_lo, (rows,)), np.broadcast_to(t_hi, (rows,))
     with np.errstate(all="ignore"):
-        near_lo, near_hi = (np.where(abs(t) < 1e-150, 0.0, t) for t in (t_lo, t_hi))
-        hi1, hi2, n_hi = _band_roots(m, near_hi)
-        lo1, lo2, n_lo = _band_roots(m, near_lo)
+        hi1, hi2, n_hi = _band_roots(m, t_hi)
+        lo1, lo2, n_lo = _band_roots(m, t_lo)
 
         def new(root):
             return ~(((n_hi > 0) & (root == hi1)) | ((n_hi > 1) & (root == hi2)))
@@ -368,36 +375,24 @@ def _band_rows(
         k = kept.sum(axis=1)[:, None]  # k cuts, k + 1 segments
         finite = np.isfinite(cuts).sum(axis=1) == k[:, 0]
         bounds = np.pad(cuts, ((0, 0), (1, 1)), constant_values=(-np.inf, np.inf))
-        start, end = bounds[:, :-1], bounds[:, 1:]
 
-        def band(rho, tol):
-            """Whether the pivot variance at rho is positive, and whether T0
-            is within tol of the band."""
-            q, t0 = _t0(mx[:, None], my[:, None], vx[:, None], vy[:, None], cxy[:, None], rho)
+        def band(c, s, tol):
+            """Whether the pivot variance in direction (c, s) is positive,
+            and whether T0 there is within tol of the band."""
+            q, t0 = _t0(mx[:, None], my[:, None], vx[:, None], vy[:, None], cxy[:, None], c, s)
             return q > 0.0, (t_lo[:, None] - tol <= t0) & (t0 <= t_hi[:, None] + tol)
 
-        # Geometric mean of the ends (midpoint if they straddle 0 at like size): clear of huge cuts.
-        geo = np.sign(start + end) * np.sqrt(np.abs(start)) * np.sqrt(np.abs(end))
-        probe = np.where(abs(start + end) > 0.6 * abs(start - end), geo, 0.5 * (start + end))
-        probe = np.where((start < probe) & (probe < end), probe, 0.5 * (start + end))
-        positive, inside = band(np.where(k == 0, 0.0, probe), 0.0)
-        asymptote, drift = mx / np.sqrt(vx), my * vx - mx * cxy
-
-        def tail(limit):
-            above = (near_lo < limit) | (near_lo == limit) & (drift >= 0.0)
-            below = (limit < near_hi) | (limit == near_hi) & (drift <= 0.0)
-            return (above & below)[:, None]
-
-        left, right = tail(asymptote), tail(-asymptote)
-        interior = (k == 0) | ((start != -np.inf) & (end != np.inf))
-        flags = np.where(interior, positive & inside, np.where(start == -np.inf, left, right))
-        flags &= np.arange(5) <= k
+        # (1, rho)/max(1, |rho|): the clip is the division's exact quotient, and +-1 at +-inf.
+        c, s = 1.0 / np.maximum(1.0, np.abs(bounds)), np.clip(bounds, -1.0, 1.0)
+        c, s = c[:, :-1] + c[:, 1:], s[:, :-1] + s[:, 1:]
+        positive, inside = band(np.where(k == 0, 1.0, c), np.where(k == 0, 0.0, s), 0.0)
+        flags = positive & inside & (np.arange(5) <= k)
 
         # Segments and cuts alternate in members: a cut belongs to the set
         # where a member segment meets it or, with no member segment, where
         # T0 touches the band there.
         tol = 1e-9 * (1.0 + np.maximum(np.abs(t_lo), np.abs(t_hi)))
-        positive, inside = band(cuts, tol[:, None])
+        positive, inside = band(1.0, cuts, tol[:, None])
         on_cut = np.where(flags.any(1)[:, None], flags[:, :-1] | flags[:, 1:], ~positive | inside)
         members = np.zeros((rows, 9), dtype=bool)
         members[:, ::2], members[:, 1::2] = flags, on_cut & (np.arange(4) < k)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -228,6 +229,21 @@ def band_member(stats, t_lo: float, t_hi: float, rho: float) -> bool:
         return True
     t0 = (stats.mean_y - rho * stats.mean_x) / math.sqrt(q)
     return t_lo <= t0 <= t_hi
+
+
+def exact_band_member(stats, t_lo: float, t_hi: float, rho: float) -> bool | None:
+    """t_lo <= T0(rho) <= t_hi in exact rational arithmetic on the float
+    moments; None where the pivot variance q is not positive. v*|v| is
+    increasing, so t <= num/sqrt(q) is t*|t|*q <= num*|num|, with no root
+    and no rounding: a tail that tends to an edge is read right however
+    close to it T0 comes."""
+    mx, my, vx, vy, cxy, r, lo, hi = map(Fraction, (
+        stats.mean_x, stats.mean_y, stats.var_mean_x, stats.var_mean_y, stats.cov_mean_xy,
+        rho, t_lo, t_hi,
+    ))
+    q = vy - 2 * r * cxy + r * r * vx
+    num = my - r * mx
+    return None if q <= 0 else lo * abs(lo) * q <= num * abs(num) <= hi * abs(hi) * q
 
 
 def refine_boundary(stats, t_lo: float, t_hi: float, a: float, b: float) -> float:

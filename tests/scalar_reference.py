@@ -123,13 +123,13 @@ def invert_t0_band(stats: SummaryStats, t_lo: float, t_hi: float) -> ConfidenceS
     """The set {rho : t_lo <= T0(rho) <= t_hi}.
 
     Boundary candidates come from the two quadratics T0(rho) = t_lo and
-    T0(rho) = t_hi; membership of every segment between candidates is then
-    settled by evaluating T0 at an interior probe (the signed geometric mean
-    of its ends, or their midpoint), and the tails follow the
-    limits T0(-inf) = mean_x/sd and T0(+inf) = -mean_x/sd, approached from
-    the side of the sign of my*vx - mx*cxy. Spurious roots of the squared
-    equations only add harmless extra cut points, so no separate sign
-    filtering is required. Each run of member segments is one interval.
+    T0(rho) = t_hi; membership of every segment between candidates, the
+    tails included, is then settled by one rule: each end rho is the
+    direction (c, s) = (1, rho)/max(1, |rho|) of the line y = rho*x, (0, -1)
+    at -inf and (0, 1) at inf, and T0 is evaluated on the line of the sum
+    of the two ends' directions. Spurious roots of the squared equations
+    only add harmless extra cut points, so no separate sign filtering is
+    required. Each run of member segments is one interval.
     """
     if not t_lo <= t_hi:
         raise DomainError("t_lo must not exceed t_hi")
@@ -153,52 +153,28 @@ def invert_t0_band(stats: SummaryStats, t_lo: float, t_hi: float) -> ConfidenceS
         b = (my - t_lo * sd) / mx
         return _closed_form_set(min(a, b), max(a, b))
 
-    # An edge within 1e-150 of 0, whose square underflows, counts as 0 in
-    # the roots and in the tails.
-    near_lo, near_hi = (0.0 if abs(t) < 1e-150 else t for t in (t_lo, t_hi))
-    hi_roots = _real_roots(*_band_coefficients(stats, near_hi))
-    lo_roots = _real_roots(*_band_coefficients(stats, near_lo))
+    hi_roots = _real_roots(*_band_coefficients(stats, t_hi))
+    lo_roots = _real_roots(*_band_coefficients(stats, t_lo))
     if not all(map(math.isfinite, hi_roots + lo_roots)):
         raise NonFiniteResult("a limit of the set is not finite")
     cuts = sorted(set(hi_roots) | set(lo_roots))
 
-    asymptote = mx / math.sqrt(vx)  # T0 -> +asymptote as rho -> -inf
-    drift = my * vx - mx * cxy  # the sign of T0 minus its limit in both tails
-
-    def tail(limit: float) -> bool:
-        above = near_lo < limit or (near_lo == limit and drift >= 0.0)
-        below = limit < near_hi or (limit == near_hi and drift <= 0.0)
-        return above and below
-
-    def member(rho: float) -> bool:
-        q = vy - 2.0 * rho * cxy + rho * rho * vx
+    def member(c: float, s: float) -> bool:
+        """Whether T0 on the line in direction (c, s) lies in the band."""
+        q = vy * c * c - 2.0 * s * c * cxy + s * s * vx
         if not q > 0.0:
             return False
-        return t_lo <= (my - rho * mx) / math.sqrt(q) <= t_hi
+        return t_lo <= (my * c - s * mx) / math.sqrt(q) <= t_hi
 
     if not cuts:
-        if member(0.0):
+        if member(1.0, 0.0):
             return ConfidenceSet(((-math.inf, math.inf),))
         raise NonFiniteResult("the band excludes every ratio value")
 
-    def probe(lo: float, hi: float) -> float:
-        """The signed geometric mean of lo and hi, unless they straddle 0 at
-        like sizes or it is not strictly between them; else their midpoint."""
-        sign = (lo + hi > 0.0) - (lo + hi < 0.0)
-        p = sign * math.sqrt(abs(lo)) * math.sqrt(abs(hi))
-        if not abs(lo + hi) > 0.6 * abs(lo - hi):
-            p = 0.5 * (lo + hi)
-        return p if lo < p < hi else 0.5 * (lo + hi)
-
     bounds = [-math.inf, *cuts, math.inf]
-    flags: list[bool] = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if lo == -math.inf:
-            flags.append(tail(asymptote))
-        elif hi == math.inf:
-            flags.append(tail(-asymptote))
-        else:
-            flags.append(member(probe(lo, hi)))
+    # min(max(rho, -1), 1) is rho/max(1, |rho|) exactly, and +-1 at +-inf.
+    ends = [(1.0 / max(1.0, abs(rho)), min(max(rho, -1.0), 1.0)) for rho in bounds]
+    flags = [member(c1 + c2, s1 + s2) for (c1, s1), (c2, s2) in zip(ends, ends[1:])]
 
     intervals: list[tuple[float, float]] = []
     i = 0

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from ratio_ci import (
     ConfidenceSet,
@@ -31,6 +31,7 @@ from ratio_ci import (
 )
 
 from oracle_utils import (
+    exact_band_member,
     grid_scan_membership,
     refine_boundary,
     set_boundaries,
@@ -402,8 +403,10 @@ def test_asymmetric_band_matches_grid_scan_both_ways(stats, t_lo, width):
 def test_band_inversion_half_line_at_the_boundedness_threshold(cov, expected):
     # mean_x^2 == q^2 * var_mean_x: a == 0, so T0^2 = q^2 is linear with the
     # one root (mean_y^2 - q^2 var_mean_y) / (2 (mean_x mean_y - q^2 cov)).
-    # Both tails tend to a band edge; each is a member on the side that
-    # mean_y*vx - mean_x*cov says T0 comes from.
+    # Both tails tend to a band edge, T0(-inf) = 2 and T0(inf) = -2. Each
+    # tail is read as every segment is, on the line of the sum of its two
+    # bounds' directions, where T0 is clear of the edge by far more than
+    # rounding: at rho = -3.75 or 0 beside the cut at -1.875, say.
     stats = SummaryStats(10, 2.0, 1.0, 1.0, 1.0, cov, 9)
     cset = invert_t0_band(stats, -2.0, 2.0)
     assert len(cset.intervals) == 1
@@ -417,13 +420,61 @@ def test_band_inversion_half_line_at_the_boundedness_threshold(cov, expected):
 def test_band_edge_within_1e150_of_zero_counts_as_zero(mean_y, t_lo):
     # mean_x = 0: T0 = mean_y/sd tends to 0 from above in both tails and
     # crosses t_lo only near |rho| = 1/|t_lo|, where t_lo^2 underflows. The
-    # edge counts as 0, so every rho up to about 1e150 is a member (the exact
-    # set of the first band ends near 1e200, the second past the doubles).
+    # squared equations then have no root and the band no cut, so the one
+    # line read is rho = 0, where T0 is in the band: every rho up to about
+    # 1e150 is a member (the exact set of the first band ends near 1e200,
+    # the second past the doubles).
     stats = SummaryStats(3, 0.0, mean_y, 1.0, 1.0, 0.0, 2)
     cset = invert_t0_band(stats, t_lo, 1.0 + mean_y)
     assert cset.intervals == ((-math.inf, math.inf),)
     grid, oracle = grid_scan_membership(stats, t_lo, 1.0 + mean_y, -1e149, 1e149, 2001)
     assert oracle.all()
+
+
+# 0 and +-10^k for k from -300 to 300 in steps of 2.5: the tails and the
+# huge cuts, far past where the float pivot t0_values overflows (1e154).
+# The exact referee is needed out there: where a tail tends to a band edge,
+# T0 differs from it by about 1/rho^2, past 50 digits from rho = 1e25 on.
+LOG_GRID = np.concatenate([-np.logspace(300, -300, 241), [0.0], np.logspace(-300, 300, 241)])
+
+
+@st.composite
+def log_stats(draw):
+    """Stats with mean_x = 0 among the means and var_mean_x from 1e-24 to 10."""
+    sd_x, sd_y = 10.0 ** draw(st.floats(-12.0, 0.5)), draw(st.floats(0.05, 3.0))
+    corr = draw(st.floats(-0.95, 0.95))
+    mean_x, mean_y = draw(mean_strategy), draw(mean_strategy)
+    return SummaryStats(3, mean_x, mean_y, sd_x * sd_x, sd_y * sd_y, corr * sd_x * sd_y, 2)
+
+
+# A drawn t_lo is 0 or at least 1e-100 in size: below that t^2 * var_mean_x
+# can underflow, and the squared equations then lose the cut near |rho| =
+# |mean_y| / (|t| sd_x), as test_band_edge_within_1e150_of_zero_counts_as_zero
+# pins (the explicit example's subnormal t^2 * var_mean_x still puts its
+# cuts within 1e-6). t_hi = t_lo + width is 0 or at least about 1e-17.
+@given(
+    log_stats(),
+    st.floats(-4.0, 1.0).filter(lambda t: t == 0.0 or abs(t) >= 1e-100),
+    st.floats(0.1, 5.0),
+)
+@example(SummaryStats(3, 0.0, -1.0, 1e-20, 1.0, 0.0, 2), -1e-149, 1.0)  # |rho| >= 1e159
+def test_asymmetric_band_matches_exact_pivot_on_a_log_grid(stats, t_lo, width):
+    # Membership both ways at every grid point more than 1e-6 (1 + |rho|)
+    # from a limit of the set, against the exact band.
+    t_hi = t_lo + width
+    try:
+        cset = invert_t0_band(stats, t_lo, t_hi)
+    except NonFiniteResult as exc:
+        if "excludes" not in str(exc):
+            return  # a limit beyond the doubles: nothing to compare
+        cset = None
+    bounds = [] if cset is None else set_boundaries(cset)
+    for rho in LOG_GRID.tolist():
+        if any(abs(rho - b) <= 1e-6 * (1.0 + abs(rho)) for b in bounds):
+            continue
+        exact = exact_band_member(stats, t_lo, t_hi, rho)
+        if exact is not None:
+            assert (cset is not None and cset.contains(rho)) == exact, rho
 
 
 def test_band_inversion_rejects_inverted_band():
