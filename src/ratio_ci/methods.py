@@ -170,9 +170,7 @@ def point_estimate(stats: SummaryStats) -> float:
 
 def t0_statistic(stats: SummaryStats, rho: float) -> float:
     """The pivot T0 at a hypothesized ratio."""
-    q, t0 = _t0(
-        stats.mean_x, stats.mean_y, stats.var_mean_x, stats.var_mean_y, stats.cov_mean_xy, 1.0, rho
-    )
+    q, t0 = _t0(stats, 1.0, rho)
     if not q > 0.0:
         raise DegenerateVariance(f"variance of y - rho*x is not positive at rho={rho}")
     return float(t0)
@@ -185,7 +183,7 @@ def tangency_slopes(stats: SummaryStats, quantile: float) -> tuple[float, ...]:
     and, geometrically, the slopes of lines through the origin tangent to the
     confidence ellipse of the two means. Zero, one, or two values, ascending.
     """
-    first, second, count = _band_roots(_RowSummaries.of(stats), quantile)
+    first, second, count, _ = _band_roots(_RowSummaries.of(stats), quantile)
     return (float(first[0]), float(second[0]))[: int(count[0])]
 
 
@@ -282,23 +280,22 @@ def _bounded_rows(
     return _RowResults(estimate, lower[:, None], upper[:, None], errors, *extra)
 
 
-def _t0(mx, my, vx, vy, cxy, c, s):
-    """The variance q of c*y - s*x's mean and the pivot T0 on the line
-    through the origin in direction (c, s), elementwise, from the moments;
-    T0 means nothing where q is not positive. Any positive multiple of
-    (c, s) gives the same T0: T0(s/c) for c > 0, its limit at +-inf on the
-    y axis (0, +-1). At c = 1 the arithmetic is T0(s)'s, as t0_statistic
-    and _band_rows' check of its cuts take it. (The bootstrap's T0*, at the
-    one rho_hat, is the one-sample t of the resampled y - rho_hat*x.)"""
-    q = vy * c * c - 2.0 * s * c * cxy + s * s * vx
+def _t0(m, c, s):
+    """The variance q of c*y - s*x's mean and the pivot T0 on the line in
+    direction (c, s), elementwise, from the moments of m (a SummaryStats or
+    _RowSummaries); T0 means nothing where q is not positive. T0 is the same
+    for any positive multiple of (c, s): T0(s/c) for c > 0, its limit at
+    +-inf on the y axis. At c = 1 it is T0(s), as t0_statistic takes it.
+    (The bootstrap's T0* is the one-sample t of resampled y - rho_hat*x.)"""
+    q = m.var_mean_y * c * c - 2.0 * s * c * m.cov_mean_xy + s * s * m.var_mean_x
     with np.errstate(divide="ignore", invalid="ignore"):
-        return q, (my * c - s * mx) / np.sqrt(q)
+        return q, (m.mean_y * c - s * m.mean_x) / np.sqrt(q)
 
 
-def _band_roots(m: _RowSummaries, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _band_roots(m: _RowSummaries, t) -> tuple[np.ndarray, ...]:
     """The real roots of a*r^2 - 2*half_b*r + c = 0, the quadratic of
-    T0(r)^2 = t^2, in every row: the first and second root, ascending, and
-    how many there are (0, 1 or 2).
+    T0(r)^2 = t^2, in every row: the first and second root, ascending, how
+    many there are (0, 1 or 2), and the coefficients (a, half_b, c).
 
     With q = half_b + copysign(sqrt(half_b^2 - a*c), half_b) the roots are
     q/a and c/q (q/a twice at q == 0), and neither cancels near a == 0; at
@@ -320,7 +317,7 @@ def _band_roots(m: _RowSummaries, t) -> tuple[np.ndarray, np.ndarray, np.ndarray
     first = np.where(a == 0.0, r2, np.where(r2 < r1, r2, r1))
     second = np.where(r2 > r1, r2, r1)
     quadratic = np.where((disc < 0.0) & ~noise, 0, np.where(r1 == r2, 1, 2))
-    return first, second, np.where(a == 0.0, half_b != 0.0, quadratic)
+    return first, second, np.where(a == 0.0, half_b != 0.0, quadratic), (a, half_b, c)
 
 
 # The errors of _band_rows, by code from 1; code 0 is none.
@@ -347,13 +344,15 @@ def _band_rows(
     direction (c, s) = (1, rho)/max(1, |rho|) of its line y = rho*x, (0,
     +-1) at +-inf, and the segment is a member if T0 lies in the band on
     the line of the sum of its two bounds' directions, which lies between
-    them (rho = 0 if there is no cut); no part of the sum exceeds 2, so T0
-    there never overflows. Each run of member segments with its end cuts is
-    one interval, at most three; with none, each cut where T0 is within
-    1e-9 of the band (collinear pairs, or a band edge grazing the pivot
-    curve) is a point, and with no such cut the set is empty. vx == 0 makes
-    T0 linear in rho and is solved in closed form. A kept cut or closed-form
-    limit that is not finite (an overflow) fails the row.
+    them (rho = 0 if there is no cut). T0 is set against each edge t by the
+    signs of T0, of t and, where those agree, of q*(T0^2 - t^2)/c, t's
+    quadratic in (c, s) over c > 0, which keeps its sign on a tail of tiny
+    c: a T0 that rounds to t is still read on its side. Each run of member
+    segments with its end cuts is one interval, at most three; with none,
+    each cut where T0 is within 1e-9 of the band (collinear pairs, or a band
+    edge grazing the pivot curve) is a point, and with no such cut the set
+    is empty. vx == 0 makes T0 linear in rho and is solved in closed form.
+    A kept cut or closed-form limit that is not finite fails the row.
 
     Every row is bit-equal to these steps in scalar floats on that row
     alone, with the cuts deduplicated as a set that keeps a t_hi root over
@@ -364,8 +363,8 @@ def _band_rows(
     vx, vy, cxy = m.var_mean_x, m.var_mean_y, m.cov_mean_xy
     t_lo, t_hi = np.broadcast_to(t_lo, (rows,)), np.broadcast_to(t_hi, (rows,))
     with np.errstate(all="ignore"):
-        hi1, hi2, n_hi = _band_roots(m, t_hi)
-        lo1, lo2, n_lo = _band_roots(m, t_lo)
+        hi1, hi2, n_hi, p_hi = _band_roots(m, t_hi)
+        lo1, lo2, n_lo, p_lo = _band_roots(m, t_lo)
 
         def new(root):
             return ~(((n_hi > 0) & (root == hi1)) | ((n_hi > 1) & (root == hi2)))
@@ -376,24 +375,29 @@ def _band_rows(
         finite = np.isfinite(cuts).sum(axis=1) == k[:, 0]
         bounds = np.pad(cuts, ((0, 0), (1, 1)), constant_values=(-np.inf, np.inf))
 
-        def band(c, s, tol):
-            """Whether the pivot variance in direction (c, s) is positive,
-            and whether T0 there is within tol of the band."""
-            q, t0 = _t0(mx[:, None], my[:, None], vx[:, None], vy[:, None], cxy[:, None], c, s)
-            return q > 0.0, (t_lo[:, None] - tol <= t0) & (t0 <= t_hi[:, None] + tol)
-
+        columns = _RowSummaries(m.n, m.df, *(v[:, None] for v in (mx, my, vx, vy, cxy)))
         # (1, rho)/max(1, |rho|): the clip is the division's exact quotient, and +-1 at +-inf.
         c, s = 1.0 / np.maximum(1.0, np.abs(bounds)), np.clip(bounds, -1.0, 1.0)
-        c, s = c[:, :-1] + c[:, 1:], s[:, :-1] + s[:, 1:]
-        positive, inside = band(np.where(k == 0, 1.0, c), np.where(k == 0, 0.0, s), 0.0)
-        flags = positive & inside & (np.arange(5) <= k)
+        c, s = c[:, :-1] + c[:, 1:] + (k == 0), s[:, :-1] + s[:, 1:]  # (1, 0) with no cut
+        size = np.maximum(c, np.abs(s))  # a largest part of 1, lest q underflow
+        c, s = c / size, s / size
+        q, t0 = _t0(columns, c, s)
+
+        def side(t, a, half_b, c0):
+            sign, t = np.sign(t0), np.sign(t)[:, None]
+            p = a[:, None] * s * s / c - 2.0 * half_b[:, None] * s + c0[:, None] * c
+            return np.where(sign == t, sign * np.sign(p), sign - t)
+
+        flags = (q > 0.0) & (np.arange(5) <= k)
+        flags &= (side(t_lo, *p_lo) >= 0) & (side(t_hi, *p_hi) <= 0)
 
         # Segments and cuts alternate in members: a cut belongs to the set
         # where a member segment meets it or, with no member segment, where
         # T0 touches the band there.
-        tol = 1e-9 * (1.0 + np.maximum(np.abs(t_lo), np.abs(t_hi)))
-        positive, inside = band(1.0, cuts, tol[:, None])
-        on_cut = np.where(flags.any(1)[:, None], flags[:, :-1] | flags[:, 1:], ~positive | inside)
+        tol = 1e-9 * (1.0 + np.maximum(np.abs(t_lo), np.abs(t_hi)))[:, None]
+        q, t0 = _t0(columns, 1.0, cuts)
+        inside = (t_lo[:, None] - tol <= t0) & (t0 <= t_hi[:, None] + tol)
+        on_cut = np.where(flags.any(1)[:, None], flags[:, :-1] | flags[:, 1:], ~(q > 0.0) | inside)
         members = np.zeros((rows, 9), dtype=bool)
         members[:, ::2], members[:, 1::2] = flags, on_cut & (np.arange(4) < k)
         # +1 where a run of members starts, -1 past its end: at step p,

@@ -126,9 +126,11 @@ def invert_t0_band(stats: SummaryStats, t_lo: float, t_hi: float) -> ConfidenceS
     T0(rho) = t_hi; membership of every segment between candidates, the
     tails included, is then settled by one rule: each end rho is the
     direction (c, s) = (1, rho)/max(1, |rho|) of the line y = rho*x, (0, -1)
-    at -inf and (0, 1) at inf, and T0 is evaluated on the line of the sum
-    of the two ends' directions. Spurious roots of the squared equations
-    only add harmless extra cut points, so no separate sign filtering is
+    at -inf and (0, 1) at inf, and T0 is set against each band edge on the
+    line of the sum of the two ends' directions, scaled to a largest part of
+    1, by the signs of T0, of the edge and, where those agree, of the edge's
+    quadratic there over c. Spurious roots of the squared equations only
+    add harmless extra cut points, so no separate sign filtering is
     required. Each run of member segments is one interval.
     """
     if not t_lo <= t_hi:
@@ -153,8 +155,9 @@ def invert_t0_band(stats: SummaryStats, t_lo: float, t_hi: float) -> ConfidenceS
         b = (my - t_lo * sd) / mx
         return _closed_form_set(min(a, b), max(a, b))
 
-    hi_roots = _real_roots(*_band_coefficients(stats, t_hi))
-    lo_roots = _real_roots(*_band_coefficients(stats, t_lo))
+    hi_coefficients = _band_coefficients(stats, t_hi)
+    lo_coefficients = _band_coefficients(stats, t_lo)
+    hi_roots, lo_roots = _real_roots(*hi_coefficients), _real_roots(*lo_coefficients)
     if not all(map(math.isfinite, hi_roots + lo_roots)):
         raise NonFiniteResult("a limit of the set is not finite")
     cuts = sorted(set(hi_roots) | set(lo_roots))
@@ -164,7 +167,18 @@ def invert_t0_band(stats: SummaryStats, t_lo: float, t_hi: float) -> ConfidenceS
         q = vy * c * c - 2.0 * s * c * cxy + s * s * vx
         if not q > 0.0:
             return False
-        return t_lo <= (my * c - s * mx) / math.sqrt(q) <= t_hi
+        t0_sign = _sign((my * c - s * mx) / math.sqrt(q))
+
+        def side(t: float, a: float, half_b: float, c0: float) -> int:
+            """A number of the sign of T0 - t: T0's sign less t's where they
+            differ, else T0's sign times that of q*(T0^2 - t^2)/c, the band
+            quadratic a*s^2 - 2*half_b*s*c + c0*c^2 that gives the cuts over
+            c > 0, which keeps it from underflowing where c is tiny."""
+            if t0_sign != _sign(t):
+                return t0_sign - _sign(t)
+            return t0_sign * _sign(a * s * s / c - 2.0 * half_b * s + c0 * c)
+
+        return side(t_lo, *lo_coefficients) >= 0 >= side(t_hi, *hi_coefficients)
 
     if not cuts:
         if member(1.0, 0.0):
@@ -174,7 +188,9 @@ def invert_t0_band(stats: SummaryStats, t_lo: float, t_hi: float) -> ConfidenceS
     bounds = [-math.inf, *cuts, math.inf]
     # min(max(rho, -1), 1) is rho/max(1, |rho|) exactly, and +-1 at +-inf.
     ends = [(1.0 / max(1.0, abs(rho)), min(max(rho, -1.0), 1.0)) for rho in bounds]
-    flags = [member(c1 + c2, s1 + s2) for (c1, s1), (c2, s2) in zip(ends, ends[1:])]
+    sums = [(c1 + c2, s1 + s2) for (c1, s1), (c2, s2) in zip(ends, ends[1:])]
+    # Scaled to a largest part of 1: q could underflow where the two nearly cancel.
+    flags = [member(c / max(c, abs(s)), s / max(c, abs(s))) for c, s in sums]
 
     intervals: list[tuple[float, float]] = []
     i = 0
@@ -206,6 +222,10 @@ def invert_t0_band(stats: SummaryStats, t_lo: float, t_hi: float) -> ConfidenceS
     if not intervals:
         raise NonFiniteResult("the band excludes every ratio value")
     return ConfidenceSet(tuple(intervals))
+
+
+def _sign(v: float) -> int:
+    return (v > 0.0) - (v < 0.0)
 
 
 def _closed_form_set(lower: float, upper: float) -> ConfidenceSet:

@@ -399,14 +399,24 @@ def test_asymmetric_band_matches_grid_scan_both_ways(stats, t_lo, width):
         assert bounds and min(abs(rho - b) for b in bounds) <= tol
 
 
-@pytest.mark.parametrize("cov, expected", [(0.3, ((-1.875, math.inf),)), (0.6, ((-math.inf, 3.75),))])
+@pytest.mark.parametrize(
+    "cov, expected",
+    [
+        (0.3, ((-1.875, math.inf),)),
+        (0.6, ((-math.inf, 3.75),)),
+        (0.5 - 2.0**-54, ((-3.0 * 2.0**51, math.inf),)),
+    ],
+)
 def test_band_inversion_half_line_at_the_boundedness_threshold(cov, expected):
     # mean_x^2 == q^2 * var_mean_x: a == 0, so T0^2 = q^2 is linear with the
     # one root (mean_y^2 - q^2 var_mean_y) / (2 (mean_x mean_y - q^2 cov)).
     # Both tails tend to a band edge, T0(-inf) = 2 and T0(inf) = -2. Each
     # tail is read as every segment is, on the line of the sum of its two
-    # bounds' directions, where T0 is clear of the edge by far more than
-    # rounding: at rho = -3.75 or 0 beside the cut at -1.875, say.
+    # bounds' directions. Beside a moderate cut T0 there is clear of the
+    # edge, but beside the cut -3*2^51 of cov = 0.5 - 2^-54 it is 2 within
+    # about 1e-31 and rounds to 2. The sign of q (T0^2 - 4)/c there, which
+    # is 2 half_b - 3c = 2^-52 at half_b = 2^-52 and c = 1/(6*2^51), keeps
+    # that tail out.
     stats = SummaryStats(10, 2.0, 1.0, 1.0, 1.0, cov, 9)
     cset = invert_t0_band(stats, -2.0, 2.0)
     assert len(cset.intervals) == 1
@@ -438,6 +448,24 @@ def test_band_edge_within_1e150_of_zero_counts_as_zero(mean_y, t_lo):
 LOG_GRID = np.concatenate([-np.logspace(300, -300, 241), [0.0], np.logspace(-300, 300, 241)])
 
 
+def assert_band_matches_exact_pivot_on_the_log_grid(stats, t_lo, t_hi):
+    # Membership both ways at every grid point more than 1e-6 (1 + |rho|)
+    # from a limit of the set, against the exact band.
+    try:
+        cset = invert_t0_band(stats, t_lo, t_hi)
+    except NonFiniteResult as exc:
+        if "excludes" not in str(exc):
+            return  # a limit beyond the doubles: nothing to compare
+        cset = None
+    bounds = [] if cset is None else set_boundaries(cset)
+    for rho in LOG_GRID.tolist():
+        if any(abs(rho - b) <= 1e-6 * (1.0 + abs(rho)) for b in bounds):
+            continue
+        exact = exact_band_member(stats, t_lo, t_hi, rho)
+        if exact is not None:
+            assert (cset is not None and cset.contains(rho)) == exact, rho
+
+
 @st.composite
 def log_stats(draw):
     """Stats with mean_x = 0 among the means and var_mean_x from 1e-24 to 10."""
@@ -458,23 +486,39 @@ def log_stats(draw):
     st.floats(0.1, 5.0),
 )
 @example(SummaryStats(3, 0.0, -1.0, 1e-20, 1.0, 0.0, 2), -1e-149, 1.0)  # |rho| >= 1e159
+@example(SummaryStats(10, 2.0, 1.0, 1.0, 1.0, 0.5 - 2.0**-54, 9), -2.0, 4.0)  # rho >= -3*2^51
 def test_asymmetric_band_matches_exact_pivot_on_a_log_grid(stats, t_lo, width):
-    # Membership both ways at every grid point more than 1e-6 (1 + |rho|)
-    # from a limit of the set, against the exact band.
-    t_hi = t_lo + width
-    try:
-        cset = invert_t0_band(stats, t_lo, t_hi)
-    except NonFiniteResult as exc:
-        if "excludes" not in str(exc):
-            return  # a limit beyond the doubles: nothing to compare
-        cset = None
-    bounds = [] if cset is None else set_boundaries(cset)
-    for rho in LOG_GRID.tolist():
-        if any(abs(rho - b) <= 1e-6 * (1.0 + abs(rho)) for b in bounds):
-            continue
-        exact = exact_band_member(stats, t_lo, t_hi, rho)
-        if exact is not None:
-            assert (cset is not None and cset.contains(rho)) == exact, rho
+    assert_band_matches_exact_pivot_on_the_log_grid(stats, t_lo, t_lo + width)
+
+
+@st.composite
+def edge_tail_bands(draw):
+    """Stats and a band one of whose edges t is +-mean_x/sd_x, so that a ==
+    0 for t and a tail tends to it. t and sd_x are powers of two and 8
+    mean_y an integer, so that a, half_b and c of t's quadratic are each
+    one rounding from exact: a cut lost or moved by cancellation in them
+    is not what this checks. Half the time cov is within 4 ulps of mean_x
+    mean_y / t^2, so that half_b is 0 or a few ulps of mean_x mean_y and
+    t's one cut lies some 1e16 times as far out as the means' ratio."""
+    edge, sd_x = 2.0 ** draw(st.integers(-2, 2)), 2.0 ** draw(st.integers(-30, 3))
+    mean_x = draw(st.sampled_from([-1.0, 1.0])) * edge * sd_x
+    mean_y = draw(st.integers(-40, 40)) / 8.0
+    sd_y = draw(st.floats(0.05, 3.0)) + abs(mean_y) / edge
+    cov = draw(st.floats(-0.95, 0.95)) * sd_x * sd_y
+    if mean_y != 0.0 and draw(st.booleans()):
+        near = mean_x * mean_y / (edge * edge)
+        cov = near + draw(st.integers(-4, 4)) * math.ulp(near)
+    width = draw(st.floats(0.1, 5.0))
+    band = (edge - width, edge) if draw(st.booleans()) else (-edge, width - edge)
+    return SummaryStats(3, mean_x, mean_y, sd_x * sd_x, sd_y * sd_y, cov, 2), *band
+
+
+@given(edge_tail_bands())
+def test_band_tails_tending_to_an_edge_match_exact_pivot_on_a_log_grid(case):
+    stats, t_lo, t_hi = case
+    a = [stats.mean_x * stats.mean_x - t * t * stats.var_mean_x for t in (t_lo, t_hi)]
+    assert 0.0 in a
+    assert_band_matches_exact_pivot_on_the_log_grid(stats, t_lo, t_hi)
 
 
 def test_band_inversion_rejects_inverted_band():
