@@ -12,7 +12,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .bootstrap import (
     BootstrapConfig,
-    BootstrapMethod,
     HwangDiagnostics,
     bca_set,
     hwang_set,

@@ -14,9 +14,10 @@ Every bootstrap distribution is read by one collect-and-read step: _collect
 keeps the finite values, sorted, or fails the distribution, and _limits
 reads the limits at the percentile levels, or at the BCa levels when given
 a jackknife, by the interpolated order-statistic rule with plotting
-positions (k - 1)/(B - 1) (numpy's default). The three methods differ only
-in the values read (T0* or the ratio replicates) and the BCa estimate (0 or
-rho_hat).
+positions (k - 1)/(B - 1) (numpy's default). The pivot method reads T0* at
+the BCa levels about T0(rho_hat) = 0, and bootstrap_bca the ratio
+replicates about rho_hat; where z0 or a is undefined, both warn and read
+the percentile levels (a counted fallback).
 
 Resample indices are drawn in row blocks: one generator seeded with the
 sample's seed draws integers(0, n, (rows, n)) for rows = max(1,
@@ -48,7 +49,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,7 +67,6 @@ from .errors import (
 from .methods import Method, MethodResult, _band_rows, _bounded_rows, _RowResults
 
 __all__ = [
-    "BootstrapMethod",
     "BootstrapConfig",
     "HwangDiagnostics",
     "ratio_of_means",
@@ -81,26 +80,17 @@ __all__ = [
 _RATIO_BOOT_METHODS = (Method.BOOTSTRAP_PERCENTILE, Method.BOOTSTRAP_BCA)
 
 
-class BootstrapMethod(str, Enum):
-    PERCENTILE = "percentile"
-    BCA = "bca"
-
-
 @dataclass(frozen=True)
 class BootstrapConfig:
+    """B = replications resamples, at least 100, drawn from seed; a
+    simulation reads only replications (run_cell)."""
+
     replications: int = 2000
     seed: int = 0
-    method: BootstrapMethod = BootstrapMethod.PERCENTILE
 
     def __post_init__(self):
         if self.replications < 100:
             raise DomainError("need at least 100 bootstrap replications")
-        if self.method is BootstrapMethod.BCA and self.replications < 1000:
-            warnings.warn(
-                "fewer than 1000 replications makes BCa quantile adjustment noisy",
-                RuntimeWarning,
-                stacklevel=2,
-            )
 
 
 @dataclass(frozen=True)
@@ -378,12 +368,11 @@ def _bootstrap_rows(
             try:
                 if m is Method.HWANG_BOOTSTRAP:
                     finite, drops = _collect(t0s, config.replications)
-                    theta, bca = 0.0, config.method is BootstrapMethod.BCA
-                    jack = _jackknife_t0(xs[i], ys[i], rho_hat) if bca else None
+                    theta, jack = 0.0, _jackknife_t0(xs[i], ys[i], rho_hat)
                 else:
                     finite, drops = shared = shared or _collect(ratios, config.replications)
-                    theta, bca = estimate[i], m is Method.BOOTSTRAP_BCA
-                    jack = _ratio_jackknife(xs[i], ys[i]) if bca else None
+                    bca = m is Method.BOOTSTRAP_BCA
+                    theta, jack = estimate[i], _ratio_jackknife(xs[i], ys[i]) if bca else None
                 lo, hi, z0, a, fallback[m][i] = _limits(finite, spec.level, theta, jack)
                 limits[m][:, i] = lo, hi
                 dropped[m][i] = drops
@@ -455,9 +444,10 @@ def hwang_set(
     """Confidence set from bootstrapping the pivot rather than the ratio.
 
     The observed pivot value is T0(rho_hat) = 0 identically, so the BCa bias
-    correction uses the fraction of resampled pivots below zero. The band
-    (t_lo, t_hi) read from the pivot distribution is inverted analytically;
-    with a symmetric band this reduces exactly to the closed-form set.
+    correction uses the fraction of resampled pivots below zero (the band is
+    the percentile band, with a warning, where z0 or a is undefined). The
+    band (t_lo, t_hi) is inverted analytically; with a symmetric band this
+    reduces exactly to the closed-form set.
     """
     (rows,) = _sample_rows(sample, config, spec, (Method.HWANG_BOOTSTRAP,))
     return rows.result(Method.HWANG_BOOTSTRAP)

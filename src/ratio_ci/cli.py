@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, BootstrapMethod
+from .bootstrap import BootstrapConfig
 from .core import ConfidenceSpec, PairedSample, summarize
 from .errors import RatioCiError
 from .geometry import construct_wedge, wedge_csv_rows, wedge_svg
@@ -308,13 +308,17 @@ def _fail_method(name: str, exc: RatioCiError) -> int:
 
 
 def _boot_config(args: argparse.Namespace, seed: int = 0) -> BootstrapConfig:
-    """BCa when a requested method reads the adjustment, else percentile."""
+    """The bootstrap config; warns when a requested method reads the BCa
+    adjustment from fewer than 1000 replications."""
+    config = BootstrapConfig(replications=args.replications, seed=seed)
     bca = Method.BOOTSTRAP_BCA in args.methods or Method.HWANG_BOOTSTRAP in args.methods
-    return BootstrapConfig(
-        replications=args.replications,
-        seed=seed,
-        method=BootstrapMethod.BCA if bca else BootstrapMethod.PERCENTILE,
-    )
+    if bca and config.replications < 1000:
+        warnings.warn(
+            "fewer than 1000 replications makes BCa quantile adjustment noisy",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return config
 
 
 def _cmd_ci(args: argparse.Namespace) -> int:

@@ -47,7 +47,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, BootstrapMethod, _bootstrap_rows
+from .bootstrap import BootstrapConfig, _bootstrap_rows
 from .core import (
     BivariateNormalParams,
     ConfidenceSpec,
@@ -556,6 +556,9 @@ def run_cell(
     Method errors on a particular draw (a degenerate resample set, say)
     count as non-coverage for that run and are tallied by error class; they
     never abort the cell. Every method runs once per block of stacked runs.
+    Only boot_config.replications is read (2000 if None): each run is
+    resampled from the last draw of its own stream, not boot_config.seed.
+    Hwang's band is the BCa band, or the percentile band as a fallback.
     """
     if runs < 100:
         raise DomainError("need at least 100 runs per cell")
@@ -563,7 +566,7 @@ def run_cell(
     if not any(_KERNELS[m] is _bootstrap_kernel for m in method_order):
         boot_config = None
     elif boot_config is None:
-        boot_config = BootstrapConfig(method=BootstrapMethod.BCA)
+        boot_config = BootstrapConfig()
     spec = ConfidenceSpec.two_sided(level, df=cell.n - 1)
     rho = cell.true_rho
 
@@ -596,7 +599,8 @@ def run_grid(
 
     Cell seeds derive from (master_seed, cell index) alone, and results are
     collected in cell order, so the grid is a pure function of its arguments
-    no matter how many workers execute it.
+    no matter how many workers execute it. boot_config is read as in
+    run_cell: only its replications.
     """
     method_order = _normalized_methods(methods)
     cells = gridspec.cells()

@@ -29,7 +29,6 @@ import numpy as np
 from ratio_ci import (
     AllResamplesDegenerate,
     BootstrapConfig,
-    BootstrapMethod,
     ConfidenceSet,
     ConfidenceSpec,
     CoverageResult,
@@ -494,13 +493,8 @@ def hwang_set(sample, config, spec):
     values, dropped = _collect(t0s, config.replications)
     if values.size < 100:
         raise TooFewReplicates(f"{values.size} retained replications, need 100")
-    fallback = None
-    if config.method is BootstrapMethod.BCA:
-        jack = _jackknife_t0(sample.xs, sample.ys, rho_hat)
-        lo_p, hi_p, z0, a, fallback = _bca_adjustment(values, 0.0, jack, spec.level)
-    else:
-        lo_p, hi_p = _percentile_levels(spec.level)
-        z0 = a = None
+    jack = _jackknife_t0(sample.xs, sample.ys, rho_hat)
+    lo_p, hi_p, z0, a, fallback = _bca_adjustment(values, 0.0, jack, spec.level)
     t_lo, t_hi = (float(v) for v in np.quantile(values, [lo_p, hi_p]))
     cset = invert_t0_band(stats, t_lo, t_hi)
     diag = HwangDiagnostics(t_lo, t_hi, dropped, z0, a)
@@ -569,7 +563,7 @@ def run_cell(cell, methods, runs, seed, boot_config=None, level=0.95, trim=0.25)
     """The per-run loop: draw a run, evaluate every method on it, tally."""
     method_order = tuple(m for m in Method if m in set(methods))
     if boot_config is None:
-        boot_config = BootstrapConfig(method=BootstrapMethod.BCA)
+        boot_config = BootstrapConfig()
     spec = ConfidenceSpec.two_sided(level, df=cell.n - 1)
     rho = cell.true_rho
     covered = dict.fromkeys(method_order, 0)

@@ -12,7 +12,6 @@ import pytest
 
 from ratio_ci import (
     BootstrapConfig,
-    BootstrapMethod,
     ConfidenceSpec,
     GridSpec,
     Method,
@@ -178,7 +177,7 @@ def test_criterion_4_fieller_and_hwang_coverage():
     fieller_elapsed = time.perf_counter() - start
 
     start = time.perf_counter()
-    boot = BootstrapConfig(replications=2000, method=BootstrapMethod.BCA)
+    boot = BootstrapConfig(replications=2000)
     hwang_grid = run_grid(
         GridSpec(axes, axes, n=500),
         (Method.HWANG_BOOTSTRAP,),
@@ -238,7 +237,7 @@ def test_criterion_5_method_failure_classes():
         run_cell(c, (Method.TAYLOR,), 2000, seed=1).methods[Method.TAYLOR].coverage
         for c in taylor_cells
     ]
-    boot = BootstrapConfig(replications=2000, method=BootstrapMethod.BCA)
+    boot = BootstrapConfig(replications=2000)
     boot_covs = []
     for cell in (point_a, point_c):
         res = run_cell(

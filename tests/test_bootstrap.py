@@ -2,7 +2,6 @@ import math
 import tracemalloc
 import warnings
 from collections import Counter
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -12,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from ratio_ci import (
     AllResamplesDegenerate,
     BootstrapConfig,
-    BootstrapMethod,
     ConfidenceSpec,
     DegenerateJackknife,
     DomainError,
@@ -67,12 +65,10 @@ def _dist(values):
 def test_config_validation():
     with pytest.raises(DomainError):
         BootstrapConfig(replications=99)
-    with pytest.warns(RuntimeWarning, match="1000 replications"):
-        BootstrapConfig(replications=500, method=BootstrapMethod.BCA)
-    # Percentile at the same count must stay silent.
+    # Only the CLI warns about few replications; the config stays silent.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        BootstrapConfig(replications=500, method=BootstrapMethod.PERCENTILE)
+        BootstrapConfig(replications=500)
 
 
 # -------------------------------------------------------------- resampling
@@ -181,7 +177,7 @@ def test_bca_matches_textbook_oracle():
     # implementation (erf-based normal CDF, bisection quantiles, hand-rolled
     # linear interpolation); agreement is limited only by those primitives.
     sample = _sample(seed=13, n=25)
-    config = BootstrapConfig(replications=2000, seed=31, method=BootstrapMethod.BCA)
+    config = BootstrapConfig(replications=2000, seed=31)
     statistic = ratio_of_means
     cset = bca_ci(sample, statistic, config, 0.95)
 
@@ -244,7 +240,7 @@ def test_bca_needs_three_pairs():
 
 def test_ratio_results_share_one_distribution():
     sample = _sample(seed=4)
-    config = BootstrapConfig(replications=1500, seed=8, method=BootstrapMethod.BCA)
+    config = BootstrapConfig(replications=1500, seed=8)
     spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
     both = ratio_bootstrap_results(sample, config, spec)
     alone_p = percentile_set(sample, config, spec)
@@ -296,7 +292,7 @@ def test_hwang_symmetric_band_reduces_to_exact_set():
 def test_hwang_close_to_exact_on_well_behaved_data():
     sample = _sample(seed=23, n=200, cv_x=0.1)
     spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
-    config = BootstrapConfig(replications=2000, seed=3, method=BootstrapMethod.BCA)
+    config = BootstrapConfig(replications=2000, seed=3)
     hw = hwang_set(sample, config, spec)
     exact = fieller_set(summarize(sample), spec).confidence_set
     assert hw.confidence_set.case is SetCase.BOUNDED
@@ -307,20 +303,6 @@ def test_hwang_close_to_exact_on_well_behaved_data():
     assert diag.t_lower < 0.0 < diag.t_upper
     assert diag.dropped_replicates == 0
     assert diag.bias_correction is not None and diag.acceleration is not None
-
-
-def test_hwang_percentile_mode_skips_adjustment():
-    sample = _sample(seed=23, n=50)
-    spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
-    config = BootstrapConfig(replications=2000, seed=3)
-    hw = hwang_set(sample, config, spec)
-    assert hw.diagnostics.bias_correction is None
-    assert hw.diagnostics.acceleration is None
-    # The inverted band is exactly the empirical 2.5/97.5 percentiles.
-    t0s = _resample_t0_reference(sample, config)
-    lo, hi = np.quantile(np.sort(t0s), [0.025, 0.975])
-    assert hw.diagnostics.t_lower == pytest.approx(float(lo), rel=1e-12)
-    assert hw.diagnostics.t_upper == pytest.approx(float(hi), rel=1e-12)
 
 
 def _resample_t0_reference(sample: PairedSample, config: BootstrapConfig) -> np.ndarray:
@@ -342,8 +324,18 @@ def test_hwang_resampled_pivots_match_literal_loop():
     sample = _sample(seed=29, n=12)
     config = BootstrapConfig(replications=300, seed=41)
     hw = hwang_set(sample, config, ConfidenceSpec.two_sided(0.95, df=11))
+    # The band is read at the BCa levels about T0(rho_hat) = 0, from the
+    # literal loop's pivots and the literal leave-one-out pivots.
     ref = np.sort(_resample_t0_reference(sample, config))
-    lo, hi = np.quantile(ref, [0.025, 0.975])
+    rho_hat = ratio_of_means(sample)
+    jack = []
+    for i in range(sample.n):
+        loo = PairedSample(np.delete(sample.xs, i), np.delete(sample.ys, i))
+        jack.append(t0_statistic(summarize(loo), rho_hat))
+    lo, hi, z0, a, fallback = _limits(ref, 0.95, 0.0, np.array(jack))
+    assert fallback is None
+    assert hw.diagnostics.bias_correction == pytest.approx(z0, rel=1e-9)
+    assert hw.diagnostics.acceleration == pytest.approx(a, rel=1e-9)
     assert hw.diagnostics.t_lower == pytest.approx(float(lo), rel=1e-9)
     assert hw.diagnostics.t_upper == pytest.approx(float(hi), rel=1e-9)
 
@@ -408,11 +400,18 @@ def test_hwang_guards():
 
 
 def _hwang_fallback(sample):
-    """hwang_set in BCa mode, the categories of the warnings it raised, and
-    hwang_set in percentile mode on the same resamples."""
+    """hwang_set, the categories of the warnings it raised, and the plain
+    percentile band (t_lo, t_hi) of the same resamples with its set."""
     spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
-    config = BootstrapConfig(replications=1000, seed=5, method=BootstrapMethod.BCA)
-    plain = hwang_set(sample, replace(config, method=BootstrapMethod.PERCENTILE), spec)
+    config = BootstrapConfig(replications=1000, seed=5)
+    buffers = np.empty((2, config.replications, sample.n))
+    _, t0s = _resample(
+        sample.xs, sample.ys, config.seed, config.replications, False,
+        ratio_of_means(sample), buffers,
+    )
+    finite, _ = _collect(t0s, config.replications)
+    t_lo, t_hi, *_ = _limits(finite, spec.level, 0.0, None)
+    plain = t_lo, t_hi, invert_t0_band(summarize(sample), t_lo, t_hi)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = hwang_set(sample, config, spec)
@@ -423,9 +422,9 @@ def _hwang_fallback(sample):
 def _assert_plain_percentile_band(result, plain):
     assert result.diagnostics.bias_correction is None
     assert result.diagnostics.acceleration is None
-    assert result.diagnostics.t_lower == plain.diagnostics.t_lower
-    assert result.diagnostics.t_upper == plain.diagnostics.t_upper
-    assert result.confidence_set == plain.confidence_set
+    t_lo, t_hi, cset = plain
+    assert (result.diagnostics.t_lower, result.diagnostics.t_upper) == (t_lo, t_hi)
+    assert result.confidence_set == cset
 
 
 def test_hwang_falls_back_when_pivots_sit_on_one_side_of_zero():
@@ -463,7 +462,7 @@ def test_hwang_falls_back_when_jackknife_pivots_coincide(monkeypatch):
 def test_hwang_is_seed_deterministic():
     sample = _sample(seed=2, n=40)
     spec = ConfidenceSpec.two_sided(0.95, df=39)
-    config = BootstrapConfig(replications=1200, seed=99, method=BootstrapMethod.BCA)
+    config = BootstrapConfig(replications=1200, seed=99)
     a = hwang_set(sample, config, spec)
     b = hwang_set(sample, config, spec)
     assert a.confidence_set == b.confidence_set
@@ -484,7 +483,7 @@ def test_ratio_bootstrap_is_always_bounded_even_when_exact_set_is_not():
     spec = ConfidenceSpec.two_sided(0.95, df=24)
     exact = fieller_set(summarize(sample), spec).confidence_set
     assert exact.case is not SetCase.BOUNDED
-    config = BootstrapConfig(replications=2000, seed=1, method=BootstrapMethod.BCA)
+    config = BootstrapConfig(replications=2000, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # extreme resamples may trip fallbacks
         results = ratio_bootstrap_results(sample, config, spec)
@@ -502,7 +501,7 @@ def test_hwang_sets_beyond_the_three_shapes_are_the_probe_runs():
     # finite limits, with each limit bisected between grid points.
     cell, runs = SimCell(3.0, 0.1, 20), 300
     spec = ConfidenceSpec.two_sided(0.95, df=cell.n - 1)
-    config = BootstrapConfig(method=BootstrapMethod.BCA)
+    config = BootstrapConfig()
     shapes = Counter()
     for _, batch, _ in mc._blocks(cell, mc._cell_seed(1, 0), runs, spec, boot_config=config):
         ((_, rows),) = mc._kernel_rows(batch, (Method.HWANG_BOOTSTRAP,))
@@ -582,7 +581,7 @@ def _assert_distribution_is(collected: tuple[np.ndarray, int], values: np.ndarra
 def test_block_size_changes_no_number(monkeypatch, block_elements, blocks):
     sample = _sample(seed=13, n=31)
     spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
-    config = BootstrapConfig(replications=1000, seed=8, method=BootstrapMethod.BCA)
+    config = BootstrapConfig(replications=1000, seed=8)
     rho_hat = ratio_of_means(sample)
     hwang_default = hwang_set(sample, config, spec)
     ratio_default = ratio_bootstrap_results(sample, config, spec)
@@ -620,7 +619,7 @@ def test_bootstrap_peak_memory_does_not_grow_with_replications(replications):
     # At n=5000 one (B, n) float matrix alone is 76 MiB at B=2000.
     sample = _sample(seed=5, n=5000)
     spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
-    config = BootstrapConfig(replications=replications, seed=1, method=BootstrapMethod.BCA)
+    config = BootstrapConfig(replications=replications, seed=1)
     for run in (hwang_set, ratio_bootstrap_results):
         tracemalloc.start()
         try:

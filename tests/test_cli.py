@@ -15,7 +15,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ratio_ci import (
     BootstrapConfig,
-    BootstrapMethod,
     ConfidenceSpec,
     Method,
     PairedSample,
@@ -119,10 +118,7 @@ def test_ci_bootstrap_methods_match_library(capsys, worked_csv):
     records = {r["method"]: r for r in json.loads(out)}
     sample = PairedSample(np.array(WORKED_X), np.array(WORKED_Y))
     spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
-    with pytest.warns(RuntimeWarning, match="1000 replications"):
-        config = BootstrapConfig(
-            replications=500, seed=11, method=BootstrapMethod.BCA
-        )
+    config = BootstrapConfig(replications=500, seed=11)
     expected = ratio_bootstrap_results(
         sample, config, spec, (Method.BOOTSTRAP_PERCENTILE, Method.BOOTSTRAP_BCA)
     )
@@ -147,7 +143,7 @@ def test_ci_evaluates_mixed_methods_in_request_order(capsys, tmp_path):
 
     sample = PairedSample(xs, ys)
     spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
-    config = BootstrapConfig(replications=1000, seed=9, method=BootstrapMethod.BCA)
+    config = BootstrapConfig(replications=1000, seed=9)
     ratio = ratio_bootstrap_results(
         sample, config, spec, (Method.BOOTSTRAP_BCA, Method.BOOTSTRAP_PERCENTILE)
     )
@@ -172,6 +168,35 @@ def test_ci_evaluates_mixed_methods_in_request_order(capsys, tmp_path):
     assert hwang["t_upper"] == expected[2].diagnostics.t_upper
     assert hwang["bias_correction"] == expected[2].diagnostics.bias_correction
     assert hwang["acceleration"] == expected[2].diagnostics.acceleration
+
+
+def test_ci_hwang_record_is_the_library_band(capsys, monkeypatch, tmp_path):
+    # The pivot bootstrap has one band, read at the BCa levels, so hwang_set
+    # with a plain BootstrapConfig gives ci's record bit for bit.
+    monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "perfbench")
+    workloads = importlib.import_module("workloads")
+    xs, ys = workloads.generate_pairs(5, 200)
+    path = tmp_path / "pairs.csv"
+    workloads.write_pairs(path, xs, ys)
+    argv = ["ci", "--input", str(path), "--methods", "hwang_bootstrap"]
+    code, out, _ = _run(capsys, argv + ["--replications", "1000", "--seed", "3"])
+    assert code == 0
+    (record,) = json.loads(out)
+
+    sample = PairedSample(xs, ys)
+    spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
+    want = hwang_set(sample, BootstrapConfig(replications=1000, seed=3), spec)
+    cset, diag = want.confidence_set, want.diagnostics
+    assert (record["lower"], record["upper"]) == (cset.lower, cset.upper)
+    assert (record["lower"], record["upper"]) == pytest.approx((1.466506, 1.538462), abs=1e-6)
+    assert record["intervals"] == [list(interval) for interval in cset.intervals]
+    assert record["diagnostics"] == {
+        "t_lower": diag.t_lower,
+        "t_upper": diag.t_upper,
+        "dropped_replicates": diag.dropped_replicates,
+        "bias_correction": diag.bias_correction,
+        "acceleration": diag.acceleration,
+    }
 
 
 def test_ci_output_file(capsys, worked_csv, tmp_path):

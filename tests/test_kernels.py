@@ -18,7 +18,6 @@ import scalar_reference as ref
 from ratio_ci import (
     AllResamplesDegenerate,
     BootstrapConfig,
-    BootstrapMethod,
     ConfidenceSet,
     ConfidenceSpec,
     DomainError,
@@ -319,12 +318,11 @@ BOOT_SAMPLES = {
 
 
 @pytest.mark.filterwarnings("ignore:estimate outside the bootstrap distribution")
-@pytest.mark.parametrize("boot_method", list(BootstrapMethod))
 @pytest.mark.parametrize("name", BOOT_SAMPLES)
-def test_evaluate_methods_equals_the_public_bootstrap_functions(name, boot_method):
+def test_evaluate_methods_equals_the_public_bootstrap_functions(name):
     sample = BOOT_SAMPLES[name]
     spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
-    config = BootstrapConfig(replications=1000, seed=11, method=boot_method)
+    config = BootstrapConfig(replications=1000, seed=11)
     for method in BOOTSTRAP:
         _assert_batch_of_one_is_public(sample, (method,), spec, config=config)
     # Together, the ratio-bootstrap methods come from one resampling.
@@ -515,7 +513,6 @@ def boot_cases(draw):
     config = BootstrapConfig(
         replications=draw(st.sampled_from((100, 1000))),
         seed=draw(st.integers(0, 2**32 - 1)),
-        method=draw(st.sampled_from(list(BootstrapMethod))),
     )
     order = draw(st.permutations(BOOTSTRAP))[: draw(st.integers(1, 3))]
     return PairedSample(x, y), config, tuple(order)
@@ -568,9 +565,9 @@ def test_bootstrap_methods_together_equal_the_separate_paths(case):
     "cell, config",
     [
         # One x value in three draws: the pivot drops about 1/9 of resamples.
-        (SimCell(0.5, 0.5, 3), BootstrapConfig(1000, method=BootstrapMethod.BCA)),
+        (SimCell(0.5, 0.5, 3), BootstrapConfig(1000)),
         (SimCell(3.0, 0.3, 5), BootstrapConfig(100)),
-        (SimCell(0.3, 1.0, 20, corr=0.8), BootstrapConfig(1000, method=BootstrapMethod.BCA)),
+        (SimCell(0.3, 1.0, 20, corr=0.8), BootstrapConfig(1000)),
     ],
 )
 def test_run_cell_bootstrap_subsets_equal_the_separate_paths(cell, config):
@@ -604,7 +601,7 @@ def test_bootstrap_rows_fail_independently_within_a_block(monkeypatch, block_run
     cell = SimCell(1.0, 1.0, 5)
     if block_runs is not None:
         monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block_runs * cell.n)
-    config = BootstrapConfig(100, method=BootstrapMethod.BCA)
+    config = BootstrapConfig(100)
     got = run_cell(cell, BOOTSTRAP, 100, seed=4, boot_config=config)
     assert got == ref.run_cell(cell, BOOTSTRAP, 100, seed=4, boot_config=config)
     hwang = got.methods[Method.HWANG_BOOTSTRAP]
@@ -646,7 +643,7 @@ def test_shared_resampling_peak_memory_is_bounded():
     # At n=5000 one (B, n) float matrix alone is 229 MiB at B=6000.
     sample = _boot_sample(5000)
     spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
-    config = BootstrapConfig(replications=6000, seed=1, method=BootstrapMethod.BCA)
+    config = BootstrapConfig(replications=6000, seed=1)
     tracemalloc.start()
     try:
         results = dict(mc.evaluate_methods(sample, BOOTSTRAP, spec, config))
@@ -689,7 +686,7 @@ def test_run_cell_counts_each_fallback_reason(monkeypatch, name, hwang, bca):
             monkeypatch.setattr(module, "_jackknife_t0", constant)
             monkeypatch.setattr(module, "_ratio_jackknife", constant)
     cell = SimCell(1.0, 1.0, sample.n)
-    config = BootstrapConfig(replications=1000, method=BootstrapMethod.BCA)
+    config = BootstrapConfig(replications=1000)
     got = run_cell(cell, BOOTSTRAP, 100, seed=2, boot_config=config)
     assert got.methods[Method.HWANG_BOOTSTRAP].fallbacks == hwang
     assert got.methods[Method.BOOTSTRAP_BCA].fallbacks == bca

@@ -11,7 +11,6 @@ from ratio_ci import core, methods
 from test_kernels import _assert_same_set, _replace_samples, _same, _zero_x
 from ratio_ci import (
     BootstrapConfig,
-    BootstrapMethod,
     ConfidenceSpec,
     DegenerateVariance,
     DomainError,
