@@ -54,7 +54,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._special import ndtr, ndtri
-from .core import ConfidenceSpec, PairedSample, _RowSummaries, _summarize_rows
+from .core import ConfidenceSpec, PairedSample, _integer, _RowSummaries, _summarize_rows
 from .errors import (
     AllResamplesDegenerate,
     DegenerateJackknife,
@@ -89,8 +89,12 @@ class BootstrapConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "replications", _integer(self.replications, "replications"))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if self.replications < 100:
             raise DomainError("need at least 100 bootstrap replications")
+        if self.seed < 0:
+            raise DomainError("seed must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ streams), so concurrent callers never share hidden state.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,6 +27,15 @@ __all__ = [
     "t_quantile",
     "sample_bivariate_normal",
 ]
+
+
+def _integer(value, name: str) -> int:
+    """value as an int, where operator.index takes it (NumPy integers
+    included); DomainError for anything else, a float among them."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _validated_array(values, name: str) -> np.ndarray:

@@ -53,6 +53,7 @@ from .core import (
     ConfidenceSpec,
     PairedSample,
     _bivariate_pairs,
+    _integer,
     _RowSummaries,
     _summarize_rows,
 )
@@ -101,7 +102,7 @@ class SimCell:
     def __post_init__(self):
         for name in ("cv_x", "cv_y", "corr", "mean_x", "mean_y"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         if not (0.0 < self.cv_x < math.inf and 0.0 < self.cv_y < math.inf):
             raise DomainError("coefficients of variation must be finite and positive")
         if not abs(self.corr) <= 1.0:
@@ -175,6 +176,7 @@ class GridSpec:
     def __post_init__(self):
         object.__setattr__(self, "cv_x_values", tuple(float(v) for v in self.cv_x_values))
         object.__setattr__(self, "cv_y_values", tuple(float(v) for v in self.cv_y_values))
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         if not self.cv_x_values or not self.cv_y_values:
             raise DomainError("both grid axes need at least one value")
 

@@ -71,6 +71,16 @@ def test_config_validation():
         BootstrapConfig(replications=500)
 
 
+def test_config_rejects_seeds_and_counts_it_cannot_run():
+    # Each used to be accepted and to fail later: seed=-1 with ValueError
+    # and seed=1.5 with TypeError inside NumPy, and a fractional count with
+    # TypeError inside the resampling kernel.
+    for bad in ({"seed": -1}, {"seed": 1.5}, {"replications": 1000.5}, {"replications": 1e3}):
+        with pytest.raises(DomainError):
+            BootstrapConfig(**bad)
+    config = BootstrapConfig(replications=np.int64(1000), seed=np.uint64(2**63))
+    assert config == BootstrapConfig(1000, 2**63)
+    assert type(config.replications) is int and type(config.seed) is int
 # -------------------------------------------------------------- resampling
 
 

@@ -60,6 +60,17 @@ def test_cell_validation():
             SimCell(cv_x=1.0, cv_y=bad, n=20)
 
 
+def test_fractional_n_is_rejected():
+    # int() used to truncate it: SimCell(0.3, 0.3, 20.7).n was 20, and a
+    # GridSpec kept n = 20.7 while its cells were drawn at n = 20.
+    with pytest.raises(DomainError, match="n must be an integer"):
+        SimCell(0.3, 0.3, 20.7)
+    with pytest.raises(DomainError, match="n must be an integer"):
+        GridSpec((0.3,), (0.3,), 20.7)
+    spec = GridSpec((0.3,), (0.3,), np.int64(20))
+    assert type(spec.n) is int and spec.cells()[0] == SimCell(0.3, 0.3, 20)
+
+
 def test_cell_params_scale_cv_by_mean():
     cell = SimCell(cv_x=0.5, cv_y=0.2, n=10, corr=0.3, mean_x=2.0, mean_y=4.0)
     p = cell.params()
