@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ratio_ci import (
     BivariateNormalParams,
@@ -101,14 +101,21 @@ def test_summarize_location_covariant(data, c):
     assert shifted.cov_mean_xy == pytest.approx(base.cov_mean_xy, rel=1e-6, abs=1e-10 * span**2)
 
 
+@example(([998327.9999999999, -998356.0], [0.0, 0.0]), 0.01171875)
 @given(pairs_strategy(), st.floats(0.01, 100, allow_nan=False))
 def test_summarize_scale_covariant(data, c):
+    # The referee is the fsum summary of the scaled doubles themselves, not
+    # c times the summary of xs: each x * c is rounded before the sum, so
+    # where the sum cancels the scaled inputs' exact mean is not c times
+    # theirs. On the example, summarize returns that exact mean, which is
+    # 1.4e-12 (relative) from c * mean(xs).
     xs, ys = data
-    base = summarize(PairedSample(xs, ys))
-    scaled = summarize(PairedSample([x * c for x in xs], ys))
-    assert scaled.mean_x == pytest.approx(base.mean_x * c, rel=1e-12, abs=1e-300)
-    assert scaled.var_mean_x == pytest.approx(base.var_mean_x * c * c, rel=1e-9, abs=1e-300)
-    assert scaled.cov_mean_xy == pytest.approx(base.cov_mean_xy * c, rel=1e-9, abs=1e-300)
+    scaled_xs = [x * c for x in xs]
+    scaled = summarize(PairedSample(scaled_xs, ys))
+    ref = summarize_oracle(scaled_xs, ys)
+    assert scaled.mean_x == pytest.approx(ref.mean_x, rel=1e-12, abs=1e-300)
+    assert scaled.var_mean_x == pytest.approx(ref.var_x / ref.n, rel=1e-9, abs=1e-300)
+    assert scaled.cov_mean_xy == pytest.approx(ref.cov_xy / ref.n, rel=1e-9, abs=1e-300)
 
 
 def test_summarize_needs_two_pairs():
