@@ -54,7 +54,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._special import ndtr, ndtri
-from .core import ConfidenceSpec, PairedSample, _integer, _RowSummaries, _summarize_rows
+from .core import ConfidenceSpec, PairedSample, _integer, _row_dots, _RowSummaries, _summarize_rows
 from .errors import (
     AllResamplesDegenerate,
     DegenerateJackknife,
@@ -258,6 +258,8 @@ def _resample(
     x*: elementwise it is d = ys - rho_hat xs gathered. Each row of d* is
     centred on its first value before its mean is taken, so a resample
     whose d* are all equal has a sum of squares of exactly 0, and T0* nan.
+    That sum is the row's own dot (core._row_dots), bit-equal to the 1-D
+    dot in a block of any shape, so the block size changes no T0*.
     """
     n = xs.size
     x_buffer, y_buffer = buffers
@@ -278,7 +280,7 @@ def _resample(
             d -= first
             shift = d.mean(axis=1)
             d -= shift[:, None]
-            out.append(_one_sample_t(first[:, 0] + shift, np.einsum("ij,ij->i", d, d), n))
+            out.append(_one_sample_t(first[:, 0] + shift, _row_dots(d, d), n))
         return np.stack(out)
 
     stats = iter(_per_resample(seed, replications, n, block))

@@ -461,7 +461,7 @@ def resample_t0(sample, config, rho_hat):
         centred = d - first[:, None]
         shift = centred.mean(axis=1)
         dev = centred - shift[:, None]
-        ss = np.einsum("ij,ij->i", dev, dev)
+        ss = np.array([row @ row for row in dev])
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(ss > 0.0, (first + shift) / np.sqrt(ss / (n * (n - 1))), math.nan)
 

@@ -562,7 +562,7 @@ def _unblocked_t0(sample: PairedSample, config: BootstrapConfig, rho_hat: float)
     centred = d - first[:, None]
     shift = centred.mean(axis=1)
     dev = centred - shift[:, None]
-    ss = np.einsum("ij,ij->i", dev, dev)
+    ss = np.array([row @ row for row in dev])  # each resample's own 1-D dot
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(ss > 0.0, (first + shift) / np.sqrt(ss / (n * (n - 1))), math.nan)
 
@@ -582,16 +582,20 @@ def _assert_distribution_is(collected: tuple[np.ndarray, int], values: np.ndarra
 
 
 @pytest.mark.parametrize(
-    ("block_elements", "blocks"),
+    ("n", "replications", "block_elements", "blocks"),
     [
-        (30, 1000),  # fewer elements than n: one resample per block
-        (7 * 31, 143),  # 142 blocks of 7 rows, then a ragged block of 6
+        # fewer elements than n: one resample per block
+        pytest.param(31, 1000, 30, 1000, id="30-1000"),
+        # 142 blocks of 7 rows, then a ragged block of 6
+        pytest.param(31, 1000, 7 * 31, 143, id="217-143"),
+        # one-row blocks, the default for n > 131 072, against 13-row blocks
+        pytest.param(20_000, 200, 1, 200, id="n20000-1-200"),
     ],
 )
-def test_block_size_changes_no_number(monkeypatch, block_elements, blocks):
-    sample = _sample(seed=13, n=31)
+def test_block_size_changes_no_number(monkeypatch, n, replications, block_elements, blocks):
+    sample = _sample(seed=13, n=n)
     spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
-    config = BootstrapConfig(replications=1000, seed=8)
+    config = BootstrapConfig(replications=replications, seed=8)
     rho_hat = ratio_of_means(sample)
     hwang_default = hwang_set(sample, config, spec)
     ratio_default = ratio_bootstrap_results(sample, config, spec)
