@@ -378,7 +378,7 @@ def _bootstrap_rows(
                 else:
                     finite, drops = shared = shared or _collect(ratios, config.replications)
                     bca = m is Method.BOOTSTRAP_BCA
-                    theta, jack = estimate[i], _ratio_jackknife(xs[i], ys[i]) if bca else None
+                    theta, jack = estimate[i], (_ratio_jackknife(xs[i], ys[i]) if bca else None)
                 lo, hi, z0, a, fallback[m][i] = _limits(finite, spec.level, theta, jack)
                 limits[m][:, i] = lo, hi
                 dropped[m][i] = drops
