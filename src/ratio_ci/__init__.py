@@ -46,7 +46,6 @@ from .errors import (
     ZeroDenominator,
     ZeroIndividualDenominator,
     ZeroMean,
-    ZeroNumerator,
 )
 from .geometry import (
     EllipseConstruction,

@@ -25,10 +25,6 @@ class ZeroDenominator(RatioCiError):
     """The denominator sample mean is exactly zero."""
 
 
-class ZeroNumerator(RatioCiError):
-    """The numerator sample mean is exactly zero where a method forbids it."""
-
-
 class ZeroIndividualDenominator(RatioCiError):
     """Some individual x_i is exactly zero, so per-pair ratios are undefined."""
 

@@ -18,6 +18,10 @@ _band_rows, one kernel over the rows of a batch with a band per row.
 invert_t0_band is that kernel on a batch of one. Each set is a union of
 closed intervals, so the half-lines some asymmetric bands give are sets too.
 
+Taylor's (delta method) interval is T0 linearized at the estimate, and the
+zero-variance interval is Taylor's with var(mean_x) and cov(mean_x, mean_y)
+set to zero. The index interval is the trimmed index interval at trim 0.
+
 Geometrically rho is the slope of the line y = rho*x through the origin,
 and the set is the wedge of lines on which T0 lies in the band. The band's
 edges cross at most four lines, the cut slopes, so _band_rows reads the
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -51,7 +55,6 @@ from .errors import (
     TooFewObservations,
     ZeroDenominator,
     ZeroIndividualDenominator,
-    ZeroNumerator,
 )
 
 __all__ = [
@@ -197,15 +200,15 @@ def invert_t0_band(stats: SummaryStats, t_lo: float, t_hi: float) -> ConfidenceS
 
 # ------------------------------------------------------------------ kernels
 #
-# One kernel per closed-form method, evaluated on a batch of samples at
-# once: the rows of (runs, n) arrays, or their _RowSummaries. Each repeats
-# the scalar arithmetic of its method elementwise and in the same order, so
-# every row is bit-equal to the method applied to that row alone; the public
-# functions below are the kernels on a batch of one. The band inversion is
-# one such kernel, _band_rows, with no per-row fallback: Fieller's kernel
-# runs it at (-q, q), and invert_t0_band, tangency_slopes and t0_statistic
-# above are _band_rows, its root step _band_roots and the pivot _t0 on a
-# batch of one.
+# Three kernels serve the five closed-form methods on a batch of samples at
+# once, the rows of (runs, n) arrays or their _RowSummaries: _fieller_rows,
+# _delta_rows (Taylor, and zero-variance on _known_x) and _index_rows (trimmed
+# index, and index at trim 0). Each works elementwise, so every row is
+# bit-equal to the method on that row alone; the public functions below are
+# the kernels on a batch of one. The band inversion is one such kernel,
+# _band_rows: Fieller's kernel runs it at (-q, q), and invert_t0_band,
+# tangency_slopes and t0_statistic above are _band_rows, its root step
+# _band_roots and the pivot _t0 on a batch of one.
 
 @dataclass(frozen=True, eq=False)
 class _RowResults:
@@ -469,30 +472,17 @@ def _fieller_rows(m: _RowSummaries, quantile: float) -> _RowResults:
     return _RowResults(estimate, lower, upper, errors, diagnostics)
 
 
-def _taylor_rows(m: _RowSummaries, quantile: float) -> _RowResults:
-    mx, my = m.mean_x, m.mean_y
-    with np.errstate(all="ignore"):
-        rho = my / mx
-        arg = m.var_mean_x / (mx * mx) + m.var_mean_y / (my * my) - 2.0 * m.cov_mean_xy / (mx * my)
-        # where(0 > arg, 0, arg) is Python's max(arg, 0.0), nan and -0.0 included.
-        half = quantile * np.abs(rho) * np.sqrt(np.where(0.0 > arg, 0.0, arg))
-        lower, upper = rho - half, rho + half
-    errors: dict[int, RatioCiError] = {}
-    # Squares of subnormal means underflow to zero, so guard the squares,
-    # not the means themselves.
-    for i in np.flatnonzero((mx * mx == 0.0) | (my * my == 0.0)):
-        if mx[i] * mx[i] == 0.0:
-            errors[int(i)] = ZeroDenominator("mean of x is zero or vanishes when squared")
-        else:
-            errors[int(i)] = ZeroNumerator("mean of y is zero or vanishes when squared")
-    return _bounded_rows(rho, lower, upper, errors)
-
-
-def _zero_variance_rows(m: _RowSummaries, quantile: float) -> _RowResults:
+def _delta_rows(m: _RowSummaries, quantile: float) -> _RowResults:
+    """Taylor's first-order interval for every row: the pivot T0 linearized
+    at rho_hat = mean_y/mean_x, rho_hat +- quantile*sqrt(q)/|mean_x|, with
+    q the variance of mean_y - rho_hat*mean_x (_t0 at (1, rho_hat)). On the
+    moments of _known_x it is the zero-variance interval."""
     mx = m.mean_x
     with np.errstate(all="ignore"):
         rho = m.mean_y / mx
-        half = quantile * np.sqrt(m.var_mean_y) / np.abs(mx)
+        q, _ = _t0(m, 1.0, rho)
+        # where(0 > q, 0, q) is Python's max(q, 0.0), nan and -0.0 included.
+        half = quantile * np.sqrt(np.where(0.0 > q, 0.0, q)) / np.abs(mx)
         lower, upper = rho - half, rho + half
     errors: dict[int, RatioCiError] = {
         int(i): ZeroDenominator("mean of x is exactly zero") for i in np.flatnonzero(mx == 0.0)
@@ -500,55 +490,48 @@ def _zero_variance_rows(m: _RowSummaries, quantile: float) -> _RowResults:
     return _bounded_rows(rho, lower, upper, errors)
 
 
-def _pair_ratio_rows(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, dict[int, RatioCiError]]:
-    zero = xs == 0.0
-    errors: dict[int, RatioCiError] = {
-        int(i): ZeroIndividualDenominator(np.flatnonzero(zero[i]))
-        for i in np.flatnonzero(zero.any(axis=1))
-    }
-    with np.errstate(all="ignore"):
-        return ys / xs, errors
+def _known_x(m: _RowSummaries) -> _RowSummaries:
+    """m with var_mean_x and cov_mean_xy zero: mean_x taken as known."""
+    return replace(m, var_mean_x=np.zeros_like(m.mean_x), cov_mean_xy=np.zeros_like(m.mean_x))
 
 
-def _index_rows(xs: np.ndarray, ys: np.ndarray, spec: ConfidenceSpec) -> _RowResults:
-    runs, n = xs.shape
-    if n < 2:
-        return _RowResults.failing(runs, TooFewObservations("need at least two pairs"))
-    r, errors = _pair_ratio_rows(xs, ys)
-    with np.errstate(all="ignore"):
-        rbar = r.mean(axis=1)
-        dev = r - rbar[:, None]
-        se = np.sqrt(_row_dots(dev, dev) / (n - 1) / n)
-        half = spec.quantile_for_df(n - 1) * se
-        lower, upper = rbar - half, rbar + half
-    return _bounded_rows(rbar, lower, upper, errors)
-
-
-def _trimmed_index_rows(
+def _index_rows(
     xs: np.ndarray, ys: np.ndarray, spec: ConfidenceSpec, trim: float
 ) -> _RowResults:
+    """The trimmed-mean t interval of the per-pair ratios y_i/x_i of every
+    row: drop the g = floor(trim*n) smallest and largest, pair the trimmed
+    mean with the winsorized variance, se = sqrt(sum(dev^2)/(n-1)/n)/(1 -
+    2g/n) on df = n - 2g - 1. At trim 0 nothing is sorted or trimmed, and
+    it is the index interval."""
     runs, n = xs.shape
     if not 0.0 <= trim < 0.5:
         return _RowResults.failing(runs, DomainError("trim must lie in [0, 0.5)"))
     g = int(math.floor(trim * n))
     kept = n - 2 * g
     if kept < 2:
+        if not g:
+            return _RowResults.failing(runs, TooFewObservations("need at least two pairs"))
         error = TooFewAfterTrim(f"trimming {g} from each tail leaves {kept} of {n}")
         return _RowResults.failing(runs, error)
-    r, errors = _pair_ratio_rows(xs, ys)
-    r.sort(axis=1)
-    core = r[:, g : n - g]
+    zero = xs == 0.0
+    errors: dict[int, RatioCiError] = {
+        int(i): ZeroIndividualDenominator(np.flatnonzero(zero[i]))
+        for i in np.flatnonzero(zero.any(axis=1))
+    }
     with np.errstate(all="ignore"):
-        tmean = core.mean(axis=1)
+        r = ys / xs
+        if g:
+            r.sort(axis=1)
+        core = r[:, g : n - g]
+        mean = core.mean(axis=1)
         # Winsorize in place: each tail takes the value of its core end.
         r[:, :g] = core[:, :1]
         r[:, n - g :] = core[:, -1:]
         dev = r - r.mean(axis=1)[:, None]
-        s_w = np.sqrt(_row_dots(dev, dev) / (n - 1))
-        se = s_w / ((1.0 - 2.0 * g / n) * math.sqrt(n))
+        se = np.sqrt(_row_dots(dev, dev) / (n - 1) / n) / (1.0 - 2.0 * g / n)
         half = spec.quantile_for_df(kept - 1) * se
-        lower, upper = tmean - half, tmean + half
-    return _bounded_rows(tmean, lower, upper, errors)
+        lower, upper = mean - half, mean + half
+    return _bounded_rows(mean, lower, upper, errors)
 
 
 # ---------------------------------------------------------- scalar methods
@@ -567,19 +550,21 @@ def fieller_set(stats: SummaryStats, spec: ConfidenceSpec) -> MethodResult:
 def taylor_limits(stats: SummaryStats, spec: ConfidenceSpec) -> MethodResult:
     """First-order (delta method) interval around the ratio of means.
 
-    Always a bounded interval: estimate +/- quantile * |estimate| * sqrt(
-    vx/mean_x^2 + vy/mean_y^2 - 2*cxy/(mean_x*mean_y)).
+    The pivot T0 linearized at the estimate rho = mean_y/mean_x: always a
+    bounded interval, rho +/- quantile * sqrt(vy - 2*rho*cxy + rho^2*vx) /
+    |mean_x|, defined wherever mean_x is not zero, mean_y = 0 included.
     """
-    return _taylor_rows(_RowSummaries.of(stats), spec.quantile).result(Method.TAYLOR)
+    return _delta_rows(_RowSummaries.of(stats), spec.quantile).result(Method.TAYLOR)
 
 
 def index_limits(sample: PairedSample, spec: ConfidenceSpec) -> MethodResult:
-    """t interval for the mean of the per-pair ratios y_i/x_i.
+    """t interval for the mean of the per-pair ratios y_i/x_i: the trimmed
+    index interval with nothing trimmed.
 
     Note the estimand here is E(Y/X), not E(Y)/E(X); the two differ unless
     the denominator is noiseless.
     """
-    return _index_rows(sample.xs[None], sample.ys[None], spec).result(Method.INDEX)
+    return _index_rows(sample.xs[None], sample.ys[None], spec, 0.0).result(Method.INDEX)
 
 
 def trimmed_index_limits(
@@ -589,14 +574,15 @@ def trimmed_index_limits(
 
     Drops the g = floor(trim*n) smallest and largest ratios, pairs the
     trimmed mean with the winsorized variance, and uses df = n - 2g - 1.
-    With trim=0 this reduces to index_limits exactly.
+    One kernel serves both, so at trim=0 this is index_limits bit for bit.
     """
-    rows = _trimmed_index_rows(sample.xs[None], sample.ys[None], spec, trim)
+    rows = _index_rows(sample.xs[None], sample.ys[None], spec, trim)
     return rows.result(Method.TRIMMED_INDEX)
 
 
 def zero_variance_limits(sample: PairedSample, spec: ConfidenceSpec) -> MethodResult:
-    """Interval that pretends the denominator mean is a known constant:
-    estimate +/- quantile * sd_mean_y / |mean_x|."""
-    rows = _zero_variance_rows(_summarize_rows(sample.xs[None], sample.ys[None]), spec.quantile)
-    return rows.result(Method.ZERO_VARIANCE)
+    """Taylor's interval with the denominator mean taken as a known
+    constant (var_mean_x = cov_mean_xy = 0): estimate +/- quantile *
+    sd_mean_y / |mean_x|."""
+    m = _known_x(_summarize_rows(sample.xs[None], sample.ys[None]))
+    return _delta_rows(m, spec.quantile).result(Method.ZERO_VARIANCE)

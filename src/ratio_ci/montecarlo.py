@@ -26,8 +26,9 @@ run_cell and error_bar_experiment draw the runs of a block as above into
 (rows, n) arrays, summarize them once and run each kernel once per block;
 evaluate_methods is the registry on a batch of one. The closed-form
 kernels (methods._fieller_rows, which is the band inversion
-methods._band_rows at (-q, q), and the four others) work on whole arrays,
-with no per-row loop. The three bootstrap methods share one
+methods._band_rows at (-q, q), methods._delta_rows for Taylor and
+zero-variance, and methods._index_rows for index and trimmed-index) work
+on whole arrays, with no per-row loop. The three bootstrap methods share one
 kernel, bootstrap._bootstrap_rows: it resamples each row once, from the
 row's own seed, for all of them, and finishes the block once (the
 estimates, and Hwang's bands inverted by one methods._band_rows call).
@@ -62,12 +63,11 @@ from .methods import (
     Method,
     MethodResult,
     SetCase,
+    _delta_rows,
     _fieller_rows,
     _index_rows,
+    _known_x,
     _RowResults,
-    _taylor_rows,
-    _trimmed_index_rows,
-    _zero_variance_rows,
 )
 
 __all__ = [
@@ -434,10 +434,10 @@ def _bootstrap_kernel(b: _Batch, methods: tuple[Method, ...]) -> tuple[_RowResul
 # the requested methods the kernel serves.
 _KERNELS = {
     Method.FIELLER: lambda b, methods: (_fieller_rows(b.summaries, b.spec.quantile),),
-    Method.TAYLOR: lambda b, methods: (_taylor_rows(b.summaries, b.spec.quantile),),
-    Method.INDEX: lambda b, methods: (_index_rows(b.xs, b.ys, b.spec),),
-    Method.TRIMMED_INDEX: lambda b, methods: (_trimmed_index_rows(b.xs, b.ys, b.spec, b.trim),),
-    Method.ZERO_VARIANCE: lambda b, methods: (_zero_variance_rows(b.summaries, b.spec.quantile),),
+    Method.TAYLOR: lambda b, methods: (_delta_rows(b.summaries, b.spec.quantile),),
+    Method.INDEX: lambda b, methods: (_index_rows(b.xs, b.ys, b.spec, 0.0),),
+    Method.TRIMMED_INDEX: lambda b, methods: (_index_rows(b.xs, b.ys, b.spec, b.trim),),
+    Method.ZERO_VARIANCE: lambda b, methods: (_delta_rows(_known_x(b.summaries), b.spec.quantile),),
     Method.HWANG_BOOTSTRAP: _bootstrap_kernel,
     Method.BOOTSTRAP_PERCENTILE: _bootstrap_kernel,
     Method.BOOTSTRAP_BCA: _bootstrap_kernel,

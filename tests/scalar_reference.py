@@ -50,7 +50,6 @@ from ratio_ci import (
     TooFewReplicates,
     ZeroDenominator,
     ZeroIndividualDenominator,
-    ZeroNumerator,
     ratio_of_means,
 )
 from ratio_ci._special import ndtri
@@ -291,17 +290,11 @@ def fieller_diagnostics(stats: SummaryStats, cset: ConfidenceSet) -> FiellerDiag
 
 
 def taylor_limits(stats: SummaryStats, spec: ConfidenceSpec) -> MethodResult:
-    if stats.mean_x * stats.mean_x == 0.0:
-        raise ZeroDenominator("mean of x is zero or vanishes when squared")
-    if stats.mean_y * stats.mean_y == 0.0:
-        raise ZeroNumerator("mean of y is zero or vanishes when squared")
+    if stats.mean_x == 0.0:
+        raise ZeroDenominator("mean of x is exactly zero")
     rho = stats.mean_y / stats.mean_x
-    arg = (
-        stats.var_mean_x / (stats.mean_x * stats.mean_x)
-        + stats.var_mean_y / (stats.mean_y * stats.mean_y)
-        - 2.0 * stats.cov_mean_xy / (stats.mean_x * stats.mean_y)
-    )
-    half = spec.quantile * abs(rho) * math.sqrt(max(arg, 0.0))
+    q = stats.var_mean_y - 2.0 * rho * stats.cov_mean_xy + rho * rho * stats.var_mean_x
+    half = spec.quantile * math.sqrt(max(q, 0.0)) / abs(stats.mean_x)
     cset = _bounded(rho - half, rho + half)
     return MethodResult(Method.TAYLOR, rho, cset)
 
@@ -336,13 +329,12 @@ def trimmed_index_limits(
     kept = n - 2 * g
     if kept < 2:
         raise TooFewAfterTrim(f"trimming {g} from each tail leaves {kept} of {n}")
-    r = np.sort(_pair_ratios(sample))
-    core = r[g : n - g]
+    r = _pair_ratios(sample)
+    core = np.sort(r)[g : n - g] if g else r
     tmean = float(core.mean())
     winsorized = np.concatenate([np.full(g, core[0]), core, np.full(g, core[-1])])
     dev = winsorized - winsorized.mean()
-    s_w = math.sqrt(float(dev @ dev) / (n - 1))
-    se = s_w / ((1.0 - 2.0 * g / n) * math.sqrt(n))
+    se = math.sqrt(float(dev @ dev) / (n - 1) / n) / (1.0 - 2.0 * g / n)
     half = spec.quantile_for_df(kept - 1) * se
     cset = _bounded(tmean - half, tmean + half)
     return MethodResult(Method.TRIMMED_INDEX, tmean, cset)

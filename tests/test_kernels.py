@@ -42,12 +42,11 @@ from ratio_ci import (
 from ratio_ci.core import _summarize_rows
 from ratio_ci.methods import (
     _band_rows,
+    _delta_rows,
     _fieller_rows,
     _index_rows,
-    _taylor_rows,
-    _trimmed_index_rows,
+    _known_x,
     _row_set,
-    _zero_variance_rows,
 )
 
 
@@ -161,14 +160,14 @@ def test_kernels_match_scalar_reference_bit_for_bit(batch):
     summaries = _summarize_rows(xs, ys)
     kernels = {
         Method.FIELLER: (_fieller_rows(summaries, q), lambda i: ref.fieller_set(stats[i], spec)),
-        Method.TAYLOR: (_taylor_rows(summaries, q), lambda i: ref.taylor_limits(stats[i], spec)),
-        Method.INDEX: (_index_rows(xs, ys, spec), lambda i: ref.index_limits(samples[i], spec)),
+        Method.TAYLOR: (_delta_rows(summaries, q), lambda i: ref.taylor_limits(stats[i], spec)),
+        Method.INDEX: (_index_rows(xs, ys, spec, 0.0), lambda i: ref.index_limits(samples[i], spec)),
         Method.TRIMMED_INDEX: (
-            _trimmed_index_rows(xs, ys, spec, trim),
+            _index_rows(xs, ys, spec, trim),
             lambda i: ref.trimmed_index_limits(samples[i], spec, trim),
         ),
         Method.ZERO_VARIANCE: (
-            _zero_variance_rows(summaries, q),
+            _delta_rows(_known_x(summaries), q),
             lambda i: ref.zero_variance_limits(samples[i], spec),
         ),
     }
