@@ -178,14 +178,17 @@ def ancova_ratio_compare(groups: Sequence[PairedSample]) -> ModelComparison:
     n_total = sum(sizes)
     m = len(groups)
     slopes = [b / a for a, b in zip(sxx, sxy)]
-    sse_full = sum(max(sy - b * sx_y, 0.0) for sy, b, sx_y in zip(syy, slopes, sxy))
     df_full = n_total - m
     if df_full < 1:
         raise TooFewObservations("not enough observations for per-group slopes")
-
     common = sum(sxy) / sum(sxx)
-    sse_restricted = max(sum(syy) - common * sum(sxy), 0.0)
     df_restricted = n_total - 1
+
+    def sse(slopes: Sequence[float]) -> float:
+        """Sum of squared residuals of y_gi = slopes[g]*x_gi (syy - b*sxy cancels)."""
+        return sum(float(r @ r) for r in (s.ys - b * s.xs for s, b in zip(groups, slopes)))
+
+    sse_full, sse_restricted = sse(slopes), sse([common] * m)
 
     tss = sum(syy)  # uncentered: neither model has an intercept
     s2_r = sse_restricted / df_restricted

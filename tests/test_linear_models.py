@@ -176,6 +176,38 @@ def test_ancova_null_rejection_rate_is_nominal():
     assert rejections <= 32
 
 
+@pytest.mark.parametrize("low, noise", [(1e5, 1e-3), (1e3, 2e-3)])
+def test_ancova_tight_fit_matches_mpmath(low, noise):
+    # Three groups of 20 pairs on nearly equal lines through the origin,
+    # with residuals a 1e-8 to 1e-6 part of y: syy - b*sxy would cancel to
+    # noise. The exact sums of squares, F and p are taken at 60 digits.
+    rng = np.random.default_rng(3)
+    groups = []
+    for g in range(3):
+        xs = rng.uniform(low, 2.0 * low, 20)
+        groups.append(PairedSample(xs, (2.0 + 1e-3 * g) * xs + rng.normal(0.0, noise, 20)))
+    cmp_ = ancova_ratio_compare(groups)
+    with mpmath.workdps(60):
+        pairs = [([mpmath.mpf(v) for v in s.xs], [mpmath.mpf(v) for v in s.ys]) for s in groups]
+
+        def sse(slope):
+            return sum(sum((y - slope(x_, y_) * x) ** 2 for x, y in zip(x_, y_)) for x_, y_ in pairs)
+
+        def ratio(x_, y_):
+            return mpmath.fdot(x_, y_) / mpmath.fdot(x_, x_)
+
+        sse_full = sse(ratio)
+        all_x = [v for x_, _ in pairs for v in x_]
+        all_y = [v for _, y_ in pairs for v in y_]
+        sse_restricted = sse(lambda x_, y_: ratio(all_x, all_y))
+        f = (sse_restricted - sse_full) / 2 / (sse_full / 57)
+        p = mpmath.betainc(mpmath.mpf(57) / 2, 1, 0, 57 / (57 + 2 * f), regularized=True)
+    assert cmp_.full.sse == pytest.approx(float(sse_full), rel=1e-6)
+    assert cmp_.restricted.sse == pytest.approx(float(sse_restricted), rel=1e-6)
+    assert cmp_.f_statistic == pytest.approx(float(f), rel=1e-6)
+    assert cmp_.p_value == pytest.approx(float(p), rel=1e-5, abs=1e-300)
+
+
 def test_ancova_validation():
     xs = np.array([1.0, 2.0])
     with pytest.raises(DomainError):
