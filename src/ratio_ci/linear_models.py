@@ -99,6 +99,8 @@ def ols_fit(
     """
     yv = _validated_array(y, "y")
     n = yv.size
+    if intercept and "intercept" in regressors:
+        raise DomainError("a regressor named intercept would hide the fitted intercept")
     names = (["intercept"] if intercept else []) + list(regressors)
     columns = [np.ones(n)] if intercept else []
     for name, values in regressors.items():

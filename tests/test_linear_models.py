@@ -80,6 +80,15 @@ def test_ols_error_taxonomy():
         ols_fit(x, {"a": np.array([1.0, 2.0])}, intercept=False)
 
 
+def test_ols_rejects_a_regressor_named_intercept():
+    # The slope would overwrite the fitted intercept under the same name.
+    x = np.arange(1.0, 6.0)
+    y = np.array([2.1, 3.9, 6.2, 7.8, 10.1])
+    with pytest.raises(DomainError, match="intercept"):
+        ols_fit(y, {"intercept": x}, intercept=True)
+    assert ols_fit(y, {"intercept": x}, intercept=False).coefficients.keys() == {"intercept"}
+
+
 def test_ols_standard_errors_simple_regression():
     rng = np.random.default_rng(4)
     x = rng.uniform(0.0, 10.0, 25)
