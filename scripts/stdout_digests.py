@@ -54,7 +54,14 @@ The argvs, in list order:
   the 0.975 t quantile at df 2, so that mean_x^2/var_mean_x is t^2 (1 +-
   2e-10): Fieller's set is [-0.3488, 1.0317e9] on the first and
   (-inf, -1.0317e9] joined with [-0.3488, inf) on the second, segments
-  beside a huge cut.
+  beside a huge cut;
+- three that pin the closed-form taxonomy and the regression sums: `ci
+  --methods taylor` on x = (1, 2, 3), y = (-1, 0, 1), where mean_y = 0 and
+  Taylor's interval is still defined; `ci --methods index,trimmed_index
+  --trim 0` on the noise sample, whose two records have the same numbers;
+  and `regress --model ancova` on three groups of 20 pairs with x in [1e5,
+  2e5] and y = (2 + 0.001 g) x + N(0, 1e-3^2), a fit so tight that the
+  sums of squares must come from the residuals.
 """
 
 from __future__ import annotations
@@ -114,7 +121,14 @@ def inputs(tmp: Path) -> dict[str, Path]:
         "plus-minus-one.csv": _write_csv(
             tmp / "plus-minus-one.csv", "x,y", zip((-1.0, 1.0, -1.0, 1.0, 2.0), range(1, 6))
         ),
+        "zero-mean-y.csv": _write_csv(tmp / "zero-mean-y.csv", "x,y", zip((1, 2, 3), (-1, 0, 1))),
     }
+    tight = np.random.default_rng(3)
+    rows = []
+    for g in range(3):
+        x = tight.uniform(1e5, 2e5, 20)
+        rows += zip(x, (2.0 + 1e-3 * g) * x + tight.normal(0.0, 1e-3, 20), [g] * 20)
+    files["tight-groups.csv"] = _write_csv(tmp / "tight-groups.csv", "x,y,group", rows)
     rows = list(zip(WORKED_X, WORKED_Y))
     spelled = (("\u0666.\u0663\u0664", "4.8_7"), ("4.02", "8.3_0"), ("\u0662.88", "1_1.66"))
     for name, text in {
@@ -218,6 +232,12 @@ def argvs(files: dict[str, Path]) -> list[list[str]]:
                     "--seed", "1"])
     for name in ("threshold-bounded.csv", "threshold-unbounded.csv"):  # beside a huge cut
         out.append(["ci", "--input", str(files[name])])
+    out += [  # Taylor at mean_y = 0, index as trimmed-index at 0, a tight ANCOVA
+        ["ci", "--input", str(files["zero-mean-y.csv"]), "--methods", "taylor"],
+        ["ci", "--input", str(files["noise.csv"]), "--methods", "index,trimmed_index",
+         "--trim", "0"],
+        ["regress", "--input", str(files["tight-groups.csv"]), "--model", "ancova"],
+    ]
     return out
 
 
