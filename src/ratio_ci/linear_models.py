@@ -166,18 +166,11 @@ def ancova_ratio_compare(groups: Sequence[PairedSample]) -> ModelComparison:
     """
     if len(groups) < 2:
         raise DomainError("need at least two groups to compare slopes")
-    sxx, sxy, syy, sizes = [], [], [], []
-    for g, sample in enumerate(groups, start=1):
-        xs, ys = sample.xs, sample.ys
-        sxx_g = float(xs @ xs)
-        if sxx_g == 0.0:
-            raise RankDeficient(f"group {g} has all-zero x values")
-        sxx.append(sxx_g)
-        sxy.append(float(xs @ ys))
-        syy.append(float(ys @ ys))
-        sizes.append(sample.n)
-
-    n_total = sum(sizes)
+    sxx = [float(s.xs @ s.xs) for s in groups]
+    if 0.0 in sxx:
+        raise RankDeficient(f"group {sxx.index(0.0) + 1} has all-zero x values")
+    sxy = [float(s.xs @ s.ys) for s in groups]
+    n_total = sum(s.n for s in groups)
     m = len(groups)
     slopes = [b / a for a, b in zip(sxx, sxy)]
     df_full = n_total - m
@@ -191,8 +184,7 @@ def ancova_ratio_compare(groups: Sequence[PairedSample]) -> ModelComparison:
         return sum(float(r @ r) for r in (s.ys - b * s.xs for s, b in zip(groups, slopes)))
 
     sse_full, sse_restricted = sse(slopes), sse([common] * m)
-
-    tss = sum(syy)  # uncentered: neither model has an intercept
+    tss = sum(float(s.ys @ s.ys) for s in groups)  # uncentered: neither model has an intercept
     s2_r = sse_restricted / df_restricted
     restricted = RegressionFit(
         coefficients={"slope": common},
@@ -204,9 +196,7 @@ def ancova_ratio_compare(groups: Sequence[PairedSample]) -> ModelComparison:
     s2_f = sse_full / df_full
     full = RegressionFit(
         coefficients={f"slope_{g}": b for g, b in enumerate(slopes, start=1)},
-        standard_errors={
-            f"slope_{g}": math.sqrt(s2_f / a) for g, a in enumerate(sxx, start=1)
-        },
+        standard_errors={f"slope_{g}": math.sqrt(s2_f / a) for g, a in enumerate(sxx, start=1)},
         residual_variance=s2_f,
         df=df_full,
         r_squared=_r_squared(sse_full, tss),

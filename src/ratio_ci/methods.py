@@ -509,9 +509,8 @@ def _index_rows(
     g = int(math.floor(trim * n))
     kept = n - 2 * g
     if kept < 2:
-        if not g:
-            return _RowResults.failing(runs, TooFewObservations("need at least two pairs"))
-        error = TooFewAfterTrim(f"trimming {g} from each tail leaves {kept} of {n}")
+        few = f"trimming {g} from each tail leaves {kept} of {n}"
+        error = TooFewAfterTrim(few) if g else TooFewObservations("need at least two pairs")
         return _RowResults.failing(runs, error)
     zero = xs == 0.0
     errors: dict[int, RatioCiError] = {
@@ -525,8 +524,7 @@ def _index_rows(
         core = r[:, g : n - g]
         mean = core.mean(axis=1)
         # Winsorize in place: each tail takes the value of its core end.
-        r[:, :g] = core[:, :1]
-        r[:, n - g :] = core[:, -1:]
+        r[:, :g], r[:, n - g :] = core[:, :1], core[:, -1:]
         dev = r - r.mean(axis=1)[:, None]
         se = np.sqrt(_row_dots(dev, dev) / (n - 1) / n) / (1.0 - 2.0 * g / n)
         half = spec.quantile_for_df(kept - 1) * se

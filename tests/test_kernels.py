@@ -161,7 +161,9 @@ def test_kernels_match_scalar_reference_bit_for_bit(batch):
     kernels = {
         Method.FIELLER: (_fieller_rows(summaries, q), lambda i: ref.fieller_set(stats[i], spec)),
         Method.TAYLOR: (_delta_rows(summaries, q), lambda i: ref.taylor_limits(stats[i], spec)),
-        Method.INDEX: (_index_rows(xs, ys, spec, 0.0), lambda i: ref.index_limits(samples[i], spec)),
+        Method.INDEX: (
+            _index_rows(xs, ys, spec, 0.0), lambda i: ref.index_limits(samples[i], spec)
+        ),
         Method.TRIMMED_INDEX: (
             _index_rows(xs, ys, spec, trim),
             lambda i: ref.trimmed_index_limits(samples[i], spec, trim),

@@ -197,18 +197,15 @@ def test_ancova_tight_fit_matches_mpmath(low, noise):
         groups.append(PairedSample(xs, (2.0 + 1e-3 * g) * xs + rng.normal(0.0, noise, 20)))
     cmp_ = ancova_ratio_compare(groups)
     with mpmath.workdps(60):
-        pairs = [([mpmath.mpf(v) for v in s.xs], [mpmath.mpf(v) for v in s.ys]) for s in groups]
+        pairs = [([mpmath.mpf(v) for v in g.xs], [mpmath.mpf(v) for v in g.ys]) for g in groups]
 
-        def sse(slope):
-            return sum(sum((y - slope(x_, y_) * x) ** 2 for x, y in zip(x_, y_)) for x_, y_ in pairs)
+        def sse(slopes):
+            return sum((y - b * x) ** 2 for (u, v), b in zip(pairs, slopes) for x, y in zip(u, v))
 
-        def ratio(x_, y_):
-            return mpmath.fdot(x_, y_) / mpmath.fdot(x_, x_)
-
-        sse_full = sse(ratio)
-        all_x = [v for x_, _ in pairs for v in x_]
-        all_y = [v for _, y_ in pairs for v in y_]
-        sse_restricted = sse(lambda x_, y_: ratio(all_x, all_y))
+        sxx = [mpmath.fdot(xs, xs) for xs, _ in pairs]
+        sxy = [mpmath.fdot(xs, ys) for xs, ys in pairs]
+        sse_full = sse([b / a for a, b in zip(sxx, sxy)])
+        sse_restricted = sse([sum(sxy) / sum(sxx)] * 3)
         f = (sse_restricted - sse_full) / 2 / (sse_full / 57)
         p = mpmath.betainc(mpmath.mpf(57) / 2, 1, 0, 57 / (57 + 2 * f), regularized=True)
     assert cmp_.full.sse == pytest.approx(float(sse_full), rel=1e-6)
