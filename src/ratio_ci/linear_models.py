@@ -179,9 +179,9 @@ def ancova_ratio_compare(groups: Sequence[PairedSample]) -> ModelComparison:
     common = sum(sxy) / sum(sxx)
     df_restricted = n_total - 1
 
-    def sse(slopes: Sequence[float]) -> float:
-        """Sum of squared residuals of y_gi = slopes[g]*x_gi (syy - b*sxy cancels)."""
-        return sum(float(r @ r) for r in (s.ys - b * s.xs for s, b in zip(groups, slopes)))
+    def sse(group_slopes: Sequence[float]) -> float:
+        """Sum of squared residuals of y_gi = b_g*x_gi (syy - b*sxy cancels)."""
+        return sum(float(r @ r) for r in (s.ys - b * s.xs for s, b in zip(groups, group_slopes)))
 
     sse_full, sse_restricted = sse(slopes), sse([common] * m)
     tss = sum(float(s.ys @ s.ys) for s in groups)  # uncentered: neither model has an intercept
