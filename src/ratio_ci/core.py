@@ -121,13 +121,23 @@ class ConfidenceSpec:
 
     @classmethod
     def two_sided(cls, level: float, df: float) -> "ConfidenceSpec":
-        return cls(level=level, df=float(df), quantile=t_quantile(0.5 * (1.0 + level), df))
+        return cls(level=level, df=float(df), quantile=_upper_quantile(level, df))
 
     def quantile_for_df(self, df: float) -> float:
         """Quantile at this spec's level but another df (trimming changes df)."""
         if float(df) == self.df:
             return self.quantile
-        return t_quantile(0.5 * (1.0 + self.level), df)
+        return _upper_quantile(self.level, df)
+
+
+def _upper_quantile(level: float, df: float) -> float:
+    """The t quantile with 0.5*(1 - level) above it, read from that tail:
+    the tail is exact for level >= 0.5 and at least 2^-54 below 1, where
+    0.5*(1 + level) would round (to 1 at level 1 - 2^-53)."""
+    quantile = -t_quantile(0.5 * (1.0 - level), df)
+    if quantile == 0.0:
+        raise DomainError(f"level {level!r} is too small: its t quantile is 0")
+    return quantile
 
 
 @dataclass(frozen=True)
@@ -237,9 +247,10 @@ _stdtrit_cached = lru_cache(maxsize=1024)(stdtrit)
 
 
 def t_quantile(p: float, df: float) -> float:
-    """Student-t inverse CDF; df=math.inf yields the normal quantile."""
-    if not 0.0 < p < 1.0:
-        raise DomainError("p must lie strictly between 0 and 1")
+    """Student-t inverse CDF for p in [1e-100, 1); df=math.inf yields the
+    normal quantile. No confidence level needs a p below 1e-100."""
+    if not 1e-100 <= p < 1.0:
+        raise DomainError("p must lie in [1e-100, 1)")
     df = float(df)
     if not df >= 1.0:
         raise DomainError("df must be >= 1 or infinite")

@@ -454,6 +454,19 @@ def test_ci_bad_level_and_bad_method_exit_2(capsys, worked_csv):
     assert code == 2
 
 
+def test_ci_level_next_to_one_exits_0(capsys, worked_csv):
+    # 0.5*(1 + level) rounds to 1 here; the quantile is read from the tail.
+    code, out, err = _run(capsys, ["ci", "--input", worked_csv, "--level", "0.9999999999999999"])
+    assert code == 0 and err == ""
+    assert [r["method"] for r in json.loads(out)][0] == "fieller"
+
+
+def test_ci_level_too_small_for_a_quantile_exits_3(capsys, worked_csv):
+    code, out, err = _run(capsys, ["ci", "--input", worked_csv, "--level", "1e-300"])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ci: level 1e-300 is too small")
+
+
 def test_ci_method_precondition_failures_exit_3(capsys, tmp_path):
     zero_x = tmp_path / "zero.csv"
     zero_x.write_text("x,y\n1.0,2.0\n0.0,3.0\n2.0,4.0\n")

@@ -204,6 +204,13 @@ def test_t_quantile_domain():
         t_quantile(0.9, 0.5)
 
 
+def test_t_quantile_floor():
+    # 1e-100 is the least tail t_quantile takes; no level needs less.
+    assert t_quantile(1e-100, 3) < 0.0
+    with pytest.raises(DomainError, match=r"\[1e-100, 1\)"):
+        t_quantile(9e-101, 3)
+
+
 def test_t_quantile_rejects_nan():
     with pytest.raises(DomainError, match="df must be"):
         t_quantile(0.9, math.nan)
@@ -228,6 +235,28 @@ def test_confidence_spec_validation():
         ConfidenceSpec.two_sided(1.0, df=5)
     with pytest.raises(DomainError):
         ConfidenceSpec(level=0.95, df=5.0, quantile=-1.0)
+
+
+@given(
+    st.sampled_from([0.5, 0.8, 0.95, 0.99]),
+    st.one_of(st.integers(1, 40), st.floats(0.0, 6.0).map(lambda e: int(10.0**e))),
+)
+def test_two_sided_quantile_unchanged_where_one_plus_level_is_exact(level, df):
+    # The quantile is read from the tail 0.5*(1 - level). t_quantile is odd
+    # in p - 1/2 exactly, so where 1 + level is exact it has the bits of
+    # t_quantile(0.5*(1 + level)).
+    assert (1.0 + level) - 1.0 == level
+    assert ConfidenceSpec.two_sided(level, df).quantile == t_quantile(0.5 * (1.0 + level), df)
+    assert ConfidenceSpec.two_sided(level, 1).quantile_for_df(df) == t_quantile(
+        0.5 * (1.0 + level), df
+    )
+
+
+def test_two_sided_names_a_level_too_small_for_a_quantile():
+    # 0.5*(1 - 1e-300) rounds to 1/2, whose quantile is 0.
+    with pytest.raises(DomainError, match=r"level 1e-300 is too small"):
+        ConfidenceSpec.two_sided(1e-300, df=5)
+    assert ConfidenceSpec.two_sided(1e-16, df=5).quantile > 0.0
 
 
 def test_coefficient_of_variation():

@@ -11,8 +11,7 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ratio_ci import _special
-from ratio_ci.core import t_quantile
+from ratio_ci import ConfidenceSpec, _special
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -136,16 +135,6 @@ def test_t_quantile_lower_tail_is_not_rounded_through_one_minus_p(df):
         assert ulps(t, t_quantile_mp(p, df, t)) <= 4.0
 
 
-@pytest.mark.parametrize("df,p", [(1.5, 1e-200), (3, 1e-250), (16, 1e-300)])
-def test_t_quantile_far_tail(df, p):
-    # Out here the t density is below the least normal double or near it.
-    t = _special.stdtrit(df, p)
-    with mpmath.workdps(50):
-        nu, half = mpmath.mpf(df), mpmath.mpf(1) / 2
-        tail = mpmath.betainc(nu / 2, half, 0, nu / (nu + mpmath.mpf(t) ** 2), regularized=True) / 2
-        assert abs(tail - p) <= 1e-12 * p
-
-
 def t_tail_mp(df: float, t: float):
     """P(T > |t|) at 50 digits."""
     with mpmath.workdps(50):
@@ -153,23 +142,43 @@ def t_tail_mp(df: float, t: float):
         return mpmath.betainc(nu / 2, half, 0, nu / (nu + mpmath.mpf(t) ** 2), regularized=True) / 2
 
 
-@pytest.mark.parametrize("df,p", [(1.01, 1e-320), (1.01, 5e-324)])
-def test_t_quantile_beyond_the_double_range_is_infinite(df, p):
-    # |t| is about 10^316.34 at (1.01, 1e-320): even the largest double
-    # leaves more than p in the tail.
-    assert t_tail_mp(df, sys.float_info.max) > p
-    assert _special.stdtrit(df, p) == -math.inf
-    assert t_quantile(p, df) == -math.inf
+def t_quantile_tail_mp(q: float, df: float, start: float):
+    """The t with P(T > t) = q at 50 digits, by Newton on `t_tail_mp`, which
+    keeps its digits however small q is."""
+    with mpmath.workdps(50):
+        nu = mpmath.mpf(df)
+        norm = 1 / (mpmath.sqrt(nu) * mpmath.beta(nu / 2, mpmath.mpf(1) / 2))
+        t = mpmath.mpf(abs(start))
+        for _ in range(50):
+            step = (t_tail_mp(df, t) - q) / (norm * (1 + t * t / nu) ** (-(nu + 1) / 2))
+            t += step
+            if abs(step) < mpmath.mpf(10) ** -40 * t:
+                break
+        return t
 
 
-@pytest.mark.parametrize("df,p", [(1.01, 1e-310), (1.05, 1e-320), (1.9, 1e-300)])
-def test_t_quantile_next_to_the_double_range(df, p):
-    # Finite neighbours of the infinite quantiles; at (1.9, 1e-300) Hill's
-    # starting guess passes the double range although t is about 1e158.
-    t = _special.stdtrit(df, p)
-    assert -math.inf < t < 0.0
-    # In mpmath: 1e-12 times a subnormal p underflows in doubles.
-    assert abs(t_tail_mp(df, t) - p) <= mpmath.mpf("1e-12") * p
+@settings(max_examples=80)
+@given(
+    st.floats(-100.0, -10.0).map(lambda e: 10.0**e),
+    st.one_of(st.integers(1, 40), st.floats(0.0, 6.0).map(lambda e: int(10.0**e))),
+)
+def test_t_quantile_small_tails_within_4_ulp(q, df):
+    # Tails from 1e-100, the least that t_quantile takes, to 1e-10.
+    t = _special.stdtrit(df, q)
+    assert ulps(-t, t_quantile_tail_mp(q, df, t)) <= 4.0
+
+
+@pytest.mark.parametrize("level", [0.999, 1.0 - 2.0**-53])
+@pytest.mark.parametrize("df", [4, 19, 499])
+def test_two_sided_quantile_is_read_from_the_exact_tail(level, df):
+    # 0.5*(1 + level) rounds at these levels, to 1 at 1 - 2^-53; the tail
+    # 0.5*(1 - level) is exact.
+    # At most one double from the rounded exact quantile (1.09 ulp from the
+    # exact one at df 499, level 1 - 2^-53).
+    t = ConfidenceSpec.two_sided(level, df).quantile
+    with mpmath.workdps(50):
+        exact = float(t_quantile_tail_mp((1 - mpmath.mpf(level)) / 2, df, t))
+    assert abs(t - exact) <= math.ulp(exact)
 
 
 def test_t_quantile_closed_forms():
