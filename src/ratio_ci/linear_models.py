@@ -114,16 +114,19 @@ def ols_fit(
     if n <= p:
         raise TooFewObservations(f"{n} observations cannot identify {p} coefficients")
     x = np.column_stack(columns)
-    if np.linalg.matrix_rank(x) < p:
+    # One SVD x = U diag(s) V^T: the rank by matrix_rank's default tolerance,
+    # beta = V (U^T y / s), and cov = s2 V diag(1/s^2) V^T, which does not
+    # square x's condition number as inv(x^T x) would.
+    u, sv, vt = np.linalg.svd(x, full_matrices=False)
+    if np.count_nonzero(sv > sv.max() * max(n, p) * np.finfo(float).eps) < p:
         raise RankDeficient("design matrix columns are linearly dependent")
 
-    beta, _, _, _ = np.linalg.lstsq(x, yv, rcond=None)
+    beta = vt.T @ ((u.T @ yv) / sv)
     resid = yv - x @ beta
     sse = float(resid @ resid)
     df = n - p
     s2 = sse / df
-    cov = s2 * np.linalg.inv(x.T @ x)
-    ses = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    ses = np.sqrt(s2 * np.sum((vt.T / sv) ** 2, axis=1))
 
     if intercept:
         dev = yv - yv.mean()

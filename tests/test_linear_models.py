@@ -106,6 +106,26 @@ def test_ols_standard_errors_simple_regression():
     )
 
 
+def test_ols_standard_errors_far_from_the_origin_match_mpmath():
+    # x = 1e5 + 0..19 beside an intercept: x^T x has a condition number near
+    # 1e14, and inverting it left the SEs 7.5e-9 relative off. The exact fit
+    # of the same doubles is taken at 60 digits.
+    x = 1e5 + np.arange(20.0)
+    y = 3.0 + 2.0 * x + np.random.default_rng(1).normal(0.0, 1.0, 20)
+    fit = ols_fit(y, {"x": x}, intercept=True)
+    with mpmath.workdps(60):
+        xm, ym = [mpmath.mpf(v) for v in x], [mpmath.mpf(v) for v in y]
+        x_bar, y_bar = sum(xm) / 20, sum(ym) / 20
+        sxx = sum((v - x_bar) ** 2 for v in xm)
+        b = sum((u - x_bar) * (v - y_bar) for u, v in zip(xm, ym)) / sxx
+        a = y_bar - b * x_bar
+        s2 = sum((v - a - b * u) ** 2 for u, v in zip(xm, ym)) / 18
+        se_b = mpmath.sqrt(s2 / sxx)
+        se_a = mpmath.sqrt(s2 * (mpmath.mpf(1) / 20 + x_bar**2 / sxx))
+    assert fit.standard_errors["x"] == pytest.approx(float(se_b), rel=1e-10)
+    assert fit.standard_errors["intercept"] == pytest.approx(float(se_a), rel=1e-10)
+
+
 # --------------------------------------------------------------- nested F
 
 
