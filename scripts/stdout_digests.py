@@ -61,7 +61,11 @@ The argvs, in list order:
   --trim 0` on the noise sample, whose two records have the same numbers;
   and `regress --model ancova` on three groups of 20 pairs with x in [1e5,
   2e5] and y = (2 + 0.001 g) x + N(0, 1e-3^2), a fit so tight that the
-  sums of squares must come from the residuals.
+  sums of squares must come from the residuals;
+- two that run `ci` on the worked example at levels where 0.5*(1 + level)
+  rounds, so the t quantile must come from the tail 0.5*(1 - level):
+  `--level 0.9999999999999999` (1 - 2^-53, where the sum rounds to 1) and
+  `--level 0.999`.
 """
 
 from __future__ import annotations
@@ -238,6 +242,8 @@ def argvs(files: dict[str, Path]) -> list[list[str]]:
          "--trim", "0"],
         ["regress", "--input", str(files["tight-groups.csv"]), "--model", "ancova"],
     ]
+    for level in ("0.9999999999999999", "0.999"):  # the quantile from the tail
+        out.append(["ci", "--input", worked, "--level", level])
     return out
 
 

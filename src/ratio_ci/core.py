@@ -134,6 +134,8 @@ def _upper_quantile(level: float, df: float) -> float:
     """The t quantile with 0.5*(1 - level) above it, read from that tail:
     the tail is exact for level >= 0.5 and at least 2^-54 below 1, where
     0.5*(1 + level) would round (to 1 at level 1 - 2^-53)."""
+    if not 0.0 < level < 1.0:
+        raise DomainError("level must lie strictly between 0 and 1")
     quantile = -t_quantile(0.5 * (1.0 - level), df)
     if quantile == 0.0:
         raise DomainError(f"level {level!r} is too small: its t quantile is 0")

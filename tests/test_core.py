@@ -197,18 +197,13 @@ def test_t_quantile_decreasing_in_df():
 
 
 def test_t_quantile_domain():
-    for bad_p in (0.0, 1.0, -0.5):
-        with pytest.raises(DomainError):
+    # 1e-100 is the least tail t_quantile takes; no level needs less.
+    assert t_quantile(1e-100, 3) < 0.0
+    for bad_p in (0.0, 1.0, -0.5, 9e-101):
+        with pytest.raises(DomainError, match=r"\[1e-100, 1\)"):
             t_quantile(bad_p, 5)
     with pytest.raises(DomainError):
         t_quantile(0.9, 0.5)
-
-
-def test_t_quantile_floor():
-    # 1e-100 is the least tail t_quantile takes; no level needs less.
-    assert t_quantile(1e-100, 3) < 0.0
-    with pytest.raises(DomainError, match=r"\[1e-100, 1\)"):
-        t_quantile(9e-101, 3)
 
 
 def test_t_quantile_rejects_nan():
@@ -231,8 +226,9 @@ def test_confidence_spec_two_sided():
 
 
 def test_confidence_spec_validation():
-    with pytest.raises(DomainError):
-        ConfidenceSpec.two_sided(1.0, df=5)
+    for bad in (0.0, 1.0, math.nan):
+        with pytest.raises(DomainError, match="level must"):
+            ConfidenceSpec.two_sided(bad, df=5)
     with pytest.raises(DomainError):
         ConfidenceSpec(level=0.95, df=5.0, quantile=-1.0)
 

@@ -107,9 +107,9 @@ def test_ols_standard_errors_simple_regression():
 
 
 def test_ols_standard_errors_far_from_the_origin_match_mpmath():
-    # x = 1e5 + 0..19 beside an intercept: x^T x has a condition number near
-    # 1e14, and inverting it left the SEs 7.5e-9 relative off. The exact fit
-    # of the same doubles is taken at 60 digits.
+    # x = 1e5 + 0..19 beside an intercept: the design's condition number is
+    # 1.7e9 and that of x^T x 3e18, whose inverse left the SEs 7.5e-9
+    # relative off. The exact fit of the same doubles is taken at 60 digits.
     x = 1e5 + np.arange(20.0)
     y = 3.0 + 2.0 * x + np.random.default_rng(1).normal(0.0, 1.0, 20)
     fit = ols_fit(y, {"x": x}, intercept=True)
