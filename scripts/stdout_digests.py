@@ -65,7 +65,10 @@ The argvs, in list order:
 - two that run `ci` on the worked example at levels where 0.5*(1 + level)
   rounds, so the t quantile must come from the tail 0.5*(1 - level):
   `--level 0.9999999999999999` (1 - 2^-53, where the sum rounds to 1) and
-  `--level 0.999`.
+  `--level 0.999`;
+- the two Hwang samples above again with `--format csv`, so that the CSV
+  cells of a half-line, `lower` set and `upper` empty, and of a half-line
+  beside a bounded interval are pinned as well as their JSON.
 """
 
 from __future__ import annotations
@@ -244,6 +247,9 @@ def argvs(files: dict[str, Path]) -> list[list[str]]:
     ]
     for level in ("0.9999999999999999", "0.999"):  # the quantile from the tail
         out.append(["ci", "--input", worked, "--level", level])
+    for name in ("cell-half-line.csv", "cell-union.csv"):  # their set cells in CSV
+        out.append(["ci", "--input", str(files[name]), "--methods", "hwang_bootstrap",
+                    "--seed", "1", "--format", "csv"])
     return out
 
 

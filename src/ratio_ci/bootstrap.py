@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -127,24 +127,6 @@ def _resample_indices(rng: np.random.Generator, rows: int, n: int) -> np.ndarray
 def _block_rows(n: int) -> int:
     """Resamples per block at n pairs."""
     return max(1, _BLOCK_ELEMENTS // n)
-
-
-def _per_resample(
-    seed: int, replications: int, n: int, statistic: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """statistic(idx) for each block of resample indices, concatenated along
-    the last axis to B = replications values (per row of the statistic, if
-    it has rows); idx is a (rows, n) block of the one-shot (B, n) index
-    matrix drawn from seed."""
-    rng = np.random.default_rng(seed)
-    rows = _block_rows(n)
-    return np.concatenate(
-        [
-            statistic(_resample_indices(rng, min(rows, replications - start), n))
-            for start in range(0, replications, rows)
-        ],
-        axis=-1,
-    )
 
 
 def _collect(values: np.ndarray, replications: int) -> tuple[np.ndarray, int]:
@@ -251,8 +233,10 @@ def _resample(
     rho_hat is not None) of the same B = replications resamples of the
     pairs (xs, ys) drawn from seed, from one pass.
 
-    Each index block is gathered once, into the leading rows of the two
-    (rows, n) arrays of buffers, which hold at least a block. A ratio
+    The index blocks come from one default_rng(seed), and each block's
+    values are written into its slice of the B-length results. Each index
+    block is gathered once, into the leading rows of the two (rows, n)
+    arrays of buffers, which hold at least a block. A ratio
     replicate is mean_y*/mean_x*, nan where mean_x* is zero. T0* is the
     one-sample t of the resample's d* = y* - rho_hat x*, formed in place of
     x*: elementwise it is d = ys - rho_hat xs gathered. Each row of d* is
@@ -263,28 +247,31 @@ def _resample(
     """
     n = xs.size
     x_buffer, y_buffer = buffers
-
-    def block(idx: np.ndarray) -> np.ndarray:
+    ratio = np.empty(replications) if ratios else None
+    t0 = np.empty(replications) if rho_hat is not None else None
+    rng = np.random.default_rng(seed)
+    step = _block_rows(n)
+    for start in range(0, replications, step):
+        rows = min(step, replications - start)
+        idx = _resample_indices(rng, rows, n)
         # mode="clip" writes into out directly ("raise" would buffer); the
         # indices are all in range, so it clips nothing.
-        x = np.take(xs, idx, out=x_buffer[: len(idx)], mode="clip")
-        y = np.take(ys, idx, out=y_buffer[: len(idx)], mode="clip")
-        out = []
-        if ratios:
+        x = np.take(xs, idx, out=x_buffer[:rows], mode="clip")
+        y = np.take(ys, idx, out=y_buffer[:rows], mode="clip")
+        del idx  # else the next block's indices are drawn while these are held
+        part = slice(start, start + rows)
+        if ratio is not None:
             mx, my = x.mean(axis=1), y.mean(axis=1)
             with np.errstate(divide="ignore", invalid="ignore"):
-                out.append(np.where(mx != 0.0, my / mx, math.nan))
-        if rho_hat is not None:
+                ratio[part] = np.where(mx != 0.0, my / mx, math.nan)
+        if t0 is not None:
             d = np.subtract(y, np.multiply(x, rho_hat, out=x), out=x)
             first = d[:, :1].copy()
             d -= first
             shift = d.mean(axis=1)
             d -= shift[:, None]
-            out.append(_one_sample_t(first[:, 0] + shift, _row_dots(d, d), n))
-        return np.stack(out)
-
-    stats = iter(_per_resample(seed, replications, n, block))
-    return (next(stats) if ratios else None), (next(stats) if rho_hat is not None else None)
+            t0[part] = _one_sample_t(first[:, 0] + shift, _row_dots(d, d), n)
+    return ratio, t0
 
 
 def _ratio_jackknife(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

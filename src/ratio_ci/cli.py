@@ -47,6 +47,7 @@ from .methods import Method, MethodResult
 from .montecarlo import (
     GridSpec,
     SimCell,
+    _cell,
     _fmt,
     error_bar_experiment,
     errorbar_csv_rows,
@@ -181,27 +182,16 @@ def _result_record(result: MethodResult) -> dict:
         "case": cset.case.value,
         "lower": cset.lower,
         "upper": cset.upper,
-        "excluded_lower": cset.excluded_lower,
-        "excluded_upper": cset.excluded_upper,
         "intervals": cset.intervals,
         "diagnostics": result.diagnostics,
     }
 
 
 def _ci_csv_rows(results: Sequence[MethodResult]) -> list[list[str]]:
-    """The JSON records' fields but the diagnostics; an infinite or absent
-    bound is an empty cell, and the intervals are lo:hi pairs joined by ;"""
-
-    def cell(value: str | float | tuple | None) -> str:
-        if isinstance(value, str):
-            return value
-        if isinstance(value, tuple):
-            return ";".join(f"{_fmt(lo)}:{_fmt(hi)}" for lo, hi in value)
-        return "" if value is None or not math.isfinite(value) else _fmt(value)
-
+    """The JSON records' fields but the diagnostics, each written by _cell."""
     records = [_result_record(r) for r in results]
     fields = [name for name in records[0] if name != "diagnostics"]
-    return [fields] + [[cell(record[name]) for name in fields] for record in records]
+    return [fields] + [[_cell(record[name]) for name in fields] for record in records]
 
 
 # -------------------------------------------------------------------- input

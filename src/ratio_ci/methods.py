@@ -149,7 +149,6 @@ class FiellerDiagnostics:
 
     denom_t_squared: float
     t_unbounded_squared: float
-    case: SetCase
 
 
 @dataclass(frozen=True)
@@ -466,8 +465,7 @@ def _fieller_rows(m: _RowSummaries, quantile: float) -> _RowResults:
     lower, upper, errors = _band_rows(m, -quantile, quantile)
 
     def diagnostics(i: int) -> FiellerDiagnostics:
-        case = _row_set(lower[i], upper[i]).case
-        return FiellerDiagnostics(float(denom_t2[i]), float(t_unb2[i]), case)
+        return FiellerDiagnostics(float(denom_t2[i]), float(t_unb2[i]))
 
     return _RowResults(estimate, lower, upper, errors, diagnostics)
 

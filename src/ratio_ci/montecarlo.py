@@ -60,9 +60,9 @@ from .core import (
 )
 from .errors import DomainError, RatioCiError
 from .methods import (
+    ConfidenceSet,
     Method,
     MethodResult,
-    SetCase,
     _delta_rows,
     _fieller_rows,
     _index_rows,
@@ -220,7 +220,7 @@ class ErrorBarRun:
     method: Method
     run: int
     estimate: float
-    confidence_set: object
+    confidence_set: ConfidenceSet
     covers_true: bool
 
 
@@ -658,6 +658,16 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _cell(value: str | float | tuple) -> str:
+    """One CSV cell of a ci record or a set: a string as it is, intervals
+    as lo:hi pairs joined by ;, and a number empty where it is not finite."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):
+        return ";".join(f"{_fmt(lo)}:{_fmt(hi)}" for lo, hi in value)
+    return _fmt(value) if math.isfinite(value) else ""
+
+
 def grid_csv_rows(grid: CoverageGrid) -> list[list[str]]:
     """Plot-ready long-format rows, one per (cell, method), plus header."""
     rows = [
@@ -695,19 +705,18 @@ def grid_csv_rows(grid: CoverageGrid) -> list[list[str]]:
 
 
 def errorbar_csv_rows(experiment: ErrorBarExperiment) -> list[list[str]]:
-    """One row per (method, run); unbounded sets leave lower/upper empty."""
-    rows = [["method", "run", "estimate", "lower", "upper", "case", "covers_true"]]
+    """One row per (method, run), its set in the cells of ci's CSV (_cell)."""
+    rows = [
+        ["method", "run", "estimate", "case", "lower", "upper", "intervals", "covers_true"]
+    ]
     for r in experiment.rows:
         cset = r.confidence_set
-        bounded = cset.case is SetCase.BOUNDED
         rows.append(
             [
                 r.method.value,
                 str(r.run),
                 _fmt(r.estimate),
-                _fmt(cset.lower) if bounded else "",
-                _fmt(cset.upper) if bounded else "",
-                cset.case.value,
+                *map(_cell, (cset.case.value, cset.lower, cset.upper, cset.intervals)),
                 "true" if r.covers_true else "false",
             ]
         )

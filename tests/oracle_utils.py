@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from ratio_ci import ConfidenceSet, PairedSample, TooFewObservations
-from ratio_ci.bootstrap import _collect, _limits, _per_resample
+from ratio_ci.bootstrap import _collect, _limits
 
 # --------------------------------------------------------------------------
 # Paired summary statistics, recomputed the slow way.
@@ -326,11 +326,12 @@ def bca_oracle(values, theta_hat: float, jackknife, level: float):
 
 
 # --------------------------------------------------------------------------
-# A generic pair bootstrap: any statistic, one sample per resample. Unlike
-# the oracles above it is built on the library's own resampling and BCa
-# steps (bootstrap._per_resample, _collect, _limits), so it draws the same
-# index blocks as the vectorized statistics and checks their arithmetic,
-# not the resampling itself.
+# A generic pair bootstrap: any statistic, one sample per resample. It draws
+# the one-shot (B, n) index matrix integers(0, n, (B, n)) from
+# default_rng(seed) itself, which is the matrix the library's index blocks
+# concatenate to, so it checks the blocking as well as the arithmetic of the
+# vectorized statistics. Unlike the oracles above it reads the values with
+# the library's own steps (bootstrap._collect, _limits).
 
 
 def resample_pairs(sample, config, statistic):
@@ -340,12 +341,9 @@ def resample_pairs(sample, config, statistic):
     Deterministic in config.seed. More than 50% dropped, or fewer than 100
     kept, is an error.
     """
-    def block(idx):
-        return np.array([statistic(PairedSample(sample.xs[row], sample.ys[row])) for row in idx])
-
-    return _collect(
-        _per_resample(config.seed, config.replications, sample.n, block), config.replications
-    )
+    idx = np.random.default_rng(config.seed).integers(0, sample.n, (config.replications, sample.n))
+    values = np.array([statistic(PairedSample(sample.xs[row], sample.ys[row])) for row in idx])
+    return _collect(values, config.replications)
 
 
 def bca_ci(sample, statistic, config, level: float):

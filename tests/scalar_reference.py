@@ -57,7 +57,6 @@ from ratio_ci.bootstrap import (
     _acceleration,
     _bca_levels,
     _jackknife_t0,
-    _per_resample,
     _ratio_jackknife,
 )
 
@@ -269,14 +268,14 @@ def summarize(sample: PairedSample) -> SummaryStats:
 def fieller_set(stats: SummaryStats, spec: ConfidenceSpec) -> MethodResult:
     cset = invert_t0_band(stats, -spec.quantile, spec.quantile)
     estimate = stats.mean_y / stats.mean_x if stats.mean_x != 0.0 else math.nan
-    return MethodResult(Method.FIELLER, estimate, cset, fieller_diagnostics(stats, cset))
+    return MethodResult(Method.FIELLER, estimate, cset, fieller_diagnostics(stats))
 
 
-def fieller_diagnostics(stats: SummaryStats, cset: ConfidenceSet) -> FiellerDiagnostics:
+def fieller_diagnostics(stats: SummaryStats) -> FiellerDiagnostics:
     mx, my = stats.mean_x, stats.mean_y
     vx, vy, cxy = stats.var_mean_x, stats.var_mean_y, stats.cov_mean_xy
     if vx == 0.0:
-        return FiellerDiagnostics(math.inf, math.inf, cset.case)
+        return FiellerDiagnostics(math.inf, math.inf)
     denom_t2 = mx * mx / vx
     det = vx * vy - cxy * cxy
     resid = my * vx - mx * cxy
@@ -286,7 +285,7 @@ def fieller_diagnostics(stats: SummaryStats, cset: ConfidenceSet) -> FiellerDiag
         t_unb2 = denom_t2
     else:
         t_unb2 = math.inf
-    return FiellerDiagnostics(denom_t2, t_unb2, cset.case)
+    return FiellerDiagnostics(denom_t2, t_unb2)
 
 
 def taylor_limits(stats: SummaryStats, spec: ConfidenceSpec) -> MethodResult:
@@ -439,37 +438,37 @@ def _bca_from_distribution(values, theta_hat, jackknife, level):
 
 
 # ------------------------------------------------ the separate bootstraps
-# Each draws and gathers its own (B, n) index matrix from config.seed, in the
-# library's blocks, and besides its result returns the reason its BCa step
-# fell back to percentiles (None if it did not) and the replicates dropped.
+# Each draws and gathers its own (B, n) index matrix from config.seed in one
+# shot, the matrix the library's index blocks concatenate to, and besides its
+# result returns the reason its BCa step fell back to percentiles (None if it
+# did not) and the replicates dropped.
+
+
+def _indices(sample, config):
+    rng = np.random.default_rng(config.seed)
+    return rng.integers(0, sample.n, (config.replications, sample.n))
 
 
 def resample_t0(sample, config, rho_hat):
     n = sample.n
-
-    def block(idx):
-        d = sample.ys[idx] - rho_hat * sample.xs[idx]
-        first = d[:, 0]
-        centred = d - first[:, None]
-        shift = centred.mean(axis=1)
-        dev = centred - shift[:, None]
-        ss = np.array([row @ row for row in dev])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(ss > 0.0, (first + shift) / np.sqrt(ss / (n * (n - 1))), math.nan)
-
-    return _per_resample(config.seed, config.replications, n, block)
+    idx = _indices(sample, config)
+    d = sample.ys[idx] - rho_hat * sample.xs[idx]
+    first = d[:, 0]
+    centred = d - first[:, None]
+    shift = centred.mean(axis=1)
+    dev = centred - shift[:, None]
+    ss = np.array([row @ row for row in dev])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(ss > 0.0, (first + shift) / np.sqrt(ss / (n * (n - 1))), math.nan)
 
 
 def ratio_distribution(sample, config):
-    def block(idx):
-        mx = sample.xs[idx].mean(axis=1)
-        my = sample.ys[idx].mean(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(mx != 0.0, my / mx, math.nan)
-
-    return _collect(
-        _per_resample(config.seed, config.replications, sample.n, block), config.replications
-    )
+    idx = _indices(sample, config)
+    mx = sample.xs[idx].mean(axis=1)
+    my = sample.ys[idx].mean(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.where(mx != 0.0, my / mx, math.nan)
+    return _collect(values, config.replications)
 
 
 def hwang_set(sample, config, spec):

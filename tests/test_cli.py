@@ -18,6 +18,8 @@ from ratio_ci import (
     ConfidenceSpec,
     Method,
     PairedSample,
+    SimCell,
+    error_bar_experiment,
     fieller_set,
     hwang_set,
     ratio_bootstrap_results,
@@ -85,8 +87,6 @@ def test_ci_csv_layout(capsys, worked_csv):
         "case",
         "lower",
         "upper",
-        "excluded_lower",
-        "excluded_upper",
         "intervals",
     ]
     assert len(rows) == 6
@@ -94,8 +94,7 @@ def test_ci_csv_layout(capsys, worked_csv):
     assert fieller[0] == "fieller" and fieller[2] == "bounded"
     # Cells hold repr() of the float: parsing them back is lossless.
     assert float(fieller[3]) < 0.0 < float(fieller[4])
-    assert fieller[5] == "" and fieller[6] == ""
-    assert fieller[7] == f"{fieller[3]}:{fieller[4]}"
+    assert fieller[5] == f"{fieller[3]}:{fieller[4]}"
 
 
 @pytest.mark.filterwarnings("ignore:fewer than 1000 replications")
@@ -159,10 +158,9 @@ def test_ci_evaluates_mixed_methods_in_request_order(capsys, tmp_path):
         assert record["estimate"] == want.estimate
         assert record["case"] == cset.case.value
         assert (record["lower"], record["upper"]) == (cset.lower, cset.upper)
-        assert (record["excluded_lower"], record["excluded_upper"]) == (
-            cset.excluded_lower,
-            cset.excluded_upper,
-        )
+        assert record["intervals"] == [
+            [None if math.isinf(end) else end for end in interval] for interval in cset.intervals
+        ]
     hwang = records[2]["diagnostics"]
     assert hwang["t_lower"] == expected[2].diagnostics.t_lower
     assert hwang["t_upper"] == expected[2].diagnostics.t_upper
@@ -250,9 +248,10 @@ def test_ci_csv_leaves_unbounded_cells_empty(capsys, tmp_path):
         assert fieller["method"] == "fieller" and fieller["case"] == case
         assert fieller["lower"] == fieller["upper"] == ""
         if case == "whole_line":
-            assert fieller["excluded_lower"] == fieller["excluded_upper"] == ""
+            assert fieller["intervals"] == "-inf:inf"
         else:
-            assert float(fieller["excluded_lower"]) < float(fieller["excluded_upper"])
+            (lo, a), (b, hi) = (map(float, p.split(":")) for p in fieller["intervals"].split(";"))
+            assert lo == -math.inf and a < b and hi == math.inf
         for row, record in zip(rows, records, strict=True):
             for name, cell in zip(header, row, strict=True):
                 value = record[name]
@@ -617,11 +616,32 @@ def test_errorbars_csv(capsys):
     code, out, err = _run(capsys, argv)
     assert code == 0 and err == ""
     rows = _parse_csv(out)
-    assert rows[0] == ["method", "run", "estimate", "lower", "upper", "case", "covers_true"]
+    assert rows[0] == [
+        "method", "run", "estimate", "case", "lower", "upper", "intervals", "covers_true"
+    ]
     assert len(rows) == 25
     assert {r[0] for r in rows[1:]} == {"fieller", "index"}
     code2, out2, _ = _run(capsys, argv)
     assert out2 == out
+
+
+def test_errorbars_csv_intervals_are_the_sets(capsys):
+    # At cv_x = 3 many of Fieller's sets are the line minus an interval;
+    # the intervals cell, parsed back, is each run's set exactly.
+    argv = ["errorbars", "--cv-x", "3", "--cv-y", "0.1", "--n", "20", "--runs", "40",
+            "--seed", "1"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    header, *rows = _parse_csv(out)
+    experiment = error_bar_experiment(SimCell(cv_x=3.0, cv_y=0.1, n=20), runs=40, seed=1)
+    for row, run in zip(rows, experiment.rows, strict=True):
+        cells = dict(zip(header, row, strict=True))
+        assert (cells["method"], int(cells["run"])) == (run.method.value, run.run)
+        parsed = tuple(
+            tuple(map(float, pair.split(":"))) for pair in cells["intervals"].split(";")
+        )
+        assert parsed == run.confidence_set.intervals
+    assert any(len(run.confidence_set.intervals) == 2 for run in experiment.rows)
 
 
 def test_errorbars_precondition_failure_exits_3(capsys):

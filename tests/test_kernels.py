@@ -18,7 +18,6 @@ import scalar_reference as ref
 from ratio_ci import (
     AllResamplesDegenerate,
     BootstrapConfig,
-    ConfidenceSet,
     ConfidenceSpec,
     DomainError,
     Method,
@@ -216,7 +215,7 @@ def _band(data, stats):
     kind = data.draw(st.sampled_from(BAND_KINDS))
     t, width = data.draw(st.floats(-10.0, 10.0)), data.draw(st.floats(0.0, 10.0))
     sign = data.draw(st.sampled_from((-1.0, 1.0)))
-    diagnostics = ref.fieller_diagnostics(stats, ConfidenceSet(((-math.inf, math.inf),)))
+    diagnostics = ref.fieller_diagnostics(stats)
     t_max = math.sqrt(diagnostics.t_unbounded_squared)
     if kind == "symmetric":
         return -abs(t), abs(t)

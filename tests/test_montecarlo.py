@@ -403,17 +403,20 @@ def test_errorbar_csv_layout():
     cell = SimCell(cv_x=3.0, cv_y=0.5, n=4)
     exp = error_bar_experiment(cell, runs=30, seed=11)
     rows = errorbar_csv_rows(exp)
-    assert rows[0] == ["method", "run", "estimate", "lower", "upper", "case", "covers_true"]
+    assert rows[0] == [
+        "method", "run", "estimate", "case", "lower", "upper", "intervals", "covers_true"
+    ]
     assert len(rows) == 61
-    by_case = {r[5] for r in rows[1:]}
+    by_case = {r[3] for r in rows[1:]}
     # cv_x=3 at n=4 forces plenty of unbounded exact sets.
     assert "whole_line" in by_case or "unbounded_exclusive" in by_case
     for r in rows[1:]:
-        if r[5] != "bounded":
-            assert r[3] == "" and r[4] == ""
+        if r[3] != "bounded":
+            # An infinite bound is an empty cell.
+            assert r[4] == "" or r[5] == ""
         else:
-            assert float(r[3]) <= float(r[4])
-        assert r[6] in ("true", "false")
+            assert float(r[4]) <= float(r[5])
+        assert r[7] in ("true", "false")
 
 
 def _error_bar_loop(cell, runs, seed):

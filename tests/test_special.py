@@ -96,6 +96,9 @@ def test_normal_edges():
 
 # --------------------------------------------------------------- Student t
 
+# df/2 + 1/2 is exact at 1.5, 3.3 and 20.1 and rounds at 1.01, 1.05 and 7.7.
+non_integer_df = st.sampled_from((1.01, 1.05, 1.5, 3.3, 7.7, 20.1))
+
 
 @settings(max_examples=120)
 @given(
@@ -104,6 +107,7 @@ def test_normal_edges():
         st.integers(1, 40),
         st.integers(1, 10**6),
         st.floats(0.0, 6.0).map(lambda e: int(10.0**e)),
+        non_integer_df,
     ),
 )
 def test_t_quantile_within_4_ulp(p, df):
@@ -160,7 +164,9 @@ def t_quantile_tail_mp(q: float, df: float, start: float):
 @settings(max_examples=80)
 @given(
     st.floats(-100.0, -10.0).map(lambda e: 10.0**e),
-    st.one_of(st.integers(1, 40), st.floats(0.0, 6.0).map(lambda e: int(10.0**e))),
+    st.one_of(
+        st.integers(1, 40), st.floats(0.0, 6.0).map(lambda e: int(10.0**e)), non_integer_df
+    ),
 )
 def test_t_quantile_small_tails_within_4_ulp(q, df):
     # Tails from 1e-100, the least that t_quantile takes, to 1e-10.
