@@ -68,7 +68,11 @@ The argvs, in list order:
   `--level 0.999`;
 - the two Hwang samples above again with `--format csv`, so that the CSV
   cells of a half-line, `lower` set and `upper` empty, and of a half-line
-  beside a bounded interval are pinned as well as their JSON.
+  beside a bounded interval are pinned as well as their JSON;
+- three regression views: `regress --model deflated` in JSON, which pins
+  the relabelled fit at full precision (criterion 8 pins only its 6-digit
+  text), `regress --model ancova --format text`, and `regress --model ols
+  --regressors x,x`, which names a column twice and exits 2.
 """
 
 from __future__ import annotations
@@ -250,6 +254,12 @@ def argvs(files: dict[str, Path]) -> list[list[str]]:
     for name in ("cell-half-line.csv", "cell-union.csv"):  # their set cells in CSV
         out.append(["ci", "--input", str(files[name]), "--methods", "hwang_bootstrap",
                     "--seed", "1", "--format", "csv"])
+    out += [  # the relabelled fits at full precision, and a repeated regressor
+        ["regress", "--input", line, "--model", "deflated"],
+        ["regress", "--input", groups, "--model", "ancova", "--format", "text"],
+        ["regress", "--input", line, "--model", "ols", "--response", "y",
+         "--regressors", "x,x"],
+    ]
     return out
 
 

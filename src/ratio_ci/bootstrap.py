@@ -54,7 +54,15 @@ from typing import Sequence
 import numpy as np
 
 from ._special import ndtr, ndtri
-from .core import ConfidenceSpec, PairedSample, _integer, _row_dots, _RowSummaries, _summarize_rows
+from .core import (
+    ConfidenceSpec,
+    PairedSample,
+    _integer,
+    _row_dots,
+    _RowSummaries,
+    _seed,
+    _summarize_rows,
+)
 from .errors import (
     AllResamplesDegenerate,
     DegenerateJackknife,
@@ -90,11 +98,9 @@ class BootstrapConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "replications", _integer(self.replications, "replications"))
-        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        object.__setattr__(self, "seed", _seed(self.seed))
         if self.replications < 100:
             raise DomainError("need at least 100 bootstrap replications")
-        if self.seed < 0:
-            raise DomainError("seed must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -47,8 +47,9 @@ from .methods import Method, MethodResult
 from .montecarlo import (
     GridSpec,
     SimCell,
-    _cell,
+    _csv_rows,
     _fmt,
+    _set_record,
     error_bar_experiment,
     errorbar_csv_rows,
     evaluate_methods,
@@ -175,23 +176,12 @@ def _json_text(payload) -> str:
 
 
 def _result_record(result: MethodResult) -> dict:
-    cset = result.confidence_set
     return {
         "method": result.method.value,
         "estimate": result.estimate,
-        "case": cset.case.value,
-        "lower": cset.lower,
-        "upper": cset.upper,
-        "intervals": cset.intervals,
+        **_set_record(result.confidence_set),
         "diagnostics": result.diagnostics,
     }
-
-
-def _ci_csv_rows(results: Sequence[MethodResult]) -> list[list[str]]:
-    """The JSON records' fields but the diagnostics, each written by _cell."""
-    records = [_result_record(r) for r in results]
-    fields = [name for name in records[0] if name != "diagnostics"]
-    return [fields] + [[_cell(record[name]) for name in fields] for record in records]
 
 
 # -------------------------------------------------------------------- input
@@ -320,10 +310,12 @@ def _cmd_ci(args: argparse.Namespace) -> int:
         if isinstance(result, RatioCiError):
             return _fail_method(method.value, result)
         results.append(result)
+    records = [_result_record(r) for r in results]
     if args.format == "json":
-        text = _json_text([_result_record(r) for r in results])
-    else:
-        text = _csv_text(_ci_csv_rows(results))
+        text = _json_text(records)
+    else:  # the JSON records' fields but the diagnostics
+        rows = [{k: v for k, v in record.items() if k != "diagnostics"} for record in records]
+        text = _csv_text(_csv_rows(rows))
     _write(text, args.output)
     return 0
 
@@ -365,9 +357,9 @@ def _cmd_ellipse(args: argparse.Namespace) -> int:
     if args.format == "svg":
         text = wedge_svg(wedge, k=args.points)
     else:
-        rows = [["element", "x", "y"]]
-        rows += [[el, _fmt(x), _fmt(y)] for el, x, y in wedge_csv_rows(wedge, k=args.points)]
-        text = _csv_text(rows)
+        points = wedge_csv_rows(wedge, k=args.points)
+        rows = [{"element": el, "x": _fmt(x), "y": _fmt(y)} for el, x, y in points]
+        text = _csv_text(_csv_rows(rows))
     _write(text, args.output)
     return 0
 
@@ -393,10 +385,11 @@ def _cmd_regress(args: argparse.Namespace) -> int:
             if not args.response or not args.regressors:
                 raise _InputError("ols needs --response and --regressors")
             y = _numeric_column(table, args.response, path)
-            regs = {
-                name: _numeric_column(table, name, path)
-                for name in args.regressors.split(",")
-            }
+            names = args.regressors.split(",")
+            repeated = [name for name in names if names.count(name) > 1]
+            if repeated:
+                raise _InputError(f"regressor {repeated[0]!r} is named more than once")
+            regs = {name: _numeric_column(table, name, path) for name in names}
             fit = ols_fit(y, regs, intercept=args.intercept)
             payload, text = fit, _fit_text(fit, "least-squares fit")
         elif args.model == "deflated":

@@ -38,6 +38,14 @@ def _integer(value, name: str) -> int:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _seed(value, name: str = "seed") -> int:
+    """value as a non-negative int (see _integer); DomainError otherwise."""
+    seed = _integer(value, name)
+    if seed < 0:
+        raise DomainError(f"{name} must be non-negative")
+    return seed
+
+
 def _validated_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:

@@ -13,7 +13,7 @@ significance by dividing both sides by the same noisy denominator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -181,29 +181,22 @@ def ancova_ratio_compare(groups: Sequence[PairedSample]) -> ModelComparison:
         raise TooFewObservations("not enough observations for per-group slopes")
     common = sum(sxy) / sum(sxx)
     df_restricted = n_total - 1
-
-    def sse(group_slopes: Sequence[float]) -> float:
-        """Sum of squared residuals of y_gi = b_g*x_gi (syy - b*sxy cancels)."""
-        return sum(float(r @ r) for r in (s.ys - b * s.xs for s, b in zip(groups, group_slopes)))
-
-    sse_full, sse_restricted = sse(slopes), sse([common] * m)
     tss = sum(float(s.ys @ s.ys) for s in groups)  # uncentered: neither model has an intercept
-    s2_r = sse_restricted / df_restricted
-    restricted = RegressionFit(
-        coefficients={"slope": common},
-        standard_errors={"slope": math.sqrt(s2_r / sum(sxx))},
-        residual_variance=s2_r,
-        df=df_restricted,
-        r_squared=_r_squared(sse_restricted, tss),
+
+    def fit(coefficients: dict[str, float], group_slopes: list[float], sxxs: list[float], df: int):
+        """The fit of y_gi = b_g*x_gi, each coefficient's SE over its sum of
+        x^2 in sxxs, and the raw sum of squared residuals (syy - b*sxy cancels)."""
+        residuals = (s.ys - b * s.xs for s, b in zip(groups, group_slopes))
+        sse = sum(float(r @ r) for r in residuals)
+        s2 = sse / df
+        standard_errors = {name: math.sqrt(s2 / a) for name, a in zip(coefficients, sxxs)}
+        return RegressionFit(coefficients, standard_errors, s2, df, _r_squared(sse, tss)), sse
+
+    restricted, sse_restricted = fit({"slope": common}, [common] * m, [sum(sxx)], df_restricted)
+    full, sse_full = fit(
+        {f"slope_{g}": b for g, b in enumerate(slopes, start=1)}, slopes, sxx, df_full
     )
-    s2_f = sse_full / df_full
-    full = RegressionFit(
-        coefficients={f"slope_{g}": b for g, b in enumerate(slopes, start=1)},
-        standard_errors={f"slope_{g}": math.sqrt(s2_f / a) for g, a in enumerate(sxx, start=1)},
-        residual_variance=s2_f,
-        df=df_full,
-        r_squared=_r_squared(sse_full, tss),
-    )
+    # The F test reads the raw sums: RegressionFit.sse is one rounding away.
     f, p = _nested_f(sse_restricted, sse_full, df_restricted, df_full)
     return ModelComparison(restricted=restricted, full=full, f_statistic=f, p_value=p)
 
@@ -222,18 +215,11 @@ def deflated_fit(sample: PairedSample) -> RegressionFit:
     rates = sample.ys / sample.xs
     inv = 1.0 / sample.xs
     fit = ols_fit(rates, {"inverse_x": inv}, intercept=True)
-    return RegressionFit(
-        coefficients={
-            "alpha": fit.coefficients["inverse_x"],
-            "beta": fit.coefficients["intercept"],
-        },
-        standard_errors={
-            "alpha": fit.standard_errors["inverse_x"],
-            "beta": fit.standard_errors["intercept"],
-        },
-        residual_variance=fit.residual_variance,
-        df=fit.df,
-        r_squared=fit.r_squared,
+    labels = {"alpha": "inverse_x", "beta": "intercept"}
+    return replace(
+        fit,
+        coefficients={new: fit.coefficients[old] for new, old in labels.items()},
+        standard_errors={new: fit.standard_errors[old] for new, old in labels.items()},
     )
 
 
@@ -266,13 +252,7 @@ def allometric_fit(
     for name in regs:
         coefficients[f"gamma_{name}"] = fit.coefficients[name]
         standard_errors[f"gamma_{name}"] = fit.standard_errors[name]
-    return RegressionFit(
-        coefficients=coefficients,
-        standard_errors=standard_errors,
-        residual_variance=fit.residual_variance,
-        df=fit.df,
-        r_squared=fit.r_squared,
-    )
+    return replace(fit, coefficients=coefficients, standard_errors=standard_errors)
 
 
 @dataclass(frozen=True)
@@ -334,20 +314,19 @@ def spurious_demo(
     if np.any(x <= 0.0):
         raise NonPositiveData("women counts must be strictly positive")
 
-    counts_restricted = ols_fit(y, {"women": x}, intercept=True)
-    counts_full = ols_fit(y, {"women": x, "storks": z}, intercept=True)
-    f_stat, p = _nested_f(
-        counts_restricted.sse, counts_full.sse, counts_restricted.df, counts_full.df
-    )
-    partial = ModelComparison(counts_restricted, counts_full, f_stat, p)
+    def compare(restricted: RegressionFit, full: RegressionFit) -> ModelComparison:
+        f, p = _nested_f(restricted.sse, full.sse, restricted.df, full.df)
+        return ModelComparison(restricted, full, f, p)
 
-    rates = y / x
-    rates_restricted = ols_fit(rates, {}, intercept=True)
-    rates_full = ols_fit(rates, {"stork_rate": z / x}, intercept=True)
-    f_stat, p = _nested_f(
-        rates_restricted.sse, rates_full.sse, rates_restricted.df, rates_full.df
+    partial = compare(
+        ols_fit(y, {"women": x}, intercept=True),
+        ols_fit(y, {"women": x, "storks": z}, intercept=True),
     )
-    rate_based = ModelComparison(rates_restricted, rates_full, f_stat, p)
+    rates = y / x
+    rate_based = compare(
+        ols_fit(rates, {}, intercept=True),
+        ols_fit(rates, {"stork_rate": z / x}, intercept=True),
+    )
     return SpuriousReport(partial=partial, rate_based=rate_based)
 
 

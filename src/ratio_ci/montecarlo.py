@@ -56,6 +56,7 @@ from .core import (
     _bivariate_pairs,
     _integer,
     _RowSummaries,
+    _seed,
     _summarize_rows,
 )
 from .errors import DomainError, RatioCiError
@@ -246,6 +247,7 @@ def thread_cap(requested: int | None = None) -> int:
                 raise DomainError(f"RATIO_CI_THREADS must be an integer, got {env!r}")
     if requested is None:
         return os.cpu_count() or 1
+    requested = _integer(requested, "thread cap")
     if requested < 1:
         raise DomainError("thread cap must be at least 1")
     return requested
@@ -562,6 +564,7 @@ def run_cell(
     resampled from the last draw of its own stream, not boot_config.seed.
     Hwang's band is the BCa band, or the percentile band as a fallback.
     """
+    runs, seed = _integer(runs, "runs"), _seed(seed)
     if runs < 100:
         raise DomainError("need at least 100 runs per cell")
     method_order = _normalized_methods(methods)
@@ -605,6 +608,7 @@ def run_grid(
     run_cell: only its replications.
     """
     method_order = _normalized_methods(methods)
+    master_seed = _seed(master_seed, "master_seed")
     cells = gridspec.cells()
     seeds = [_cell_seed(master_seed, i) for i in range(len(cells))]
 
@@ -627,6 +631,7 @@ def error_bar_experiment(
     more often. Rows are sorted by estimate within each method, the exact
     method's rows first.
     """
+    runs, seed = _integer(runs, "runs"), _seed(seed)
     if runs < 1:
         raise DomainError("need at least one run")
     spec = ConfidenceSpec.two_sided(level, df=cell.n - 1)
@@ -658,66 +663,69 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _cell(value: str | float | tuple) -> str:
-    """One CSV cell of a ci record or a set: a string as it is, intervals
+def _cell(value: str | int | float | tuple) -> str:
+    """One CSV cell: a string as it is, an integer in decimal, intervals
     as lo:hi pairs joined by ;, and a number empty where it is not finite."""
     if isinstance(value, str):
         return value
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return str(value)
     if isinstance(value, tuple):
         return ";".join(f"{_fmt(lo)}:{_fmt(hi)}" for lo, hi in value)
     return _fmt(value) if math.isfinite(value) else ""
 
 
+def _csv_rows(records: Sequence[dict]) -> list[list[str]]:
+    """The header, the first record's keys, then each record's values
+    under it, each written by _cell."""
+    header = list(records[0])
+    return [header] + [[_cell(record[name]) for name in header] for record in records]
+
+
+def _set_record(cset: ConfidenceSet) -> dict:
+    """The printed fields of a confidence set, as ci and errorbars write them."""
+    return {
+        "case": cset.case.value,
+        "lower": cset.lower,
+        "upper": cset.upper,
+        "intervals": cset.intervals,
+    }
+
+
 def grid_csv_rows(grid: CoverageGrid) -> list[list[str]]:
     """Plot-ready long-format rows, one per (cell, method), plus header."""
-    rows = [
+    return _csv_rows(
         [
-            "cv_x",
-            "cv_y",
-            "n",
-            "corr",
-            "method",
-            "runs",
-            "covered",
-            "coverage",
-            "unbounded_sets",
-            "redraws",
+            {
+                "cv_x": result.cell.cv_x,
+                "cv_y": result.cell.cv_y,
+                "n": result.cell.n,
+                "corr": result.cell.corr,
+                "method": method.value,
+                "runs": tally.runs,
+                "covered": tally.covered,
+                "coverage": tally.coverage,
+                "unbounded_sets": tally.unbounded_sets,
+                "redraws": result.redraws,
+            }
+            for result in grid.results
+            for method, tally in result.methods.items()
         ]
-    ]
-    for result in grid.results:
-        cell = result.cell
-        for method, tally in result.methods.items():
-            rows.append(
-                [
-                    _fmt(cell.cv_x),
-                    _fmt(cell.cv_y),
-                    str(cell.n),
-                    _fmt(cell.corr),
-                    method.value,
-                    str(tally.runs),
-                    str(tally.covered),
-                    _fmt(tally.coverage),
-                    str(tally.unbounded_sets),
-                    str(result.redraws),
-                ]
-            )
-    return rows
+    )
 
 
 def errorbar_csv_rows(experiment: ErrorBarExperiment) -> list[list[str]]:
-    """One row per (method, run), its set in the cells of ci's CSV (_cell)."""
-    rows = [
-        ["method", "run", "estimate", "case", "lower", "upper", "intervals", "covers_true"]
-    ]
-    for r in experiment.rows:
-        cset = r.confidence_set
-        rows.append(
-            [
-                r.method.value,
-                str(r.run),
-                _fmt(r.estimate),
-                *map(_cell, (cset.case.value, cset.lower, cset.upper, cset.intervals)),
-                "true" if r.covers_true else "false",
-            ]
-        )
-    return rows
+    """One row per (method, run), its set in the cells of ci's CSV; the
+    estimate is written by _fmt, so a non-finite one prints as repr."""
+    return _csv_rows(
+        [
+            {
+                "method": r.method.value,
+                "run": r.run,
+                "estimate": _fmt(r.estimate),
+                **_set_record(r.confidence_set),
+                "covers_true": "true" if r.covers_true else "false",
+            }
+            for r in experiment.rows
+        ]
+    )

@@ -1,10 +1,11 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately written with different algorithms than the
-library uses (fsum loops instead of vectorised dot products, continued
-fractions and bisection instead of scipy, explicit normal equations instead
-of least-squares solvers) so that agreement between the two routes is
-meaningful evidence rather than the same code tested against itself.
+library uses (exact rational sums instead of vectorised dot products,
+continued fractions and bisection instead of scipy, explicit normal
+equations instead of least-squares solvers) so that agreement between the
+two routes is meaningful evidence rather than the same code tested against
+itself.
 """
 
 from __future__ import annotations
@@ -33,18 +34,20 @@ class OracleStats:
 
 
 def summarize_oracle(xs, ys) -> OracleStats:
-    """Two-pass compensated moments with unbiased (n-1) denominators."""
-    xs = [float(v) for v in xs]
-    ys = [float(v) for v in ys]
+    """The exact moments of the input doubles, with unbiased (n-1)
+    denominators, computed in Fraction and each rounded once."""
+    xs = [Fraction(float(v)) for v in xs]
+    ys = [Fraction(float(v)) for v in ys]
     n = len(xs)
     if n != len(ys) or n < 2:
         raise ValueError("need two paired columns with at least two rows")
-    mx = math.fsum(xs) / n
-    my = math.fsum(ys) / n
-    sxx = math.fsum((x - mx) ** 2 for x in xs)
-    syy = math.fsum((y - my) ** 2 for y in ys)
-    sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    return OracleStats(n, mx, my, sxx / (n - 1), syy / (n - 1), sxy / (n - 1))
+    mx = sum(xs) / n
+    my = sum(ys) / n
+    sxx = sum((x - mx) ** 2 for x in xs)
+    syy = sum((y - my) ** 2 for y in ys)
+    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    moments = (mx, my, sxx / (n - 1), syy / (n - 1), sxy / (n - 1))
+    return OracleStats(n, *map(float, moments))
 
 
 # --------------------------------------------------------------------------

@@ -755,6 +755,14 @@ def test_regress_ols_regressor_named_intercept_exits_3(capsys, tmp_path):
     assert code == 3 and out == "" and err.startswith("error: ols:") and "intercept" in err
 
 
+def test_regress_ols_repeated_regressor_exits_2(capsys, tmp_path):
+    path = tmp_path / "line.csv"
+    path.write_text("x,y\n1,2.1\n2,3.9\n3,6.2\n4,7.8\n5,10.1\n")
+    argv = ["regress", "--input", str(path), "--model", "ols", "--response", "y"]
+    code, out, err = _run(capsys, argv + ["--regressors", "x,x"])
+    assert code == 2 and out == "" and "'x'" in err and "more than once" in err
+
+
 def test_regress_deflated_and_allometric(capsys, line_csv, tmp_path):
     code, out, _ = _run(
         capsys, ["regress", "--input", line_csv, "--model", "deflated"]

@@ -69,6 +69,9 @@ def test_paired_sample_rejects_empty_and_2d():
 # --------------------------------------------------------------- summarize
 
 
+# A draw where the covariance cancels: summarize's cov_mean_xy is 5.6e-13
+# (relative) from the exact value, and an fsum of rounded deviations 2.3e-12.
+@example(([0.0, 0.0, 184411.302734375, 185051.0], [0.0, 184727.30078125, 185360.0, 0.0]))
 @given(pairs_strategy())
 def test_summarize_matches_reference(data):
     xs, ys = data
@@ -104,7 +107,7 @@ def test_summarize_location_covariant(data, c):
 @example(([998327.9999999999, -998356.0], [0.0, 0.0]), 0.01171875)
 @given(pairs_strategy(), st.floats(0.01, 100, allow_nan=False))
 def test_summarize_scale_covariant(data, c):
-    # The referee is the fsum summary of the scaled doubles themselves, not
+    # The referee is the exact summary of the scaled doubles themselves, not
     # c times the summary of xs: each x * c is rounded before the sum, so
     # where the sum cancels the scaled inputs' exact mean is not c times
     # theirs. On the example, summarize returns that exact mean, which is

@@ -307,7 +307,7 @@ def test_a_block_equals_the_per_run_draws(seed):
 
 
 # Pinned at the per-run draw: a run with a non-finite value raises the error
-# its PairedSample raises, x checked before y, and a negative seed is refused.
+# its PairedSample raises, x checked before y.
 @pytest.mark.parametrize(
     "cell, message",
     [
@@ -325,9 +325,39 @@ def test_non_finite_draws_raise(cell, message):
     assert str(error.value) == message
 
 
-def test_negative_seed_raises():
-    with pytest.raises(ValueError):
-        run_cell(SimCell(1.0, 1.0, 5), [Method.FIELLER], 100, -1)
+# The library's counts and seeds are read as BootstrapConfig, SimCell and
+# GridSpec read theirs: a non-integer or a negative seed is a DomainError.
+_CELL, _GRID = SimCell(1.0, 1.0, 5), GridSpec((1.0,), (1.0,), 5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_cell(_CELL, [Method.FIELLER], runs=150.0, seed=0),
+        lambda: run_cell(_CELL, [Method.FIELLER], runs=150, seed=1.5),
+        lambda: run_cell(_CELL, [Method.FIELLER], 100, -1),
+        lambda: error_bar_experiment(_CELL, runs=2.5),
+        lambda: error_bar_experiment(_CELL, runs=3, seed=2.0),
+        lambda: error_bar_experiment(_CELL, runs=3, seed=-2),
+        lambda: run_grid(_GRID, [Method.FIELLER], 100, master_seed=1.5),
+        lambda: run_grid(_GRID, [Method.FIELLER], 100, master_seed=-1),
+        lambda: thread_cap(1.5),
+    ],
+    ids=[
+        "run_cell-float-runs",
+        "run_cell-float-seed",
+        "run_cell-negative-seed",
+        "errorbars-float-runs",
+        "errorbars-float-seed",
+        "errorbars-negative-seed",
+        "run_grid-float-master-seed",
+        "run_grid-negative-master-seed",
+        "thread_cap-float",
+    ],
+)
+def test_counts_and_seeds_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 # ---------------------------------------------------------------- run_grid
