@@ -72,7 +72,10 @@ The argvs, in list order:
 - three regression views: `regress --model deflated` in JSON, which pins
   the relabelled fit at full precision (criterion 8 pins only its 6-digit
   text), `regress --model ancova --format text`, and `regress --model ols
-  --regressors x,x`, which names a column twice and exits 2.
+  --regressors x,x`, which names a column twice and exits 2;
+- `regress --model ols --regressors "x, "`, whose names are stripped and
+  whose empty name is skipped: it should print the bytes of criterion 8's
+  `--regressors x` line.
 """
 
 from __future__ import annotations
@@ -259,6 +262,8 @@ def argvs(files: dict[str, Path]) -> list[list[str]]:
         ["regress", "--input", groups, "--model", "ancova", "--format", "text"],
         ["regress", "--input", line, "--model", "ols", "--response", "y",
          "--regressors", "x,x"],
+        ["regress", "--input", line, "--model", "ols", "--response", "y",
+         "--regressors", "x, "],
     ]
     return out
 

@@ -17,15 +17,12 @@ from .bootstrap import (
     hwang_set,
     percentile_set,
     ratio_bootstrap_results,
-    ratio_of_means,
 )
 from .core import (
     BivariateNormalParams,
     ConfidenceSpec,
     PairedSample,
     SummaryStats,
-    coefficient_of_variation,
-    sample_bivariate_normal,
     summarize,
     t_quantile,
 )
@@ -45,7 +42,6 @@ from .errors import (
     TooFewReplicates,
     ZeroDenominator,
     ZeroIndividualDenominator,
-    ZeroMean,
 )
 from .geometry import (
     EllipseConstruction,
@@ -75,7 +71,6 @@ from .methods import (
     fieller_set,
     index_limits,
     invert_t0_band,
-    point_estimate,
     t0_statistic,
     tangency_slopes,
     taylor_limits,

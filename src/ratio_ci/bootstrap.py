@@ -77,7 +77,6 @@ from .methods import Method, MethodResult, _band_rows, _bounded_rows, _RowResult
 __all__ = [
     "BootstrapConfig",
     "HwangDiagnostics",
-    "ratio_of_means",
     "percentile_set",
     "bca_set",
     "ratio_bootstrap_results",
@@ -112,14 +111,6 @@ class HwangDiagnostics:
     dropped_replicates: int
     bias_correction: float | None = None
     acceleration: float | None = None
-
-
-def ratio_of_means(sample: PairedSample) -> float:
-    """mean(y) / mean(x); nan when the denominator mean is exactly zero."""
-    mx = float(sample.xs.mean())
-    if mx == 0.0:
-        return math.nan
-    return float(sample.ys.mean()) / mx
 
 
 # Index elements per resampling block (2 MiB of int64 indices).

@@ -102,12 +102,14 @@ def _positive_int(minimum: int, what: str):
     return parse
 
 
+def _names_arg(text: str) -> list[str]:
+    """A comma list of names, each stripped, with the empty ones skipped."""
+    return [name for name in (part.strip() for part in text.split(",")) if name]
+
+
 def _methods_arg(text: str) -> tuple[Method, ...]:
     out: list[Method] = []
-    for name in text.split(","):
-        name = name.strip()
-        if not name:
-            continue
+    for name in _names_arg(text):
         try:
             method = Method(name)
         except ValueError:
@@ -385,7 +387,7 @@ def _cmd_regress(args: argparse.Namespace) -> int:
             if not args.response or not args.regressors:
                 raise _InputError("ols needs --response and --regressors")
             y = _numeric_column(table, args.response, path)
-            names = args.regressors.split(",")
+            names = args.regressors
             repeated = [name for name in names if names.count(name) > 1]
             if repeated:
                 raise _InputError(f"regressor {repeated[0]!r} is named more than once")
@@ -514,7 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--model", choices=("ols", "ancova", "deflated", "allometric"), required=True
     )
     reg.add_argument("--response", default=None)
-    reg.add_argument("--regressors", default=None, help="comma-separated column names")
+    reg.add_argument("--regressors", type=_names_arg, help="comma-separated column names")
     reg.add_argument("--intercept", action=argparse.BooleanOptionalAction, default=True)
     reg.add_argument("--format", choices=("json", "text"), default="json")
     common(reg, level=False, seed=False)

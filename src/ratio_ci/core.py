@@ -1,8 +1,8 @@
-"""Sample summaries, Student-t quantiles, and seeded bivariate normal draws.
+"""Sample summaries, Student-t quantiles, and the Cholesky mix that turns
+standard normals into correlated pairs.
 
-Everything here is pure: outputs depend only on explicit arguments, and all
-random generation is driven by caller-supplied seeds (independent PCG64
-streams), so concurrent callers never share hidden state.
+Everything here is pure: outputs depend only on explicit arguments. The
+simulation draws the standard normals from its own seeded streams.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._special import stdtrit
-from .errors import DomainError, NonFiniteInput, TooFewObservations, ZeroMean
+from .errors import DomainError, NonFiniteInput, TooFewObservations
 
 __all__ = [
     "PairedSample",
@@ -23,9 +23,7 @@ __all__ = [
     "ConfidenceSpec",
     "BivariateNormalParams",
     "summarize",
-    "coefficient_of_variation",
     "t_quantile",
-    "sample_bivariate_normal",
 ]
 
 
@@ -246,13 +244,6 @@ def summarize(sample: PairedSample) -> SummaryStats:
     return _summarize_rows(sample.xs[None], sample.ys[None]).row(0)
 
 
-def coefficient_of_variation(stats: SummaryStats) -> tuple[float, float]:
-    """Signed coefficients of variation of the two sample means."""
-    if stats.mean_x == 0.0 or stats.mean_y == 0.0:
-        raise ZeroMean("coefficient of variation is undefined for a zero mean")
-    return stats.sd_mean_x / stats.mean_x, stats.sd_mean_y / stats.mean_y
-
-
 _stdtrit_cached = lru_cache(maxsize=1024)(stdtrit)
 
 
@@ -280,15 +271,3 @@ def _bivariate_pairs(
         mix = params.corr * z0 + math.sqrt(1.0 - params.corr * params.corr) * z1
         ys = params.mean_y + params.sd_y * mix
     return xs, ys
-
-
-def sample_bivariate_normal(params: BivariateNormalParams, n: int, seed) -> PairedSample:
-    """Draw n correlated normal pairs, deterministically for a given seed.
-
-    The generator is PCG64 with ziggurat standard normals; correlation is
-    induced by a Cholesky mix of two independent standard normal streams.
-    """
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    z = np.random.default_rng(seed).standard_normal((2, n))
-    return PairedSample(*_bivariate_pairs(params, z))

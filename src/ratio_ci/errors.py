@@ -17,10 +17,6 @@ class TooFewObservations(RatioCiError):
     """Not enough data points for the requested estimate."""
 
 
-class ZeroMean(RatioCiError):
-    """A coefficient of variation was requested for a mean of exactly zero."""
-
-
 class ZeroDenominator(RatioCiError):
     """The denominator sample mean is exactly zero."""
 

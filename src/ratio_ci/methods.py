@@ -63,7 +63,6 @@ __all__ = [
     "Method",
     "FiellerDiagnostics",
     "MethodResult",
-    "point_estimate",
     "t0_statistic",
     "invert_t0_band",
     "tangency_slopes",
@@ -161,13 +160,6 @@ class MethodResult:
     estimate: float
     confidence_set: ConfidenceSet
     diagnostics: object | None = None
-
-
-def point_estimate(stats: SummaryStats) -> float:
-    """Ratio of the sample means."""
-    if stats.mean_x == 0.0:
-        raise ZeroDenominator("mean of x is exactly zero")
-    return stats.mean_y / stats.mean_x
 
 
 def t0_statistic(stats: SummaryStats, rho: float) -> float:

@@ -181,18 +181,6 @@ class GridSpec:
         if not self.cv_x_values or not self.cv_y_values:
             raise DomainError("both grid axes need at least one value")
 
-    @classmethod
-    def log_spaced(
-        cls,
-        n: int,
-        count: int = 7,
-        low: float = 0.01,
-        high: float = 10.0,
-        corr: float = 0.0,
-    ) -> "GridSpec":
-        axis = tuple(float(v) for v in np.geomspace(low, high, count))
-        return cls(cv_x_values=axis, cv_y_values=axis, n=n, corr=corr)
-
     def cells(self) -> list[SimCell]:
         # cv_x varies slowest; the cell index fixes each cell's seed.
         return [

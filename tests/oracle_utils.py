@@ -337,6 +337,14 @@ def bca_oracle(values, theta_hat: float, jackknife, level: float):
 # the library's own steps (bootstrap._collect, _limits).
 
 
+def ratio_of_means(sample) -> float:
+    """mean(y) / mean(x); nan when the denominator mean is exactly zero."""
+    mx = float(sample.xs.mean())
+    if mx == 0.0:
+        return math.nan
+    return float(sample.ys.mean()) / mx
+
+
 def resample_pairs(sample, config, statistic):
     """statistic on each of config.replications resamples of the pairs:
     the finite values, sorted, and the number of non-finite ones dropped.

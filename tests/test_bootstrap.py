@@ -27,7 +27,6 @@ from ratio_ci import (
     invert_t0_band,
     percentile_set,
     ratio_bootstrap_results,
-    ratio_of_means,
     summarize,
     t0_statistic,
 )
@@ -42,7 +41,14 @@ from ratio_ci.bootstrap import (
     _resample,
 )
 
-from oracle_utils import bca_ci, bca_oracle, member_runs, quantile_linear_oracle, resample_pairs
+from oracle_utils import (
+    bca_ci,
+    bca_oracle,
+    member_runs,
+    quantile_linear_oracle,
+    ratio_of_means,
+    resample_pairs,
+)
 
 
 def _sample(seed=3, n=30, cv_x=0.2):

@@ -763,6 +763,20 @@ def test_regress_ols_repeated_regressor_exits_2(capsys, tmp_path):
     assert code == 2 and out == "" and "'x'" in err and "more than once" in err
 
 
+def test_regress_regressors_are_stripped_and_empty_names_skipped(capsys, tmp_path):
+    path = tmp_path / "plane.csv"
+    path.write_text("x,z,y\n1,2,3.1\n2,1,3.9\n3,5,8.2\n4,3,7.8\n5,4,9.1\n")
+    argv = ["regress", "--input", str(path), "--model", "ols", "--response", "y"]
+    code, plain, _ = _run(capsys, argv + ["--regressors", "x,z"])
+    assert code == 0 and set(json.loads(plain)["coefficients"]) == {"intercept", "x", "z"}
+    for regressors in ("x, z", "x,z,"):
+        assert _run(capsys, argv + ["--regressors", regressors]) == (0, plain, "")
+    code, out, err = _run(capsys, argv + ["--regressors", " x , x"])
+    assert code == 2 and out == "" and "'x'" in err and "more than once" in err
+    code, out, err = _run(capsys, argv + ["--regressors", ","])
+    assert code == 2 and out == "" and "ols needs --response and --regressors" in err
+
+
 def test_regress_deflated_and_allometric(capsys, line_csv, tmp_path):
     code, out, _ = _run(
         capsys, ["regress", "--input", line_csv, "--model", "deflated"]

@@ -14,13 +14,12 @@ from ratio_ci import (
     DomainError,
     NonFiniteInput,
     PairedSample,
+    SimCell,
     TooFewObservations,
-    ZeroMean,
-    coefficient_of_variation,
-    sample_bivariate_normal,
     summarize,
     t_quantile,
 )
+from ratio_ci.montecarlo import _draw_run
 
 from oracle_utils import summarize_oracle, t_cdf_oracle, t_quantile_oracle
 
@@ -258,31 +257,27 @@ def test_two_sided_names_a_level_too_small_for_a_quantile():
     assert ConfidenceSpec.two_sided(1e-16, df=5).quantile > 0.0
 
 
-def test_coefficient_of_variation():
-    stats = summarize(PairedSample([1.0, 2.0, 3.0], [10.0, 10.0, 10.0]))
-    cv_x, cv_y = coefficient_of_variation(stats)
-    assert cv_x == pytest.approx(stats.sd_mean_x / 2.0)
-    assert cv_y == 0.0
-    degenerate = summarize(PairedSample([-1.0, 1.0], [1.0, 2.0]))
-    with pytest.raises(ZeroMean):
-        coefficient_of_variation(degenerate)
-
-
 # ------------------------------------------------------------ normal draws
 
 
+def _one_run(cell: SimCell, seed: int) -> PairedSample:
+    xs, ys, _, _ = _draw_run(cell, seed, 0, 1, False)
+    return PairedSample(xs[0], ys[0])
+
+
 def test_sampling_is_seed_deterministic():
-    params = BivariateNormalParams(1.0, 2.0, 0.5, 0.25, corr=0.4)
-    a = sample_bivariate_normal(params, 50, seed=123)
-    b = sample_bivariate_normal(params, 50, seed=123)
-    c = sample_bivariate_normal(params, 50, seed=124)
+    cell = SimCell(cv_x=0.5, cv_y=0.125, n=50, corr=0.4, mean_x=1.0, mean_y=2.0)
+    a = _one_run(cell, seed=123)
+    b = _one_run(cell, seed=123)
+    c = _one_run(cell, seed=124)
     assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
     assert not np.array_equal(a.xs, c.xs)
 
 
 def test_sampling_moments():
-    params = BivariateNormalParams(2.0, -1.0, 1.0, 0.5, corr=0.6)
-    s = sample_bivariate_normal(params, 200_000, seed=7)
+    # sd_x = 0.5 * 2 = 1 and sd_y = 0.5 * |-1| = 0.5.
+    cell = SimCell(cv_x=0.5, cv_y=0.5, n=200_000, corr=0.6, mean_x=2.0, mean_y=-1.0)
+    s = _one_run(cell, seed=7)
     assert s.xs.mean() == pytest.approx(2.0, abs=0.02)
     assert s.ys.mean() == pytest.approx(-1.0, abs=0.01)
     assert s.xs.std(ddof=1) == pytest.approx(1.0, abs=0.02)
@@ -296,6 +291,3 @@ def test_sampling_validation():
         BivariateNormalParams(1.0, 1.0, 0.0, 1.0)
     with pytest.raises(DomainError):
         BivariateNormalParams(1.0, 1.0, 1.0, 1.0, corr=1.5)
-    params = BivariateNormalParams(1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        sample_bivariate_normal(params, 0, seed=1)

@@ -1,6 +1,7 @@
 """Every module's __all__ names what it defines, the package imports only
-names that its modules export, and the README's methods table names only
-exported functions."""
+names that its modules export, the README's methods table names only
+exported functions, and every public name is used by the library, its
+scripts or the README."""
 
 import ast
 import importlib
@@ -46,3 +47,52 @@ def test_readme_methods_table_names_exported_functions():
     assert len(names) >= 8
     for name in names:
         assert callable(getattr(ratio_ci, name, None)), name
+
+
+
+def _public_names(tree: ast.Module) -> list[str]:
+    """The module's __all__, or else the names it defines that do not
+    start with an underscore."""
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            if targets == ["__all__"]:
+                return list(ast.literal_eval(node.value))
+            defined += targets
+    return [name for name in defined if not name.startswith("_")]
+
+
+def _uses(path: Path) -> str:
+    """The file's text without what only names a name: each def and class
+    line, the __all__ list and the package's own imports (its re-exports)."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".md":
+        return text
+    lines = text.splitlines()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            lines[node.lineno - 1] = ""
+        elif (
+            isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+        ) or (isinstance(node, ast.ImportFrom) and node.level):
+            lines[node.lineno - 1 : node.end_lineno] = [""] * (node.end_lineno - node.lineno + 1)
+    return "\n".join(lines)
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # The tests and perfbench/ do not count: a name only they use is dead.
+    root = Path(__file__).resolve().parents[1]
+    sources = sorted((root / "src" / "ratio_ci").glob("*.py"))
+    corpus = [*sources, *sorted((root / "scripts").glob("*.py")), root / "README.md"]
+    text = "\n".join(map(_uses, corpus))
+    unused = [
+        f"{path.stem}.{name}"
+        for path in sources
+        for name in _public_names(ast.parse(path.read_text(encoding="utf-8")))
+        if not re.search(rf"\b{name}\b", text)
+    ]
+    assert not unused, unused

@@ -22,7 +22,6 @@ from ratio_ci import (
     fieller_set,
     index_limits,
     invert_t0_band,
-    point_estimate,
     summarize,
     t0_statistic,
     tangency_slopes,
@@ -589,11 +588,6 @@ def test_tangency_equals_bounded_fieller_limits(worked):
 
 
 # ---------------------------------------------- index family and others
-
-
-def test_point_estimate_zero_denominator():
-    with pytest.raises(ZeroDenominator):
-        point_estimate(summarize(PairedSample([-1.0, 1.0], [1.0, 2.0])))
 
 
 def test_taylor_rejects_zero_means():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -86,15 +87,6 @@ def test_grid_spec_is_rectangular_row_major():
     assert [(c.cv_x, c.cv_y) for c in cells[:3]] == [(0.1, 0.2), (0.1, 0.5), (0.1, 2.0)]
     with pytest.raises(DomainError):
         GridSpec(cv_x_values=(), cv_y_values=(1.0,), n=20)
-
-
-def test_log_spaced_axis():
-    spec = GridSpec.log_spaced(n=20, count=7, low=0.01, high=10.0)
-    axis = spec.cv_x_values
-    assert len(axis) == 7
-    assert axis[0] == pytest.approx(0.01) and axis[-1] == pytest.approx(10.0)
-    steps = [math.log(b / a) for a, b in zip(axis, axis[1:])]
-    assert all(s == pytest.approx(steps[0], rel=1e-9) for s in steps)
 
 
 def test_reference_line_positions():
@@ -358,6 +350,41 @@ _CELL, _GRID = SimCell(1.0, 1.0, 5), GridSpec((1.0,), (1.0,), 5)
 def test_counts_and_seeds_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+def test_fieller_and_zero_variance_cover_at_their_exact_rates():
+    # Under bivariate normality the means are independent of the sample
+    # covariance, so two coverages are closed forms. Fieller's pivot T0 at
+    # the true ratio is t_{n-1}: it covers at the level exactly.
+    # Zero-variance covers iff |ybar - rho*xbar| <= q*s_y/sqrt(n), that is
+    # iff |t_{n-1}| <= q*sigma_y/sigma_d with sigma_d^2 = var(y - rho*x),
+    # which reads the draw's correlation. scipy is the referee. The bounds
+    # were fixed before the first run, at p = 1e-4: chi^2 on the sum of
+    # z^2 over the 192 (cell, method) pairs, and Bonferroni on max |z|.
+    from scipy import stats
+
+    level, runs = 0.95, 2000
+    axis = (0.1, 0.3, 1.0, 3.0)
+    zs = []
+    for seed, (cv_x, cv_y, n, corr) in enumerate(
+        itertools.product(axis, axis, (5, 20, 100), (0.0, 0.6))
+    ):
+        cell = SimCell(cv_x=cv_x, cv_y=cv_y, n=n, corr=corr)
+        result = run_cell(cell, (Method.FIELLER, Method.ZERO_VARIANCE), runs, seed, level=level)
+        p, rho = cell.params(), cell.true_rho
+        sd_d = math.sqrt(p.sd_y**2 - 2 * rho * corr * p.sd_x * p.sd_y + rho**2 * p.sd_x**2)
+        q = stats.t.isf(0.5 * (1 - level), n - 1)
+        exact = {
+            Method.FIELLER: level,
+            Method.ZERO_VARIANCE: 1 - 2 * stats.t.sf(q * p.sd_y / sd_d, n - 1),
+        }
+        for method, rate in exact.items():
+            covered = result.methods[method].covered
+            zs.append((covered / runs - rate) / math.sqrt(rate * (1 - rate) / runs))
+    zs = np.array(zs)
+    assert zs.size == 192
+    assert (zs**2).sum() < stats.chi2.isf(1e-4, zs.size)
+    assert np.abs(zs).max() < stats.norm.isf(1e-4 / (2 * zs.size))
 
 
 # ---------------------------------------------------------------- run_grid
