@@ -25,12 +25,11 @@ def main() -> None:
           f"mean_y = {stats.mean_y:.4f} (sd {stats.sd_mean_y:.4f})")
     print()
 
+    sample_methods = (rc.Method.INDEX, rc.Method.TRIMMED_INDEX, rc.Method.ZERO_VARIANCE)
     results = [
         rc.fieller_set(stats, spec),
         rc.taylor_limits(stats, spec),
-        rc.index_limits(sample, spec),
-        rc.trimmed_index_limits(sample, spec),
-        rc.zero_variance_limits(sample, spec),
+        *(result for _, result in rc.evaluate_methods(sample, sample_methods, spec)),
     ]
     print(f"{'method':<14}{'lower':>10}{'estimate':>10}{'upper':>10}")
     for r in results:

@@ -10,14 +10,7 @@ import os
 # it takes effect when this import is the first of numpy, as under the CLI.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .bootstrap import (
-    BootstrapConfig,
-    HwangDiagnostics,
-    bca_set,
-    hwang_set,
-    percentile_set,
-    ratio_bootstrap_results,
-)
+from .bootstrap import BootstrapConfig, HwangDiagnostics
 from .core import (
     BivariateNormalParams,
     ConfidenceSpec,
@@ -69,13 +62,8 @@ from .methods import (
     MethodResult,
     SetCase,
     fieller_set,
-    index_limits,
-    invert_t0_band,
-    t0_statistic,
     tangency_slopes,
     taylor_limits,
-    trimmed_index_limits,
-    zero_variance_limits,
 )
 from .montecarlo import (
     CoverageGrid,
@@ -87,6 +75,7 @@ from .montecarlo import (
     SimCell,
     error_bar_experiment,
     errorbar_csv_rows,
+    evaluate_methods,
     grid_csv_rows,
     run_cell,
     run_grid,

@@ -39,9 +39,9 @@ jackknife of T0* is the same one-sample t with each d_i left out. The
 per-row part ends with one loop reading each method's limits; the
 preconditions, the estimates, the inversion of every row's pivot band (one
 methods._band_rows call) and the diagnostics are done once for the batch.
-hwang_set and ratio_bootstrap_results are the kernel on a batch of one, so
-requesting the methods together or apart, and a sample alone or among the
-runs of a simulation, gives the same numbers.
+On one sample the kernel runs on a batch of one (montecarlo's
+evaluate_methods), so requesting the methods together or apart, and a
+sample alone or among the runs of a simulation, gives the same numbers.
 """
 
 from __future__ import annotations
@@ -54,15 +54,7 @@ from typing import Sequence
 import numpy as np
 
 from ._special import ndtr, ndtri
-from .core import (
-    ConfidenceSpec,
-    PairedSample,
-    _integer,
-    _row_dots,
-    _RowSummaries,
-    _seed,
-    _summarize_rows,
-)
+from .core import ConfidenceSpec, _integer, _row_dots, _RowSummaries, _seed
 from .errors import (
     AllResamplesDegenerate,
     DegenerateJackknife,
@@ -72,16 +64,9 @@ from .errors import (
     TooFewReplicates,
     ZeroDenominator,
 )
-from .methods import Method, MethodResult, _band_rows, _bounded_rows, _RowResults
+from .methods import Method, _band_rows, _bounded_rows, _RowResults
 
-__all__ = [
-    "BootstrapConfig",
-    "HwangDiagnostics",
-    "percentile_set",
-    "bca_set",
-    "ratio_bootstrap_results",
-    "hwang_set",
-]
+__all__ = ["BootstrapConfig", "HwangDiagnostics"]
 
 # The methods that bootstrap the ratio itself; they share one distribution.
 _RATIO_BOOT_METHODS = (Method.BOOTSTRAP_PERCENTILE, Method.BOOTSTRAP_BCA)
@@ -386,58 +371,3 @@ def _bootstrap_rows(
 
         results.append(_RowResults(estimate, lower, upper, failed | errors[m], diagnostics, *extra))
     return tuple(results)
-
-
-def _sample_rows(
-    sample: PairedSample, config: BootstrapConfig, spec: ConfidenceSpec, methods: tuple[Method, ...]
-) -> tuple[_RowResults, ...]:
-    """_bootstrap_rows on the batch of one sample, resampled from config.seed."""
-    xs, ys = sample.xs[None], sample.ys[None]
-    summaries = _summarize_rows(xs, ys) if sample.n >= 3 else None
-    return _bootstrap_rows(xs, ys, summaries, (config.seed,), config, spec, methods)
-
-
-def ratio_bootstrap_results(
-    sample: PairedSample,
-    config: BootstrapConfig,
-    spec: ConfidenceSpec,
-    methods: tuple[Method, ...] = _RATIO_BOOT_METHODS,
-) -> dict[Method, MethodResult]:
-    """Percentile and/or BCa sets for the ratio from one shared resampling.
-
-    Drawing the empirical distribution once keeps the two intervals mutually
-    consistent and halves the dominant cost when both are requested.
-    """
-    if any(m not in _RATIO_BOOT_METHODS for m in methods):
-        raise DomainError("only the two bootstrap ratio methods are supported here")
-    rows = _sample_rows(sample, config, spec, tuple(methods))
-    return {m: r.result(m) for m, r in zip(methods, rows)}
-
-
-def percentile_set(
-    sample: PairedSample, config: BootstrapConfig, spec: ConfidenceSpec
-) -> MethodResult:
-    (rows,) = _sample_rows(sample, config, spec, (Method.BOOTSTRAP_PERCENTILE,))
-    return rows.result(Method.BOOTSTRAP_PERCENTILE)
-
-
-def bca_set(
-    sample: PairedSample, config: BootstrapConfig, spec: ConfidenceSpec
-) -> MethodResult:
-    (rows,) = _sample_rows(sample, config, spec, (Method.BOOTSTRAP_BCA,))
-    return rows.result(Method.BOOTSTRAP_BCA)
-
-
-def hwang_set(
-    sample: PairedSample, config: BootstrapConfig, spec: ConfidenceSpec
-) -> MethodResult:
-    """Confidence set from bootstrapping the pivot rather than the ratio.
-
-    The observed pivot value is T0(rho_hat) = 0 identically, so the BCa bias
-    correction uses the fraction of resampled pivots below zero (the band is
-    the percentile band, with a warning, where z0 or a is undefined). The
-    band (t_lo, t_hi) is inverted analytically; with a symmetric band this
-    reduces exactly to the closed-form set.
-    """
-    (rows,) = _sample_rows(sample, config, spec, (Method.HWANG_BOOTSTRAP,))
-    return rows.result(Method.HWANG_BOOTSTRAP)

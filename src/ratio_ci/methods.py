@@ -14,13 +14,16 @@ interval or is the whole real line.
 
 The same inversion, run with an asymmetric band t_lo <= T0(rho) <= t_hi,
 serves the bootstrap-calibrated variant, so both share one code path here:
-_band_rows, one kernel over the rows of a batch with a band per row.
-invert_t0_band is that kernel on a batch of one. Each set is a union of
-closed intervals, so the half-lines some asymmetric bands give are sets too.
+_band_rows, one kernel over the rows of a batch with a band per row. Each
+set is a union of closed intervals, so the half-lines some asymmetric bands
+give are sets too.
 
 Taylor's (delta method) interval is T0 linearized at the estimate, and the
 zero-variance interval is Taylor's with var(mean_x) and cov(mean_x, mean_y)
 set to zero. The index interval is the trimmed index interval at trim 0.
+On a sample every method runs through the registry in montecarlo
+(evaluate_methods); fieller_set, taylor_limits and tangency_slopes take
+the moments alone.
 
 Geometrically rho is the slope of the line y = rho*x through the origin,
 and the set is the wedge of lines on which T0 lies in the band. The band's
@@ -38,21 +41,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (
-    ConfidenceSpec,
-    PairedSample,
-    SummaryStats,
-    _row_dots,
-    _RowSummaries,
-    _summarize_rows,
-)
+from .core import ConfidenceSpec, SummaryStats, _row_dots, _RowSummaries
 from .errors import (
     DegenerateVariance,
     DomainError,
     NonFiniteResult,
     RatioCiError,
     TooFewAfterTrim,
-    TooFewObservations,
     ZeroDenominator,
     ZeroIndividualDenominator,
 )
@@ -63,14 +58,9 @@ __all__ = [
     "Method",
     "FiellerDiagnostics",
     "MethodResult",
-    "t0_statistic",
-    "invert_t0_band",
     "tangency_slopes",
     "fieller_set",
     "taylor_limits",
-    "index_limits",
-    "trimmed_index_limits",
-    "zero_variance_limits",
 ]
 
 
@@ -162,14 +152,6 @@ class MethodResult:
     diagnostics: object | None = None
 
 
-def t0_statistic(stats: SummaryStats, rho: float) -> float:
-    """The pivot T0 at a hypothesized ratio."""
-    q, t0 = _t0(stats, 1.0, rho)
-    if not q > 0.0:
-        raise DegenerateVariance(f"variance of y - rho*x is not positive at rho={rho}")
-    return float(t0)
-
-
 def tangency_slopes(stats: SummaryStats, quantile: float) -> tuple[float, ...]:
     """Slopes rho where the line y = rho*x satisfies T0(rho)^2 = quantile^2.
 
@@ -181,25 +163,16 @@ def tangency_slopes(stats: SummaryStats, quantile: float) -> tuple[float, ...]:
     return (float(first[0]), float(second[0]))[: int(count[0])]
 
 
-def invert_t0_band(stats: SummaryStats, t_lo: float, t_hi: float) -> ConfidenceSet:
-    """The set {rho : t_lo <= T0(rho) <= t_hi}; _band_rows on a batch of one."""
-    lower, upper, errors = _band_rows(_RowSummaries.of(stats), t_lo, t_hi)
-    if errors:
-        raise errors[0]
-    return _row_set(lower[0], upper[0])
-
-
 # ------------------------------------------------------------------ kernels
 #
 # Three kernels serve the five closed-form methods on a batch of samples at
 # once, the rows of (runs, n) arrays or their _RowSummaries: _fieller_rows,
 # _delta_rows (Taylor, and zero-variance on _known_x) and _index_rows (trimmed
 # index, and index at trim 0). Each works elementwise, so every row is
-# bit-equal to the method on that row alone; the public functions below are
-# the kernels on a batch of one. The band inversion is one such kernel,
-# _band_rows: Fieller's kernel runs it at (-q, q), and invert_t0_band,
-# tangency_slopes and t0_statistic above are _band_rows, its root step
-# _band_roots and the pivot _t0 on a batch of one.
+# bit-equal to the method on that row alone; fieller_set and taylor_limits
+# below are the kernels on a batch of one. The band inversion is one such
+# kernel, _band_rows: Fieller's kernel runs it at (-q, q), and
+# tangency_slopes above is its root step _band_roots on a batch of one.
 
 @dataclass(frozen=True, eq=False)
 class _RowResults:
@@ -279,7 +252,7 @@ def _t0(m, c, s):
     direction (c, s), elementwise, from the moments of m (a SummaryStats or
     _RowSummaries); T0 means nothing where q is not positive. T0 is the same
     for any positive multiple of (c, s): T0(s/c) for c > 0, its limit at
-    +-inf on the y axis. At c = 1 it is T0(s), as t0_statistic takes it.
+    +-inf on the y axis. At c = 1 it is T0(s).
     (The bootstrap's T0* is the one-sample t of resampled y - rho_hat*x.)"""
     q = m.var_mean_y * c * c - 2.0 * s * c * m.cov_mean_xy + s * s * m.var_mean_x
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -439,8 +412,8 @@ def _band_rows(
 
 
 def _fieller_rows(m: _RowSummaries, quantile: float) -> _RowResults:
-    """invert_t0_band(row, -quantile, quantile) for every row, with the
-    estimate and the FiellerDiagnostics."""
+    """_band_rows at (-quantile, quantile), with the estimate and the
+    FiellerDiagnostics of every row."""
     mx, my = m.mean_x, m.mean_y
     vx, vy, cxy = m.var_mean_x, m.var_mean_y, m.cov_mean_xy
     with np.errstate(all="ignore"):
@@ -492,7 +465,8 @@ def _index_rows(
     row: drop the g = floor(trim*n) smallest and largest, pair the trimmed
     mean with the winsorized variance, se = sqrt(sum(dev^2)/(n-1)/n)/(1 -
     2g/n) on df = n - 2g - 1. At trim 0 nothing is sorted or trimmed, and
-    it is the index interval."""
+    it is the index interval. The estimand is E(Y/X), not E(Y)/E(X); the
+    two differ unless the denominator is noiseless."""
     runs, n = xs.shape
     if not 0.0 <= trim < 0.5:
         return _RowResults.failing(runs, DomainError("trim must lie in [0, 0.5)"))
@@ -500,8 +474,7 @@ def _index_rows(
     kept = n - 2 * g
     if kept < 2:
         few = f"trimming {g} from each tail leaves {kept} of {n}"
-        error = TooFewAfterTrim(few) if g else TooFewObservations("need at least two pairs")
-        return _RowResults.failing(runs, error)
+        return _RowResults.failing(runs, TooFewAfterTrim(few))
     zero = xs == 0.0
     errors: dict[int, RatioCiError] = {
         int(i): ZeroIndividualDenominator(np.flatnonzero(zero[i]))
@@ -522,7 +495,7 @@ def _index_rows(
     return _bounded_rows(mean, lower, upper, errors)
 
 
-# ---------------------------------------------------------- scalar methods
+# ------------------------------------------------------ methods on moments
 
 
 def fieller_set(stats: SummaryStats, spec: ConfidenceSpec) -> MethodResult:
@@ -543,34 +516,3 @@ def taylor_limits(stats: SummaryStats, spec: ConfidenceSpec) -> MethodResult:
     |mean_x|, defined wherever mean_x is not zero, mean_y = 0 included.
     """
     return _delta_rows(_RowSummaries.of(stats), spec.quantile).result(Method.TAYLOR)
-
-
-def index_limits(sample: PairedSample, spec: ConfidenceSpec) -> MethodResult:
-    """t interval for the mean of the per-pair ratios y_i/x_i: the trimmed
-    index interval with nothing trimmed.
-
-    Note the estimand here is E(Y/X), not E(Y)/E(X); the two differ unless
-    the denominator is noiseless.
-    """
-    return _index_rows(sample.xs[None], sample.ys[None], spec, 0.0).result(Method.INDEX)
-
-
-def trimmed_index_limits(
-    sample: PairedSample, spec: ConfidenceSpec, trim: float = 0.25
-) -> MethodResult:
-    """Trimmed-mean t interval for the per-pair ratios.
-
-    Drops the g = floor(trim*n) smallest and largest ratios, pairs the
-    trimmed mean with the winsorized variance, and uses df = n - 2g - 1.
-    One kernel serves both, so at trim=0 this is index_limits bit for bit.
-    """
-    rows = _index_rows(sample.xs[None], sample.ys[None], spec, trim)
-    return rows.result(Method.TRIMMED_INDEX)
-
-
-def zero_variance_limits(sample: PairedSample, spec: ConfidenceSpec) -> MethodResult:
-    """Taylor's interval with the denominator mean taken as a known
-    constant (var_mean_x = cov_mean_xy = 0): estimate +/- quantile *
-    sd_mean_y / |mean_x|."""
-    m = _known_x(_summarize_rows(sample.xs[None], sample.ys[None]))
-    return _delta_rows(m, spec.quantile).result(Method.ZERO_VARIANCE)

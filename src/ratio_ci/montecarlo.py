@@ -456,18 +456,21 @@ def evaluate_methods(
     boot_config: BootstrapConfig | None = None,
     trim: float = 0.25,
 ) -> Iterator[tuple[Method, MethodResult | RatioCiError]]:
-    """Yield (method, result) for each method, lazily and in the given order.
+    """Yield (method, result) for each method, lazily and in the given order:
+    the method registry on a batch of one, and the one way to run any
+    method on a sample.
 
     A method whose precondition fails on this sample yields its RatioCiError
     in place of the result; what that means is left to the caller. The
-    sample is summarized once, first, and the three bootstrap methods share
-    one resampling, drawn when the first of them is reached; the two
-    ratio-bootstrap methods both yield its error if their distribution
-    fails. boot_config is read only by the bootstrap methods. This is the
-    method registry on a batch of one.
+    sample is summarized once, first, so a sample that cannot be summarized
+    (fewer than two pairs, say) raises before any method runs. The three
+    bootstrap methods share one resampling, drawn when the first of them is
+    reached; the two ratio-bootstrap methods both yield its error if their
+    distribution fails. boot_config (BootstrapConfig() if None) is read only
+    by the bootstrap methods, and trim only by trimmed_index.
     """
-    seeds = () if boot_config is None else (boot_config.seed,)
-    batch = _Batch(sample.xs[None], sample.ys[None], spec, trim, boot_config, seeds)
+    boot_config = boot_config or BootstrapConfig()
+    batch = _Batch(sample.xs[None], sample.ys[None], spec, trim, boot_config, (boot_config.seed,))
     batch.summaries  # a summary that fails is no method's error
     for method, rows in _kernel_rows(batch, tuple(methods)):
         try:

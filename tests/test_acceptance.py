@@ -21,16 +21,14 @@ from ratio_ci import (
     SummaryStats,
     construct_wedge,
     error_bar_experiment,
+    evaluate_methods,
     fieller_set,
-    index_limits,
     run_cell,
     run_grid,
     spurious_demo,
     stork_demo_table,
     summarize,
     taylor_limits,
-    trimmed_index_limits,
-    zero_variance_limits,
 )
 from ratio_ci.cli import main
 
@@ -71,8 +69,8 @@ def test_criterion_1_worked_example():
     spec = ConfidenceSpec.two_sided(0.95, df=2)
     fieller = fieller_set(stats, spec)
     taylor = taylor_limits(stats, spec)
-    index = index_limits(sample, spec)
-    zerov = zero_variance_limits(sample, spec)
+    results = dict(evaluate_methods(sample, (Method.INDEX, Method.ZERO_VARIANCE), spec))
+    index, zerov = results[Method.INDEX], results[Method.ZERO_VARIANCE]
     elapsed = time.perf_counter() - start
 
     checks = [

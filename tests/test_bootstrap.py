@@ -21,14 +21,9 @@ from ratio_ci import (
     TooFewObservations,
     TooFewReplicates,
     ZeroDenominator,
-    bca_set,
+    evaluate_methods,
     fieller_set,
-    hwang_set,
-    invert_t0_band,
-    percentile_set,
-    ratio_bootstrap_results,
     summarize,
-    t0_statistic,
 )
 import ratio_ci.montecarlo as mc
 from ratio_ci import bootstrap
@@ -40,6 +35,7 @@ from ratio_ci.bootstrap import (
     _ratio_jackknife,
     _resample,
 )
+from ratio_ci.methods import _t0
 
 from oracle_utils import (
     bca_ci,
@@ -49,6 +45,10 @@ from oracle_utils import (
     ratio_of_means,
     resample_pairs,
 )
+from one_sample import band_set, method_result
+
+HWANG = Method.HWANG_BOOTSTRAP
+RATIO_BOOT = (Method.BOOTSTRAP_PERCENTILE, Method.BOOTSTRAP_BCA)
 
 
 def _sample(seed=3, n=30, cv_x=0.2):
@@ -258,9 +258,9 @@ def test_ratio_results_share_one_distribution():
     sample = _sample(seed=4)
     config = BootstrapConfig(replications=1500, seed=8)
     spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
-    both = ratio_bootstrap_results(sample, config, spec)
-    alone_p = percentile_set(sample, config, spec)
-    alone_b = bca_set(sample, config, spec)
+    both = dict(evaluate_methods(sample, RATIO_BOOT, spec, config))
+    alone_p = method_result(sample, Method.BOOTSTRAP_PERCENTILE, spec, config)
+    alone_b = method_result(sample, Method.BOOTSTRAP_BCA, spec, config)
     for m, alone in (
         (Method.BOOTSTRAP_PERCENTILE, alone_p),
         (Method.BOOTSTRAP_BCA, alone_b),
@@ -269,14 +269,6 @@ def test_ratio_results_share_one_distribution():
         assert both[m].confidence_set.upper == alone.confidence_set.upper
         assert both[m].confidence_set.case is SetCase.BOUNDED
         assert both[m].estimate == ratio_of_means(sample)
-
-
-def test_ratio_results_reject_foreign_methods():
-    sample = _sample()
-    config = BootstrapConfig(replications=200, seed=0)
-    spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
-    with pytest.raises(DomainError):
-        ratio_bootstrap_results(sample, config, spec, (Method.FIELLER,))
 
 
 def test_ratio_jackknife_matches_literal_loop():
@@ -297,7 +289,7 @@ def test_hwang_symmetric_band_reduces_to_exact_set():
     stats = summarize(sample)
     spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
     exact = fieller_set(stats, spec).confidence_set
-    forced = invert_t0_band(stats, -spec.quantile, spec.quantile)
+    forced = band_set(stats, -spec.quantile, spec.quantile)
     assert (forced.case, forced.lower, forced.upper) == (
         exact.case,
         exact.lower,
@@ -309,7 +301,7 @@ def test_hwang_close_to_exact_on_well_behaved_data():
     sample = _sample(seed=23, n=200, cv_x=0.1)
     spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
     config = BootstrapConfig(replications=2000, seed=3)
-    hw = hwang_set(sample, config, spec)
+    hw = method_result(sample, HWANG, spec, config)
     exact = fieller_set(summarize(sample), spec).confidence_set
     assert hw.confidence_set.case is SetCase.BOUNDED
     width = exact.upper - exact.lower
@@ -322,24 +314,24 @@ def test_hwang_close_to_exact_on_well_behaved_data():
 
 
 def _resample_t0_reference(sample: PairedSample, config: BootstrapConfig) -> np.ndarray:
-    """Literal per-resample recomputation through the public pivot."""
+    """Literal per-resample recomputation through the pivot of the moments,
+    keeping the resamples whose variance of mean(y - rho_hat*x) is positive."""
     rng = np.random.default_rng(config.seed)
     idx = rng.integers(0, sample.n, size=(config.replications, sample.n))
     rho_hat = ratio_of_means(sample)
     out = []
     for row in idx:
         stats = summarize(PairedSample(sample.xs[row], sample.ys[row]))
-        try:
-            out.append(t0_statistic(stats, rho_hat))
-        except Exception:
-            pass
+        q, t0 = _t0(stats, 1.0, rho_hat)
+        if q > 0.0:
+            out.append(t0)
     return np.asarray(out)
 
 
 def test_hwang_resampled_pivots_match_literal_loop():
     sample = _sample(seed=29, n=12)
     config = BootstrapConfig(replications=300, seed=41)
-    hw = hwang_set(sample, config, ConfidenceSpec.two_sided(0.95, df=11))
+    hw = method_result(sample, HWANG, ConfidenceSpec.two_sided(0.95, df=11), config)
     # The band is read at the BCa levels about T0(rho_hat) = 0, from the
     # literal loop's pivots and the literal leave-one-out pivots.
     ref = np.sort(_resample_t0_reference(sample, config))
@@ -347,7 +339,7 @@ def test_hwang_resampled_pivots_match_literal_loop():
     jack = []
     for i in range(sample.n):
         loo = PairedSample(np.delete(sample.xs, i), np.delete(sample.ys, i))
-        jack.append(t0_statistic(summarize(loo), rho_hat))
+        jack.append(_t0(summarize(loo), 1.0, rho_hat)[1])
     lo, hi, z0, a, fallback = _limits(ref, 0.95, 0.0, np.array(jack))
     assert fallback is None
     assert hw.diagnostics.bias_correction == pytest.approx(z0, rel=1e-9)
@@ -382,7 +374,7 @@ def test_hwang_jackknife_pivots_match_literal_loop():
     slow = []
     for i in range(sample.n):
         loo = PairedSample(np.delete(sample.xs, i), np.delete(sample.ys, i))
-        slow.append(t0_statistic(summarize(loo), rho_hat))
+        slow.append(_t0(summarize(loo), 1.0, rho_hat)[1])
     assert fast == pytest.approx(slow, rel=1e-9)
 
 
@@ -410,13 +402,13 @@ def test_hwang_guards():
     spec = ConfidenceSpec.two_sided(0.95, df=2)
     config = BootstrapConfig(replications=200, seed=0)
     with pytest.raises(TooFewObservations):
-        hwang_set(PairedSample([1.0, 2.0], [1.0, 1.0]), config, spec)
+        method_result(PairedSample([1.0, 2.0], [1.0, 1.0]), HWANG, spec, config)
     with pytest.raises(ZeroDenominator):
-        hwang_set(PairedSample([-1.0, 0.0, 1.0], [1.0, 2.0, 3.0]), config, spec)
+        method_result(PairedSample([-1.0, 0.0, 1.0], [1.0, 2.0, 3.0]), HWANG, spec, config)
 
 
 def _hwang_fallback(sample):
-    """hwang_set, the categories of the warnings it raised, and the plain
+    """Hwang's result, the categories of the warnings it raised, and the plain
     percentile band (t_lo, t_hi) of the same resamples with its set."""
     spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
     config = BootstrapConfig(replications=1000, seed=5)
@@ -427,10 +419,10 @@ def _hwang_fallback(sample):
     )
     finite, _ = _collect(t0s, config.replications)
     t_lo, t_hi, *_ = _limits(finite, spec.level, 0.0, None)
-    plain = t_lo, t_hi, invert_t0_band(summarize(sample), t_lo, t_hi)
+    plain = t_lo, t_hi, band_set(summarize(sample), t_lo, t_hi)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = hwang_set(sample, config, spec)
+        result = method_result(sample, HWANG, spec, config)
     assert all("falling back to percentiles" in str(w.message) for w in caught)
     return result, [w.category for w in caught], plain
 
@@ -479,8 +471,8 @@ def test_hwang_is_seed_deterministic():
     sample = _sample(seed=2, n=40)
     spec = ConfidenceSpec.two_sided(0.95, df=39)
     config = BootstrapConfig(replications=1200, seed=99)
-    a = hwang_set(sample, config, spec)
-    b = hwang_set(sample, config, spec)
+    a = method_result(sample, HWANG, spec, config)
+    b = method_result(sample, HWANG, spec, config)
     assert a.confidence_set == b.confidence_set
     assert a.diagnostics == b.diagnostics
 
@@ -502,10 +494,10 @@ def test_ratio_bootstrap_is_always_bounded_even_when_exact_set_is_not():
     config = BootstrapConfig(replications=2000, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # extreme resamples may trip fallbacks
-        results = ratio_bootstrap_results(sample, config, spec)
+        results = dict(evaluate_methods(sample, RATIO_BOOT, spec, config))
     for result in results.values():
         assert result.confidence_set.case is SetCase.BOUNDED
-    hw = hwang_set(sample, config, spec)
+    hw = method_result(sample, HWANG, spec, config)
     assert hw.confidence_set.case is not SetCase.BOUNDED
 
 
@@ -603,8 +595,8 @@ def test_block_size_changes_no_number(monkeypatch, n, replications, block_elemen
     spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
     config = BootstrapConfig(replications=replications, seed=8)
     rho_hat = ratio_of_means(sample)
-    hwang_default = hwang_set(sample, config, spec)
-    ratio_default = ratio_bootstrap_results(sample, config, spec)
+    hwang_default = method_result(sample, HWANG, spec, config)
+    ratio_default = dict(evaluate_methods(sample, RATIO_BOOT, spec, config))
 
     monkeypatch.setattr(bootstrap, "_BLOCK_ELEMENTS", block_elements)
     draws = []
@@ -627,11 +619,11 @@ def test_block_size_changes_no_number(monkeypatch, n, replications, block_elemen
         resample_pairs(sample, config, ratio_of_means), _unblocked_ratios(sample, config)
     )
 
-    hwang_blocked = hwang_set(sample, config, spec)
+    hwang_blocked = method_result(sample, HWANG, spec, config)
     assert hwang_blocked.confidence_set == hwang_default.confidence_set
     assert hwang_blocked.diagnostics == hwang_default.diagnostics
     assert hwang_blocked.estimate == hwang_default.estimate
-    assert ratio_bootstrap_results(sample, config, spec) == ratio_default
+    assert dict(evaluate_methods(sample, RATIO_BOOT, spec, config)) == ratio_default
 
 
 @pytest.mark.parametrize("replications", [2000, 6000])
@@ -640,11 +632,11 @@ def test_bootstrap_peak_memory_does_not_grow_with_replications(replications):
     sample = _sample(seed=5, n=5000)
     spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
     config = BootstrapConfig(replications=replications, seed=1)
-    for run in (hwang_set, ratio_bootstrap_results):
+    for methods in ((HWANG,), RATIO_BOOT):
         tracemalloc.start()
         try:
-            run(sample, config, spec)
+            dict(evaluate_methods(sample, methods, spec, config))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20, (run.__name__, peak)
+        assert peak < 64 * 2**20, (methods, peak)

@@ -21,14 +21,13 @@ from ratio_ci import (
     SimCell,
     error_bar_experiment,
     fieller_set,
-    hwang_set,
-    ratio_bootstrap_results,
     summarize,
     taylor_limits,
 )
 from ratio_ci import cli
 from ratio_ci.cli import main
 
+import scalar_reference as ref
 from test_methods import WORKED_X, WORKED_Y
 
 
@@ -118,11 +117,11 @@ def test_ci_bootstrap_methods_match_library(capsys, worked_csv):
     sample = PairedSample(np.array(WORKED_X), np.array(WORKED_Y))
     spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
     config = BootstrapConfig(replications=500, seed=11)
-    expected = ratio_bootstrap_results(
+    expected = ref.ratio_bootstrap_results(
         sample, config, spec, (Method.BOOTSTRAP_PERCENTILE, Method.BOOTSTRAP_BCA)
     )
     for method in ("bootstrap_percentile", "bootstrap_bca"):
-        wanted = expected[Method(method)].confidence_set
+        wanted = expected[Method(method)][0].confidence_set
         assert records[method]["lower"] == wanted.lower
         assert records[method]["upper"] == wanted.upper
 
@@ -143,14 +142,14 @@ def test_ci_evaluates_mixed_methods_in_request_order(capsys, tmp_path):
     sample = PairedSample(xs, ys)
     spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
     config = BootstrapConfig(replications=1000, seed=9)
-    ratio = ratio_bootstrap_results(
+    ratio = ref.ratio_bootstrap_results(
         sample, config, spec, (Method.BOOTSTRAP_BCA, Method.BOOTSTRAP_PERCENTILE)
     )
     expected = [
-        ratio[Method.BOOTSTRAP_BCA],
+        ratio[Method.BOOTSTRAP_BCA][0],
         fieller_set(summarize(sample), spec),
-        hwang_set(sample, config, spec),
-        ratio[Method.BOOTSTRAP_PERCENTILE],
+        ref.hwang_set(sample, config, spec)[0],
+        ratio[Method.BOOTSTRAP_PERCENTILE][0],
     ]
     for record, want in zip(records, expected):
         cset = want.confidence_set
@@ -169,8 +168,9 @@ def test_ci_evaluates_mixed_methods_in_request_order(capsys, tmp_path):
 
 
 def test_ci_hwang_record_is_the_library_band(capsys, monkeypatch, tmp_path):
-    # The pivot bootstrap has one band, read at the BCa levels, so hwang_set
-    # with a plain BootstrapConfig gives ci's record bit for bit.
+    # The pivot bootstrap has one band, read at the BCa levels, so the
+    # reference's hwang_set with a plain BootstrapConfig gives ci's record
+    # bit for bit.
     monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "perfbench")
     workloads = importlib.import_module("workloads")
     xs, ys = workloads.generate_pairs(5, 200)
@@ -183,7 +183,7 @@ def test_ci_hwang_record_is_the_library_band(capsys, monkeypatch, tmp_path):
 
     sample = PairedSample(xs, ys)
     spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
-    want = hwang_set(sample, BootstrapConfig(replications=1000, seed=3), spec)
+    want, _, _ = ref.hwang_set(sample, BootstrapConfig(replications=1000, seed=3), spec)
     cset, diag = want.confidence_set, want.diagnostics
     assert (record["lower"], record["upper"]) == (cset.lower, cset.upper)
     assert (record["lower"], record["upper"]) == pytest.approx((1.466506, 1.538462), abs=1e-6)

@@ -1,7 +1,7 @@
 """Every module's __all__ names what it defines, the package imports only
-names that its modules export, the README's methods table names only
-exported functions, and every public name is used by the library, its
-scripts or the README."""
+names that its modules export, the README's methods table names every
+method and only those, and every public name is read by the code of the
+library or of its scripts."""
 
 import ast
 import importlib
@@ -39,15 +39,13 @@ def test_package_imports_exist_and_are_exported():
 
 
 def test_readme_methods_table_names_exported_functions():
+    # The table's first column names each Method value once, and nothing else.
     readme = Path(__file__).resolve().parents[1] / "README.md"
     text = readme.read_text(encoding="utf-8")
     table = text.split("## Methods at a glance", 1)[1].split("\n\n", 2)[1]
     rows = [line for line in table.splitlines() if line.startswith("| `")]
     names = [name for row in rows for name in re.findall(r"`(\w+)`", row.split("|")[1])]
-    assert len(names) >= 8
-    for name in names:
-        assert callable(getattr(ratio_ci, name, None)), name
-
+    assert sorted(names) == sorted(method.value for method in ratio_ci.Method)
 
 
 def _public_names(tree: ast.Module) -> list[str]:
@@ -65,34 +63,29 @@ def _public_names(tree: ast.Module) -> list[str]:
     return [name for name in defined if not name.startswith("_")]
 
 
-def _uses(path: Path) -> str:
-    """The file's text without what only names a name: each def and class
-    line, the __all__ list and the package's own imports (its re-exports)."""
-    text = path.read_text(encoding="utf-8")
-    if path.suffix == ".md":
-        return text
-    lines = text.splitlines()
-    for node in ast.walk(ast.parse(text)):
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            lines[node.lineno - 1] = ""
-        elif (
-            isinstance(node, ast.Assign)
-            and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
-        ) or (isinstance(node, ast.ImportFrom) and node.level):
-            lines[node.lineno - 1 : node.end_lineno] = [""] * (node.end_lineno - node.lineno + 1)
-    return "\n".join(lines)
+def _loads(path: Path) -> set[str]:
+    """The names the file's code reads: each name loaded and each attribute
+    read. Imports, definitions, strings, docstrings and comments do not
+    count."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    # The tests and perfbench/ do not count: a name only they use is dead.
+    # The tests, perfbench/ and the README do not count: a name only they
+    # use is dead.
     root = Path(__file__).resolve().parents[1]
     sources = sorted((root / "src" / "ratio_ci").glob("*.py"))
-    corpus = [*sources, *sorted((root / "scripts").glob("*.py")), root / "README.md"]
-    text = "\n".join(map(_uses, corpus))
+    read = set().union(*map(_loads, [*sources, *sorted((root / "scripts").glob("*.py"))]))
     unused = [
         f"{path.stem}.{name}"
         for path in sources
         for name in _public_names(ast.parse(path.read_text(encoding="utf-8")))
-        if not re.search(rf"\b{name}\b", text)
+        if name not in read
     ]
     assert not unused, unused

@@ -24,19 +24,9 @@ from ratio_ci import (
     PairedSample,
     RatioCiError,
     SimCell,
-    bca_set,
-    fieller_set,
-    hwang_set,
-    index_limits,
-    invert_t0_band,
-    percentile_set,
-    ratio_bootstrap_results,
     run_cell,
     summarize,
     tangency_slopes,
-    taylor_limits,
-    trimmed_index_limits,
-    zero_variance_limits,
 )
 from ratio_ci.core import _summarize_rows
 from ratio_ci.methods import (
@@ -47,6 +37,8 @@ from ratio_ci.methods import (
     _known_x,
     _row_set,
 )
+
+from one_sample import band_set
 
 
 def _same(a, b) -> bool:
@@ -236,9 +228,9 @@ def _band(data, stats):
 
 @given(batches(), st.data())
 def test_band_kernel_matches_the_scalar_inversion_bit_for_bit(batch, data):
-    """_band_rows with a band of its own per row, invert_t0_band (a batch of
-    one) and tangency_slopes against the scalar reference, error class and
-    message included."""
+    """_band_rows with a band of its own per row, on the batch and on each
+    row alone, and tangency_slopes against the scalar reference, error
+    class and message included."""
     _, xs, ys, _, _ = batch
     try:
         summaries = _summarize_rows(xs, ys)
@@ -252,7 +244,7 @@ def test_band_kernel_matches_the_scalar_inversion_bit_for_bit(batch, data):
         expected = _outcome(lambda: ref.invert_t0_band(row, *bands[i]))
         got = errors.get(i) or _outcome(lambda: _row_set(lower[i], upper[i]))
         _assert_same_set(got, expected)
-        _assert_same_set(_outcome(lambda: invert_t0_band(row, *bands[i])), expected)
+        _assert_same_set(_outcome(lambda: band_set(row, *bands[i])), expected)
         for t in bands[i]:
             got_slopes, want = tangency_slopes(row, t), ref.tangency_slopes(row, t)
             assert len(got_slopes) == len(want)
@@ -260,31 +252,24 @@ def test_band_kernel_matches_the_scalar_inversion_bit_for_bit(batch, data):
 
 
 # ------------------------------------------- the method registry, a batch of one
+#
+# evaluate_methods, the registry on a batch of one, is held to the scalar
+# reference's per-sample methods, each requested alone (ref.evaluate). The
+# two tests' names recall the per-method public functions that evaluate_methods
+# replaced; scalar_reference.py keeps their code.
 
-# Each method's public function on one sample.
-PUBLIC = {
-    Method.FIELLER: lambda s, spec, trim, config: fieller_set(summarize(s), spec),
-    Method.TAYLOR: lambda s, spec, trim, config: taylor_limits(summarize(s), spec),
-    Method.INDEX: lambda s, spec, trim, config: index_limits(s, spec),
-    Method.TRIMMED_INDEX: lambda s, spec, trim, config: trimmed_index_limits(s, spec, trim),
-    Method.ZERO_VARIANCE: lambda s, spec, trim, config: zero_variance_limits(s, spec),
-    Method.HWANG_BOOTSTRAP: lambda s, spec, trim, config: hwang_set(s, config, spec),
-    Method.BOOTSTRAP_PERCENTILE: lambda s, spec, trim, config: percentile_set(s, config, spec),
-    Method.BOOTSTRAP_BCA: lambda s, spec, trim, config: bca_set(s, config, spec),
-}
 BOOTSTRAP = (Method.HWANG_BOOTSTRAP, Method.BOOTSTRAP_PERCENTILE, Method.BOOTSTRAP_BCA)
 
 
 def test_registry_has_one_kernel_per_method():
     assert len(mc._KERNELS) == len(Method) and set(mc._KERNELS) == set(Method)
-    assert len(PUBLIC) == len(Method)
 
 
-def _assert_batch_of_one_is_public(sample, methods, spec, trim=0.25, config=None):
+def _assert_batch_of_one_is_the_reference(sample, methods, spec, trim=0.25, config=None):
     got = list(mc.evaluate_methods(sample, methods, spec, config, trim))
     assert [method for method, _ in got] == list(methods)
     for method, result in got:
-        expected = _outcome(lambda: PUBLIC[method](sample, spec, trim, config))
+        ((_, expected, _, _),) = ref.evaluate(sample, (method,), spec, config, trim)
         _assert_same_outcome(result, expected)
 
 
@@ -298,8 +283,8 @@ def test_evaluate_methods_equals_the_public_closed_form_functions(batch):
             with pytest.raises(type(summary), match=str(summary)):
                 next(mc.evaluate_methods(sample, CLOSED_FORM, spec, trim=trim))
             continue
-        _assert_batch_of_one_is_public(sample, CLOSED_FORM, spec, trim)
-        _assert_batch_of_one_is_public(sample, CLOSED_FORM[::-1], spec, trim)
+        _assert_batch_of_one_is_the_reference(sample, CLOSED_FORM, spec, trim)
+        _assert_batch_of_one_is_the_reference(sample, CLOSED_FORM[::-1], spec, trim)
 
 
 def _boot_sample(n):
@@ -324,18 +309,14 @@ def test_evaluate_methods_equals_the_public_bootstrap_functions(name):
     spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
     config = BootstrapConfig(replications=1000, seed=11)
     for method in BOOTSTRAP:
-        _assert_batch_of_one_is_public(sample, (method,), spec, config=config)
+        _assert_batch_of_one_is_the_reference(sample, (method,), spec, config=config)
     # Together, the ratio-bootstrap methods come from one resampling.
     order = (Method.BOOTSTRAP_BCA, Method.FIELLER) + BOOTSTRAP[:2]
     got = dict(mc.evaluate_methods(sample, order, spec, config))
-    ratio = (Method.BOOTSTRAP_BCA, Method.BOOTSTRAP_PERCENTILE)
-    joint = _outcome(lambda: ratio_bootstrap_results(sample, config, spec, ratio))
-    for method in ratio:
-        expected = joint if isinstance(joint, RatioCiError) else joint[method]
-        _assert_same_outcome(got[method], expected)
-    _assert_same_outcome(
-        got[Method.HWANG_BOOTSTRAP], _outcome(lambda: hwang_set(sample, config, spec))
-    )
+    expected = _separate(sample, config, spec, order)
+    for method in BOOTSTRAP:
+        want = expected[method]
+        _assert_same_outcome(got[method], want if isinstance(want, RatioCiError) else want[0])
 
 
 # ------------------------------------------------------ run_cell, cell by cell
@@ -518,17 +499,17 @@ def boot_cases(draw):
     return PairedSample(x, y), config, tuple(order)
 
 
-def _separate(paths, sample, config, spec, order):
-    """{method: outcome} from one hwang_set call and one
-    ratio_bootstrap_results call over the requested ratio methods, in
-    `paths` (the library, or the reference whose results also carry the
-    fallback reason and the dropped replicates)."""
+def _separate(sample, config, spec, order):
+    """{method: outcome} of the reference's separate resamplings: one
+    hwang_set call and one ratio_bootstrap_results call over the requested
+    ratio methods (in `order`, other methods aside). A result comes with
+    its fallback reason and its dropped replicates."""
     out = {}
-    ratio = tuple(m for m in order if m is not Method.HWANG_BOOTSTRAP)
-    if len(ratio) < len(order):
-        out[Method.HWANG_BOOTSTRAP] = _outcome(lambda: paths.hwang_set(sample, config, spec))
+    ratio = tuple(m for m in order if m in ref.RATIO_BOOT)
+    if Method.HWANG_BOOTSTRAP in order:
+        out[Method.HWANG_BOOTSTRAP] = _outcome(lambda: ref.hwang_set(sample, config, spec))
     if ratio:
-        got = _outcome(lambda: paths.ratio_bootstrap_results(sample, config, spec, ratio))
+        got = _outcome(lambda: ref.ratio_bootstrap_results(sample, config, spec, ratio))
         for m in ratio:
             out[m] = got if isinstance(got, RatioCiError) else got[m]
     return out
@@ -541,8 +522,7 @@ def test_bootstrap_methods_together_equal_the_separate_paths(case):
     sample, config, order = case
     spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
     # The reference's separate resamplings, with their fallbacks and drops.
-    expected = _separate(ref, sample, config, spec, order)
-    public = _separate(bootstrap_module, sample, config, spec, order)
+    expected = _separate(sample, config, spec, order)
     got = dict(mc.evaluate_methods(sample, order, spec, config))
     assert list(got) == list(order)
     batch = mc._Batch(sample.xs[None], sample.ys[None], spec, 0.25, config, (config.seed,))
@@ -554,7 +534,6 @@ def test_bootstrap_methods_together_equal_the_separate_paths(case):
         else:
             want, fallback, dropped = want
         _assert_same_outcome(got[method], want)
-        _assert_same_outcome(public[method], want)
         _assert_same_outcome(_outcome(lambda: rows[method].result(method)), want)
         assert dict(rows[method].fallbacks) == ({} if fallback is None else {fallback: 1})
         assert rows[method].dropped_replicates == dropped

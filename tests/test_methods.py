@@ -9,8 +9,8 @@ from hypothesis import assume, example, given, strategies as st
 from ratio_ci import (
     ConfidenceSet,
     ConfidenceSpec,
-    DegenerateVariance,
     DomainError,
+    Method,
     NonFiniteResult,
     PairedSample,
     RatioCiError,
@@ -20,16 +20,13 @@ from ratio_ci import (
     ZeroDenominator,
     ZeroIndividualDenominator,
     fieller_set,
-    index_limits,
-    invert_t0_band,
     summarize,
-    t0_statistic,
     tangency_slopes,
     taylor_limits,
-    trimmed_index_limits,
-    zero_variance_limits,
 )
+from ratio_ci.methods import _t0
 
+from one_sample import band_set, method_result
 from oracle_utils import (
     exact_band_member,
     grid_scan_membership,
@@ -114,11 +111,11 @@ def test_worked_published_anchors(worked):
     t = taylor_limits(stats, spec)
     assert t.confidence_set.lower == pytest.approx(-1.88, abs=0.02)
     assert t.confidence_set.upper == pytest.approx(5.64, abs=0.02)
-    i = index_limits(sample, spec)
+    i = method_result(sample, Method.INDEX, spec)
     assert i.estimate == pytest.approx(2.29, abs=0.02)
     assert i.confidence_set.lower == pytest.approx(-1.81, abs=0.02)
     assert i.confidence_set.upper == pytest.approx(6.39, abs=0.02)
-    z = zero_variance_limits(sample, spec)
+    z = method_result(sample, Method.ZERO_VARIANCE, spec)
     assert z.confidence_set.lower == pytest.approx(-0.03, abs=0.02)
     assert z.confidence_set.upper == pytest.approx(3.79, abs=0.02)
 
@@ -143,7 +140,7 @@ def test_worked_index_against_direct_formula(worked):
     ratios = [y / x for x, y in zip(WORKED_X, WORKED_Y)]
     ref = summarize_oracle(ratios, ratios)
     half = spec.quantile * math.sqrt(ref.var_x / ref.n)
-    i = index_limits(sample, spec)
+    i = method_result(sample, Method.INDEX, spec)
     assert i.estimate == pytest.approx(ref.mean_x, rel=1e-14)
     assert i.confidence_set.lower == pytest.approx(ref.mean_x - half, rel=1e-12)
     assert i.confidence_set.upper == pytest.approx(ref.mean_x + half, rel=1e-12)
@@ -154,7 +151,7 @@ def test_worked_zero_variance_against_direct_formula(worked):
     ref = summarize_oracle(WORKED_X, WORKED_Y)
     rho = ref.mean_y / ref.mean_x
     half = spec.quantile * math.sqrt(ref.var_y / ref.n) / abs(ref.mean_x)
-    z = zero_variance_limits(sample, spec)
+    z = method_result(sample, Method.ZERO_VARIANCE, spec)
     assert z.confidence_set.lower == pytest.approx(rho - half, rel=1e-12)
     assert z.confidence_set.upper == pytest.approx(rho + half, rel=1e-12)
 
@@ -170,7 +167,7 @@ def test_t0_is_the_paired_t_statistic(stats, rho):
     q = stats.var_mean_y - 2 * rho * stats.cov_mean_xy + rho**2 * stats.var_mean_x
     assume(q > 1e-12)
     expect = (stats.mean_y - rho * stats.mean_x) / math.sqrt(q)
-    assert t0_statistic(stats, rho) == pytest.approx(expect, rel=1e-12)
+    assert _t0(stats, 1.0, rho)[1] == pytest.approx(expect, rel=1e-12)
 
 
 def test_t0_on_data_equals_one_sample_t():
@@ -182,13 +179,13 @@ def test_t0_on_data_equals_one_sample_t():
         d = ys - rho * xs
         ref = summarize_oracle(d, d)
         t = ref.mean_x / math.sqrt(ref.var_x / ref.n)
-        assert t0_statistic(stats, rho) == pytest.approx(t, rel=1e-10)
+        assert _t0(stats, 1.0, rho)[1] == pytest.approx(t, rel=1e-10)
 
 
 def test_t0_degenerate_variance():
     stats = summarize(PairedSample([1.0, 2.0, 3.0], [2.0, 4.0, 6.0]))
-    with pytest.raises(DegenerateVariance):
-        t0_statistic(stats, 2.0)  # exactly collinear: variance of y-2x is 0
+    q, _ = _t0(stats, 1.0, 2.0)
+    assert q == 0.0  # exactly collinear: variance of y-2x is 0
 
 
 @given(stats_strategy())
@@ -318,7 +315,7 @@ def test_zero_variance_never_wider_than_taylor_without_covariance(stats):
     )
     spec = ConfidenceSpec.two_sided(0.95, df=stats.df)
     rng = np.random.default_rng(0)
-    # zero_variance_limits takes a sample; apply its formula via the interval
+    # zero-variance takes a sample; apply its formula via the interval
     # identity half = q * sd_mean_y / |mean_x| instead of synthesizing data.
     half_zv = spec.quantile * uncorrelated.sd_mean_y / abs(uncorrelated.mean_x)
     t = taylor_limits(uncorrelated, spec).confidence_set
@@ -331,7 +328,7 @@ def test_zero_variance_never_wider_than_taylor_without_covariance(stats):
 
 def test_band_inversion_linear_when_denominator_certain():
     stats = SummaryStats(10, 2.0, 3.0, 0.0, 0.25, 0.0, 9)
-    cset = invert_t0_band(stats, -2.0, 2.0)
+    cset = band_set(stats, -2.0, 2.0)
     # T0 is linear in rho here: (3 - 2 rho)/0.5 in [-2, 2].
     assert cset.case is SetCase.BOUNDED
     assert cset.lower == pytest.approx(1.0)
@@ -340,7 +337,7 @@ def test_band_inversion_linear_when_denominator_certain():
 
 def test_band_inversion_certain_ratio():
     stats = SummaryStats(10, 2.0, 3.0, 0.0, 0.0, 0.0, 9)
-    cset = invert_t0_band(stats, -2.0, 2.0)
+    cset = band_set(stats, -2.0, 2.0)
     assert (cset.lower, cset.upper) == (1.5, 1.5)
 
 
@@ -350,9 +347,9 @@ def test_band_inversion_collinear_touch_point():
     # asymptote level |mean_x|/sd_mean_x.
     stats = summarize(PairedSample([1.0, 2.0, 3.0], [2.0, 4.0, 6.0]))
     asymptote = stats.mean_x / stats.sd_mean_x
-    tight = invert_t0_band(stats, -0.5 * asymptote, 0.5 * asymptote)
+    tight = band_set(stats, -0.5 * asymptote, 0.5 * asymptote)
     assert (tight.lower, tight.upper) == (2.0, 2.0)
-    wide = invert_t0_band(stats, -2.0 * asymptote, 2.0 * asymptote)
+    wide = band_set(stats, -2.0 * asymptote, 2.0 * asymptote)
     assert wide.case is SetCase.WHOLE_LINE
 
 
@@ -360,14 +357,14 @@ def test_band_inversion_empty_band_raises():
     stats = SummaryStats(10, 1.0, 1.0, 0.04, 0.04, 0.0, 9)
     t_unb = math.sqrt(fieller_set(stats, ConfidenceSpec(0.95, 9.0, 1.0)).diagnostics.t_unbounded_squared)
     with pytest.raises(NonFiniteResult):
-        invert_t0_band(stats, t_unb + 1.0, t_unb + 2.0)
+        band_set(stats, t_unb + 1.0, t_unb + 2.0)
 
 
 @given(stats_strategy(), st.floats(-4.0, 1.0), st.floats(0.1, 5.0))
 def test_asymmetric_band_matches_grid_scan(stats, t_lo, width):
     t_hi = t_lo + width
     try:
-        cset = invert_t0_band(stats, t_lo, t_hi)
+        cset = band_set(stats, t_lo, t_hi)
     except NonFiniteResult:
         # Empty set: the oracle grid must agree (no member far from edges).
         grid, oracle = grid_scan_membership(stats, t_lo, t_hi, -50, 50, 801)
@@ -389,7 +386,7 @@ def test_asymmetric_band_matches_grid_scan_both_ways(stats, t_lo, width):
     # a half-line, or a half-line beside an interval, is returned as it is.
     t_hi = t_lo + width
     try:
-        cset = invert_t0_band(stats, t_lo, t_hi)
+        cset = band_set(stats, t_lo, t_hi)
     except NonFiniteResult:
         return  # the empty set: test_asymmetric_band_matches_grid_scan
     grid, oracle = grid_scan_membership(stats, t_lo, t_hi, -50, 50, 2001)
@@ -418,7 +415,7 @@ def test_band_inversion_half_line_at_the_boundedness_threshold(cov, expected):
     # is 2 half_b - 3c = 2^-52 at half_b = 2^-52 and c = 1/(6*2^51), keeps
     # that tail out.
     stats = SummaryStats(10, 2.0, 1.0, 1.0, 1.0, cov, 9)
-    cset = invert_t0_band(stats, -2.0, 2.0)
+    cset = band_set(stats, -2.0, 2.0)
     assert len(cset.intervals) == 1
     assert cset.intervals[0] == pytest.approx(expected[0], rel=1e-15)
     assert tangency_slopes(stats, 2.0) == tuple(v for v in cset.intervals[0] if math.isfinite(v))
@@ -435,7 +432,7 @@ def test_band_edge_within_1e150_of_zero_counts_as_zero(mean_y, t_lo):
     # 1e150 is a member (the exact set of the first band ends near 1e200,
     # the second past the doubles).
     stats = SummaryStats(3, 0.0, mean_y, 1.0, 1.0, 0.0, 2)
-    cset = invert_t0_band(stats, t_lo, 1.0 + mean_y)
+    cset = band_set(stats, t_lo, 1.0 + mean_y)
     assert cset.intervals == ((-math.inf, math.inf),)
     grid, oracle = grid_scan_membership(stats, t_lo, 1.0 + mean_y, -1e149, 1e149, 2001)
     assert oracle.all()
@@ -452,7 +449,7 @@ def assert_band_matches_exact_pivot_on_the_log_grid(stats, t_lo, t_hi):
     # Membership both ways at every grid point more than 1e-6 (1 + |rho|)
     # from a limit of the set, against the exact band.
     try:
-        cset = invert_t0_band(stats, t_lo, t_hi)
+        cset = band_set(stats, t_lo, t_hi)
     except NonFiniteResult as exc:
         if "excludes" not in str(exc):
             return  # a limit beyond the doubles: nothing to compare
@@ -524,7 +521,7 @@ def test_band_tails_tending_to_an_edge_match_exact_pivot_on_a_log_grid(case):
 def test_band_inversion_rejects_inverted_band():
     stats = SummaryStats(10, 1.0, 1.0, 0.01, 0.01, 0.0, 9)
     with pytest.raises(DomainError):
-        invert_t0_band(stats, 2.0, -2.0)
+        band_set(stats, 2.0, -2.0)
 
 
 # ------------------------------------------------------ tangency slopes
@@ -539,7 +536,7 @@ def test_tangency_slopes_shape_and_on_band(stats):
     for rho in slopes:
         q = stats.var_mean_y - 2 * rho * stats.cov_mean_xy + rho * rho * stats.var_mean_x
         if q > 1e-12:
-            t0 = abs(t0_statistic(stats, rho))
+            t0 = abs(_t0(stats, 1.0, rho)[1])
             assert t0 == pytest.approx(spec.quantile, rel=1e-6)
 
 
@@ -600,7 +597,7 @@ def test_index_zero_individual_denominator_reports_indices():
     sample = PairedSample([1.0, 0.0, 2.0, 0.0], [1.0, 1.0, 1.0, 1.0])
     spec = ConfidenceSpec.two_sided(0.95, df=3)
     with pytest.raises(ZeroIndividualDenominator) as err:
-        index_limits(sample, spec)
+        method_result(sample, Method.INDEX, spec)
     assert list(err.value.indices) == [1, 3]
 
 
@@ -608,8 +605,8 @@ def test_trimmed_reduces_to_index_at_zero_trim():
     rng = np.random.default_rng(11)
     sample = PairedSample(rng.uniform(1, 3, 25), rng.normal(5, 2, 25))
     spec = ConfidenceSpec.two_sided(0.95, df=24)
-    plain = index_limits(sample, spec)
-    trimmed = trimmed_index_limits(sample, spec, trim=0.0)
+    plain = method_result(sample, Method.INDEX, spec)
+    trimmed = method_result(sample, Method.TRIMMED_INDEX, spec, trim=0.0)
     assert trimmed.estimate == plain.estimate
     assert trimmed.confidence_set.lower == plain.confidence_set.lower
     assert trimmed.confidence_set.upper == plain.confidence_set.upper
@@ -635,8 +632,8 @@ def _bits(call) -> str:
 def test_trimmed_index_at_zero_trim_is_index_bit_for_bit(pairs):
     sample = PairedSample(*pairs)
     spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
-    index = _bits(lambda: index_limits(sample, spec))
-    assert _bits(lambda: trimmed_index_limits(sample, spec, 0.0)) == index
+    index = _bits(lambda: method_result(sample, Method.INDEX, spec))
+    assert _bits(lambda: method_result(sample, Method.TRIMMED_INDEX, spec, trim=0.0)) == index
 
 
 @given(samples)
@@ -645,7 +642,7 @@ def test_zero_variance_is_taylor_without_x_variance_bit_for_bit(pairs):
     spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
     known_x = replace(summarize(sample), var_mean_x=0.0, cov_mean_xy=0.0)
     taylor = _bits(lambda: taylor_limits(known_x, spec))
-    assert _bits(lambda: zero_variance_limits(sample, spec)) == taylor
+    assert _bits(lambda: method_result(sample, Method.ZERO_VARIANCE, spec)) == taylor
 
 
 @pytest.mark.parametrize("mean_y", [0.0, 1e-170, 1e-150])
@@ -665,7 +662,7 @@ def test_trimmed_index_hand_checked():
     xs = np.ones(8)
     ys = np.array([3.0, 1.0, 8.0, 4.0, 6.0, 2.0, 5.0, 7.0])
     spec = ConfidenceSpec.two_sided(0.95, df=7)
-    r = trimmed_index_limits(PairedSample(xs, ys), spec, trim=0.25)
+    r = method_result(PairedSample(xs, ys), Method.TRIMMED_INDEX, spec, trim=0.25)
     assert r.estimate == pytest.approx(4.5)
     wins = [3.0, 3.0, 3.0, 4.0, 5.0, 6.0, 6.0, 6.0]
     ref = summarize_oracle(wins, wins)
@@ -682,9 +679,9 @@ def test_trimmed_index_rejects_overtrim():
     sample = PairedSample([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
     spec = ConfidenceSpec.two_sided(0.95, df=2)
     with pytest.raises(TooFewAfterTrim):
-        trimmed_index_limits(sample, spec, trim=0.4)
+        method_result(sample, Method.TRIMMED_INDEX, spec, trim=0.4)
     with pytest.raises(DomainError):
-        trimmed_index_limits(sample, spec, trim=0.5)
+        method_result(sample, Method.TRIMMED_INDEX, spec, trim=0.5)
 
 
 # ----------------------------------------------------------- ConfidenceSet

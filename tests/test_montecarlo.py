@@ -22,6 +22,7 @@ from ratio_ci import (
     PairedSample,
     RatioCiError,
     SimCell,
+    TooFewObservations,
     TooFewReplicates,
     error_bar_experiment,
     errorbar_csv_rows,
@@ -224,14 +225,33 @@ def test_evaluate_methods_summarizes_the_sample_once(monkeypatch):
 
         monkeypatch.setattr(module, "_summarize_rows", summarize_rows)
 
-    for module in (core, methods, mc):
-        counted(module)
+    # Every module of the package that could summarize a sample.
+    for module in (core, methods, bootstrap, mc):
+        if hasattr(module, "_summarize_rows"):
+            counted(module)
     sample = PairedSample([1.0, 2.0, 3.0, 4.0, 5.0], [2.0, 1.0, 4.0, 3.0, 6.0])
     spec = ConfidenceSpec.two_sided(0.95, df=4)
     requested = CLOSED_FORM + (Method.BOOTSTRAP_PERCENTILE,)
     results = dict(mc.evaluate_methods(sample, requested, spec, BootstrapConfig(replications=100)))
     assert list(results) == list(requested)
     assert len(calls) == 1, calls
+
+
+def test_evaluate_methods_bootstraps_with_the_default_config_when_given_none():
+    sample = PairedSample([1.0, 2.0, 3.0, 4.0, 5.0], [2.0, 1.0, 4.0, 3.0, 6.0])
+    spec = ConfidenceSpec.two_sided(0.95, df=4)
+    ((_, got),) = mc.evaluate_methods(sample, [Method.HWANG_BOOTSTRAP], spec)
+    ((_, want),) = mc.evaluate_methods(sample, [Method.HWANG_BOOTSTRAP], spec, BootstrapConfig())
+    assert not isinstance(got, RatioCiError)
+    assert got == want
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_evaluate_methods_on_one_pair_raises_too_few_observations(method):
+    sample = PairedSample([2.0], [3.0])
+    spec = ConfidenceSpec.two_sided(0.95, df=1)
+    with pytest.raises(TooFewObservations, match="^need at least two pairs to estimate variances$"):
+        list(mc.evaluate_methods(sample, [method], spec, BootstrapConfig()))
 
 
 def test_zero_x_draws_are_redrawn(monkeypatch):
