@@ -75,7 +75,11 @@ The argvs, in list order:
   --regressors x,x`, which names a column twice and exits 2;
 - `regress --model ols --regressors "x, "`, whose names are stripped and
   whose empty name is skipped: it should print the bytes of criterion 8's
-  `--regressors x` line.
+  `--regressors x` line;
+- two on files that start with a UTF-8 byte-order mark, as Excel's "CSV
+  UTF-8" writes them: `ci --format csv` on the worked example and `regress
+  --model ancova` on the groups file. The mark is skipped, so they should
+  print the bytes of criterion 8's lines on the unmarked files.
 """
 
 from __future__ import annotations
@@ -137,6 +141,9 @@ def inputs(tmp: Path) -> dict[str, Path]:
         ),
         "zero-mean-y.csv": _write_csv(tmp / "zero-mean-y.csv", "x,y", zip((1, 2, 3), (-1, 0, 1))),
     }
+    for name, plain in (("worked-bom.csv", "worked.csv"), ("groups-bom.csv", "groups.csv")):
+        files[name] = tmp / name
+        files[name].write_bytes(b"\xef\xbb\xbf" + files[plain].read_bytes())
     tight = np.random.default_rng(3)
     rows = []
     for g in range(3):
@@ -264,6 +271,10 @@ def argvs(files: dict[str, Path]) -> list[list[str]]:
          "--regressors", "x,x"],
         ["regress", "--input", line, "--model", "ols", "--response", "y",
          "--regressors", "x, "],
+    ]
+    out += [  # a leading byte-order mark
+        ["ci", "--input", str(files["worked-bom.csv"]), "--format", "csv"],
+        ["regress", "--input", str(files["groups-bom.csv"]), "--model", "ancova"],
     ]
     return out
 

@@ -12,7 +12,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .bootstrap import BootstrapConfig, HwangDiagnostics
 from .core import (
-    BivariateNormalParams,
     ConfidenceSpec,
     PairedSample,
     SummaryStats,

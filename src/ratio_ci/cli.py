@@ -191,7 +191,7 @@ def _result_record(result: MethodResult) -> dict:
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise _InputError(f"cannot read {path}: {exc}")
 
@@ -242,7 +242,7 @@ def _plain_columns(path: str) -> tuple[np.ndarray, np.ndarray] | None:
     if not os.path.isfile(path):
         return None
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             header = [name.strip() for name in next(csv.reader([f.readline()], strict=True))]
             if sorted(header) != ["x", "y"]:
                 return None

@@ -1,8 +1,6 @@
-"""Sample summaries, Student-t quantiles, and the Cholesky mix that turns
-standard normals into correlated pairs.
+"""Paired samples, their summaries, and Student-t quantiles.
 
-Everything here is pure: outputs depend only on explicit arguments. The
-simulation draws the standard normals from its own seeded streams.
+Everything here is pure: outputs depend only on explicit arguments.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ __all__ = [
     "PairedSample",
     "SummaryStats",
     "ConfidenceSpec",
-    "BivariateNormalParams",
     "summarize",
     "t_quantile",
 ]
@@ -148,23 +145,6 @@ def _upper_quantile(level: float, df: float) -> float:
     return quantile
 
 
-@dataclass(frozen=True)
-class BivariateNormalParams:
-    """Population parameters for correlated normal pairs."""
-
-    mean_x: float
-    mean_y: float
-    sd_x: float
-    sd_y: float
-    corr: float = 0.0
-
-    def __post_init__(self):
-        if not (self.sd_x > 0.0 and self.sd_y > 0.0):
-            raise DomainError("standard deviations must be strictly positive")
-        if abs(self.corr) > 1.0:
-            raise DomainError("correlation must lie in [-1, 1]")
-
-
 @dataclass(frozen=True, eq=False)
 class _RowSummaries:
     """The SummaryStats of every row of (runs, n) samples, as arrays of the
@@ -256,18 +236,3 @@ def t_quantile(p: float, df: float) -> float:
     if not df >= 1.0:
         raise DomainError("df must be >= 1 or infinite")
     return _stdtrit_cached(df, float(p))
-
-
-def _bivariate_pairs(
-    params: BivariateNormalParams, z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(xs, ys) from standard normals z of shape (..., 2, n): x from z[..., 0, :]
-    and y from the Cholesky mix of both. Elementwise, so a stack of samples
-    gets each sample's own bits. A draw past the double range is inf, without
-    a warning: the callers reject non-finite samples with their own error."""
-    z0, z1 = z[..., 0, :], z[..., 1, :]
-    with np.errstate(over="ignore"):
-        xs = params.mean_x + params.sd_x * z0
-        mix = params.corr * z0 + math.sqrt(1.0 - params.corr * params.corr) * z1
-        ys = params.mean_y + params.sd_y * mix
-    return xs, ys

@@ -146,9 +146,10 @@ def _fmt(value: float) -> str:
     return format(value, ".6g")
 
 
-def wedge_svg(e: EllipseConstruction, k: int = 256, size: int = 480) -> str:
-    """Minimal standalone SVG: one ellipse path, one line per tangent slope,
-    the x = 1 reference line, and the marginal interval marks."""
+def wedge_svg(e: EllipseConstruction, k: int = 256) -> str:
+    """Minimal standalone SVG, 480 px along its longer side: one ellipse
+    path, one line per tangent slope, the x = 1 reference line, and the
+    marginal interval marks."""
     boundary = ellipse_boundary_points(e, k)
     cx, cy = e.center
     xs = [p[0] for p in boundary] + [0.0, 1.0]
@@ -163,7 +164,7 @@ def wedge_svg(e: EllipseConstruction, k: int = 256, size: int = 480) -> str:
     pad = 0.05 * max(hi_x - lo_x, hi_y - lo_y, 1e-30)
     lo_x, hi_x = lo_x - pad, hi_x + pad
     lo_y, hi_y = lo_y - pad, hi_y + pad
-    scale = size / max(hi_x - lo_x, hi_y - lo_y)
+    scale = 480 / max(hi_x - lo_x, hi_y - lo_y)
 
     def to_px(x: float, y: float) -> tuple[float, float]:
         # SVG y grows downward.

@@ -223,36 +223,29 @@ def deflated_fit(sample: PairedSample) -> RegressionFit:
     )
 
 
-def allometric_fit(
-    data: PairedSample | Sequence[float],
-    regressors: Mapping[str, Sequence[float]] | None = None,
-) -> RegressionFit:
-    """Power-law fit y = beta * prod(x_j ** gamma_j) via log-log regression.
+def allometric_fit(data: PairedSample) -> RegressionFit:
+    """Power-law fit y = beta * x ** gamma via log-log regression.
 
-    Accepts a PairedSample (single regressor named x) or an explicit
-    response plus named regressors. All values must be strictly positive.
-    Coefficients: log_beta and beta for the prefactor, gamma_<name> per
-    regressor; the standard error is reported on the log_beta scale.
+    All values must be strictly positive. Coefficients: log_beta and beta
+    for the prefactor, gamma_x for the exponent; the standard error is
+    reported on the log_beta scale.
     """
-    if isinstance(data, PairedSample):
-        response = data.ys
-        regs: dict[str, np.ndarray] = {"x": data.xs}
-    else:
-        if not regressors:
-            raise DomainError("need at least one regressor")
-        response = _validated_array(data, "response")
-        regs = {name: _validated_array(v, name) for name, v in regressors.items()}
-    if np.any(response <= 0.0) or any(np.any(v <= 0.0) for v in regs.values()):
+    if np.any(data.ys <= 0.0) or np.any(data.xs <= 0.0):
         raise NonPositiveData("log-scale fitting needs strictly positive values")
-
-    fit = ols_fit(np.log(response), {n: np.log(v) for n, v in regs.items()}, intercept=True)
+    fit = ols_fit(np.log(data.ys), {"x": np.log(data.xs)}, intercept=True)
     log_beta = fit.coefficients["intercept"]
-    coefficients = {"log_beta": log_beta, "beta": math.exp(log_beta)}
-    standard_errors = {"log_beta": fit.standard_errors["intercept"]}
-    for name in regs:
-        coefficients[f"gamma_{name}"] = fit.coefficients[name]
-        standard_errors[f"gamma_{name}"] = fit.standard_errors[name]
-    return replace(fit, coefficients=coefficients, standard_errors=standard_errors)
+    return replace(
+        fit,
+        coefficients={
+            "log_beta": log_beta,
+            "beta": math.exp(log_beta),
+            "gamma_x": fit.coefficients["x"],
+        },
+        standard_errors={
+            "log_beta": fit.standard_errors["intercept"],
+            "gamma_x": fit.standard_errors["x"],
+        },
+    )
 
 
 @dataclass(frozen=True)
@@ -262,16 +255,18 @@ class SpuriousReport:
     partial: ModelComparison
     rate_based: ModelComparison
 
-    def summary(self, alpha: float = 0.05) -> str:
+    def summary(self) -> str:
+        """The two F tests, each judged at the 0.05 level, and what they show."""
+
         def verdict(comparison: ModelComparison, label: str, coef: str) -> list[str]:
             est = comparison.full.coefficients[coef]
             se = comparison.full.standard_errors[coef]
-            sig = "significant" if comparison.p_value < alpha else "not significant"
+            sig = "significant" if comparison.p_value < 0.05 else "not significant"
             return [
                 f"{label}:",
                 f"  extra coefficient {coef} = {est:.4f} (se {se:.4f})",
                 f"  F = {comparison.f_statistic:.4f}, p = {comparison.p_value:.4f}"
-                f" -> {sig} at {alpha:g}",
+                f" -> {sig} at 0.05",
             ]
 
         lines = verdict(

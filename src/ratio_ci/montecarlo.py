@@ -1,9 +1,11 @@
 """Coverage simulations for the ratio methods over a (cv_x, cv_y, n) grid.
 
-Cells are described by the individual-level coefficients of variation of the
-two measurements. Population means default to 1, so the true ratio is 1 and
-the CVs double as the standard deviations; every method under study is
-scale equivariant, so this loses no generality.
+A cell is described by the individual-level coefficients of variation of
+the two measurements, their correlation and the sample size. Population
+means are 1, so the true ratio is 1 and the CVs are the standard
+deviations. Every method under study is equivariant under rescaling x and
+y, so this loses no generality: means (m_x, m_y) give the coverage of the
+cell with correlation sign(m_x * m_y) * corr.
 
 A confidence set covers when the true ratio lies in one of its closed
 intervals (the whole line always covers). Sets with an infinite end are
@@ -50,10 +52,8 @@ import numpy as np
 
 from .bootstrap import BootstrapConfig, _bootstrap_rows
 from .core import (
-    BivariateNormalParams,
     ConfidenceSpec,
     PairedSample,
-    _bivariate_pairs,
     _integer,
     _RowSummaries,
     _seed,
@@ -91,17 +91,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimCell:
-    """One simulation condition: CVs at the individual-measurement level."""
+    """One simulation condition: CVs at the individual-measurement level,
+    around unit means, so the true ratio is 1."""
 
     cv_x: float
     cv_y: float
     n: int
     corr: float = 0.0
-    mean_x: float = 1.0
-    mean_y: float = 1.0
 
     def __post_init__(self):
-        for name in ("cv_x", "cv_y", "corr", "mean_x", "mean_y"):
+        for name in ("cv_x", "cv_y", "corr"):
             object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "n", _integer(self.n, "n"))
         if not (0.0 < self.cv_x < math.inf and 0.0 < self.cv_y < math.inf):
@@ -110,25 +109,6 @@ class SimCell:
             raise DomainError("correlation must lie in [-1, 1]")
         if self.n < 2:
             raise DomainError("need at least two pairs per sample")
-        if self.mean_x == 0.0 or not math.isfinite(self.mean_y / self.mean_x):
-            raise DomainError("true ratio must be finite")
-
-    @property
-    def true_rho(self) -> float:
-        return self.mean_y / self.mean_x
-
-    def params(self) -> BivariateNormalParams:
-        return self._params
-
-    @cached_property
-    def _params(self) -> BivariateNormalParams:
-        return BivariateNormalParams(
-            mean_x=self.mean_x,
-            mean_y=self.mean_y,
-            sd_x=self.cv_x * abs(self.mean_x),
-            sd_y=self.cv_y * abs(self.mean_y),
-            corr=self.corr,
-        )
 
 
 @dataclass(frozen=True)
@@ -180,6 +160,7 @@ class GridSpec:
         object.__setattr__(self, "n", _integer(self.n, "n"))
         if not self.cv_x_values or not self.cv_y_values:
             raise DomainError("both grid axes need at least one value")
+        self.cells()  # raises the first invalid cell's error
 
     def cells(self) -> list[SimCell]:
         # cv_x varies slowest; the cell index fixes each cell's seed.
@@ -357,19 +338,24 @@ def _draw_run(
     """Runs start, ..., start + rows - 1 of the cell: their (rows, n) xs and
     ys, the block's redraw count and, if boot, each run's bootstrap seed.
 
-    Each run is the sample default_rng([seed, run, 0]) gives. Exactly-zero
+    Each run is the sample default_rng([seed, run, 0]) gives: x from its
+    first n standard normals and y from the Cholesky mix of those and the
+    next n, each around a mean of 1 with the cell's CV as its SD. Exactly-zero
     x draws (possible only by floating-point chance) invalidate the per-pair
     ratio methods, so such a run is redrawn from the next attempt's stream,
     and tallied. The bootstrap seed is the last draw of the stream kept, so
     skipping it changes no other number. A run with a non-finite value
     raises NonFiniteInput, as its PairedSample would.
     """
-    params = cell.params()
     runs = np.arange(start, start + rows, dtype=np.uint64)
+    root = math.sqrt(1.0 - cell.corr * cell.corr)
 
     def draw(todo: np.ndarray, attempt: int):
         z, boot_seeds = _draw_normals(seed, todo, attempt, cell.n, boot)
-        xs, ys = _bivariate_pairs(params, z)
+        z0, z1 = z[:, 0], z[:, 1]
+        with np.errstate(over="ignore"):  # a draw past the double range is inf
+            xs = 1.0 + cell.cv_x * z0
+            ys = 1.0 + cell.cv_y * (cell.corr * z0 + root * z1)
         finite = np.isfinite(xs).all(axis=1) & np.isfinite(ys).all(axis=1)
         if not finite.all():
             row = int(np.argmin(finite))
@@ -513,12 +499,12 @@ class _Tally:
         self.fallbacks: Counter[str] = Counter()
         self.dropped = 0
 
-    def add_rows(self, rows: _RowResults, rho: float) -> None:
+    def add_rows(self, rows: _RowResults) -> None:
         ok = ~rows.failed
         self.failures.update(type(error).__name__ for error in rows.errors.values())
         self.fallbacks.update(rows.fallbacks)
         self.dropped += rows.dropped_replicates
-        self.covered += int(np.count_nonzero(rows.contains(rho)))
+        self.covered += int(np.count_nonzero(rows.contains(1.0)))
         infinite = np.isinf(rows.lower).any(axis=1) | np.isinf(rows.upper).any(axis=1)
         self.unbounded += int(np.count_nonzero(ok & infinite))
         self.estimates += rows.estimate[ok & np.isfinite(rows.estimate)].tolist()
@@ -564,14 +550,13 @@ def run_cell(
     elif boot_config is None:
         boot_config = BootstrapConfig()
     spec = ConfidenceSpec.two_sided(level, df=cell.n - 1)
-    rho = cell.true_rho
 
     tallies = {m: _Tally() for m in method_order}
     redraws = 0
     for _, batch, attempts in _blocks(cell, seed, runs, spec, trim, boot_config):
         redraws += attempts
         for method, rows in _kernel_rows(batch, method_order):
-            tallies[method].add_rows(rows, rho)
+            tallies[method].add_rows(rows)
 
     tallies = {m: tallies[m].coverage(runs) for m in method_order}
     return CoverageResult(cell=cell, seed=seed, methods=tallies, redraws=redraws)
@@ -626,7 +611,6 @@ def error_bar_experiment(
     if runs < 1:
         raise DomainError("need at least one run")
     spec = ConfidenceSpec.two_sided(level, df=cell.n - 1)
-    rho = cell.true_rho
     methods = (Method.FIELLER, Method.INDEX)
     per_method: dict[Method, list[ErrorBarRun]] = {m: [] for m in methods}
     for start, batch, _ in _blocks(cell, seed, runs, spec):
@@ -641,7 +625,7 @@ def error_bar_experiment(
                         run=start + i,
                         estimate=result.estimate,
                         confidence_set=result.confidence_set,
-                        covers_true=result.confidence_set.contains(rho),
+                        covers_true=result.confidence_set.contains(1.0),
                     )
                 )
     rows: list[ErrorBarRun] = []

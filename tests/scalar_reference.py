@@ -353,11 +353,12 @@ def zero_variance_limits(sample: PairedSample, spec: ConfidenceSpec) -> MethodRe
 # ------------------------------------------------------ the per-run draw
 
 
-def _draw_pairs(params, n, rng):
-    z = rng.standard_normal((2, n))
-    xs = params.mean_x + params.sd_x * z[0]
-    mix = params.corr * z[0] + math.sqrt(1.0 - params.corr * params.corr) * z[1]
-    ys = params.mean_y + params.sd_y * mix
+def _draw_pairs(cell, rng):
+    """Normal pairs around unit means, with the cell's CVs as their SDs."""
+    z = rng.standard_normal((2, cell.n))
+    xs = 1.0 + cell.cv_x * z[0]
+    mix = cell.corr * z[0] + math.sqrt(1.0 - cell.corr * cell.corr) * z[1]
+    ys = 1.0 + cell.cv_y * mix
     return PairedSample(xs, ys)
 
 
@@ -365,11 +366,10 @@ def _draw_run(cell, seed, run, draw_boot_seed=True):
     """Sample for one run plus its bootstrap seed (None unless
     draw_boot_seed) and the redraw count: a run with an exactly-zero x is
     redrawn from the next attempt's generator."""
-    params = cell.params()
     attempt = 0
     while True:
         rng = np.random.default_rng([seed, run, attempt])
-        sample = _draw_pairs(params, cell.n, rng)
+        sample = _draw_pairs(cell, rng)
         if not (sample.xs == 0.0).any():
             break
         attempt += 1
@@ -557,7 +557,6 @@ def run_cell(cell, methods, runs, seed, boot_config=None, level=0.95, trim=0.25)
     if boot_config is None:
         boot_config = BootstrapConfig()
     spec = ConfidenceSpec.two_sided(level, df=cell.n - 1)
-    rho = cell.true_rho
     covered = dict.fromkeys(method_order, 0)
     unbounded = dict.fromkeys(method_order, 0)
     estimates = {m: [] for m in method_order}
@@ -580,7 +579,7 @@ def run_cell(cell, methods, runs, seed, boot_config=None, level=0.95, trim=0.25)
                 fallbacks[method][fallback] += 1
             dropped[method] += drops
             cset = result.confidence_set
-            if cset.contains(rho):
+            if cset.contains(1.0):  # the true ratio
                 covered[method] += 1
             if cset.case is not SetCase.BOUNDED:
                 unbounded[method] += 1

@@ -286,6 +286,27 @@ def test_ci_numeric_fields_parse_like_python_float(capsys, tmp_path):
     assert err == f"error: {bad}: column 'x': could not convert string to float: 'foo'\n"
 
 
+
+def test_a_leading_byte_order_mark_is_skipped(capsys, worked_csv, tmp_path):
+    # Excel's "CSV UTF-8" starts a file with U+FEFF. It stuck to the first
+    # header name: ci exited 2 for want of the columns x,y, and ancova for
+    # want of a column x. Each reader now skips it: NumPy's (the worked
+    # example), the csv module's (an underscore in a number) and regress's.
+    underscored = _write_pairs(tmp_path / "odd.csv", ("1.5", "1_000", "12", "4"), (2, 3, 5, 7))
+    groups = tmp_path / "groups.csv"
+    rows = [f"{x},{k * x},{g}" for x in (1.0, 2.0, 3.0, 4.0) for k, g in ((2.0, "a"), (2.5, "b"))]
+    groups.write_text("\n".join(["x,y,group", *rows]) + "\n")
+    marked = tmp_path / "marked.csv"
+    for command, path in (
+        (["ci"], worked_csv),
+        (["ci"], underscored),
+        (["regress", "--model", "ancova"], str(groups)),
+    ):
+        plain = _run(capsys, [*command, "--input", path])
+        assert plain[0] == 0 and plain[2] == ""
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+        assert _run(capsys, [*command, "--input", str(marked)]) == plain
+
 # ------------------------------------------------------ the two readers
 
 

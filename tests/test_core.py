@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from ratio_ci import (
-    BivariateNormalParams,
     ConfidenceSpec,
     DomainError,
     NonFiniteInput,
@@ -266,7 +265,7 @@ def _one_run(cell: SimCell, seed: int) -> PairedSample:
 
 
 def test_sampling_is_seed_deterministic():
-    cell = SimCell(cv_x=0.5, cv_y=0.125, n=50, corr=0.4, mean_x=1.0, mean_y=2.0)
+    cell = SimCell(cv_x=0.5, cv_y=0.125, n=50, corr=0.4)
     a = _one_run(cell, seed=123)
     b = _one_run(cell, seed=123)
     c = _one_run(cell, seed=124)
@@ -275,19 +274,12 @@ def test_sampling_is_seed_deterministic():
 
 
 def test_sampling_moments():
-    # sd_x = 0.5 * 2 = 1 and sd_y = 0.5 * |-1| = 0.5.
-    cell = SimCell(cv_x=0.5, cv_y=0.5, n=200_000, corr=0.6, mean_x=2.0, mean_y=-1.0)
+    # Unit means, so sd_x = cv_x = 1 and sd_y = cv_y = 0.5.
+    cell = SimCell(cv_x=1.0, cv_y=0.5, n=200_000, corr=0.6)
     s = _one_run(cell, seed=7)
-    assert s.xs.mean() == pytest.approx(2.0, abs=0.02)
-    assert s.ys.mean() == pytest.approx(-1.0, abs=0.01)
+    assert s.xs.mean() == pytest.approx(1.0, abs=0.02)
+    assert s.ys.mean() == pytest.approx(1.0, abs=0.01)
     assert s.xs.std(ddof=1) == pytest.approx(1.0, abs=0.02)
     assert s.ys.std(ddof=1) == pytest.approx(0.5, abs=0.01)
     r = np.corrcoef(s.xs, s.ys)[0, 1]
     assert r == pytest.approx(0.6, abs=0.02)
-
-
-def test_sampling_validation():
-    with pytest.raises(DomainError):
-        BivariateNormalParams(1.0, 1.0, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        BivariateNormalParams(1.0, 1.0, 1.0, 1.0, corr=1.5)

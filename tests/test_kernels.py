@@ -324,7 +324,7 @@ def test_evaluate_methods_equals_the_public_bootstrap_functions(name):
 
 def _zero_x(monkeypatch, run, attempts):
     """Make the draw of `run` at each of `attempts` have x[1] == 0 exactly,
-    in a cell with mean_x == sd_x: its normal is set to -mean_x/sd_x = -1."""
+    in a cell with cv_x == 1: its normal is set to -1/cv_x = -1."""
     real = mc._draw_normals
 
     def draw_normals(seed, runs, attempt, n, boot):
@@ -397,9 +397,9 @@ def test_run_cell_equals_the_per_run_loop_through_a_redraw(monkeypatch):
     real = ref._draw_pairs
     calls = {"count": 0}
 
-    def flaky(params, n, rng):
+    def flaky(cell, rng):
         calls["count"] += 1
-        sample = real(params, n, rng)
+        sample = real(cell, rng)
         if calls["count"] in (5, 6):  # run 4 needs two redraws
             xs = sample.xs.copy()
             xs[1] = 0.0

@@ -53,8 +53,6 @@ def test_cell_validation():
         SimCell(cv_x=1.0, cv_y=1.0, n=1)
     with pytest.raises(DomainError):
         SimCell(cv_x=1.0, cv_y=1.0, n=20, corr=1.5)
-    with pytest.raises(DomainError):
-        SimCell(cv_x=1.0, cv_y=1.0, n=20, mean_x=0.0)
     for bad in (math.inf, math.nan, -1.0):
         with pytest.raises(DomainError):
             SimCell(cv_x=bad, cv_y=1.0, n=20)
@@ -73,14 +71,6 @@ def test_fractional_n_is_rejected():
     assert type(spec.n) is int and spec.cells()[0] == SimCell(0.3, 0.3, 20)
 
 
-def test_cell_params_scale_cv_by_mean():
-    cell = SimCell(cv_x=0.5, cv_y=0.2, n=10, corr=0.3, mean_x=2.0, mean_y=4.0)
-    p = cell.params()
-    assert p.sd_x == 1.0 and p.sd_y == pytest.approx(0.8)
-    assert p.corr == 0.3
-    assert cell.true_rho == 2.0
-
-
 def test_grid_spec_is_rectangular_row_major():
     spec = GridSpec(cv_x_values=(0.1, 1.0), cv_y_values=(0.2, 0.5, 2.0), n=20)
     cells = spec.cells()
@@ -89,6 +79,20 @@ def test_grid_spec_is_rectangular_row_major():
     with pytest.raises(DomainError):
         GridSpec(cv_x_values=(), cv_y_values=(1.0,), n=20)
 
+
+@pytest.mark.parametrize(
+    "axes, n, corr, message",
+    [
+        (((1.0, 0.0), (1.0,)), 20, 0.0, "coefficients of variation must be finite and positive"),
+        (((1.0,), (1.0,)), 1, 0.0, "need at least two pairs per sample"),
+        (((1.0,), (1.0,)), 20, 1.5, r"correlation must lie in \[-1, 1\]"),
+    ],
+    ids=["cv", "n", "corr"],
+)
+def test_grid_spec_with_an_invalid_cell_does_not_construct(axes, n, corr, message):
+    # Such a grid used to construct and fail only in cells(), when run.
+    with pytest.raises(DomainError, match=message):
+        GridSpec(*axes, n, corr=corr)
 
 def test_reference_line_positions():
     # cv of the mean reaches 0.5 at cv_x = 0.5*sqrt(n): about 2.2 for n=20
@@ -323,8 +327,8 @@ def test_a_block_equals_the_per_run_draws(seed):
 @pytest.mark.parametrize(
     "cell, message",
     [
-        (SimCell(1e10, 1.0, 5, mean_x=1e300, mean_y=1e300), "xs contains non-finite values"),
-        (SimCell(1.0, 1e10, 5, mean_y=1e300), "ys contains non-finite values"),
+        (SimCell(1e308, 1.0, 5), "xs contains non-finite values"),
+        (SimCell(1.0, 1e308, 5), "ys contains non-finite values"),
     ],
     ids=["xs", "ys"],
 )
@@ -391,12 +395,13 @@ def test_fieller_and_zero_variance_cover_at_their_exact_rates():
     ):
         cell = SimCell(cv_x=cv_x, cv_y=cv_y, n=n, corr=corr)
         result = run_cell(cell, (Method.FIELLER, Method.ZERO_VARIANCE), runs, seed, level=level)
-        p, rho = cell.params(), cell.true_rho
-        sd_d = math.sqrt(p.sd_y**2 - 2 * rho * corr * p.sd_x * p.sd_y + rho**2 * p.sd_x**2)
+        # Unit means: the SDs are the CVs, and the true ratio is 1.
+        sd_x, sd_y, rho = cv_x, cv_y, 1.0
+        sd_d = math.sqrt(sd_y**2 - 2 * rho * corr * sd_x * sd_y + rho**2 * sd_x**2)
         q = stats.t.isf(0.5 * (1 - level), n - 1)
         exact = {
             Method.FIELLER: level,
-            Method.ZERO_VARIANCE: 1 - 2 * stats.t.sf(q * p.sd_y / sd_d, n - 1),
+            Method.ZERO_VARIANCE: 1 - 2 * stats.t.sf(q * sd_y / sd_d, n - 1),
         }
         for method, rate in exact.items():
             covered = result.methods[method].covered
@@ -461,7 +466,7 @@ def test_error_bar_experiment_layout():
         estimates = [r.estimate for r in half]
         assert estimates == sorted(estimates)
     for r in exp.rows:
-        assert r.covers_true == r.confidence_set.contains(cell.true_rho)
+        assert r.covers_true == r.confidence_set.contains(1.0)
     assert exp.significant_deviations(Method.FIELLER) == sum(
         1 for r in first if not r.covers_true
     )
@@ -529,7 +534,7 @@ def test_error_bar_experiment_equals_the_per_run_loop(cell, runs, seed):
         assert (row.method, row.run) == (method, run)
         assert _same(row.estimate, result.estimate)
         _assert_same_set(row.confidence_set, result.confidence_set)
-        assert row.covers_true is result.confidence_set.contains(cell.true_rho)
+        assert row.covers_true is result.confidence_set.contains(1.0)
 
 
 # Index fails: y/x overflows at x = 5e-324.
