@@ -490,7 +490,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--replications", type=_positive_int(100, "replications"), default=2000
     )
     sim.add_argument("--trim", type=_trim_arg, default=0.25)
-    sim.add_argument("--threads", type=_positive_int(1, "threads"), default=None)
+    sim.add_argument(
+        "--threads",
+        type=_positive_int(1, "threads"),
+        default=None,
+        help="worker processes for the cells (default: RATIO_CI_THREADS, else the "
+        "CPUs this process may use); 1 runs them in this process",
+    )
     common(sim)
     sim.set_defaults(handler=_cmd_simulate)
 

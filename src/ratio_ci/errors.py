@@ -28,6 +28,10 @@ class ZeroIndividualDenominator(RatioCiError):
         self.indices = tuple(int(i) for i in indices)
         super().__init__(f"zero denominator at indices {self.indices}")
 
+    def __reduce__(self):
+        # args holds the message, not the indices, so rebuild from these.
+        return type(self), (self.indices,)
+
 
 class DegenerateVariance(RatioCiError):
     """A variance expression that must be positive is zero or negative."""

@@ -13,8 +13,11 @@ also tallied separately, so their frequency stays visible in the output.
 
 Determinism: each run draws from default_rng([seed, run, attempt]), and each
 grid cell gets its seed from SeedSequence([master_seed, cell_index]), so
-results are identical regardless of thread count or which method subset is
-requested. The runs of a block are drawn together without building a
+results are identical regardless of worker count or which method subset is
+requested. run_grid runs its cells in forked worker processes, at most
+thread_cap(threads) of them and no more than there are cells; a cell shares
+no state with another, and its result and warnings come back to the caller
+in cell order. The runs of a block are drawn together without building a
 generator per run: _run_streams hashes SeedSequence([seed, run, attempt])
 for all of them at once and seeds PCG64 from it, and one generator is set to
 each run's state in turn, so every run gets the bits its own default_rng
@@ -42,10 +45,11 @@ from __future__ import annotations
 import math
 import operator
 import os
+import sys
+import warnings
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -206,7 +210,8 @@ class ErrorBarExperiment:
 
 
 def thread_cap(requested: int | None = None) -> int:
-    """Worker count: explicit argument, else RATIO_CI_THREADS, else all cores."""
+    """Worker count: explicit argument, else RATIO_CI_THREADS, else the
+    CPUs this process may run on."""
     if requested is None:
         env = os.environ.get("RATIO_CI_THREADS")
         if env is not None:
@@ -215,6 +220,8 @@ def thread_cap(requested: int | None = None) -> int:
             except ValueError:
                 raise DomainError(f"RATIO_CI_THREADS must be an integer, got {env!r}")
     if requested is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     requested = _integer(requested, "thread cap")
     if requested < 1:
@@ -566,6 +573,52 @@ def _cell_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([master_seed, index]).generate_state(1, np.uint64)[0])
 
 
+def _cell_job(methods, runs, boot_config, level, trim, cell, seed) -> CoverageResult:
+    return run_cell(cell, methods, runs, seed, boot_config, level, trim)
+
+
+def _recorded(job, *args) -> tuple[CoverageResult, list[tuple]]:
+    """job(*args) and the warnings it issued that this process's filters let
+    through, as (message, category, filename, lineno)."""
+    with warnings.catch_warnings(record=True) as caught:
+        result = job(*args)
+    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _reissue(caught: list[tuple]) -> None:
+    """Issue warnings recorded in a worker again in this process, each from
+    its own line and module, so this process's filters and registries decide
+    which are shown, as if the worker had issued them here."""
+    if not caught:
+        return
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for message, category, filename, lineno in caught:
+        module = modules.get(filename)
+        if module is None:
+            warnings.warn_explicit(message, category, filename, lineno)
+        else:
+            registry = vars(module).setdefault("__warningregistry__", {})
+            warnings.warn_explicit(
+                message, category, filename, lineno, module.__name__, registry, vars(module)
+            )
+
+
+def _forked_map(
+    job, cells: list[SimCell], seeds: list[int], workers: int
+) -> Iterator[CoverageResult]:
+    """job(cell, seed) for each cell, in order, on this many forked worker
+    processes, reissuing each cell's warnings here as its result arrives.
+    The workers have ended when this returns or raises."""
+    # Imported here: the pool's modules would cost every CLI start otherwise.
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+        for result, caught in pool.map(partial(_recorded, job), cells, seeds):
+            _reissue(caught)
+            yield result
+
+
 def run_grid(
     gridspec: GridSpec,
     methods: Iterable[Method],
@@ -580,20 +633,23 @@ def run_grid(
 
     Cell seeds derive from (master_seed, cell index) alone, and results are
     collected in cell order, so the grid is a pure function of its arguments
-    no matter how many workers execute it. boot_config is read as in
-    run_cell: only its replications.
+    no matter how many workers execute it. The workers are forked processes,
+    min(thread_cap(threads), number of cells) of them; with one, the cells
+    run in this process and no process is started. A daemonic process
+    cannot start processes, so inside one pass threads=1. A worker's
+    warnings are issued again here, in cell order, through this process's
+    filters. boot_config is read as in run_cell: only its replications.
     """
     method_order = _normalized_methods(methods)
     master_seed = _seed(master_seed, "master_seed")
     cells = gridspec.cells()
     seeds = [_cell_seed(master_seed, i) for i in range(len(cells))]
-
-    def job(args: tuple[SimCell, int]) -> CoverageResult:
-        cell, seed = args
-        return run_cell(cell, method_order, runs, seed, boot_config, level, trim)
-
-    with ThreadPoolExecutor(max_workers=thread_cap(threads)) as pool:
-        results = tuple(pool.map(job, zip(cells, seeds)))
+    job = partial(_cell_job, method_order, runs, boot_config, level, trim)
+    workers = min(thread_cap(threads), len(cells))
+    if workers == 1:
+        results = tuple(map(job, cells, seeds))
+    else:
+        results = tuple(_forked_map(job, cells, seeds, workers))
     return CoverageGrid(spec=gridspec, runs=runs, master_seed=master_seed, results=results)
 
 

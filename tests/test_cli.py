@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -557,6 +558,32 @@ def test_simulate_precondition_failure_exits_3(capsys):
         code, out, err = _run(capsys, argv + ["--methods", "fieller"])
     assert (code, out) == (3, "")
     assert err == "error: simulate: xs contains non-finite values\n"
+
+
+def test_simulate_precondition_failure_in_a_worker_exits_3(capsys):
+    # Two cells on two worker processes: the error crosses the pool.
+    argv = ["simulate", "--cv-x", "1e308,1e308", "--cv-y", "1", "--n", "5", "--runs", "100"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, argv + ["--methods", "fieller", "--threads", "2"])
+    assert (code, out) == (3, "")
+    assert err == "error: simulate: xs contains non-finite values\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_simulate_prints_the_same_warnings_at_any_worker_count():
+    # At n = 4 BCa falls back on three runs of this grid; the default filters
+    # print that warning once, whichever process issued it.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = [sys.executable, "-m", "ratio_ci.cli", "simulate", "--cv-x", "0.3,3.0", "--cv-y",
+            "0.1,1.0", "--n", "4", "--runs", "100", "--replications", "100", "--methods",
+            "hwang_bootstrap,bootstrap_bca", "--seed", "5", "--threads"]
+    one, two = (
+        subprocess.run(argv + [t], capture_output=True, env=env, timeout=120) for t in "12"
+    )
+    assert one.returncode == two.returncode == 0
+    assert (one.stdout, one.stderr) == (two.stdout, two.stderr)
+    assert one.stderr.count(b"falling back to percentiles") == 1
 
 
 def test_simulate_axis_syntax_and_guards(capsys):

@@ -1,5 +1,9 @@
 import itertools
 import math
+import multiprocessing
+import os
+import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import ratio_ci.bootstrap as bootstrap
 import ratio_ci.montecarlo as mc
 import scalar_reference as ref
-from ratio_ci import core, methods
+from ratio_ci import core, errors, methods
 from test_kernels import _assert_same_set, _replace_samples, _same, _zero_x
 from ratio_ci import (
     BootstrapConfig,
@@ -423,6 +427,61 @@ def test_grid_independent_of_thread_count():
     assert one.results == many.results
 
 
+def test_errors_survive_pickling():
+    # A cell's error reaches run_grid's caller pickled from its worker.
+    classes = [
+        c
+        for c in vars(errors).values()
+        if isinstance(c, type) and issubclass(c, (errors.RatioCiError, errors.DegenerateJackknife))
+    ]
+    assert errors.ZeroIndividualDenominator in classes and errors.DegenerateJackknife in classes
+    for cls in classes:
+        exc = cls([3, 0]) if cls is errors.ZeroIndividualDenominator else cls("a message")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls
+        assert str(back) == str(exc) and back.args == exc.args
+        assert vars(back) == vars(exc)  # ZeroIndividualDenominator's indices
+
+
+def _grid_warnings(threads: int, always: bool) -> list[tuple]:
+    # At n = 4 the BCa step falls back on three runs of this grid.
+    spec = GridSpec((0.3, 3.0), (0.1, 1.0), 4)
+    methods = (Method.HWANG_BOOTSTRAP, Method.BOOTSTRAP_BCA)
+    with warnings.catch_warnings(record=True) as caught:
+        if always:
+            warnings.simplefilter("always")
+        run_grid(spec, methods, 100, 5, BootstrapConfig(100), threads=threads)
+    return [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+
+@pytest.mark.parametrize("always", [True, False], ids=["always", "default-filters"])
+def test_grid_warnings_reach_the_caller_whatever_the_workers(always):
+    one = _grid_warnings(1, always)
+    assert len(one) == (3 if always else 1)
+    assert one[0][0] == "estimate outside the bootstrap distribution; falling back to percentiles"
+    assert _grid_warnings(2, always) == one
+
+
+def test_one_cell_grid_starts_no_process(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    grid = run_grid(GridSpec((0.5,), (0.5,), 10), (Method.FIELLER,), 100, 0, threads=4)
+    assert len(grid.results) == 1
+    run_grid(GridSpec((0.5, 1.0), (0.5,), 10), (Method.FIELLER,), 100, 0, threads=1)
+
+
+def test_no_worker_outlives_run_grid():
+    spec = GridSpec((0.5, 1.0), (0.5,), 10)
+    run_grid(spec, (Method.FIELLER,), 100, 0, threads=2)
+    assert multiprocessing.active_children() == []
+    # Every draw of x overflows, so both cells raise in their workers.
+    with pytest.raises(NonFiniteInput, match="xs contains non-finite values"):
+        run_grid(GridSpec((1e308, 1e308), (1.0,), 5), (Method.FIELLER,), 100, 0, threads=2)
+    assert multiprocessing.active_children() == []
+
+
 def test_grid_cells_have_distinct_seeds():
     spec = GridSpec(cv_x_values=(0.5, 0.5), cv_y_values=(0.5,), n=10)
     grid = run_grid(spec, (Method.FIELLER,), 100, master_seed=0)
@@ -580,6 +639,6 @@ def test_thread_cap_sources(monkeypatch):
     with pytest.raises(DomainError):
         thread_cap()
     monkeypatch.delenv("RATIO_CI_THREADS")
-    assert thread_cap() >= 1
+    assert thread_cap() == len(os.sched_getaffinity(0))
     with pytest.raises(DomainError):
         thread_cap(0)

@@ -237,3 +237,18 @@ def test_importing_the_package_and_cli_loads_no_scipy():
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_importing_the_package_and_cli_loads_no_process_pool():
+    # run_grid imports its process pool when it first starts workers.
+    code = (
+        "import sys, ratio_ci, ratio_ci.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures.process'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert out.stdout.strip() == "[]"
