@@ -79,7 +79,12 @@ The argvs, in list order:
 - two on files that start with a UTF-8 byte-order mark, as Excel's "CSV
   UTF-8" writes them: `ci --format csv` on the worked example and `regress
   --model ancova` on the groups file. The mark is skipped, so they should
-  print the bytes of criterion 8's lines on the unmarked files.
+  print the bytes of criterion 8's lines on the unmarked files;
+- two that append `--threads 1` to the `sim-closed` seed-1 argv and to the
+  n = 4 `simulate` argv with failing and working rows, so their cells run
+  in this process rather than in forked workers: each should print the
+  bytes of its twin above, which on a host with two or more CPUs runs on
+  two or more workers.
 """
 
 from __future__ import annotations
@@ -225,9 +230,11 @@ def argvs(files: dict[str, Path]) -> list[list[str]]:
     ]
     for name in ("noise.csv", "zero-mean.csv"):
         out.append(["ellipse", "--input", str(files[name]), "--format", "csv"])
+    mixed_rows = ["simulate", "--n", "4", "--runs", "100", "--replications", "100", "--cv-x",
+                  "0.3,3.0", "--cv-y", "0.5", "--methods", "hwang_bootstrap,bootstrap_bca",
+                  "--seed", "5"]
     out += [  # failing and working rows side by side
-        ["simulate", "--n", "4", "--runs", "100", "--replications", "100", "--cv-x", "0.3,3.0",
-         "--cv-y", "0.5", "--methods", "hwang_bootstrap,bootstrap_bca", "--seed", "5"],
+        mixed_rows,
         ["ci", "--input", str(files["plus-minus-one.csv"]), "--methods",
          "bootstrap_percentile,bootstrap_bca", "--replications", "100", "--seed", "3"],
     ]
@@ -276,6 +283,8 @@ def argvs(files: dict[str, Path]) -> list[list[str]]:
         ["ci", "--input", str(files["worked-bom.csv"]), "--format", "csv"],
         ["regress", "--input", str(files["groups-bom.csv"]), "--model", "ancova"],
     ]
+    for argv in (WORKLOADS["sim-closed"].argv(1, None), mixed_rows):  # one worker, no fork
+        out.append([*argv, "--threads", "1"])
     return out
 
 

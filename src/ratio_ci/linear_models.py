@@ -97,6 +97,11 @@ def ols_fit(
     R-squared is centered when an intercept is fitted and uncentered
     otherwise (share of the raw sum of squares explained).
     """
+    return _ols_fit(y, regressors, intercept)[0]
+
+
+def _ols_fit(y, regressors, intercept: bool) -> tuple[RegressionFit, float]:
+    """ols_fit's fit and its raw sum of squared residuals, which F tests read."""
     yv = _validated_array(y, "y")
     n = yv.size
     if intercept and "intercept" in regressors:
@@ -140,7 +145,7 @@ def ols_fit(
         residual_variance=s2,
         df=df,
         r_squared=_r_squared(sse, tss),
-    )
+    ), sse
 
 
 def _nested_f(sse_r: float, sse_f: float, df_r: int, df_f: int) -> tuple[float, float]:
@@ -157,6 +162,12 @@ def _nested_f(sse_r: float, sse_f: float, df_r: int, df_f: int) -> tuple[float, 
         return math.inf, 0.0
     f = num / (sse_f / df_f)
     return f, float(fdtrc(num_df, df_f, f))
+
+
+def _compare(restricted, sse_restricted, full, sse_full) -> ModelComparison:
+    """The F test of nested fits on their raw residual sums (RegressionFit.sse rounds)."""
+    f, p = _nested_f(sse_restricted, sse_full, restricted.df, full.df)
+    return ModelComparison(restricted=restricted, full=full, f_statistic=f, p_value=p)
 
 
 def ancova_ratio_compare(groups: Sequence[PairedSample]) -> ModelComparison:
@@ -192,13 +203,10 @@ def ancova_ratio_compare(groups: Sequence[PairedSample]) -> ModelComparison:
         standard_errors = {name: math.sqrt(s2 / a) for name, a in zip(coefficients, sxxs)}
         return RegressionFit(coefficients, standard_errors, s2, df, _r_squared(sse, tss)), sse
 
-    restricted, sse_restricted = fit({"slope": common}, [common] * m, [sum(sxx)], df_restricted)
-    full, sse_full = fit(
-        {f"slope_{g}": b for g, b in enumerate(slopes, start=1)}, slopes, sxx, df_full
+    return _compare(
+        *fit({"slope": common}, [common] * m, [sum(sxx)], df_restricted),
+        *fit({f"slope_{g}": b for g, b in enumerate(slopes, start=1)}, slopes, sxx, df_full),
     )
-    # The F test reads the raw sums: RegressionFit.sse is one rounding away.
-    f, p = _nested_f(sse_restricted, sse_full, df_restricted, df_full)
-    return ModelComparison(restricted=restricted, full=full, f_statistic=f, p_value=p)
 
 
 def deflated_fit(sample: PairedSample) -> RegressionFit:
@@ -309,18 +317,14 @@ def spurious_demo(
     if np.any(x <= 0.0):
         raise NonPositiveData("women counts must be strictly positive")
 
-    def compare(restricted: RegressionFit, full: RegressionFit) -> ModelComparison:
-        f, p = _nested_f(restricted.sse, full.sse, restricted.df, full.df)
-        return ModelComparison(restricted, full, f, p)
-
-    partial = compare(
-        ols_fit(y, {"women": x}, intercept=True),
-        ols_fit(y, {"women": x, "storks": z}, intercept=True),
+    partial = _compare(
+        *_ols_fit(y, {"women": x}, intercept=True),
+        *_ols_fit(y, {"women": x, "storks": z}, intercept=True),
     )
     rates = y / x
-    rate_based = compare(
-        ols_fit(rates, {}, intercept=True),
-        ols_fit(rates, {"stork_rate": z / x}, intercept=True),
+    rate_based = _compare(
+        *_ols_fit(rates, {}, intercept=True),
+        *_ols_fit(rates, {"stork_rate": z / x}, intercept=True),
     )
     return SpuriousReport(partial=partial, rate_based=rate_based)
 

@@ -14,29 +14,22 @@ also tallied separately, so their frequency stays visible in the output.
 Determinism: each run draws from default_rng([seed, run, attempt]), and each
 grid cell gets its seed from SeedSequence([master_seed, cell_index]), so
 results are identical regardless of worker count or which method subset is
-requested. run_grid runs its cells in forked worker processes, at most
-thread_cap(threads) of them and no more than there are cells; a cell shares
-no state with another, and its result and warnings come back to the caller
-in cell order. The runs of a block are drawn together without building a
-generator per run: _run_streams hashes SeedSequence([seed, run, attempt])
-for all of them at once and seeds PCG64 from it, and one generator is set to
-each run's state in turn, so every run gets the bits its own default_rng
-would give. A run's bootstrap seed is the last draw of its stream, so it is
-drawn only for a batch that carries a bootstrap config (run_cell passes one
-when a bootstrap method is requested) without changing any other number.
+requested. _draw_run draws the runs of a block together, each with the bits
+its own default_rng would give.
+
+Records: what some runs of one cell gave is one _CellRecord: each method's
+counts and finite estimates in run order, the redraws, and the warnings a
+worker recorded. A cell's job merges one record per block, in run order.
+run_cell summarizes it once; run_grid's forked workers (at most
+thread_cap(threads), and no more than there are cells) return it and
+nothing else, or with one worker run_grid calls run_cell in this process.
 
 Method registry: _KERNELS maps every method to one kernel over the rows of
 a batch of samples, and is the only place that knows which methods exist.
-run_cell and error_bar_experiment draw the runs of a block as above into
-(rows, n) arrays, summarize them once and run each kernel once per block;
-evaluate_methods is the registry on a batch of one. The closed-form
-kernels (methods._fieller_rows, which is the band inversion
-methods._band_rows at (-q, q), methods._delta_rows for Taylor and
-zero-variance, and methods._index_rows for index and trimmed-index) work
-on whole arrays, with no per-row loop. The three bootstrap methods share one
-kernel, bootstrap._bootstrap_rows: it resamples each row once, from the
-row's own seed, for all of them, and finishes the block once (the
-estimates, and Hwang's bands inverted by one methods._band_rows call).
+run_cell and error_bar_experiment run each kernel once per block of runs;
+evaluate_methods is the registry on a batch of one. The closed-form kernels
+work on whole arrays, and the three bootstrap methods share one kernel,
+bootstrap._bootstrap_rows, which resamples each row once for all of them.
 Every row is bit-equal to the method applied to that sample alone.
 """
 
@@ -495,39 +488,51 @@ def _blocks(
         yield start, _Batch(xs, ys, spec, trim, boot_config, seeds), redraws
 
 
-class _Tally:
-    """One method's running tally over the runs of a cell, in run order."""
+@dataclass
+class _CellRecord:
+    """What some runs of one cell gave; it pickles, so a forked job returns
+    it whole. counts is keyed (method, "covered"), (method, "unbounded"),
+    (method, "dropped") for dropped replicates, (method, "failures", error
+    class) and (method, "fallbacks", reason). estimates holds, per method in
+    request order, the finite estimates in run order. warnings are those a
+    worker recorded, as (message, category, filename, lineno)."""
 
-    def __init__(self):
-        self.covered = 0
-        self.unbounded = 0
-        self.estimates: list[float] = []
-        self.failures: Counter[str] = Counter()
-        self.fallbacks: Counter[str] = Counter()
-        self.dropped = 0
+    counts: Counter[tuple]
+    estimates: dict[Method, np.ndarray]
+    runs: int
+    redraws: int
+    warnings: list[tuple] = field(default_factory=list)
 
-    def add_rows(self, rows: _RowResults) -> None:
-        ok = ~rows.failed
-        self.failures.update(type(error).__name__ for error in rows.errors.values())
-        self.fallbacks.update(rows.fallbacks)
-        self.dropped += rows.dropped_replicates
-        self.covered += int(np.count_nonzero(rows.contains(1.0)))
-        infinite = np.isinf(rows.lower).any(axis=1) | np.isinf(rows.upper).any(axis=1)
-        self.unbounded += int(np.count_nonzero(ok & infinite))
-        self.estimates += rows.estimate[ok & np.isfinite(rows.estimate)].tolist()
-
-    def coverage(self, runs: int) -> MethodCoverage:
-        est = self.estimates
-        return MethodCoverage(
-            runs=runs,
-            covered=self.covered,
-            unbounded_sets=self.unbounded,
-            estimate_mean=float(np.mean(est)) if est else math.nan,
-            estimate_variance=float(np.var(est, ddof=1)) if len(est) >= 2 else math.nan,
-            failures=dict(sorted(self.failures.items())),
-            fallbacks=dict(sorted(self.fallbacks.items())),
-            dropped_replicates=self.dropped,
+    @classmethod
+    def merge(cls, records: Sequence[_CellRecord]) -> _CellRecord:
+        """One record of these, given in run order: counts summed, estimates concatenated."""
+        return cls(
+            sum((r.counts for r in records), Counter()),
+            {m: np.concatenate([r.estimates[m] for r in records]) for m in records[0].estimates},
+            sum(r.runs for r in records),
+            sum(r.redraws for r in records),
+            [w for r in records for w in r.warnings],
         )
+
+    def result(self, cell: SimCell, seed: int) -> CoverageResult:
+        """The cell's CoverageResult, when the record holds all its runs."""
+        def by(key: tuple[Method, str]) -> dict[str, int]:
+            return dict(sorted((k[2], v) for k, v in self.counts.items() if k[:2] == key))
+
+        methods = {
+            m: MethodCoverage(
+                runs=self.runs,
+                covered=self.counts[m, "covered"],
+                unbounded_sets=self.counts[m, "unbounded"],
+                estimate_mean=float(np.mean(est)) if est.size else math.nan,
+                estimate_variance=float(np.var(est, ddof=1)) if est.size >= 2 else math.nan,
+                failures=by((m, "failures")),
+                fallbacks=by((m, "fallbacks")),
+                dropped_replicates=self.counts[m, "dropped"],
+            )
+            for m, est in self.estimates.items()
+        }
+        return CoverageResult(cell=cell, seed=seed, methods=methods, redraws=self.redraws)
 
 
 def run_cell(
@@ -548,49 +553,52 @@ def run_cell(
     resampled from the last draw of its own stream, not boot_config.seed.
     Hwang's band is the BCa band, or the percentile band as a fallback.
     """
-    runs, seed = _integer(runs, "runs"), _seed(seed)
+    seed = _seed(seed)
+    return _cell_record(methods, runs, boot_config, level, trim, cell, seed).result(cell, seed)
+
+
+def _cell_record(methods, runs, boot_config, level, trim, cell, seed) -> _CellRecord:
+    """run_cell's record: one per block of runs, merged in run order."""
+    runs = _integer(runs, "runs")
     if runs < 100:
         raise DomainError("need at least 100 runs per cell")
-    method_order = _normalized_methods(methods)
-    if not any(_KERNELS[m] is _bootstrap_kernel for m in method_order):
+    methods = _normalized_methods(methods)
+    if not any(_KERNELS[m] is _bootstrap_kernel for m in methods):
         boot_config = None
     elif boot_config is None:
         boot_config = BootstrapConfig()
     spec = ConfidenceSpec.two_sided(level, df=cell.n - 1)
-
-    tallies = {m: _Tally() for m in method_order}
-    redraws = 0
-    for _, batch, attempts in _blocks(cell, seed, runs, spec, trim, boot_config):
-        redraws += attempts
-        for method, rows in _kernel_rows(batch, method_order):
-            tallies[method].add_rows(rows)
-
-    tallies = {m: tallies[m].coverage(runs) for m in method_order}
-    return CoverageResult(cell=cell, seed=seed, methods=tallies, redraws=redraws)
+    records = []
+    for _, batch, redraws in _blocks(cell, seed, runs, spec, trim, boot_config):
+        record = _CellRecord(Counter(), {}, len(batch.xs), redraws)
+        for m, rows in _kernel_rows(batch, methods):
+            ok = ~rows.failed
+            infinite = np.isinf(rows.lower).any(axis=1) | np.isinf(rows.upper).any(axis=1)
+            record.counts[m, "covered"] = int(np.count_nonzero(rows.contains(1.0)))
+            record.counts[m, "unbounded"] = int(np.count_nonzero(ok & infinite))
+            record.counts[m, "dropped"] = rows.dropped_replicates
+            record.counts.update((m, "failures", type(e).__name__) for e in rows.errors.values())
+            record.counts.update({(m, "fallbacks", r): k for r, k in rows.fallbacks.items()})
+            record.estimates[m] = rows.estimate[ok & np.isfinite(rows.estimate)]
+        records.append(record)
+    return _CellRecord.merge(records)
 
 
 def _cell_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([master_seed, index]).generate_state(1, np.uint64)[0])
 
 
-def _cell_job(methods, runs, boot_config, level, trim, cell, seed) -> CoverageResult:
-    return run_cell(cell, methods, runs, seed, boot_config, level, trim)
-
-
-def _recorded(job, *args) -> tuple[CoverageResult, list[tuple]]:
-    """job(*args) and the warnings it issued that this process's filters let
-    through, as (message, category, filename, lineno)."""
+def _recorded(*args) -> _CellRecord:
+    """_cell_record(*args), with the warnings this process's filters let through."""
     with warnings.catch_warnings(record=True) as caught:
-        result = job(*args)
-    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+        record = _cell_record(*args)
+    record.warnings += [(w.message, w.category, w.filename, w.lineno) for w in caught]
+    return record
 
 
 def _reissue(caught: list[tuple]) -> None:
-    """Issue warnings recorded in a worker again in this process, each from
-    its own line and module, so this process's filters and registries decide
-    which are shown, as if the worker had issued them here."""
-    if not caught:
-        return
+    """Issue warnings a worker recorded again here, each from its own line and
+    module, so this process's filters and registries decide which are shown."""
     modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
     for message, category, filename, lineno in caught:
         module = modules.get(filename)
@@ -601,22 +609,6 @@ def _reissue(caught: list[tuple]) -> None:
             warnings.warn_explicit(
                 message, category, filename, lineno, module.__name__, registry, vars(module)
             )
-
-
-def _forked_map(
-    job, cells: list[SimCell], seeds: list[int], workers: int
-) -> Iterator[CoverageResult]:
-    """job(cell, seed) for each cell, in order, on this many forked worker
-    processes, reissuing each cell's warnings here as its result arrives.
-    The workers have ended when this returns or raises."""
-    # Imported here: the pool's modules would cost every CLI start otherwise.
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
-    with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-        for result, caught in pool.map(partial(_recorded, job), cells, seeds):
-            _reissue(caught)
-            yield result
 
 
 def run_grid(
@@ -633,24 +625,36 @@ def run_grid(
 
     Cell seeds derive from (master_seed, cell index) alone, and results are
     collected in cell order, so the grid is a pure function of its arguments
-    no matter how many workers execute it. The workers are forked processes,
-    min(thread_cap(threads), number of cells) of them; with one, the cells
-    run in this process and no process is started. A daemonic process
-    cannot start processes, so inside one pass threads=1. A worker's
-    warnings are issued again here, in cell order, through this process's
-    filters. boot_config is read as in run_cell: only its replications.
+    no matter how many workers execute it. Each cell is one job on one of
+    min(thread_cap(threads), number of cells) forked processes, and its
+    record is the one thing the worker returns; as each arrives, its
+    warnings are issued again here, through this process's filters, and it
+    is summarized. With one worker, run_cell runs the same job here and no
+    process is started. A daemonic process cannot start processes, so inside
+    one pass threads=1. boot_config is read as in run_cell: only its replications.
     """
     method_order = _normalized_methods(methods)
     master_seed = _seed(master_seed, "master_seed")
     cells = gridspec.cells()
     seeds = [_cell_seed(master_seed, i) for i in range(len(cells))]
-    job = partial(_cell_job, method_order, runs, boot_config, level, trim)
     workers = min(thread_cap(threads), len(cells))
     if workers == 1:
-        results = tuple(map(job, cells, seeds))
+        results = [
+            run_cell(cell, method_order, runs, seed, boot_config, level, trim)
+            for cell, seed in zip(cells, seeds)
+        ]
     else:
-        results = tuple(_forked_map(job, cells, seeds, workers))
-    return CoverageGrid(spec=gridspec, runs=runs, master_seed=master_seed, results=results)
+        # Imported here: the pool's modules would cost every CLI start otherwise.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        job = partial(_recorded, method_order, runs, boot_config, level, trim)
+        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+            results = []
+            for cell, seed, record in zip(cells, seeds, pool.map(job, cells, seeds)):
+                _reissue(record.warnings)
+                results.append(record.result(cell, seed))
+    return CoverageGrid(spec=gridspec, runs=runs, master_seed=master_seed, results=tuple(results))
 
 
 def error_bar_experiment(
@@ -675,19 +679,11 @@ def error_bar_experiment(
             for method in methods:
                 # Raises the row's error: the first failing run's, Fieller first.
                 result = kernels[method].result(method, i)
-                per_method[method].append(
-                    ErrorBarRun(
-                        method=method,
-                        run=start + i,
-                        estimate=result.estimate,
-                        confidence_set=result.confidence_set,
-                        covers_true=result.confidence_set.contains(1.0),
-                    )
-                )
-    rows: list[ErrorBarRun] = []
-    for method in methods:
-        rows.extend(sorted(per_method[method], key=lambda r: r.estimate))
-    return ErrorBarExperiment(cell=cell, seed=seed, level=level, rows=tuple(rows))
+                cset = result.confidence_set
+                run = ErrorBarRun(method, start + i, result.estimate, cset, cset.contains(1.0))
+                per_method[method].append(run)
+    rows = tuple(r for m in methods for r in sorted(per_method[m], key=lambda r: r.estimate))
+    return ErrorBarExperiment(cell=cell, seed=seed, level=level, rows=rows)
 
 
 def _fmt(value: float) -> str:

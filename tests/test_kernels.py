@@ -415,11 +415,28 @@ def test_run_cell_equals_the_per_run_loop_through_a_redraw(monkeypatch):
     assert got == expected
 
 
-def test_block_size_changes_no_tally(monkeypatch):
-    cell = SimCell(3.0, 1.0, 5)
-    whole = run_cell(cell, CLOSED_FORM, 101, seed=6)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "cell, methods, config",
+    [
+        (SimCell(3.0, 1.0, 5), CLOSED_FORM, None),
+        # The n = 4 Hwang/BCa cell of the digests, at B = 101: Hwang keeps too
+        # few replicates on some rows and drops some on others, and BCa falls back.
+        (
+            SimCell(3.0, 0.5, 4),
+            (Method.HWANG_BOOTSTRAP, Method.BOOTSTRAP_BCA),
+            BootstrapConfig(101),
+        ),
+    ],
+    ids=["closed_form", "bootstrap"],
+)
+def test_block_size_changes_no_tally(monkeypatch, cell, methods, config):
+    whole = run_cell(cell, methods, 101, seed=6, boot_config=config)
     monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 7 * cell.n)  # 15 blocks, the last ragged
-    assert run_cell(cell, CLOSED_FORM, 101, seed=6) == whole
+    assert run_cell(cell, methods, 101, seed=6, boot_config=config) == whole
+    if config is not None:
+        hwang, bca = whole.methods[Method.HWANG_BOOTSTRAP], whole.methods[Method.BOOTSTRAP_BCA]
+        assert hwang.failures and hwang.dropped_replicates and bca.fallbacks
 
 
 def test_run_cell_peak_memory_does_not_grow_with_runs():

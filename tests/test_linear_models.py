@@ -376,6 +376,33 @@ def test_spurious_demo_contrast():
     assert report.rate_based.p_value == pytest.approx(0.0032562690895933553, rel=1e-10)
 
 
+def test_spurious_demo_f_tests_read_the_raw_residual_sums():
+    rng = np.random.default_rng(0)
+    women = rng.uniform(1.0, 10.0, 8)
+    babies = 3.0 * women + rng.normal(0.0, 1.0, 8)
+    storks = women + rng.normal(0.0, 1.0, 8)
+    report = spurious_demo(women, babies, storks)
+    rates = babies / women
+
+    def raw_sse(fit, y, columns):
+        """y's sum of squared residuals from the fit, as ols_fit computes it."""
+        design = np.column_stack([np.ones(y.size), *columns])
+        resid = y - design @ np.array(list(fit.coefficients.values()))
+        return float(resid @ resid)
+
+    rounded = 0
+    for comparison, y, restricted, full in (
+        (report.partial, babies, [women], [women, storks]),
+        (report.rate_based, rates, [], [storks / women]),
+    ):
+        sse_r = raw_sse(comparison.restricted, y, restricted)
+        sse_f = raw_sse(comparison.full, y, full)
+        rounded += (comparison.restricted.sse, comparison.full.sse) != (sse_r, sse_f)
+        f, p = _nested_f(sse_r, sse_f, comparison.restricted.df, comparison.full.df)
+        assert (comparison.f_statistic, comparison.p_value) == (f, p)
+    assert rounded  # RegressionFit.sse is one rounding away from the raw sums here
+
+
 def test_spurious_summary_mentions_both_analyses():
     t = stork_demo_table()
     text = spurious_demo(t["women"], t["babies"], t["storks"]).summary()
