@@ -84,7 +84,9 @@ The argvs, in list order:
   n = 4 `simulate` argv with failing and working rows, so their cells run
   in this process rather than in forked workers: each should print the
   bytes of its twin above, which on a host with two or more CPUs runs on
-  two or more workers.
+  two or more workers;
+- `ci --methods hwang_bootstrap --seed 1` on the 20 000-pair `ci-boot`
+  input of seed 1, which runs the pivot alone over many resampling blocks.
 """
 
 from __future__ import annotations
@@ -285,6 +287,8 @@ def argvs(files: dict[str, Path]) -> list[list[str]]:
     ]
     for argv in (WORKLOADS["sim-closed"].argv(1, None), mixed_rows):  # one worker, no fork
         out.append([*argv, "--threads", "1"])
+    out.append(["ci", "--input", str(files["ci-boot-1.csv"]), "--methods", "hwang_bootstrap",
+                "--seed", "1"])  # the pivot alone, over many blocks
     return out
 
 

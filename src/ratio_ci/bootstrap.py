@@ -31,14 +31,15 @@ sample, besides the B floats of each statistic.
 
 All three methods read the same config, so they are one kernel over the
 rows of a batch of samples, _bootstrap_rows. Each row is resampled once,
-from its own seed, for every requested method: each index block is
-gathered once, into two buffers held for the whole batch, and both the
+from its own seed, for every requested method: each index block is drawn
+once and gathered into buffers held for the whole batch, x and y for the
 ratio replicates (from the resample means) and, when the pivot method
-runs, T0* (from the resampled differences) come from that gather. The
-jackknife of T0* is the same one-sample t with each d_i left out. The
-per-row part ends with one loop reading each method's limits; the
-preconditions, the estimates, the inversion of every row's pivot band (one
-methods._band_rows call) and the diagnostics are done once for the batch.
+runs, the row's differences d, formed once, for T0* (alone, the pivot
+gathers only d). The jackknife of T0* is the same one-sample t with each
+d_i left out. The per-row part ends with one loop reading each method's
+limits; the preconditions, the estimates, the inversion of every row's
+pivot band (one methods._band_rows call) and the diagnostics are done
+once for the batch.
 On one sample the kernel runs on a batch of one (montecarlo's
 evaluate_methods), so requesting the methods together or apart, and a
 sample alone or among the runs of a simulation, gives the same numbers.
@@ -98,8 +99,8 @@ class HwangDiagnostics:
     acceleration: float | None = None
 
 
-# Index elements per resampling block (2 MiB of int64 indices).
-_BLOCK_ELEMENTS = 1 << 18
+# Index elements per resampling block: 512 KiB of int64 indices, 1.5 MiB with two gathers.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def _resample_indices(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
@@ -216,43 +217,42 @@ def _resample(
     pairs (xs, ys) drawn from seed, from one pass.
 
     The index blocks come from one default_rng(seed), and each block's
-    values are written into its slice of the B-length results. Each index
-    block is gathered once, into the leading rows of the two (rows, n)
-    arrays of buffers, which hold at least a block. A ratio
-    replicate is mean_y*/mean_x*, nan where mean_x* is zero. T0* is the
-    one-sample t of the resample's d* = y* - rho_hat x*, formed in place of
-    x*: elementwise it is d = ys - rho_hat xs gathered. Each row of d* is
+    values are written into its slice of the B-length results. Each block
+    is gathered into the leading rows of buffers' (rows, n) arrays: for the
+    ratio replicates mean_y*/mean_x* (nan where mean_x* is zero), x* and y*
+    into the two; for T0*, the one-sample t of d* = y* - rho_hat x*,
+    the row's d = ys - rho_hat xs, formed once, into the first, after the
+    means. Elementwise these are the same doubles. Each row of d* is
     centred on its first value before its mean is taken, so a resample
     whose d* are all equal has a sum of squares of exactly 0, and T0* nan.
     That sum is the row's own dot (core._row_dots), bit-equal to the 1-D
     dot in a block of any shape, so the block size changes no T0*.
     """
     n = xs.size
-    x_buffer, y_buffer = buffers
     ratio = np.empty(replications) if ratios else None
     t0 = np.empty(replications) if rho_hat is not None else None
+    d_all = ys - rho_hat * xs if t0 is not None else None
     rng = np.random.default_rng(seed)
     step = _block_rows(n)
     for start in range(0, replications, step):
         rows = min(step, replications - start)
         idx = _resample_indices(rng, rows, n)
+        part = slice(start, start + rows)
         # mode="clip" writes into out directly ("raise" would buffer); the
         # indices are all in range, so it clips nothing.
-        x = np.take(xs, idx, out=x_buffer[:rows], mode="clip")
-        y = np.take(ys, idx, out=y_buffer[:rows], mode="clip")
-        del idx  # else the next block's indices are drawn while these are held
-        part = slice(start, start + rows)
         if ratio is not None:
-            mx, my = x.mean(axis=1), y.mean(axis=1)
+            mx = np.take(xs, idx, out=buffers[0, :rows], mode="clip").mean(axis=1)
+            my = np.take(ys, idx, out=buffers[1, :rows], mode="clip").mean(axis=1)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio[part] = np.where(mx != 0.0, my / mx, math.nan)
         if t0 is not None:
-            d = np.subtract(y, np.multiply(x, rho_hat, out=x), out=x)
+            d = np.take(d_all, idx, out=buffers[0, :rows], mode="clip")
             first = d[:, :1].copy()
             d -= first
             shift = d.mean(axis=1)
             d -= shift[:, None]
             t0[part] = _one_sample_t(first[:, 0] + shift, _row_dots(d, d), n)
+        del idx  # else the next block's indices are drawn while these are held
     return ratio, t0
 
 
@@ -323,11 +323,11 @@ def _bootstrap_rows(
     if Method.HWANG_BOOTSTRAP in methods:
         zero = ZeroDenominator("mean of x is exactly zero")
         errors[Method.HWANG_BOOTSTRAP] = dict.fromkeys(np.flatnonzero(~pivots).tolist(), zero)
-    # Every row gathers into the leading rows of the same two buffers, so
-    # the only (rows, n) array allocated per block is its indices. A gathered
-    # array of this size is mapped afresh by malloc and page-faulted in each
-    # time it is allocated: 2000 resamples of 20 000 pairs took 57 000 faults.
-    buffers = np.empty((2, min(config.replications, _block_rows(n)), n))
+    # Every row gathers into the leading rows of the same buffers, the
+    # second (y*) only for a ratio method. Gathered arrays allocated afresh
+    # per block were mapped by malloc and page-faulted in each time: 2000
+    # resamples of 20 000 pairs took 57 000 faults.
+    buffers = np.empty((1 + bool(ratio_methods), min(config.replications, _block_rows(n)), n))
     ordered = sorted(methods, key=lambda m: m is not Method.HWANG_BOOTSTRAP)
     for i in range(rows):
         if not (ratio_methods or pivots[i]):

@@ -437,7 +437,7 @@ def _kernel_rows(
 
 def evaluate_methods(
     sample: PairedSample,
-    methods: Iterable[Method],
+    methods: Iterable[Method | str],
     spec: ConfidenceSpec,
     boot_config: BootstrapConfig | None = None,
     trim: float = 0.25,
@@ -453,12 +453,14 @@ def evaluate_methods(
     bootstrap methods share one resampling, drawn when the first of them is
     reached; the two ratio-bootstrap methods both yield its error if their
     distribution fails. boot_config (BootstrapConfig() if None) is read only
-    by the bootstrap methods, and trim only by trimmed_index.
+    by the bootstrap methods, and trim only by trimmed_index. A method may
+    be given by its name; it is yielded as its Method.
     """
+    methods = tuple(Method(m) for m in methods)
     boot_config = boot_config or BootstrapConfig()
     batch = _Batch(sample.xs[None], sample.ys[None], spec, trim, boot_config, (boot_config.seed,))
     batch.summaries  # a summary that fails is no method's error
-    for method, rows in _kernel_rows(batch, tuple(methods)):
+    for method, rows in _kernel_rows(batch, methods):
         try:
             yield method, rows.result(method)
         except RatioCiError as exc:

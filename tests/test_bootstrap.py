@@ -586,7 +586,7 @@ def _assert_distribution_is(collected: tuple[np.ndarray, int], values: np.ndarra
         pytest.param(31, 1000, 30, 1000, id="30-1000"),
         # 142 blocks of 7 rows, then a ragged block of 6
         pytest.param(31, 1000, 7 * 31, 143, id="217-143"),
-        # one-row blocks, the default for n > 131 072, against 13-row blocks
+        # one-row blocks, the default for n > 32 768, against 3-row blocks
         pytest.param(20_000, 200, 1, 200, id="n20000-1-200"),
     ],
 )
@@ -624,6 +624,47 @@ def test_block_size_changes_no_number(monkeypatch, n, replications, block_elemen
     assert hwang_blocked.diagnostics == hwang_default.diagnostics
     assert hwang_blocked.estimate == hwang_default.estimate
     assert dict(evaluate_methods(sample, RATIO_BOOT, spec, config)) == ratio_default
+
+
+@pytest.mark.parametrize(
+    ("n", "replications", "block_elements"),
+    [
+        # 142 blocks of 7 rows, then a ragged block of 6
+        pytest.param(31, 1000, 7 * 31, id="31-ragged"),
+        # the default block at n = 20 000: 66 blocks of 3 rows, then one of 2
+        pytest.param(20_000, 200, None, id="n20000"),
+    ],
+)
+def test_pivot_alone_gives_the_pivots_of_the_pass_with_the_ratios(
+    monkeypatch, n, replications, block_elements
+):
+    sample = _sample(seed=13, n=n)
+    config = BootstrapConfig(replications=replications, seed=8)
+    rho_hat = ratio_of_means(sample)
+    if block_elements is not None:
+        monkeypatch.setattr(bootstrap, "_BLOCK_ELEMENTS", block_elements)
+    rows = min(config.replications, bootstrap._block_rows(n))
+    args = (sample.xs, sample.ys, config.seed, config.replications)
+    # The pivot alone is given one buffer: it gathers only d = ys - rho_hat xs.
+    _, alone = _resample(*args, False, rho_hat, np.empty((1, rows, n)))
+    _, with_ratios = _resample(*args, True, rho_hat, np.empty((2, rows, n)))
+    assert np.array_equal(alone, _unblocked_t0(sample, config, rho_hat), equal_nan=True)
+    assert np.array_equal(alone, with_ratios, equal_nan=True)
+
+
+def test_bootstrap_working_set_stays_within_a_few_mib():
+    # At n = 20 000 a block of 1 << 16 index elements is 3 resamples: its
+    # indices and two gathers take about 1.4 MiB (with 1 << 18, 6 MiB).
+    sample = _sample(seed=5, n=20_000)
+    spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
+    config = BootstrapConfig(replications=2000, seed=1)
+    tracemalloc.start()
+    try:
+        dict(evaluate_methods(sample, (HWANG,) + RATIO_BOOT, spec, config))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20, peak
 
 
 @pytest.mark.parametrize("replications", [2000, 6000])

@@ -254,6 +254,26 @@ def test_evaluate_methods_bootstraps_with_the_default_config_when_given_none():
     assert got == want
 
 
+@pytest.mark.parametrize(
+    "order",
+    [[m] for m in Method] + [list(Method)[::-1] + [Method.HWANG_BOOTSTRAP]],
+    ids=[m.value for m in Method] + ["all-reversed-and-a-repeat"],
+)
+def test_evaluate_methods_reads_a_name_as_its_method(order):
+    # Method is a str enum, so a name finds its kernel; the bootstrap kernel
+    # must then still tell Hwang's method from the ratio methods.
+    rng = np.random.default_rng(7)
+    sample = PairedSample(rng.normal(2.0, 0.4, 30), rng.normal(3.0, 0.6, 30))
+    spec = ConfidenceSpec.two_sided(0.95, df=29)
+    config = BootstrapConfig(replications=200, seed=1)
+    want = list(mc.evaluate_methods(sample, order, spec, config))
+    got = list(mc.evaluate_methods(sample, [m.value for m in order], spec, config))
+    assert got == want
+    for (method, result), requested in zip(got, order):
+        assert not isinstance(result, RatioCiError)
+        assert method is requested and result.method is requested
+
+
 @pytest.mark.parametrize("method", list(Method))
 def test_evaluate_methods_on_one_pair_raises_too_few_observations(method):
     sample = PairedSample([2.0], [3.0])
