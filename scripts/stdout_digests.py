@@ -81,12 +81,16 @@ The argvs, in list order:
   --model ancova` on the groups file. The mark is skipped, so they should
   print the bytes of criterion 8's lines on the unmarked files;
 - two that append `--threads 1` to the `sim-closed` seed-1 argv and to the
-  n = 4 `simulate` argv with failing and working rows, so their cells run
-  in this process rather than in forked workers: each should print the
-  bytes of its twin above, which on a host with two or more CPUs runs on
-  two or more workers;
+  n = 4 `simulate` argv with failing and working rows: each should print
+  the bytes of its twin above. Both grids are one job of the scheduler, so
+  each twin runs in this process too;
 - `ci --methods hwang_bootstrap --seed 1` on the 20 000-pair `ci-boot`
-  input of seed 1, which runs the pivot alone over many resampling blocks.
+  input of seed 1, which runs the pivot alone over many resampling blocks;
+- a twin, at `--threads 1` and `--threads 2`, of one bootstrap cell at
+  n = 500 with the three bootstrap methods and 100 runs: about 0.8 s of
+  estimated work, so on a host with two or more CPUs its runs are two
+  jobs, runs 0-63 and 64-99, on two forked workers. Both should print the
+  same bytes.
 """
 
 from __future__ import annotations
@@ -289,6 +293,9 @@ def argvs(files: dict[str, Path]) -> list[list[str]]:
         out.append([*argv, "--threads", "1"])
     out.append(["ci", "--input", str(files["ci-boot-1.csv"]), "--methods", "hwang_bootstrap",
                 "--seed", "1"])  # the pivot alone, over many blocks
+    for threads in ("1", "2"):  # one cell, in this process and split across workers
+        out.append(["simulate", "--cv-x", "3.0", "--cv-y", "0.1", "--n", "500", "--runs", "100",
+                    "--methods", ",".join(BOOTSTRAP), "--seed", "1", "--threads", threads])
     return out
 
 

@@ -195,12 +195,16 @@ def _limits(
     return lo, hi, z0, a, fallback
 
 
-def _one_sample_t(mean, ss, k: int):
+def _one_sample_t(mean: np.ndarray, ss: np.ndarray, k: int) -> np.ndarray:
     """The one-sample t, mean / sqrt(ss / (k (k - 1))), of k values with
-    this mean and sum of squared deviations ss; nan where ss is not
-    positive."""
+    these means and sums of squared deviations ss; nan where ss is not
+    positive. Formed in place: the result is mean, and ss is overwritten."""
+    positive = ss > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(ss > 0.0, mean / np.sqrt(ss / (k * (k - 1))), math.nan)
+        ss /= k * (k - 1)
+        mean /= np.sqrt(ss, out=ss)
+    mean[~positive] = math.nan
+    return mean
 
 
 def _resample(
@@ -268,13 +272,20 @@ def _jackknife_t0(xs: np.ndarray, ys: np.ndarray, rho_hat: float) -> np.ndarray:
     """T0 at the full-sample rho_hat of each leave-one-out sample of the
     pairs: the one-sample t of d = ys - rho_hat xs with d_i left out. With
     e = d - mean(d) and m = n - 1, that sample's mean is mean(d) - e_i/m
-    and its sum of squares sum(e^2) - (n/m) e_i^2."""
-    d = ys - rho_hat * xs
-    n = d.size
+    and its sum of squares sum(e^2) - (n/m) e_i^2. The caller still holds
+    the gather buffers, so this forms two n-length float arrays and works
+    in them in place."""
+    e = np.multiply(xs, rho_hat)
+    np.subtract(ys, e, out=e)  # d
+    n = e.size
     m = n - 1
-    mean = d.mean()
-    e = d - mean
-    return _one_sample_t(mean - e / m, e @ e - (n / m) * (e * e), m)
+    mean = e.mean()
+    e -= mean
+    ss = e * e
+    ss *= n / m
+    np.subtract(e @ e, ss, out=ss)
+    e /= m
+    return _one_sample_t(np.subtract(mean, e, out=e), ss, m)
 
 
 def _bootstrap_rows(

@@ -494,8 +494,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=_positive_int(1, "threads"),
         default=None,
-        help="worker processes for the cells (default: RATIO_CI_THREADS, else the "
-        "CPUs this process may use); 1 runs them in this process",
+        help="cap on worker processes (default: RATIO_CI_THREADS, else the CPUs this "
+        "process may use). The runs of all cells are cut, in order, into jobs of whole "
+        "blocks of runs, each about 0.4 s of estimated single-core work; a simulation "
+        "of one job, or any at 1, runs in this process",
     )
     common(sim)
     sim.set_defaults(handler=_cmd_simulate)

@@ -17,12 +17,16 @@ results are identical regardless of worker count or which method subset is
 requested. _draw_run draws the runs of a block together, each with the bits
 its own default_rng would give.
 
-Records: what some runs of one cell gave is one _CellRecord: each method's
-counts and finite estimates in run order, the redraws, and the warnings a
-worker recorded. A cell's job merges one record per block, in run order.
-run_cell summarizes it once; run_grid's forked workers (at most
-thread_cap(threads), and no more than there are cells) return it and
-nothing else, or with one worker run_grid calls run_cell in this process.
+Records and jobs: what some runs of one cell gave is one _CellRecord: each
+method's counts and finite estimates in run order, the redraws, and the
+warnings a worker recorded. run_cell and run_grid share one scheduler,
+_simulate. It cuts the runs of all cells, in order, into jobs of whole
+blocks, each about _JOB_SECONDS of estimated single-core work
+(_run_seconds), the break-even of a forked pool. A simulation of one job
+runs in this process; otherwise the jobs run on at most thread_cap(threads)
+forked workers, which return one record per (cell, run range) piece and
+nothing else. Each cell's records are merged in run order and summarized
+once.
 
 Method registry: _KERNELS maps every method to one kernel over the rows of
 a batch of samples, and is the only place that knows which methods exist.
@@ -203,8 +207,13 @@ class ErrorBarExperiment:
 
 
 def thread_cap(requested: int | None = None) -> int:
-    """Worker count: explicit argument, else RATIO_CI_THREADS, else the
-    CPUs this process may run on."""
+    """The cap on a simulation's worker processes: explicit argument, else
+    RATIO_CI_THREADS, else the CPUs this process may run on.
+
+    A simulation's runs are cut, in cell and run order, into jobs of whole
+    blocks of runs, each about one break-even of a forked pool in estimated
+    single-core work; a simulation of one job runs in this process, and
+    more jobs run on min(cap, jobs) forked workers."""
     if requested is None:
         env = os.environ.get("RATIO_CI_THREADS")
         if env is not None:
@@ -472,6 +481,11 @@ def evaluate_methods(
 _BLOCK_ELEMENTS = 1 << 14
 
 
+def _block_runs(n: int) -> int:
+    """Runs per block at n pairs."""
+    return max(1, _BLOCK_ELEMENTS // n)
+
+
 def _blocks(
     cell: SimCell,
     seed: int,
@@ -479,12 +493,13 @@ def _blocks(
     spec: ConfidenceSpec,
     trim: float = 0.25,
     boot_config: BootstrapConfig | None = None,
+    first: int = 0,
 ) -> Iterator[tuple[int, _Batch, int]]:
-    """(first run, batch, redraws) for each block of runs, in run order: the
-    runs drawn by _draw_run as the batch's rows, with their bootstrap seeds
-    if the batch carries a boot_config."""
-    block = max(1, _BLOCK_ELEMENTS // cell.n)
-    for start in range(0, runs, block):
+    """(first run, batch, redraws) for each block of runs first, ..., runs - 1,
+    in run order: the runs drawn by _draw_run as the batch's rows, with their
+    bootstrap seeds if the batch carries a boot_config."""
+    block = _block_runs(cell.n)
+    for start in range(first, runs, block):
         rows = min(block, runs - start)
         xs, ys, redraws, seeds = _draw_run(cell, seed, start, rows, boot_config is not None)
         yield start, _Batch(xs, ys, spec, trim, boot_config, seeds), redraws
@@ -554,24 +569,16 @@ def run_cell(
     Only boot_config.replications is read (2000 if None): each run is
     resampled from the last draw of its own stream, not boot_config.seed.
     Hwang's band is the BCa band, or the percentile band as a fallback.
+    The runs are scheduled as run_grid's are, with the default thread_cap().
     """
-    seed = _seed(seed)
-    return _cell_record(methods, runs, boot_config, level, trim, cell, seed).result(cell, seed)
+    return _simulate([cell], [_seed(seed)], methods, runs, boot_config, level, trim, None)[0]
 
 
-def _cell_record(methods, runs, boot_config, level, trim, cell, seed) -> _CellRecord:
-    """run_cell's record: one per block of runs, merged in run order."""
-    runs = _integer(runs, "runs")
-    if runs < 100:
-        raise DomainError("need at least 100 runs per cell")
-    methods = _normalized_methods(methods)
-    if not any(_KERNELS[m] is _bootstrap_kernel for m in methods):
-        boot_config = None
-    elif boot_config is None:
-        boot_config = BootstrapConfig()
+def _piece_record(methods, boot_config, level, trim, cell, seed, first, stop) -> _CellRecord:
+    """The record of runs first, ..., stop - 1 of the cell: one per block, merged in run order."""
     spec = ConfidenceSpec.two_sided(level, df=cell.n - 1)
     records = []
-    for _, batch, redraws in _blocks(cell, seed, runs, spec, trim, boot_config):
+    for _, batch, redraws in _blocks(cell, seed, stop, spec, trim, boot_config, first):
         record = _CellRecord(Counter(), {}, len(batch.xs), redraws)
         for m, rows in _kernel_rows(batch, methods):
             ok = ~rows.failed
@@ -586,16 +593,92 @@ def _cell_record(methods, runs, boot_config, level, trim, cell, seed) -> _CellRe
     return _CellRecord.merge(records)
 
 
+def _run_seconds(n: int, methods: tuple[Method, ...], boot_config: BootstrapConfig | None) -> float:
+    """Estimated single-core seconds of one run at n pairs: its draw, each
+    closed-form method and, with a boot_config, the bootstrap kernel, whose B
+    resamples draw n indices and, per pair, gather once for Hwang's pivot and
+    twice for the ratio replicates. Fitted to cells timed on 2 vCPUs (Python
+    3.11.7, numpy 2.4.6): within 20% at n = 4 to 5000 and B = 100 to 2000."""
+    closed = [m for m in methods if _KERNELS[m] is not _bootstrap_kernel]
+    seconds = 4e-6 + 6e-8 * n + len(closed) * (3.5e-7 + 6e-9 * n)
+    if boot_config is not None:
+        booted = len(methods) - len(closed)
+        pivot = Method.HWANG_BOOTSTRAP in methods
+        ratios = booted > pivot  # a ratio bootstrap method runs
+        per_pair = 3.6e-9 + 1.6e-9 * pivot + 1.9e-9 * ratios
+        per_replicate = 8e-8 + 5e-8 * booted + per_pair * n
+        seconds += 8e-5 * booted + boot_config.replications * per_replicate
+    return seconds
+
+
+# A job's estimated single-core seconds: the break-even of two forked workers.
+# On 2 vCPUs (Python 3.11.7, numpy 2.4.6; medians of 7 alternating runs of
+# simulate --threads 2) the default grid at --runs 1000 (0.37 s by
+# _run_seconds) took 0.47 s in process against 0.53 s as two jobs, and at
+# --runs 1250 (0.46 s) 0.53 s against 0.48 s.
+_JOB_SECONDS = 0.4
+
+
+def _jobs(
+    cells: Sequence[SimCell], runs: int, methods, boot_config, cap: int
+) -> list[list[tuple[int, int, int]]]:
+    """The runs of all cells, in cell and run order, cut into jobs of whole
+    blocks, each a list of (cell index, first run, stop) pieces. One job
+    holds everything when the estimated work (_run_seconds) is at most
+    _JOB_SECONDS, or cap is 1. Otherwise it is cut into the fewest equal
+    shares of at most _JOB_SECONDS that min(cap, jobs) workers can take
+    evenly, each job ending at the first block end at or past its share; a
+    block longer than a share makes fewer jobs."""
+    cost = [_run_seconds(c.n, methods, boot_config) for c in cells]
+    total = runs * sum(cost)
+    workers = min(cap, math.ceil(total / _JOB_SECONDS))
+    if workers <= 1:
+        return [[(i, 0, runs) for i in range(len(cells))]]
+    count = workers * math.ceil(total / (_JOB_SECONDS * workers))
+    jobs, job, done = [], [], 0.0
+    for i, cell in enumerate(cells):
+        block = _block_runs(cell.n)
+        for first in range(0, runs, block):
+            stop = min(first + block, runs)
+            if job and job[-1][0] == i:
+                job[-1] = (i, job[-1][1], stop)
+            else:
+                job.append((i, first, stop))
+            done += (stop - first) * cost[i]
+            if done >= total * (len(jobs) + 1) / count:
+                jobs.append(job)
+                job = []
+    return jobs + [job] if job else jobs
+
+
 def _cell_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([master_seed, index]).generate_state(1, np.uint64)[0])
 
 
-def _recorded(*args) -> _CellRecord:
-    """_cell_record(*args), with the warnings this process's filters let through."""
-    with warnings.catch_warnings(record=True) as caught:
-        record = _cell_record(*args)
-    record.warnings += [(w.message, w.category, w.filename, w.lineno) for w in caught]
-    return record
+def _pieces(settings: tuple, cells, seeds, job) -> Iterator[_CellRecord]:
+    """The record of each (cell index, first run, stop) piece of the job, in
+    order; settings are _piece_record's (methods, boot_config, level, trim)."""
+    for i, first, stop in job:
+        yield _piece_record(*settings, cells[i], seeds[i], first, stop)
+
+
+def _recorded(settings: tuple, cells, seeds, job) -> list[_CellRecord]:
+    """The job's records, each with the warnings this process's filters let
+    through while it was made."""
+    records = []
+    for i, first, stop in job:
+        with warnings.catch_warnings(record=True) as caught:
+            record = _piece_record(*settings, cells[i], seeds[i], first, stop)
+        record.warnings += [(w.message, w.category, w.filename, w.lineno) for w in caught]
+        records.append(record)
+    return records
+
+
+def _daemonic() -> bool:
+    """Whether this process is daemonic, and so cannot start processes."""
+    from multiprocessing import current_process  # imported here, as the pool is
+
+    return current_process().daemon
 
 
 def _reissue(caught: list[tuple]) -> None:
@@ -613,6 +696,63 @@ def _reissue(caught: list[tuple]) -> None:
             )
 
 
+def _simulate(
+    cells: Sequence[SimCell],
+    seeds: Sequence[int],
+    methods: Iterable[Method],
+    runs: int,
+    boot_config: BootstrapConfig | None,
+    level: float,
+    trim: float,
+    threads: int | None,
+) -> list[CoverageResult]:
+    """Each cell's CoverageResult, in cell order: the one scheduler of
+    run_cell and run_grid.
+
+    The runs are cut into jobs (_jobs). One job runs in this process, and
+    starts no process; so do all jobs in a daemonic process, which cannot
+    start one. Otherwise the jobs run on min(thread_cap(threads), jobs)
+    forked processes, each returning its pieces' records and nothing else.
+    The records come back in job order: each one's warnings are issued
+    again here, through this process's filters, and each cell's records are
+    merged in run order and summarized once its last piece arrives. Any
+    split gives the same numbers, since every run is drawn from its own
+    stream and every row is bit-equal alone or in a block.
+    """
+    methods = _normalized_methods(methods)
+    runs = _integer(runs, "runs")
+    if runs < 100:
+        raise DomainError("need at least 100 runs per cell")
+    if not any(_KERNELS[m] is _bootstrap_kernel for m in methods):
+        boot_config = None
+    elif boot_config is None:
+        boot_config = BootstrapConfig()
+    settings = (methods, boot_config, level, trim)
+    cap = thread_cap(threads)
+    jobs = _jobs(cells, runs, methods, boot_config, cap)
+    parts: dict[int, list[_CellRecord]] = {}
+    results = []
+
+    def collect(outcomes: Iterable[Iterable[_CellRecord]]) -> None:
+        for job, records in zip(jobs, outcomes):
+            for (i, _, stop), record in zip(job, records):
+                _reissue(record.warnings)
+                parts.setdefault(i, []).append(record)
+                if stop == runs:
+                    results.append(_CellRecord.merge(parts.pop(i)).result(cells[i], seeds[i]))
+
+    if len(jobs) > 1 and not _daemonic():
+        # Imported here: the pool's modules would cost every CLI start otherwise.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        with ProcessPoolExecutor(min(cap, len(jobs)), mp_context=get_context("fork")) as pool:
+            collect(pool.map(partial(_recorded, settings, cells, seeds), jobs))
+    else:
+        collect(_pieces(settings, cells, seeds, job) for job in jobs)
+    return results
+
+
 def run_grid(
     gridspec: GridSpec,
     methods: Iterable[Method],
@@ -627,35 +767,17 @@ def run_grid(
 
     Cell seeds derive from (master_seed, cell index) alone, and results are
     collected in cell order, so the grid is a pure function of its arguments
-    no matter how many workers execute it. Each cell is one job on one of
-    min(thread_cap(threads), number of cells) forked processes, and its
-    record is the one thing the worker returns; as each arrives, its
-    warnings are issued again here, through this process's filters, and it
-    is summarized. With one worker, run_cell runs the same job here and no
-    process is started. A daemonic process cannot start processes, so inside
-    one pass threads=1. boot_config is read as in run_cell: only its replications.
+    no matter how many workers execute it. threads caps the worker
+    processes (thread_cap). The runs of all cells, in order, are cut into
+    jobs of whole blocks of runs, each about _JOB_SECONDS of estimated
+    single-core work, the break-even of a forked pool; a simulation of one
+    job (the default simulate grid, say) runs in this process and starts no
+    process. boot_config is read as in run_cell: only its replications.
     """
-    method_order = _normalized_methods(methods)
     master_seed = _seed(master_seed, "master_seed")
     cells = gridspec.cells()
     seeds = [_cell_seed(master_seed, i) for i in range(len(cells))]
-    workers = min(thread_cap(threads), len(cells))
-    if workers == 1:
-        results = [
-            run_cell(cell, method_order, runs, seed, boot_config, level, trim)
-            for cell, seed in zip(cells, seeds)
-        ]
-    else:
-        # Imported here: the pool's modules would cost every CLI start otherwise.
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-
-        job = partial(_recorded, method_order, runs, boot_config, level, trim)
-        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-            results = []
-            for cell, seed, record in zip(cells, seeds, pool.map(job, cells, seeds)):
-                _reissue(record.warnings)
-                results.append(record.result(cell, seed))
+    results = _simulate(cells, seeds, methods, runs, boot_config, level, trim, threads)
     return CoverageGrid(spec=gridspec, runs=runs, master_seed=master_seed, results=tuple(results))
 
 

@@ -322,7 +322,7 @@ def test_criterion_7_stork_demonstration():
     )
 
 
-def test_criterion_8_cli_determinism(capsys, tmp_path, monkeypatch):
+def test_criterion_8_cli_determinism(capsys, tmp_path, monkeypatch, forced_pool):
     pairs = tmp_path / "pairs.csv"
     pairs.write_text(
         "\n".join(["x,y"] + [f"{x},{y}" for x, y in zip(WORKED_X, WORKED_Y)]) + "\n"
@@ -410,8 +410,10 @@ def test_criterion_8_cli_determinism(capsys, tmp_path, monkeypatch):
             outputs.append(capsys.readouterr().out)
         identical &= outputs[0] == outputs[1] and len(outputs[0]) > 0
     elapsed = time.perf_counter() - start
+    # At cap 4, simulate's two cells ran as two jobs in forked workers.
+    workers = len(forced_pool())
     _verdict(
         8,
-        identical and elapsed < 120.0,
-        f"{len(commands)} commands x2, thread caps 1 and 4, {elapsed:.1f}s",
+        identical and workers > 0 and elapsed < 120.0,
+        f"{len(commands)} commands x2, thread caps 1 and 4, {workers} workers, {elapsed:.1f}s",
     )

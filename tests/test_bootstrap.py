@@ -667,6 +667,37 @@ def test_bootstrap_working_set_stays_within_a_few_mib():
     assert peak < 3 * 2**20, peak
 
 
+def test_jackknife_peak_stays_below_the_resampling_peak(monkeypatch):
+    # The gather buffers are held through each row's jackknife, so the
+    # jackknife's n-length temporaries must not stack higher than a block's
+    # indices do while resampling. Each peak is taken over its helper's call.
+    sample = _sample(seed=5, n=20_000)
+    spec = ConfidenceSpec.two_sided(0.95, df=sample.n - 1)
+    config = BootstrapConfig(replications=2000, seed=1)
+    peaks = {}
+
+    def peaked(name):
+        helper = getattr(bootstrap, name)
+
+        def measured(*args):
+            tracemalloc.reset_peak()
+            try:
+                return helper(*args)
+            finally:
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+
+        monkeypatch.setattr(bootstrap, name, measured)
+
+    peaked("_resample")
+    peaked("_jackknife_t0")
+    tracemalloc.start()
+    try:
+        dict(evaluate_methods(sample, (HWANG,) + RATIO_BOOT, spec, config))
+    finally:
+        tracemalloc.stop()
+    assert peaks["_jackknife_t0"] <= peaks["_resample"], peaks
+
+
 @pytest.mark.parametrize("replications", [2000, 6000])
 def test_bootstrap_peak_memory_does_not_grow_with_replications(replications):
     # At n=5000 one (B, n) float matrix alone is 76 MiB at B=2000.

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ratio_ci import (
     BootstrapConfig,
     ConfidenceSpec,
+    GridSpec,
     Method,
     PairedSample,
     SimCell,
@@ -26,6 +27,7 @@ from ratio_ci import (
     taylor_limits,
 )
 from ratio_ci import cli
+from ratio_ci import montecarlo as mc
 from ratio_ci.cli import main
 
 import scalar_reference as ref
@@ -524,7 +526,7 @@ def test_unwritable_output_exits_2(capsys, worked_csv, tmp_path):
 # -------------------------------------------------------------- simulate
 
 
-def test_simulate_deterministic_and_thread_invariant(capsys):
+def test_simulate_deterministic_and_thread_invariant(capsys, forced_pool):
     argv = [
         "simulate",
         "--cv-x",
@@ -541,13 +543,26 @@ def test_simulate_deterministic_and_thread_invariant(capsys):
         "4",
     ]
     code1, out1, err1 = _run(capsys, argv + ["--threads", "1"])
+    assert not forced_pool()
     code2, out2, err2 = _run(capsys, argv + ["--threads", "3"])
+    assert forced_pool()
     assert code1 == code2 == 0
     assert out1 == out2
     assert "reference: cv of the mean of x reaches 0.5 at cv_x = 1.581" in err1
     rows = _parse_csv(out1)
     assert rows[0][:5] == ["cv_x", "cv_y", "n", "corr", "method"]
     assert len(rows) == 1 + 2 * 2
+
+
+def test_default_simulate_grid_starts_no_process(capsys, monkeypatch):
+    # The default grid is one job, so even with two workers allowed it runs here.
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    code, out, _ = _run(capsys, ["simulate", "--seed", "1", "--threads", "2"])
+    assert code == 0
+    assert len(_parse_csv(out)) == 1 + 49 * 5
 
 
 def test_simulate_precondition_failure_exits_3(capsys):
@@ -560,23 +575,28 @@ def test_simulate_precondition_failure_exits_3(capsys):
     assert err == "error: simulate: xs contains non-finite values\n"
 
 
-def test_simulate_precondition_failure_in_a_worker_exits_3(capsys):
+def test_simulate_precondition_failure_in_a_worker_exits_3(capsys, forced_pool):
     # Two cells on two worker processes: the error crosses the pool.
     argv = ["simulate", "--cv-x", "1e308,1e308", "--cv-y", "1", "--n", "5", "--runs", "100"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = _run(capsys, argv + ["--methods", "fieller", "--threads", "2"])
+    assert forced_pool()
     assert (code, out) == (3, "")
     assert err == "error: simulate: xs contains non-finite values\n"
     assert multiprocessing.active_children() == []
 
 
 def test_simulate_prints_the_same_warnings_at_any_worker_count():
-    # At n = 4 BCa falls back on three runs of this grid; the default filters
-    # print that warning once, whichever process issued it.
+    # At n = 4 BCa falls back on some runs of this grid; the default filters
+    # print that warning once, whichever process issued it. The grid is more
+    # than one job, so with two workers its jobs run in forked processes.
+    cells = GridSpec((0.3, 3.0), (0.1, 1.0), 4).cells()
+    methods = (Method.HWANG_BOOTSTRAP, Method.BOOTSTRAP_BCA)
+    assert len(mc._jobs(cells, 700, methods, BootstrapConfig(100), 2)) > 1
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     argv = [sys.executable, "-m", "ratio_ci.cli", "simulate", "--cv-x", "0.3,3.0", "--cv-y",
-            "0.1,1.0", "--n", "4", "--runs", "100", "--replications", "100", "--methods",
+            "0.1,1.0", "--n", "4", "--runs", "700", "--replications", "100", "--methods",
             "hwang_bootstrap,bootstrap_bca", "--seed", "5", "--threads"]
     one, two = (
         subprocess.run(argv + [t], capture_output=True, env=env, timeout=120) for t in "12"

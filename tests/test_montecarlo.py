@@ -439,10 +439,12 @@ def test_fieller_and_zero_variance_cover_at_their_exact_rates():
 # ---------------------------------------------------------------- run_grid
 
 
-def test_grid_independent_of_thread_count():
+def test_grid_independent_of_thread_count(forced_pool):
     spec = GridSpec(cv_x_values=(0.3, 1.0), cv_y_values=(0.3, 1.0), n=10)
     one = run_grid(spec, (Method.FIELLER, Method.INDEX), 150, master_seed=5, threads=1)
+    assert not forced_pool()
     many = run_grid(spec, (Method.FIELLER, Method.INDEX), 150, master_seed=5, threads=4)
+    assert forced_pool()
     assert grid_csv_rows(one) == grid_csv_rows(many)
     assert one.results == many.results
 
@@ -475,11 +477,12 @@ def _grid_warnings(threads: int, always: bool) -> list[tuple]:
 
 
 @pytest.mark.parametrize("always", [True, False], ids=["always", "default-filters"])
-def test_grid_warnings_reach_the_caller_whatever_the_workers(always):
+def test_grid_warnings_reach_the_caller_whatever_the_workers(forced_pool, always):
     one = _grid_warnings(1, always)
     assert len(one) == (3 if always else 1)
     assert one[0][0] == "estimate outside the bootstrap distribution; falling back to percentiles"
     assert _grid_warnings(2, always) == one
+    assert forced_pool()
 
 
 def test_one_cell_grid_starts_no_process(monkeypatch):
@@ -492,13 +495,71 @@ def test_one_cell_grid_starts_no_process(monkeypatch):
     run_grid(GridSpec((0.5, 1.0), (0.5,), 10), (Method.FIELLER,), 100, 0, threads=1)
 
 
-def test_no_worker_outlives_run_grid():
+def test_no_worker_outlives_run_grid(forced_pool):
     spec = GridSpec((0.5, 1.0), (0.5,), 10)
     run_grid(spec, (Method.FIELLER,), 100, 0, threads=2)
+    assert forced_pool()
     assert multiprocessing.active_children() == []
     # Every draw of x overflows, so both cells raise in their workers.
     with pytest.raises(NonFiniteInput, match="xs contains non-finite values"):
         run_grid(GridSpec((1e308, 1e308), (1.0,), 5), (Method.FIELLER,), 100, 0, threads=2)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "cell, methods, config",
+    [
+        (
+            SimCell(3.0, 0.1, 20),
+            (Method.HWANG_BOOTSTRAP, Method.BOOTSTRAP_PERCENTILE, Method.BOOTSTRAP_BCA),
+            BootstrapConfig(100),
+        ),
+        (SimCell(1.0, 0.5, 10), CLOSED_FORM, None),
+    ],
+    ids=["bootstrap", "closed_form"],
+)
+@pytest.mark.filterwarnings("ignore:estimate outside the bootstrap distribution")
+def test_any_split_of_the_runs_gives_the_same_numbers(
+    monkeypatch, forced_pool, cell, methods, config
+):
+    # Blocks of 7 or 40 runs, in jobs of one block or of about a third of
+    # the work, cut the runs where the whole cell's one block does not.
+    spec = GridSpec((cell.cv_x,), (cell.cv_y, 2 * cell.cv_y), cell.n)
+    monkeypatch.setenv("RATIO_CI_THREADS", "1")
+    whole = run_cell(cell, methods, 150, 7, boot_config=config)
+    grid = run_grid(spec, methods, 150, 3, config)
+    third = 150 * mc._run_seconds(cell.n, methods, config) / 3
+    for block_runs, job_seconds, workers in itertools.product((7, 40), (1e-12, third), "124"):
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block_runs * cell.n)
+        monkeypatch.setattr(mc, "_JOB_SECONDS", job_seconds)
+        monkeypatch.setenv("RATIO_CI_THREADS", workers)
+        assert run_cell(cell, methods, 150, 7, boot_config=config) == whole
+        split = run_grid(spec, methods, 150, 3, config)
+        assert split.results == grid.results
+        assert grid_csv_rows(split) == grid_csv_rows(grid)
+    assert forced_pool()
+
+
+@pytest.mark.parametrize("first, second", [(0, 1), (1, 0)], ids=["xs_first", "ys_first"])
+def test_a_split_cell_raises_the_first_failing_runs_error(monkeypatch, forced_pool, first, second):
+    # Blocks of 10 runs, each its own job: runs 61 and 130 fail in the
+    # seventh and the fourteenth, x or y of each drawn as inf.
+    cell = SimCell(1.0, 1.0, 10)
+    monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 10 * cell.n)
+    monkeypatch.setenv("RATIO_CI_THREADS", "2")
+    draw_normals = mc._draw_normals
+
+    def failing(seed, runs, attempt, n, boot):
+        z, boot_seeds = draw_normals(seed, runs, attempt, n, boot)
+        z[runs == 61, first, 0] = np.inf
+        z[runs == 130, second, 0] = np.inf
+        return z, boot_seeds
+
+    monkeypatch.setattr(mc, "_draw_normals", failing)
+    with pytest.raises(NonFiniteInput) as raised:
+        run_cell(cell, (Method.FIELLER,), 150, 0)
+    assert str(raised.value) == f"{'xy'[first]}s contains non-finite values"
+    assert forced_pool()
     assert multiprocessing.active_children() == []
 
 
