@@ -90,7 +90,12 @@ The argvs, in list order:
   n = 500 with the three bootstrap methods and 100 runs: about 0.8 s of
   estimated work, so on a host with two or more CPUs its runs are two
   jobs, runs 0-63 and 64-99, on two forked workers. Both should print the
-  same bytes.
+  same bytes;
+- `ci` with Fieller and the three bootstrap methods, `--replications 2001
+  --seed 1`, on 20 001 generated pairs: each block of three resamples
+  draws 60 003 indices, an odd number of 32-bit words, so every other
+  block starts on the half-word left by the one before, and about 117 of
+  the 40 million words are rejected by the bounded draw.
 """
 
 from __future__ import annotations
@@ -178,8 +183,9 @@ def inputs(tmp: Path) -> dict[str, Path]:
     for name, seed in (("cell-half-line.csv", 9), ("cell-union.csv", 39)):
         z = np.random.default_rng(seed).standard_normal((2, 20))
         files[name] = _write_csv(tmp / name, "x,y", zip(1.0 + 3.0 * z[0], 1.0 + 0.1 * z[1]))
-    write_pairs(tmp / "pairs200.csv", *generate_pairs(3, 200))
-    files["pairs200.csv"] = tmp / "pairs200.csv"
+    for pairs, seed in ((200, 3), (20_001, 1)):
+        files[f"pairs{pairs}.csv"] = tmp / f"pairs{pairs}.csv"
+        write_pairs(files[f"pairs{pairs}.csv"], *generate_pairs(seed, pairs))
     for name in ("ci-large", "ci-boot"):
         for seed in (1, 2):
             path = tmp / f"{name}-{seed}.csv"
@@ -296,6 +302,8 @@ def argvs(files: dict[str, Path]) -> list[list[str]]:
     for threads in ("1", "2"):  # one cell, in this process and split across workers
         out.append(["simulate", "--cv-x", "3.0", "--cv-y", "0.1", "--n", "500", "--runs", "100",
                     "--methods", ",".join(BOOTSTRAP), "--seed", "1", "--threads", threads])
+    out.append(["ci", "--input", str(files["pairs20001.csv"]), "--methods",
+                "fieller," + ",".join(BOOTSTRAP), "--replications", "2001", "--seed", "1"])
     return out
 
 

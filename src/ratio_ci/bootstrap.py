@@ -19,27 +19,27 @@ the BCa levels about T0(rho_hat) = 0, and bootstrap_bca the ratio
 replicates about rho_hat; where z0 or a is undefined, both warn and read
 the percentile levels (a counted fallback).
 
-Resample indices are drawn in row blocks: one generator seeded with the
-sample's seed draws integers(0, n, (rows, n)) for rows = max(1,
-_BLOCK_ELEMENTS // n) at a time, the last block ragged, and each block's
-per-resample statistics are computed before the next is drawn. Successive
-draws from one generator continue the same stream, so the blocks
-concatenate to the one-shot (B, n) index matrix and the block size changes
-no number. Peak memory is O(rows·n + n) for any B, with rows·n at most
-max(_BLOCK_ELEMENTS, n): the block's indices and gathered values and the
-sample, besides the B floats of each statistic.
+Resample indices are drawn in blocks of rows = max(1, _BLOCK_ELEMENTS // n)
+resamples, the last block ragged, each block's statistics computed before
+the next is drawn. The blocks are the rows of default_rng(seed).integers(0,
+n, (B, n)), drawn by NumPy's own algorithm (Lemire's bounded integer on
+PCG64's 32-bit words) vectorized over a block, a word left over by one
+block starting the next; so the block size changes no number. Peak memory
+is O(rows·n + n) for any B, with rows·n at most max(_BLOCK_ELEMENTS, n):
+the block's words, indices and gathered values and the sample, besides the
+B floats of each statistic.
 
 All three methods read the same config, so they are one kernel over the
 rows of a batch of samples, _bootstrap_rows. Each row is resampled once,
 from its own seed, for every requested method: each index block is drawn
 once and gathered into buffers held for the whole batch, x and y for the
 ratio replicates (from the resample means) and, when the pivot method
-runs, the row's differences d, formed once, for T0* (alone, the pivot
-gathers only d). The jackknife of T0* is the same one-sample t with each
-d_i left out. The per-row part ends with one loop reading each method's
-limits; the preconditions, the estimates, the inversion of every row's
-pivot band (one methods._band_rows call) and the diagnostics are done
-once for the batch.
+runs, d* = y* - rho_hat x*, formed in place of x* after the means, for
+T0* (alone, the pivot gathers the row's d). The jackknife of T0* is the
+same one-sample t with each d_i left out. The per-row part ends with one
+loop reading each method's limits; the preconditions, the estimates, the
+inversion of every row's pivot band (one methods._band_rows call) and the
+diagnostics are done once for the batch.
 On one sample the kernel runs on a batch of one (montecarlo's
 evaluate_methods), so requesting the methods together or apart, and a
 sample alone or among the runs of a simulation, gives the same numbers.
@@ -99,12 +99,41 @@ class HwangDiagnostics:
     acceleration: float | None = None
 
 
-# Index elements per resampling block: 512 KiB of int64 indices, 1.5 MiB with two gathers.
+# Index elements per resampling block: 512 KiB of indices and 256 KiB of
+# random words, 1.75 MiB with two gathers, so a block's passes stay in cache.
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _resample_indices(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
-    return rng.integers(0, n, size=(rows, n))
+class _IndexStream:
+    """default_rng(seed).integers(0, bound, ...), block after block (_resample_indices)."""
+
+    def __init__(self, seed: int, bound: int, size: int):
+        if not 2 <= bound < 1 << 32:
+            raise DomainError(f"resample indices need 2 <= n < 2**32, not n = {bound}")
+        self.raw, self.bound = np.random.PCG64(seed).random_raw, bound
+        self.threshold = ((1 << 32) - bound) % bound  # Lemire's
+        self.carry = np.empty(0, np.uint32)  # drawn, not yet used: NumPy's has_uint32 word
+        self.indices = np.empty(size, np.uint64)  # every block's, reused
+
+
+def _resample_indices(stream: _IndexStream, rows: int, n: int) -> np.ndarray:
+    """The next (rows, n) block of stream's integers, NumPy's bit for bit:
+    each is the high half of word * bound, for the 32-bit words of PCG64
+    (low half first) less those whose product's low half is below the threshold."""
+    k = rows * n
+    out = stream.indices[:k]
+    low = out.view(np.uint32)[:k]
+    while True:
+        words = stream.raw((k - stream.carry.size + 1) // 2).astype("<u8", copy=False).view("<u4")
+        if stream.carry.size:
+            words = np.concatenate((stream.carry, words))
+        if np.multiply(words[:k], np.uint32(stream.bound), out=low).min() >= stream.threshold:
+            break
+        stream.carry = np.delete(words, np.flatnonzero(low < stream.threshold))
+    stream.carry = words[k:].copy()
+    np.multiply(words[:k], np.uint64(stream.bound), out=out)
+    out >>= 32
+    return out.view(np.int64).reshape(rows, n)
 
 
 def _block_rows(n: int) -> int:
@@ -220,44 +249,59 @@ def _resample(
     rho_hat is not None) of the same B = replications resamples of the
     pairs (xs, ys) drawn from seed, from one pass.
 
-    The index blocks come from one default_rng(seed), and each block's
-    values are written into its slice of the B-length results. Each block
-    is gathered into the leading rows of buffers' (rows, n) arrays: for the
+    The index blocks come from one _IndexStream, and each block's values
+    are written into its slice of the B-length results. Each block is
+    gathered into the leading rows of buffers' (rows, n) arrays: for the
     ratio replicates mean_y*/mean_x* (nan where mean_x* is zero), x* and y*
-    into the two; for T0*, the one-sample t of d* = y* - rho_hat x*,
-    the row's d = ys - rho_hat xs, formed once, into the first, after the
-    means. Elementwise these are the same doubles. Each row of d* is
-    centred on its first value before its mean is taken, so a resample
-    whose d* are all equal has a sum of squares of exactly 0, and T0* nan.
-    That sum is the row's own dot (core._row_dots), bit-equal to the 1-D
-    dot in a block of any shape, so the block size changes no T0*.
+    into the two; for T0*, the one-sample t of d* = y* - rho_hat x*, formed
+    in place of x* after the means, or, without the ratios, gathered into
+    the first from the row's d = ys - rho_hat xs. Elementwise these are the
+    same doubles. Each row of d* is centred on its first value before its
+    mean is taken, so a resample whose d* are all equal has a sum of
+    squares of exactly 0, and T0* nan. That sum is the row's own dot
+    (core._row_dots), bit-equal to the 1-D dot in a block of any shape, so
+    the block size changes no T0*.
     """
     n = xs.size
     ratio = np.empty(replications) if ratios else None
     t0 = np.empty(replications) if rho_hat is not None else None
-    d_all = ys - rho_hat * xs if t0 is not None else None
-    rng = np.random.default_rng(seed)
+    d_all = ys - rho_hat * xs if t0 is not None and ratio is None else None
     step = _block_rows(n)
+    stream = _IndexStream(seed, n, min(step, replications) * n)
     for start in range(0, replications, step):
         rows = min(step, replications - start)
-        idx = _resample_indices(rng, rows, n)
+        idx = _resample_indices(stream, rows, n)
         part = slice(start, start + rows)
         # mode="clip" writes into out directly ("raise" would buffer); the
         # indices are all in range, so it clips nothing.
         if ratio is not None:
-            mx = np.take(xs, idx, out=buffers[0, :rows], mode="clip").mean(axis=1)
-            my = np.take(ys, idx, out=buffers[1, :rows], mode="clip").mean(axis=1)
+            x = np.take(xs, idx, out=buffers[0, :rows], mode="clip")
+            y = np.take(ys, idx, out=buffers[1, :rows], mode="clip")
+            mx, my = np.add.reduce(x, axis=1) / n, np.add.reduce(y, axis=1) / n  # .mean's bits
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio[part] = np.where(mx != 0.0, my / mx, math.nan)
         if t0 is not None:
-            d = np.take(d_all, idx, out=buffers[0, :rows], mode="clip")
+            d = (np.take(d_all, idx, out=buffers[0, :rows], mode="clip") if ratio is None
+                 else np.subtract(y, np.multiply(x, rho_hat, out=x), out=x))
             first = d[:, :1].copy()
-            d -= first
-            shift = d.mean(axis=1)
-            d -= shift[:, None]
+            _centre(d, first)
+            shift = np.add.reduce(d, axis=1) / n
+            _centre(d, shift[:, None])
             t0[part] = _one_sample_t(first[:, 0] + shift, _row_dots(d, d), n)
-        del idx  # else the next block's indices are drawn while these are held
     return ratio, t0
+
+
+def _centre(d: np.ndarray, column: np.ndarray) -> None:
+    """d -= column, a (rows, 1) column. NumPy buffers the column where the
+    rows are shorter than its 8192-element buffer: 38 µs a block at n = 500,
+    16 µs with a 16-element buffer, a gain from n = 128 on. The errstate
+    context restores the buffer size on exit."""
+    if not 128 <= d.shape[1] < 8192:
+        d -= column
+        return
+    with np.errstate():
+        np.setbufsize(16)
+        d -= column
 
 
 def _ratio_jackknife(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ from collections import Counter
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ratio_ci import (
     AllResamplesDegenerate,
@@ -29,11 +29,14 @@ import ratio_ci.montecarlo as mc
 from ratio_ci import bootstrap
 from ratio_ci.core import _summarize_rows
 from ratio_ci.bootstrap import (
+    _centre,
     _collect,
+    _IndexStream,
     _jackknife_t0,
     _limits,
     _ratio_jackknife,
     _resample,
+    _resample_indices,
 )
 from ratio_ci.methods import _t0
 
@@ -550,6 +553,83 @@ def test_quantile_rule_matches_hand_rolled_interpolation():
 
 def _unblocked_indices(config: BootstrapConfig, n: int) -> np.ndarray:
     return np.random.default_rng(config.seed).integers(0, n, (config.replications, n))
+
+
+HALF_REJECTED = 2**31 + 1  # Lemire's threshold is 2**31 - 1: about half the words fail
+
+
+@example(seed=2**130, bound=HALF_REJECTED, width=33, blocks=[3, 5, 2])
+@given(
+    seed=st.integers(0, 2**130),
+    bound=st.sampled_from([3, 2, 2**16, 2**31, 20_000, HALF_REJECTED, 2**32 - 1]),
+    width=st.integers(1, 60),
+    blocks=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+)
+def test_index_draw_is_numpys_integers_block_after_block(seed, bound, width, blocks):
+    # The row width is not the bound, so that large bounds stay cheap; odd
+    # rows * width leave a half-word for the next block.
+    stream = _IndexStream(seed, bound, max(blocks) * width)
+    raw, outputs = stream.raw, []
+    stream.raw = lambda size: outputs.append(size) or raw(size)
+    reference = np.random.default_rng(seed)
+    for rows in blocks:
+        expected = reference.integers(0, bound, (rows, width))
+        drawn = _resample_indices(stream, rows, width)
+        assert drawn.dtype == expected.dtype
+        assert np.array_equal(drawn, expected)
+    rejected = 2 * sum(outputs) - stream.carry.size - sum(blocks) * width
+    assert rejected >= 0
+    if bound == HALF_REJECTED and sum(blocks) * width >= 64:
+        assert rejected > 0  # the probability of none is 2**-64
+
+
+def test_index_draw_needs_a_bound_below_two_to_the_32():
+    for bound in (1, 2**32, 2**40):
+        with pytest.raises(DomainError):
+            _IndexStream(0, bound, 1)
+
+
+@pytest.mark.parametrize("n", [3, 20, 127, 128, 500, 8191, 8192, 20_000])
+def test_row_centring_has_the_bits_of_the_buffered_subtraction(n):
+    rng = np.random.default_rng(n)
+    rows = min(8, bootstrap._block_rows(n))
+    d = 1e3 + rng.standard_normal((rows, n))
+    first = d[:, :1].copy()
+    centred = d.copy()
+    _centre(centred, first)
+    assert np.array_equal(centred, d - first)
+    shift = np.add.reduce(centred, axis=1) / n
+    _centre(centred, shift[:, None])
+    with np.errstate():
+        np.setbufsize(16)
+        unbuffered = (d - first) - shift[:, None]
+    assert np.array_equal(centred, (d - first) - shift[:, None])
+    assert np.array_equal(centred, unbuffered)
+
+
+def test_resampling_leaves_the_buffer_size_as_it_was(monkeypatch):
+    sample = _sample(seed=13, n=500)
+    buffers = np.empty((2, bootstrap._block_rows(500), 500))
+    args = (sample.xs, sample.ys, 8, 1000, True, ratio_of_means(sample), buffers)
+    dots, calls = bootstrap._row_dots, []
+
+    def failing_on_the_second_block(a, b):
+        calls.append(np.getbufsize())
+        if len(calls) == 2:
+            raise ValueError("mid-loop")
+        return dots(a, b)
+
+    with np.errstate():
+        np.setbufsize(4096)  # neither the default nor the unbuffered 16
+        _resample(*args)
+        assert np.getbufsize() == 4096
+        with pytest.raises(ValueError):  # inside the unbuffered subtraction
+            _centre(np.zeros((3, 500)), np.zeros((4, 1)))
+        assert np.getbufsize() == 4096
+        monkeypatch.setattr(bootstrap, "_row_dots", failing_on_the_second_block)
+        with pytest.raises(ValueError, match="mid-loop"):
+            _resample(*args)
+        assert np.getbufsize() == 4096 and calls == [4096, 4096]
 
 
 def _unblocked_t0(sample: PairedSample, config: BootstrapConfig, rho_hat: float):
