@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 import warnings
@@ -589,7 +590,18 @@ def test_index_draw_needs_a_bound_below_two_to_the_32():
             _IndexStream(0, bound, 1)
 
 
-@pytest.mark.parametrize("n", [3, 20, 127, 128, 500, 8191, 8192, 20_000])
+@contextlib.contextmanager
+def _buffer_size(size):
+    """np.setbufsize(size) inside the block; np.errstate restores the
+    buffer size only from NumPy 2 on, so this restores it itself."""
+    old = np.setbufsize(size)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
+@pytest.mark.parametrize("n", [3, 20, 79, 80, 127, 128, 500, 8191, 8192, 20_000])
 def test_row_centring_has_the_bits_of_the_buffered_subtraction(n):
     rng = np.random.default_rng(n)
     rows = min(8, bootstrap._block_rows(n))
@@ -600,8 +612,7 @@ def test_row_centring_has_the_bits_of_the_buffered_subtraction(n):
     assert np.array_equal(centred, d - first)
     shift = np.add.reduce(centred, axis=1) / n
     _centre(centred, shift[:, None])
-    with np.errstate():
-        np.setbufsize(16)
+    with _buffer_size(16):
         unbuffered = (d - first) - shift[:, None]
     assert np.array_equal(centred, (d - first) - shift[:, None])
     assert np.array_equal(centred, unbuffered)
@@ -619,8 +630,7 @@ def test_resampling_leaves_the_buffer_size_as_it_was(monkeypatch):
             raise ValueError("mid-loop")
         return dots(a, b)
 
-    with np.errstate():
-        np.setbufsize(4096)  # neither the default nor the unbuffered 16
+    with _buffer_size(4096):  # neither the default nor the unbuffered 16
         _resample(*args)
         assert np.getbufsize() == 4096
         with pytest.raises(ValueError):  # inside the unbuffered subtraction
