@@ -308,8 +308,7 @@ def argvs(files: dict[str, Path]) -> list[list[str]]:
 
 
 def main() -> int:
-    env = {k: v for k, v in os.environ.items() if k != "RATIO_CI_THREADS"}
-    env["PYTHONPATH"] = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     with tempfile.TemporaryDirectory(prefix="stdout-digests-") as tmp_name:
         tmp = Path(tmp_name)
         files = inputs(tmp)

@@ -6,8 +6,11 @@ import os
 # OpenBLAS splits a dot product of more than 10 000 elements across its
 # threads, so on a long sample the last bits of a variance would depend on
 # the machine's core count, and each such call leaves a worker spinning on
-# a core after it returns. One BLAS thread unless the caller set its own;
-# it takes effect when this import is the first of numpy, as under the CLI.
+# a core after it returns. Its thread pool also costs start-up: on 2 vCPUs
+# `import numpy` took about 70 ms more wall and CPU time with two OpenBLAS
+# threads than with one, though no BLAS call follows (`simulate --help` 0.19
+# against 0.26 s). One BLAS thread unless the caller set its own; it takes
+# effect when this import is the first of numpy, as under the CLI.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .bootstrap import BootstrapConfig, HwangDiagnostics

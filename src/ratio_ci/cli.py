@@ -8,8 +8,8 @@ Exit codes: 0 success, 2 malformed input or usage, 3 a precondition failed
 on valid input. `main` maps every RatioCiError to `error: <subcommand>: ...`
 and exit 3; only ci and regress name the method or the model instead.
 All output is deterministic given the flags; nothing reads the clock or
-ambient entropy, and RATIO_CI_THREADS only changes the schedule, never
-the numbers.
+ambient entropy, and --threads only changes the schedule, never the
+numbers.
 """
 
 from __future__ import annotations
@@ -494,10 +494,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=_positive_int(1, "threads"),
         default=None,
-        help="cap on worker processes (default: RATIO_CI_THREADS, else the CPUs this "
-        "process may use). The runs of all cells are cut, in order, into jobs of whole "
-        "blocks of runs, each about 0.4 s of estimated single-core work; a simulation "
-        "of one job, or any at 1, runs in this process",
+        help="cap on worker processes (default: the CPUs this process may use; "
+        "README \"Determinism\" describes the jobs)",
     )
     common(sim)
     sim.set_defaults(handler=_cmd_simulate)

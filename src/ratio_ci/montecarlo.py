@@ -20,13 +20,19 @@ its own default_rng would give.
 Records and jobs: what some runs of one cell gave is one _CellRecord: each
 method's counts and finite estimates in run order, the redraws, and the
 warnings a worker recorded. run_cell and run_grid share one scheduler,
-_simulate. It cuts the runs of all cells, in order, into jobs of whole
-blocks, each about _JOB_SECONDS of estimated single-core work
-(_run_seconds), the break-even of a forked pool. A simulation of one job
-runs in this process; otherwise the jobs run on at most thread_cap(threads)
-forked workers, which return one record per (cell, run range) piece and
-nothing else. Each cell's records are merged in run order and summarized
-once.
+_simulate, which decides from its arguments and the host alone. Its cells
+share one n, methods and boot_config, so every run has the same estimated
+single-core cost (_run_seconds). Work of at most _JOB_SECONDS (the
+break-even of a forked pool), or any work under a cap of 1, is one job, run
+in this process. Otherwise the runs of all cells, in cell and run order, are
+cut into the fewest equal shares of at most _JOB_SECONDS that min(cap,
+jobs) workers take evenly, each job ending at the first block end at or
+past its share of the runs; a block longer than a share makes fewer jobs.
+The cap is thread_cap(threads): the argument, else the CPUs this process
+may run on. The jobs run on min(cap, jobs) forked workers, or in this
+process when it is daemonic and cannot start one; a worker returns one
+record per (cell, run range) piece and nothing else. Each cell's records
+are merged in run order and summarized once.
 
 Method registry: _KERNELS maps every method to one kernel over the rows of
 a batch of samples, and is the only place that knows which methods exist.
@@ -207,20 +213,8 @@ class ErrorBarExperiment:
 
 
 def thread_cap(requested: int | None = None) -> int:
-    """The cap on a simulation's worker processes: explicit argument, else
-    RATIO_CI_THREADS, else the CPUs this process may run on.
-
-    A simulation's runs are cut, in cell and run order, into jobs of whole
-    blocks of runs, each about one break-even of a forked pool in estimated
-    single-core work; a simulation of one job runs in this process, and
-    more jobs run on min(cap, jobs) forked workers."""
-    if requested is None:
-        env = os.environ.get("RATIO_CI_THREADS")
-        if env is not None:
-            try:
-                requested = int(env)
-            except ValueError:
-                raise DomainError(f"RATIO_CI_THREADS must be an integer, got {env!r}")
+    """The cap on a simulation's worker processes: requested, else the CPUs
+    this process may run on (see the module docstring for the jobs)."""
     if requested is None:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
@@ -569,7 +563,7 @@ def run_cell(
     Only boot_config.replications is read (2000 if None): each run is
     resampled from the last draw of its own stream, not boot_config.seed.
     Hwang's band is the BCa band, or the percentile band as a fallback.
-    The runs are scheduled as run_grid's are, with the default thread_cap().
+    The runs are scheduled as the module docstring says, at the default cap.
     """
     return _simulate([cell], [_seed(seed)], methods, runs, boot_config, level, trim, None)[0]
 
@@ -622,30 +616,26 @@ _JOB_SECONDS = 0.4
 def _jobs(
     cells: Sequence[SimCell], runs: int, methods, boot_config, cap: int
 ) -> list[list[tuple[int, int, int]]]:
-    """The runs of all cells, in cell and run order, cut into jobs of whole
-    blocks, each a list of (cell index, first run, stop) pieces. One job
-    holds everything when the estimated work (_run_seconds) is at most
-    _JOB_SECONDS, or cap is 1. Otherwise it is cut into the fewest equal
-    shares of at most _JOB_SECONDS that min(cap, jobs) workers can take
-    evenly, each job ending at the first block end at or past its share; a
-    block longer than a share makes fewer jobs."""
-    cost = [_run_seconds(c.n, methods, boot_config) for c in cells]
-    total = runs * sum(cost)
-    workers = min(cap, math.ceil(total / _JOB_SECONDS))
+    """The jobs of the module docstring, each a list of (cell index, first
+    run, stop) pieces. The cells share one n, so every run costs the same and
+    job k ends at the first block end where the runs done reach share k + 1."""
+    total = runs * len(cells)
+    seconds = total * _run_seconds(cells[0].n, methods, boot_config)
+    workers = min(cap, math.ceil(seconds / _JOB_SECONDS))
     if workers <= 1:
         return [[(i, 0, runs) for i in range(len(cells))]]
-    count = workers * math.ceil(total / (_JOB_SECONDS * workers))
-    jobs, job, done = [], [], 0.0
-    for i, cell in enumerate(cells):
-        block = _block_runs(cell.n)
+    count = workers * math.ceil(seconds / (_JOB_SECONDS * workers))
+    block = _block_runs(cells[0].n)
+    jobs, job, done = [], [], 0
+    for i in range(len(cells)):
         for first in range(0, runs, block):
             stop = min(first + block, runs)
             if job and job[-1][0] == i:
                 job[-1] = (i, job[-1][1], stop)
             else:
                 job.append((i, first, stop))
-            done += (stop - first) * cost[i]
-            if done >= total * (len(jobs) + 1) / count:
+            done += stop - first
+            if done * count >= total * (len(jobs) + 1):
                 jobs.append(job)
                 job = []
     return jobs + [job] if job else jobs
@@ -709,15 +699,12 @@ def _simulate(
     """Each cell's CoverageResult, in cell order: the one scheduler of
     run_cell and run_grid.
 
-    The runs are cut into jobs (_jobs). One job runs in this process, and
-    starts no process; so do all jobs in a daemonic process, which cannot
-    start one. Otherwise the jobs run on min(thread_cap(threads), jobs)
-    forked processes, each returning its pieces' records and nothing else.
-    The records come back in job order: each one's warnings are issued
-    again here, through this process's filters, and each cell's records are
-    merged in run order and summarized once its last piece arrives. Any
-    split gives the same numbers, since every run is drawn from its own
-    stream and every row is bit-equal alone or in a block.
+    The jobs (_jobs) run as the module docstring says. The records come
+    back in job order: each one's warnings are issued again here, through
+    this process's filters, and each cell's records are merged in run order
+    and summarized once its last piece arrives. Any split gives the same
+    numbers, since every run is drawn from its own stream and every row is
+    bit-equal alone or in a block.
     """
     methods = _normalized_methods(methods)
     runs = _integer(runs, "runs")
@@ -768,11 +755,8 @@ def run_grid(
     Cell seeds derive from (master_seed, cell index) alone, and results are
     collected in cell order, so the grid is a pure function of its arguments
     no matter how many workers execute it. threads caps the worker
-    processes (thread_cap). The runs of all cells, in order, are cut into
-    jobs of whole blocks of runs, each about _JOB_SECONDS of estimated
-    single-core work, the break-even of a forked pool; a simulation of one
-    job (the default simulate grid, say) runs in this process and starts no
-    process. boot_config is read as in run_cell: only its replications.
+    processes (thread_cap; the jobs are in the module docstring).
+    boot_config is read as in run_cell: only its replications.
     """
     master_seed = _seed(master_seed, "master_seed")
     cells = gridspec.cells()

@@ -37,3 +37,14 @@ def forced_pool(monkeypatch, tmp_path):
 
     monkeypatch.setattr(mc, "_piece_record", logged)
     return lambda: set(map(int, log.read_text().split())) - {os.getpid()}
+
+
+@pytest.fixture()
+def cpus(monkeypatch):
+    """Give a function that makes this process appear to run on `count` CPUs,
+    the default cap on a simulation's worker processes."""
+
+    def set_cpus(count: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    return set_cpus

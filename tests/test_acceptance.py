@@ -322,7 +322,7 @@ def test_criterion_7_stork_demonstration():
     )
 
 
-def test_criterion_8_cli_determinism(capsys, tmp_path, monkeypatch, forced_pool):
+def test_criterion_8_cli_determinism(capsys, tmp_path, cpus, forced_pool):
     pairs = tmp_path / "pairs.csv"
     pairs.write_text(
         "\n".join(["x,y"] + [f"{x},{y}" for x, y in zip(WORKED_X, WORKED_Y)]) + "\n"
@@ -403,9 +403,9 @@ def test_criterion_8_cli_determinism(capsys, tmp_path, monkeypatch, forced_pool)
     identical = True
     for argv in commands:
         outputs = []
-        for cap in ("1", "4"):
+        for cap in (1, 4):
             # The thread cap must only change the schedule, never the bytes.
-            monkeypatch.setenv("RATIO_CI_THREADS", cap)
+            cpus(cap)
             assert main(argv) == 0
             outputs.append(capsys.readouterr().out)
         identical &= outputs[0] == outputs[1] and len(outputs[0]) > 0

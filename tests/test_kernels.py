@@ -439,11 +439,11 @@ def test_block_size_changes_no_tally(monkeypatch, cell, methods, config):
         assert hwang.failures and hwang.dropped_replicates and bca.fallbacks
 
 
-def test_run_cell_peak_memory_does_not_grow_with_runs(monkeypatch):
+def test_run_cell_peak_memory_does_not_grow_with_runs(cpus):
     # Without blocks the stacked runs alone would take 2 x 300 x 20000 x 8 B
     # = 96 MB; with them a block holds one row at this n. tracemalloc sees
     # this process alone, so the cell's two jobs run here.
-    monkeypatch.setenv("RATIO_CI_THREADS", "1")
+    cpus(1)
     cell = SimCell(1.0, 1.0, 20_000)
     tracemalloc.start()
     try:

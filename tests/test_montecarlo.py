@@ -465,24 +465,70 @@ def test_errors_survive_pickling():
         assert vars(back) == vars(exc)  # ZeroIndividualDenominator's indices
 
 
-def _grid_warnings(threads: int, always: bool) -> list[tuple]:
-    # At n = 4 the BCa step falls back on three runs of this grid.
-    spec = GridSpec((0.3, 3.0), (0.1, 1.0), 4)
-    methods = (Method.HWANG_BOOTSTRAP, Method.BOOTSTRAP_BCA)
+# At n = 4 the BCa step falls back on three runs of this grid.
+_FALLBACK_GRID = GridSpec((0.3, 3.0), (0.1, 1.0), 4)
+_FALLBACK_METHODS = (Method.HWANG_BOOTSTRAP, Method.BOOTSTRAP_BCA)
+_FALLBACK = "estimate outside the bootstrap distribution; falling back to percentiles"
+
+
+def _grid_warnings(threads: int, always: bool) -> tuple[tuple, list[tuple]]:
+    """The fallback grid's results and the warnings it let through."""
+    config = BootstrapConfig(100)
     with warnings.catch_warnings(record=True) as caught:
         if always:
             warnings.simplefilter("always")
-        run_grid(spec, methods, 100, 5, BootstrapConfig(100), threads=threads)
-    return [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+        grid = run_grid(_FALLBACK_GRID, _FALLBACK_METHODS, 100, 5, config, threads=threads)
+    return grid.results, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
 
 
 @pytest.mark.parametrize("always", [True, False], ids=["always", "default-filters"])
 def test_grid_warnings_reach_the_caller_whatever_the_workers(forced_pool, always):
-    one = _grid_warnings(1, always)
+    results, one = _grid_warnings(1, always)
     assert len(one) == (3 if always else 1)
-    assert one[0][0] == "estimate outside the bootstrap distribution; falling back to percentiles"
-    assert _grid_warnings(2, always) == one
+    assert one[0][0] == _FALLBACK
+    assert _grid_warnings(2, always) == (results, one)
     assert forced_pool()
+
+
+def test_a_daemonic_process_runs_its_jobs_itself(forced_pool):
+    # A daemonic process cannot start one, so it makes every record of its
+    # grid of many jobs, and the default filters show the fallback once.
+    cells, config = _FALLBACK_GRID.cells(), BootstrapConfig(100)
+    assert len(mc._jobs(cells, 100, _FALLBACK_METHODS, config, 2)) > 1
+    results, caught = _grid_warnings(1, False)
+    assert not forced_pool()
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=lambda: send.send(_grid_warnings(2, False)), daemon=True)
+    child.start()
+    assert receive.poll(120)
+    got = receive.recv()
+    child.join()
+    assert child.exitcode == 0
+    assert got == (results, caught) and len(caught) == 1
+    assert forced_pool() == {child.pid}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_an_error_filter_raises_the_fallback_out_of_run_grid(forced_pool, threads):
+    config = BootstrapConfig(100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning) as raised:
+            run_grid(_FALLBACK_GRID, _FALLBACK_METHODS, 100, 5, config, threads=threads)
+    assert type(raised.value) is RuntimeWarning
+    assert str(raised.value) == _FALLBACK
+    assert bool(forced_pool()) == (threads == 2)
+
+
+def test_jobs_end_where_a_block_end_meets_a_share_exactly():
+    # 10 000 runs in 14 shares: share 7 ends with the first cell, whose
+    # 5000 runs end a block of 819 runs exactly, so no job spans both cells.
+    cells = GridSpec((0.1,), (0.3, 1.0), 20).cells()
+    jobs = mc._jobs(cells, 5000, (Method.HWANG_BOOTSTRAP,), BootstrapConfig(2000), 2)
+    assert len(jobs) == 14
+    assert all(len(job) == 1 for job in jobs)
+    assert [piece for job in jobs for piece in job][6:8] == [(0, 4914, 5000), (1, 0, 819)]
 
 
 def test_one_cell_grid_starts_no_process(monkeypatch):
@@ -520,19 +566,19 @@ def test_no_worker_outlives_run_grid(forced_pool):
 )
 @pytest.mark.filterwarnings("ignore:estimate outside the bootstrap distribution")
 def test_any_split_of_the_runs_gives_the_same_numbers(
-    monkeypatch, forced_pool, cell, methods, config
+    monkeypatch, forced_pool, cpus, cell, methods, config
 ):
     # Blocks of 7 or 40 runs, in jobs of one block or of about a third of
     # the work, cut the runs where the whole cell's one block does not.
     spec = GridSpec((cell.cv_x,), (cell.cv_y, 2 * cell.cv_y), cell.n)
-    monkeypatch.setenv("RATIO_CI_THREADS", "1")
+    cpus(1)
     whole = run_cell(cell, methods, 150, 7, boot_config=config)
     grid = run_grid(spec, methods, 150, 3, config)
     third = 150 * mc._run_seconds(cell.n, methods, config) / 3
-    for block_runs, job_seconds, workers in itertools.product((7, 40), (1e-12, third), "124"):
+    for block_runs, job_seconds, workers in itertools.product((7, 40), (1e-12, third), (1, 2, 4)):
         monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block_runs * cell.n)
         monkeypatch.setattr(mc, "_JOB_SECONDS", job_seconds)
-        monkeypatch.setenv("RATIO_CI_THREADS", workers)
+        cpus(workers)
         assert run_cell(cell, methods, 150, 7, boot_config=config) == whole
         split = run_grid(spec, methods, 150, 3, config)
         assert split.results == grid.results
@@ -541,12 +587,14 @@ def test_any_split_of_the_runs_gives_the_same_numbers(
 
 
 @pytest.mark.parametrize("first, second", [(0, 1), (1, 0)], ids=["xs_first", "ys_first"])
-def test_a_split_cell_raises_the_first_failing_runs_error(monkeypatch, forced_pool, first, second):
+def test_a_split_cell_raises_the_first_failing_runs_error(
+    monkeypatch, forced_pool, cpus, first, second
+):
     # Blocks of 10 runs, each its own job: runs 61 and 130 fail in the
     # seventh and the fourteenth, x or y of each drawn as inf.
     cell = SimCell(1.0, 1.0, 10)
     monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 10 * cell.n)
-    monkeypatch.setenv("RATIO_CI_THREADS", "2")
+    cpus(2)
     draw_normals = mc._draw_normals
 
     def failing(seed, runs, attempt, n, boot):
@@ -711,15 +759,14 @@ def test_error_bar_experiment_raises_the_first_failing_run(monkeypatch, bad, blo
 # -------------------------------------------------------------- thread cap
 
 
-def test_thread_cap_sources(monkeypatch):
+def test_thread_cap_sources(monkeypatch, cpus):
     assert thread_cap(3) == 3
-    monkeypatch.setenv("RATIO_CI_THREADS", "2")
-    assert thread_cap() == 2
-    assert thread_cap(5) == 5  # explicit argument wins over the environment
-    monkeypatch.setenv("RATIO_CI_THREADS", "zebra")
-    with pytest.raises(DomainError):
-        thread_cap()
-    monkeypatch.delenv("RATIO_CI_THREADS")
     assert thread_cap() == len(os.sched_getaffinity(0))
-    with pytest.raises(DomainError):
-        thread_cap(0)
+    cpus(5)
+    assert thread_cap() == 5
+    assert thread_cap(2) == 2  # the argument wins over the CPUs
+    monkeypatch.setenv("RATIO_CI_THREADS", "1")
+    assert thread_cap() == 5  # no environment variable is read
+    for bad in (0, -1):
+        with pytest.raises(DomainError):
+            thread_cap(bad)
