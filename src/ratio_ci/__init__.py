@@ -76,9 +76,7 @@ from .montecarlo import (
     MethodCoverage,
     SimCell,
     error_bar_experiment,
-    errorbar_csv_rows,
     evaluate_methods,
-    grid_csv_rows,
     run_cell,
     run_grid,
     thread_cap,

@@ -43,17 +43,14 @@ from .linear_models import (
     spurious_demo,
     stork_demo_table,
 )
-from .methods import Method, MethodResult
+from .methods import ConfidenceSet, Method, MethodResult
 from .montecarlo import (
+    CoverageGrid,
+    ErrorBarExperiment,
     GridSpec,
     SimCell,
-    _csv_rows,
-    _fmt,
-    _set_record,
     error_bar_experiment,
-    errorbar_csv_rows,
     evaluate_methods,
-    grid_csv_rows,
     run_grid,
 )
 
@@ -150,9 +147,30 @@ def _write(text: str, output: str | None) -> None:
         Path(output).write_text(text, encoding="utf-8")
 
 
-def _csv_text(rows: Sequence[Sequence[str]]) -> str:
+def _fmt(value: float) -> str:
+    return repr(float(value))
+
+
+def _cell(value: str | int | float | tuple) -> str:
+    """One CSV cell: a string as it is, an integer in decimal, intervals
+    as lo:hi pairs joined by ;, and a number empty where it is not finite."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, tuple):
+        return ";".join(f"{_fmt(lo)}:{_fmt(hi)}" for lo, hi in value)
+    return _fmt(value) if math.isfinite(value) else ""
+
+
+def _csv_text(records: Sequence[dict]) -> str:
+    """The first record's keys as the header, then each record's values
+    under it, each written by _cell."""
+    header = list(records[0])
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(record[name]) for name in header] for record in records)
     return buf.getvalue()
 
 
@@ -177,6 +195,16 @@ def _json_text(payload) -> str:
     return json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n"
 
 
+def _set_record(cset: ConfidenceSet) -> dict:
+    """The printed fields of a confidence set, as ci and errorbars write them."""
+    return {
+        "case": cset.case.value,
+        "lower": cset.lower,
+        "upper": cset.upper,
+        "intervals": cset.intervals,
+    }
+
+
 def _result_record(result: MethodResult) -> dict:
     return {
         "method": result.method.value,
@@ -184,6 +212,41 @@ def _result_record(result: MethodResult) -> dict:
         **_set_record(result.confidence_set),
         "diagnostics": result.diagnostics,
     }
+
+
+def _grid_records(grid: CoverageGrid) -> list[dict]:
+    """simulate's plot-ready long format: one record per (cell, method)."""
+    return [
+        {
+            "cv_x": result.cell.cv_x,
+            "cv_y": result.cell.cv_y,
+            "n": result.cell.n,
+            "corr": result.cell.corr,
+            "method": method.value,
+            "runs": tally.runs,
+            "covered": tally.covered,
+            "coverage": tally.coverage,
+            "unbounded_sets": tally.unbounded_sets,
+            "redraws": result.redraws,
+        }
+        for result in grid.results
+        for method, tally in result.methods.items()
+    ]
+
+
+def _errorbar_records(experiment: ErrorBarExperiment) -> list[dict]:
+    """errorbars' records, one per (method, run), its set as ci writes it;
+    the estimate is written by _fmt, so a non-finite one prints as repr."""
+    return [
+        {
+            "method": r.method.value,
+            "run": r.run,
+            "estimate": _fmt(r.estimate),
+            **_set_record(r.confidence_set),
+            "covers_true": "true" if r.covers_true else "false",
+        }
+        for r in experiment.rows
+    ]
 
 
 # -------------------------------------------------------------------- input
@@ -317,7 +380,7 @@ def _cmd_ci(args: argparse.Namespace) -> int:
         text = _json_text(records)
     else:  # the JSON records' fields but the diagnostics
         rows = [{k: v for k, v in record.items() if k != "diagnostics"} for record in records]
-        text = _csv_text(_csv_rows(rows))
+        text = _csv_text(rows)
     _write(text, args.output)
     return 0
 
@@ -336,19 +399,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         trim=args.trim,
         threads=args.threads,
     )
+    # Above this cv_x the mean of x is typically not significantly nonzero.
     print(
         f"reference: cv of the mean of x reaches 0.5 at cv_x = "
-        f"{grid.reference_cv_x:.4g} for n = {gridspec.n}",
+        f"{0.5 * math.sqrt(gridspec.n):.4g} for n = {gridspec.n}",
         file=sys.stderr,
     )
-    _write(_csv_text(grid_csv_rows(grid)), args.output)
+    _write(_csv_text(_grid_records(grid)), args.output)
     return 0
 
 
 def _cmd_errorbars(args: argparse.Namespace) -> int:
     cell = SimCell(cv_x=args.cv_x, cv_y=args.cv_y, n=args.n, corr=args.corr)
     experiment = error_bar_experiment(cell, runs=args.runs, seed=args.seed, level=args.level)
-    _write(_csv_text(errorbar_csv_rows(experiment)), args.output)
+    _write(_csv_text(_errorbar_records(experiment)), args.output)
     return 0
 
 
@@ -361,7 +425,7 @@ def _cmd_ellipse(args: argparse.Namespace) -> int:
     else:
         points = wedge_csv_rows(wedge, k=args.points)
         rows = [{"element": el, "x": _fmt(x), "y": _fmt(y)} for el, x, y in points]
-        text = _csv_text(_csv_rows(rows))
+        text = _csv_text(rows)
     _write(text, args.output)
     return 0
 

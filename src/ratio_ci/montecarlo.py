@@ -90,8 +90,6 @@ __all__ = [
     "run_cell",
     "run_grid",
     "error_bar_experiment",
-    "grid_csv_rows",
-    "errorbar_csv_rows",
     "thread_cap",
 ]
 
@@ -184,12 +182,6 @@ class CoverageGrid:
     runs: int
     master_seed: int
     results: tuple[CoverageResult, ...]
-
-    @property
-    def reference_cv_x(self) -> float:
-        """cv_x above which the denominator mean is typically not
-        significantly nonzero (cv of the mean = 0.5)."""
-        return 0.5 * math.sqrt(self.spec.n)
 
 
 @dataclass(frozen=True)
@@ -793,74 +785,3 @@ def error_bar_experiment(
     rows = tuple(r for m in methods for r in sorted(per_method[m], key=lambda r: r.estimate))
     return ErrorBarExperiment(cell=cell, seed=seed, level=level, rows=rows)
 
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def _cell(value: str | int | float | tuple) -> str:
-    """One CSV cell: a string as it is, an integer in decimal, intervals
-    as lo:hi pairs joined by ;, and a number empty where it is not finite."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(value)
-    if isinstance(value, tuple):
-        return ";".join(f"{_fmt(lo)}:{_fmt(hi)}" for lo, hi in value)
-    return _fmt(value) if math.isfinite(value) else ""
-
-
-def _csv_rows(records: Sequence[dict]) -> list[list[str]]:
-    """The header, the first record's keys, then each record's values
-    under it, each written by _cell."""
-    header = list(records[0])
-    return [header] + [[_cell(record[name]) for name in header] for record in records]
-
-
-def _set_record(cset: ConfidenceSet) -> dict:
-    """The printed fields of a confidence set, as ci and errorbars write them."""
-    return {
-        "case": cset.case.value,
-        "lower": cset.lower,
-        "upper": cset.upper,
-        "intervals": cset.intervals,
-    }
-
-
-def grid_csv_rows(grid: CoverageGrid) -> list[list[str]]:
-    """Plot-ready long-format rows, one per (cell, method), plus header."""
-    return _csv_rows(
-        [
-            {
-                "cv_x": result.cell.cv_x,
-                "cv_y": result.cell.cv_y,
-                "n": result.cell.n,
-                "corr": result.cell.corr,
-                "method": method.value,
-                "runs": tally.runs,
-                "covered": tally.covered,
-                "coverage": tally.coverage,
-                "unbounded_sets": tally.unbounded_sets,
-                "redraws": result.redraws,
-            }
-            for result in grid.results
-            for method, tally in result.methods.items()
-        ]
-    )
-
-
-def errorbar_csv_rows(experiment: ErrorBarExperiment) -> list[list[str]]:
-    """One row per (method, run), its set in the cells of ci's CSV; the
-    estimate is written by _fmt, so a non-finite one prints as repr."""
-    return _csv_rows(
-        [
-            {
-                "method": r.method.value,
-                "run": r.run,
-                "estimate": _fmt(r.estimate),
-                **_set_record(r.confidence_set),
-                "covers_true": "true" if r.covers_true else "false",
-            }
-            for r in experiment.rows
-        ]
-    )

@@ -554,6 +554,19 @@ def test_simulate_deterministic_and_thread_invariant(capsys, forced_pool):
     assert len(rows) == 1 + 2 * 2
 
 
+def test_simulate_reference_line_positions(capsys):
+    # cv of the mean reaches 0.5 at cv_x = 0.5*sqrt(n): about 2.2 for n=20
+    # and 11.2 for n=500.
+    line = "reference: cv of the mean of x reaches 0.5 at cv_x = "
+    for n, reference in ((20, 2.2), (500, 11.2)):
+        argv = ["simulate", "--cv-x", "1", "--cv-y", "1", "--n", str(n), "--runs", "100",
+                "--methods", "fieller"]
+        code, _, err = _run(capsys, argv)
+        assert code == 0
+        assert err.startswith(line) and err.endswith(f" for n = {n}\n")
+        assert round(float(err[len(line):].split()[0]), 1) == reference
+
+
 def test_default_simulate_grid_starts_no_process(capsys, monkeypatch):
     # The default grid is one job, so even with two workers allowed it runs here.
     def no_fork():

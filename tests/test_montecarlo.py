@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import math
 import multiprocessing
@@ -12,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import ratio_ci.bootstrap as bootstrap
 import ratio_ci.montecarlo as mc
 import scalar_reference as ref
-from ratio_ci import core, errors, methods
+from ratio_ci import cli, core, errors, methods
 from test_kernels import _assert_same_set, _replace_samples, _same, _zero_x
 from ratio_ci import (
     BootstrapConfig,
@@ -29,9 +31,7 @@ from ratio_ci import (
     TooFewObservations,
     TooFewReplicates,
     error_bar_experiment,
-    errorbar_csv_rows,
     fieller_set,
-    grid_csv_rows,
     run_cell,
     run_grid,
     summarize,
@@ -97,15 +97,6 @@ def test_grid_spec_with_an_invalid_cell_does_not_construct(axes, n, corr, messag
     # Such a grid used to construct and fail only in cells(), when run.
     with pytest.raises(DomainError, match=message):
         GridSpec(*axes, n, corr=corr)
-
-def test_reference_line_positions():
-    # cv of the mean reaches 0.5 at cv_x = 0.5*sqrt(n): about 2.2 for n=20
-    # and 11.2 for n=500.
-    grid20 = run_grid(GridSpec((1.0,), (1.0,), n=20), (Method.FIELLER,), 100, 0)
-    grid500 = run_grid(GridSpec((1.0,), (1.0,), n=500), (Method.FIELLER,), 100, 0)
-    assert round(grid20.reference_cv_x, 1) == 2.2
-    assert round(grid500.reference_cv_x, 1) == 11.2
-
 
 # --------------------------------------------------------------- run_cell
 
@@ -445,7 +436,7 @@ def test_grid_independent_of_thread_count(forced_pool):
     assert not forced_pool()
     many = run_grid(spec, (Method.FIELLER, Method.INDEX), 150, master_seed=5, threads=4)
     assert forced_pool()
-    assert grid_csv_rows(one) == grid_csv_rows(many)
+    assert cli._csv_text(cli._grid_records(one)) == cli._csv_text(cli._grid_records(many))
     assert one.results == many.results
 
 
@@ -582,7 +573,7 @@ def test_any_split_of_the_runs_gives_the_same_numbers(
         assert run_cell(cell, methods, 150, 7, boot_config=config) == whole
         split = run_grid(spec, methods, 150, 3, config)
         assert split.results == grid.results
-        assert grid_csv_rows(split) == grid_csv_rows(grid)
+        assert cli._csv_text(cli._grid_records(split)) == cli._csv_text(cli._grid_records(grid))
     assert forced_pool()
 
 
@@ -618,10 +609,15 @@ def test_grid_cells_have_distinct_seeds():
     assert len(set(seeds)) == len(seeds)
 
 
+def _printed(records):
+    """The rows of the CSV that the command line prints for the records."""
+    return list(csv.reader(io.StringIO(cli._csv_text(records))))
+
+
 def test_grid_csv_layout():
     spec = GridSpec(cv_x_values=(0.3,), cv_y_values=(0.3, 3.0), n=10)
     grid = run_grid(spec, (Method.FIELLER, Method.TAYLOR), 120, master_seed=2)
-    rows = grid_csv_rows(grid)
+    rows = _printed(cli._grid_records(grid))
     assert rows[0] == [
         "cv_x",
         "cv_y",
@@ -664,7 +660,7 @@ def test_error_bar_determinism_and_runs_guard():
     cell = SimCell(cv_x=0.5, cv_y=0.5, n=30)
     a = error_bar_experiment(cell, runs=10, seed=1)
     b = error_bar_experiment(cell, runs=10, seed=1)
-    assert errorbar_csv_rows(a) == errorbar_csv_rows(b)
+    assert cli._csv_text(cli._errorbar_records(a)) == cli._csv_text(cli._errorbar_records(b))
     with pytest.raises(DomainError):
         error_bar_experiment(cell, runs=0, seed=1)
 
@@ -672,7 +668,7 @@ def test_error_bar_determinism_and_runs_guard():
 def test_errorbar_csv_layout():
     cell = SimCell(cv_x=3.0, cv_y=0.5, n=4)
     exp = error_bar_experiment(cell, runs=30, seed=11)
-    rows = errorbar_csv_rows(exp)
+    rows = _printed(cli._errorbar_records(exp))
     assert rows[0] == [
         "method", "run", "estimate", "case", "lower", "upper", "intervals", "covers_true"
     ]
