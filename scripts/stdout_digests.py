@@ -95,7 +95,10 @@ The argvs, in list order:
   --seed 1`, on 20 001 generated pairs: each block of three resamples
   draws 60 003 indices, an odd number of 32-bit words, so every other
   block starts on the half-word left by the one before, and about 117 of
-  the 40 million words are rejected by the bounded draw.
+  the 40 million words are rejected by the bounded draw;
+- `ci --methods fieller,taylor,index` on the zero-mean-x sample, where
+  Taylor fails between two methods that work: it prints the Fieller and
+  index records and exits 3.
 """
 
 from __future__ import annotations
@@ -304,6 +307,8 @@ def argvs(files: dict[str, Path]) -> list[list[str]]:
                     "--methods", ",".join(BOOTSTRAP), "--seed", "1", "--threads", threads])
     out.append(["ci", "--input", str(files["pairs20001.csv"]), "--methods",
                 "fieller," + ",".join(BOOTSTRAP), "--replications", "2001", "--seed", "1"])
+    out.append(["ci", "--input", str(files["zero-mean.csv"]), "--methods",
+                "fieller,taylor,index"])  # a failing method between two that work
     return out
 
 

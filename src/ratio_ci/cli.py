@@ -6,7 +6,10 @@ construction export), regress (regression views), demo (worked examples).
 
 Exit codes: 0 success, 2 malformed input or usage, 3 a precondition failed
 on valid input. `main` maps every RatioCiError to `error: <subcommand>: ...`
-and exit 3; only ci and regress name the method or the model instead.
+and exit 3; only ci and regress name the method or the model instead. ci
+runs every method, prints the records of those that returned a set, then
+one `error: <method>: ...` line per failed method in request order, and
+exits 3 if any failed.
 All output is deterministic given the flags; nothing reads the clock or
 ambient entropy, and --threads only changes the schedule, never the
 numbers.
@@ -346,12 +349,6 @@ def _paired(xs: np.ndarray, ys: np.ndarray, path: str) -> PairedSample:
 # ----------------------------------------------------------------- handlers
 
 
-def _fail_method(name: str, exc: RatioCiError) -> int:
-    """Exit 3 naming the method or model rather than the subcommand."""
-    print(f"error: {name}: {exc}", file=sys.stderr)
-    return 3
-
-
 def _boot_config(args: argparse.Namespace, seed: int = 0) -> BootstrapConfig:
     """The bootstrap config; warns when a requested method reads the BCa
     adjustment from fewer than 1000 replications."""
@@ -370,19 +367,19 @@ def _cmd_ci(args: argparse.Namespace) -> int:
     sample = _load_pairs(args.input)
     spec = ConfidenceSpec.two_sided(args.level, df=sample.n - 1)
     config = _boot_config(args, seed=args.seed)
-    results: list[MethodResult] = []
+    records, failures = [], []
     for method, result in evaluate_methods(sample, args.methods, spec, config, args.trim):
         if isinstance(result, RatioCiError):
-            return _fail_method(method.value, result)
-        results.append(result)
-    records = [_result_record(r) for r in results]
-    if args.format == "json":
-        text = _json_text(records)
-    else:  # the JSON records' fields but the diagnostics
-        rows = [{k: v for k, v in record.items() if k != "diagnostics"} for record in records]
-        text = _csv_text(rows)
-    _write(text, args.output)
-    return 0
+            failures.append((method, result))
+        else:
+            records.append(_result_record(result))
+    if args.format == "csv":  # the JSON records' fields but the diagnostics
+        records = [{k: v for k, v in record.items() if k != "diagnostics"} for record in records]
+    if records:  # none when every method failed
+        _write(_json_text(records) if args.format == "json" else _csv_text(records), args.output)
+    for method, exc in failures:
+        print(f"error: {method.value}: {exc}", file=sys.stderr)
+    return 3 if failures else 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -476,7 +473,8 @@ def _cmd_regress(args: argparse.Namespace) -> int:
                 ]
             )
     except RatioCiError as exc:
-        return _fail_method(args.model, exc)
+        print(f"error: {args.model}: {exc}", file=sys.stderr)
+        return 3
     _write(_json_text(payload) if args.format == "json" else text + "\n", args.output)
     return 0
 

@@ -170,6 +170,14 @@ def wedge_svg(e: EllipseConstruction, k: int = 256) -> str:
         # SVG y grows downward.
         return (x - lo_x) * scale, (hi_y - y) * scale
 
+    def line(cls: str, attrs: str, a: tuple[float, float], b: tuple[float, float]) -> str:
+        """One <line>, of the class and attributes, from point a to point b."""
+        (x1, y1), (x2, y2) = to_px(*a), to_px(*b)
+        return (
+            f'<line class="{cls}" {attrs} '
+            f'x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}"/>'
+        )
+
     width = _fmt((hi_x - lo_x) * scale)
     height = _fmt((hi_y - lo_y) * scale)
     parts = [
@@ -184,25 +192,14 @@ def wedge_svg(e: EllipseConstruction, k: int = 256) -> str:
     d.append("Z")
     parts.append(f'<path class="ellipse" stroke="#1a6faf" d="{" ".join(d)}"/>')
     for x0, y0, x1, y1 in tangents:
-        p0, p1 = to_px(x0, y0), to_px(x1, y1)
-        parts.append(
-            f'<line class="tangent" stroke="#b03030" '
-            f'x1="{_fmt(p0[0])}" y1="{_fmt(p0[1])}" x2="{_fmt(p1[0])}" y2="{_fmt(p1[1])}"/>'
-        )
-    r0, r1 = to_px(1.0, lo_y + pad), to_px(1.0, hi_y - pad)
-    parts.append(
-        f'<line class="reference" stroke="#777777" stroke-dasharray="4 3" '
-        f'x1="{_fmt(r0[0])}" y1="{_fmt(r0[1])}" x2="{_fmt(r1[0])}" y2="{_fmt(r1[1])}"/>'
-    )
-    for cls, (xa, ya), (xb, yb) in (
+        parts.append(line("tangent", 'stroke="#b03030"', (x0, y0), (x1, y1)))
+    reference = 'stroke="#777777" stroke-dasharray="4 3"'
+    parts.append(line("reference", reference, (1.0, lo_y + pad), (1.0, hi_y - pad)))
+    for cls, a, b in (
         ("interval-x", (cx - e.half_axis_x, 0.0), (cx + e.half_axis_x, 0.0)),
         ("interval-y", (0.0, cy - e.half_axis_y), (0.0, cy + e.half_axis_y)),
     ):
-        pa, pb = to_px(xa, ya), to_px(xb, yb)
-        parts.append(
-            f'<line class="{cls}" stroke="#2e8b57" stroke-width="3" '
-            f'x1="{_fmt(pa[0])}" y1="{_fmt(pa[1])}" x2="{_fmt(pb[0])}" y2="{_fmt(pb[1])}"/>'
-        )
+        parts.append(line(cls, 'stroke="#2e8b57" stroke-width="3"', a, b))
     parts.append("</g>")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -583,8 +583,10 @@ def _run_seconds(n: int, methods: tuple[Method, ...], boot_config: BootstrapConf
     """Estimated single-core seconds of one run at n pairs: its draw, each
     closed-form method and, with a boot_config, the bootstrap kernel, whose B
     resamples draw n indices and, per pair, gather once for Hwang's pivot and
-    twice for the ratio replicates. Fitted to cells timed on 2 vCPUs (Python
-    3.11.7, numpy 2.4.6): within 20% at n = 4 to 5000 and B = 100 to 2000."""
+    twice for the ratio replicates. Fitted on 2 vCPUs (Python 3.11.7, numpy
+    2.4.6) before the bootstrap rows got cheaper; against _piece_record's CPU
+    time since, it is 0.71 to 1.39 times the time at n = 4 to 5000 and B = 100
+    to 2000, low for the closed forms at n >= 100 and high for B = 2000 at n <= 20."""
     closed = [m for m in methods if _KERNELS[m] is not _bootstrap_kernel]
     seconds = 4e-6 + 6e-8 * n + len(closed) * (3.5e-7 + 6e-9 * n)
     if boot_config is not None:

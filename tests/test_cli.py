@@ -515,6 +515,33 @@ def test_ci_method_precondition_failures_exit_3(capsys, tmp_path):
     assert err.startswith("error: taylor:")
 
 
+def test_ci_prints_the_methods_around_a_failing_one(capsys, tmp_path):
+    # Taylor fails on a sample whose mean of x is exactly zero; Fieller
+    # before it and index after it print the records they print alone.
+    path = tmp_path / "zero-mean.csv"
+    path.write_text("x,y\n-2.0,1\n-1.0,2\n0.5,3\n1.0,4\n1.5,5\n")
+    argv = ["ci", "--input", str(path), "--methods"]
+    for fmt in ("json", "csv"):
+        code, out, err = _run(capsys, [*argv, "fieller,taylor,index", "--format", fmt])
+        assert (code, err) == (3, "error: taylor: mean of x is exactly zero\n")
+        alone = [_run(capsys, [*argv, m, "--format", fmt]) for m in ("fieller", "index")]
+        assert [code for code, _, _ in alone] == [0, 0]
+        if fmt == "json":
+            assert json.loads(out) == [json.loads(o)[0] for _, o, _ in alone]
+        else:
+            assert _parse_csv(out) == _parse_csv(alone[0][1]) + _parse_csv(alone[1][1])[1:]
+
+
+def test_ci_reports_every_failing_method_in_request_order(capsys, tmp_path):
+    zero_x = tmp_path / "zero.csv"
+    zero_x.write_text("x,y\n-1.0,2.0\n1.0,3.0\n")
+    argv = ["ci", "--input", str(zero_x), "--methods", "zero_variance,fieller,taylor"]
+    code, out, err = _run(capsys, argv)
+    assert code == 3
+    assert [r["method"] for r in json.loads(out)] == ["fieller"]
+    assert [line.split(":")[1] for line in err.splitlines()] == [" zero_variance", " taylor"]
+
+
 def test_unwritable_output_exits_2(capsys, worked_csv, tmp_path):
     code, _, err = _run(
         capsys,

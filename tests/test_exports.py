@@ -1,7 +1,8 @@
 """Every module's __all__ names what it defines, the package imports only
-names that its modules export, the README's methods table names every
-method and only those, every public name is read by the code of the
-library or of its scripts, and every public default is set there."""
+names that its modules export, the command line imports no private name,
+the README's methods table names every method and only those, every
+public name is read by the code of the library or of its scripts, and
+every public default is set there."""
 
 import ast
 import importlib
@@ -36,6 +37,20 @@ def test_package_imports_exist_and_are_exported():
         for alias in node.names:
             assert hasattr(ratio_ci, alias.name), (node.module, alias.name)
             assert alias.name in exported, (node.module, alias.name)
+
+
+def test_cli_imports_no_private_name():
+    # The command line is a client of the public API: a format or helper
+    # that it shares with a library module belongs in one of them.
+    tree = ast.parse((Path(ratio_ci.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, private
 
 
 def test_readme_methods_table_names_exported_functions():
