@@ -539,7 +539,7 @@ def test_ci_reports_every_failing_method_in_request_order(capsys, tmp_path):
     code, out, err = _run(capsys, argv)
     assert code == 3
     assert [r["method"] for r in json.loads(out)] == ["fieller"]
-    assert [line.split(":")[1] for line in err.splitlines()] == [" zero_variance", " taylor"]
+    assert [line.split(": ")[1] for line in err.splitlines()] == ["zero_variance", "taylor"]
 
 
 def test_unwritable_output_exits_2(capsys, worked_csv, tmp_path):

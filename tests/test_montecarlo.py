@@ -47,6 +47,11 @@ CLOSED_FORM = (
 )
 
 
+def _printed(records):
+    """The rows of the CSV that the command line prints for the records."""
+    return list(csv.reader(io.StringIO(cli._csv_text(records))))
+
+
 # ------------------------------------------------------------------- cells
 
 
@@ -436,7 +441,7 @@ def test_grid_independent_of_thread_count(forced_pool):
     assert not forced_pool()
     many = run_grid(spec, (Method.FIELLER, Method.INDEX), 150, master_seed=5, threads=4)
     assert forced_pool()
-    assert cli._csv_text(cli._grid_records(one)) == cli._csv_text(cli._grid_records(many))
+    assert _printed(cli._grid_records(one)) == _printed(cli._grid_records(many))
     assert one.results == many.results
 
 
@@ -573,7 +578,7 @@ def test_any_split_of_the_runs_gives_the_same_numbers(
         assert run_cell(cell, methods, 150, 7, boot_config=config) == whole
         split = run_grid(spec, methods, 150, 3, config)
         assert split.results == grid.results
-        assert cli._csv_text(cli._grid_records(split)) == cli._csv_text(cli._grid_records(grid))
+        assert _printed(cli._grid_records(split)) == _printed(cli._grid_records(grid))
     assert forced_pool()
 
 
@@ -607,11 +612,6 @@ def test_grid_cells_have_distinct_seeds():
     grid = run_grid(spec, (Method.FIELLER,), 100, master_seed=0)
     seeds = [r.seed for r in grid.results]
     assert len(set(seeds)) == len(seeds)
-
-
-def _printed(records):
-    """The rows of the CSV that the command line prints for the records."""
-    return list(csv.reader(io.StringIO(cli._csv_text(records))))
 
 
 def test_grid_csv_layout():
@@ -660,7 +660,7 @@ def test_error_bar_determinism_and_runs_guard():
     cell = SimCell(cv_x=0.5, cv_y=0.5, n=30)
     a = error_bar_experiment(cell, runs=10, seed=1)
     b = error_bar_experiment(cell, runs=10, seed=1)
-    assert cli._csv_text(cli._errorbar_records(a)) == cli._csv_text(cli._errorbar_records(b))
+    assert _printed(cli._errorbar_records(a)) == _printed(cli._errorbar_records(b))
     with pytest.raises(DomainError):
         error_bar_experiment(cell, runs=0, seed=1)
 
