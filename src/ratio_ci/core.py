@@ -183,20 +183,30 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _row_deviations(a: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """a minus its row mean, and zero on a row of equal values. The rounded
+    sum can put the mean of n equal values an ulp off them, which would give
+    a constant column a nonzero variance and covariance."""
+    d = a - mean[:, None]
+    d[(d == d[:, :1]).all(axis=1)] = 0.0
+    return d
+
+
 def _summarize_rows(xs: np.ndarray, ys: np.ndarray) -> _RowSummaries:
     """summarize of each row of the (runs, n) arrays xs and ys, bit for bit.
 
-    Row means reduce each contiguous row as the 1-D mean does, and the
-    cross-products are _row_dots. Every row passes the checks of
-    SummaryStats, or the error of the first row that fails is raised.
+    Row means reduce each contiguous row as the 1-D mean does, the
+    deviations are _row_deviations, and the cross-products are _row_dots.
+    Every row passes the checks of SummaryStats, or the error of the first
+    row that fails is raised.
     """
     n = xs.shape[1]
     if n < 2:
         raise TooFewObservations("need at least two pairs to estimate variances")
     mean_x = xs.mean(axis=1)
     mean_y = ys.mean(axis=1)
-    dx = xs - mean_x[:, None]
-    dy = ys - mean_y[:, None]
+    dx = _row_deviations(xs, mean_x)
+    dy = _row_deviations(ys, mean_y)
     scale = 1.0 / (n * (n - 1))
     rows = _RowSummaries(
         n=n,
@@ -219,7 +229,8 @@ def summarize(sample: PairedSample) -> SummaryStats:
 
     Two-pass computation: deviations from the mean are formed explicitly
     before the quadratic sums, which keeps results comparable to a reference
-    implementation of the same formulas at 1e-12 relative.
+    implementation of the same formulas at 1e-12 relative. A column of
+    equal values has zero deviations.
     """
     return _summarize_rows(sample.xs[None], sample.ys[None]).row(0)
 

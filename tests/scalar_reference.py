@@ -254,6 +254,10 @@ def summarize(sample: PairedSample) -> SummaryStats:
     mean_y = float(ys.mean())
     dx = xs - mean_x
     dy = ys - mean_y
+    if (dx == dx[0]).all():
+        dx = np.zeros_like(dx)
+    if (dy == dy[0]).all():
+        dy = np.zeros_like(dy)
     scale = 1.0 / (n * (n - 1))
     return SummaryStats(
         n=n,

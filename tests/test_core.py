@@ -103,6 +103,7 @@ def test_summarize_location_covariant(data, c):
 
 
 @example(([998327.9999999999, -998356.0], [0.0, 0.0]), 0.01171875)
+@example(([0.0, 0.0, 5.366445359018727e-27], [5.366445359018727e-27] * 3), 0.01171875)
 @given(pairs_strategy(), st.floats(0.01, 100, allow_nan=False))
 def test_summarize_scale_covariant(data, c):
     # The referee is the exact summary of the scaled doubles themselves, not
@@ -117,6 +118,13 @@ def test_summarize_scale_covariant(data, c):
     assert scaled.mean_x == pytest.approx(ref.mean_x, rel=1e-12, abs=1e-300)
     assert scaled.var_mean_x == pytest.approx(ref.var_x / ref.n, rel=1e-9, abs=1e-300)
     assert scaled.cov_mean_xy == pytest.approx(ref.cov_xy / ref.n, rel=1e-9, abs=1e-300)
+
+
+def test_summarize_constant_column_has_zero_moments():
+    # The mean of three 0.1s rounds an ulp above 0.1; the deviations must
+    # still be exactly zero.
+    s = summarize(PairedSample([1.0, 2.0, 3.5], [0.1, 0.1, 0.1]))
+    assert s.var_mean_y == 0.0 and s.cov_mean_xy == 0.0
 
 
 def test_summarize_needs_two_pairs():
