@@ -98,7 +98,14 @@ The argvs, in list order:
   the 40 million words are rejected by the bounded draw;
 - `ci --methods fieller,taylor,index` on the zero-mean-x sample, where
   Taylor fails between two methods that work: it prints the Fieller and
-  index records and exits 3.
+  index records and exits 3;
+- three on the worked example in other units: `ci --format csv` with all
+  eight methods on both columns times 2^-300, which should print the bytes
+  of the unscaled run (Fieller's discriminant, of degree 4 in the data, is
+  out of range there unless the moments are rescaled), and `ci --methods
+  bootstrap_percentile,bootstrap_bca --seed 3` on x alone times 2^-365 and
+  times 2^365, where the sums of BCa's acceleration leave the double range
+  unless the jackknife deviations are rescaled.
 """
 
 from __future__ import annotations
@@ -179,6 +186,13 @@ def inputs(tmp: Path) -> dict[str, Path]:
     }.items():
         files[name] = tmp / name
         files[name].write_text(text, encoding="utf-8")
+    for name, (kx, ky) in {
+        "worked-2^-300.csv": (-300, -300),
+        "worked-x-2^-365.csv": (-365, 0),
+        "worked-x-2^365.csv": (365, 0),
+    }.items():  # the worked example in other units
+        scaled = ((math.ldexp(x, kx), math.ldexp(y, ky)) for x, y in rows)
+        files[name] = _write_csv(tmp / name, "x,y", scaled)
     t = 0.95 / math.sqrt(0.04875)  # the 0.975 t quantile at df 2, in closed form
     for name, sign in (("threshold-bounded.csv", -1.0), ("threshold-unbounded.csv", 1.0)):
         d = math.sqrt(3.0) / t * (1.0 + sign * 1e-10)
@@ -309,6 +323,11 @@ def argvs(files: dict[str, Path]) -> list[list[str]]:
                 "fieller," + ",".join(BOOTSTRAP), "--replications", "2001", "--seed", "1"])
     out.append(["ci", "--input", str(files["zero-mean.csv"]), "--methods",
                 "fieller,taylor,index"])  # a failing method between two that work
+    out.append(["ci", "--input", str(files["worked-2^-300.csv"]), "--methods", ALL_METHODS,
+                "--format", "csv"])  # the worked example in other units
+    for name in ("worked-x-2^-365.csv", "worked-x-2^365.csv"):
+        out.append(["ci", "--input", str(files[name]), "--methods",
+                    "bootstrap_percentile,bootstrap_bca", "--seed", "3"])
     return out
 
 

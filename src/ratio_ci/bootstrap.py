@@ -16,8 +16,12 @@ reads the limits at the percentile levels, or at the BCa levels when given
 a jackknife, by the interpolated order-statistic rule with plotting
 positions (k - 1)/(B - 1) (numpy's default). The pivot method reads T0* at
 the BCa levels about T0(rho_hat) = 0, and bootstrap_bca the ratio
-replicates about rho_hat; where z0 or a is undefined, both warn and read
-the percentile levels (a counted fallback).
+replicates about rho_hat; where z0 or a is undefined, both read the
+percentile levels, a fallback. The kernel warns about nothing: it keeps
+each row's fallback reason, and its callers in montecarlo report them,
+evaluate_methods as one warning per method that fell back and a simulation
+as one per method and reason, with the count (_FALLBACK_CATEGORY gives each
+reason's warning category).
 
 Resample indices are drawn in blocks of rows = max(1, _BLOCK_ELEMENTS // n)
 resamples, the last block ragged, each block's statistics computed before
@@ -48,7 +52,6 @@ sample alone or among the runs of a simulation, gives the same numbers.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -162,8 +165,12 @@ def _percentile_levels(level: float) -> tuple[float, float]:
 
 
 def _acceleration(jackknife: np.ndarray):
-    """Jackknife skewness constant; None when the values do not vary."""
+    """Jackknife skewness constant; None when the values do not vary. It
+    does not depend on the scale of the deviations d, so they are scaled by
+    a power of two to a largest |d| in [0.5, 1) first: exact, and sum(d^2)^1.5
+    neither overflows nor underflows whatever the data's units."""
     d = jackknife.mean() - jackknife
+    d = np.ldexp(d, -np.frexp(np.abs(d).max())[1])
     ssq = float(d @ d)
     if ssq == 0.0:
         return None
@@ -184,6 +191,14 @@ def _bca_levels(z0: float, a: float, level: float) -> tuple[float, float]:
     return out[0], out[1]
 
 
+# The warning category of each reason the BCa step falls back to percentiles.
+_FALLBACK_CATEGORY = {
+    "estimate outside the bootstrap distribution": RuntimeWarning,
+    "non-finite jackknife values": RuntimeWarning,
+    "all jackknife values coincide": DegenerateJackknife,
+}
+
+
 def _bca_adjustment(
     finite: np.ndarray, estimate: float, jackknife: np.ndarray, level: float
 ) -> tuple[float, float, float | None, float | None, str | None]:
@@ -192,21 +207,21 @@ def _bca_adjustment(
 
     z0 comes from the fraction of bootstrap values strictly below the
     full-sample estimate, the acceleration from the leave-one-out jackknife.
-    When either is undefined this warns, naming the caller's line, and
-    returns the plain percentile probabilities with z0 and a None.
+    When either is undefined this returns the plain percentile probabilities
+    with z0 and a None, and the reason, a key of _FALLBACK_CATEGORY; the
+    callers warn.
     """
     below = int(np.searchsorted(finite, estimate, side="left"))
     if below == 0 or below == finite.size:
-        reason, category = "estimate outside the bootstrap distribution", RuntimeWarning
+        reason = "estimate outside the bootstrap distribution"
     elif not np.all(np.isfinite(jackknife)):
-        reason, category = "non-finite jackknife values", RuntimeWarning
+        reason = "non-finite jackknife values"
     else:
         a = _acceleration(jackknife)
         if a is not None:
             z0 = ndtri(below / finite.size)
             return (*_bca_levels(z0, a, level), z0, a, None)
-        reason, category = "all jackknife values coincide", DegenerateJackknife
-    warnings.warn(f"{reason}; falling back to percentiles", category, stacklevel=2)
+        reason = "all jackknife values coincide"
     return (*_percentile_levels(level), None, None, reason)
 
 

@@ -218,8 +218,11 @@ def _summarize_rows(xs: np.ndarray, ys: np.ndarray) -> _RowSummaries:
         cov_mean_xy=_row_dots(dx, dy) * scale,
     )
     # Variances of self-products are nonnegative, and only a row past the
-    # exact Cauchy-Schwarz bound can fail its rounding-tolerant check.
-    for i in np.flatnonzero(rows.cov_mean_xy**2 > rows.var_mean_x * rows.var_mean_y):
+    # exact Cauchy-Schwarz bound can fail its rounding-tolerant check. Far
+    # from unit scale the squares overflow, silently: inf > inf flags nothing.
+    with np.errstate(over="ignore"):
+        outside = rows.cov_mean_xy**2 > rows.var_mean_x * rows.var_mean_y
+    for i in np.flatnonzero(outside):
         rows.row(i)
     return rows
 

@@ -159,7 +159,7 @@ def tangency_slopes(stats: SummaryStats, quantile: float) -> tuple[float, ...]:
     and, geometrically, the slopes of lines through the origin tangent to the
     confidence ellipse of the two means. Zero, one, or two values, ascending.
     """
-    first, second, count, _ = _band_roots(_RowSummaries.of(stats), quantile)
+    first, second, count, _ = _band_roots(_unit_scaled(_RowSummaries.of(stats)), quantile)
     return (float(first[0]), float(second[0]))[: int(count[0])]
 
 
@@ -247,6 +247,20 @@ def _bounded_rows(
     return _RowResults(estimate, lower[:, None], upper[:, None], errors, *extra)
 
 
+def _unit_scaled(m: _RowSummaries) -> _RowSummaries:
+    """m with each row's means times 2^-e and second moments times 2^-2e, e
+    the binary exponent of the row's largest |mean| or sd. Every step of the
+    kernels below is homogeneous in the moments, so their results do not
+    change, bit for bit where no moment is pushed below the normal range;
+    and their terms of degree 4 in the data (the discriminant half_b^2 - a*c
+    of _band_roots, say) stay in range whatever the units of the data."""
+    means = np.maximum(np.abs(m.mean_x), np.abs(m.mean_y))
+    e = np.frexp(np.maximum(means, np.sqrt(np.maximum(m.var_mean_x, m.var_mean_y))))[1]
+    mx, my = np.ldexp(m.mean_x, -e), np.ldexp(m.mean_y, -e)
+    vx, vy, cxy = (np.ldexp(v, -2 * e) for v in (m.var_mean_x, m.var_mean_y, m.cov_mean_xy))
+    return replace(m, mean_x=mx, mean_y=my, var_mean_x=vx, var_mean_y=vy, cov_mean_xy=cxy)
+
+
 def _t0(m, c, s):
     """The variance q of c*y - s*x's mean and the pivot T0 on the line in
     direction (c, s), elementwise, from the moments of m (a SummaryStats or
@@ -323,8 +337,9 @@ def _band_rows(
 
     Every row is bit-equal to these steps in scalar floats on that row
     alone, with the cuts deduplicated as a set that keeps a t_hi root over
-    an equal t_lo root.
+    an equal t_lo root. The moments are _unit_scaled first.
     """
+    m = _unit_scaled(m)
     rows = m.mean_x.shape[0]
     mx, my = m.mean_x, m.mean_y
     vx, vy, cxy = m.var_mean_x, m.var_mean_y, m.cov_mean_xy
@@ -413,7 +428,8 @@ def _band_rows(
 
 def _fieller_rows(m: _RowSummaries, quantile: float) -> _RowResults:
     """_band_rows at (-quantile, quantile), with the estimate and the
-    FiellerDiagnostics of every row."""
+    FiellerDiagnostics of every row, on the _unit_scaled moments."""
+    m = _unit_scaled(m)
     mx, my = m.mean_x, m.mean_y
     vx, vy, cxy = m.var_mean_x, m.var_mean_y, m.cov_mean_xy
     with np.errstate(all="ignore"):
@@ -438,8 +454,10 @@ def _fieller_rows(m: _RowSummaries, quantile: float) -> _RowResults:
 def _delta_rows(m: _RowSummaries, quantile: float) -> _RowResults:
     """Taylor's first-order interval for every row: the pivot T0 linearized
     at rho_hat = mean_y/mean_x, rho_hat +- quantile*sqrt(q)/|mean_x|, with
-    q the variance of mean_y - rho_hat*mean_x (_t0 at (1, rho_hat)). On the
-    moments of _known_x it is the zero-variance interval."""
+    q the variance of mean_y - rho_hat*mean_x (_t0 at (1, rho_hat)), on the
+    _unit_scaled moments. On the moments of _known_x it is the zero-variance
+    interval."""
+    m = _unit_scaled(m)
     mx = m.mean_x
     with np.errstate(all="ignore"):
         rho = m.mean_y / mx

@@ -18,8 +18,8 @@ requested. _draw_run draws the runs of a block together, each with the bits
 its own default_rng would give.
 
 Records and jobs: what some runs of one cell gave is one _CellRecord: each
-method's counts and finite estimates in run order, the redraws, and the
-warnings a worker recorded. run_cell and run_grid share one scheduler,
+method's counts, fallbacks among them, and finite estimates in run order,
+and the redraws. run_cell and run_grid share one scheduler,
 _simulate, which decides from its arguments and the host alone. Its cells
 share one n, methods and boot_config, so every run has the same estimated
 single-core cost (_run_seconds). Work of at most _JOB_SECONDS (the
@@ -30,9 +30,12 @@ jobs) workers take evenly, each job ending at the first block end at or
 past its share of the runs; a block longer than a share makes fewer jobs.
 The cap is thread_cap(threads): the argument, else the CPUs this process
 may run on. The jobs run on min(cap, jobs) forked workers, or in this
-process when it is daemonic and cannot start one; a worker returns one
-record per (cell, run range) piece and nothing else. Each cell's records
-are merged in run order and summarized once.
+process when it is daemonic and cannot start one; either way _job makes
+one record per (cell, run range) piece, and nothing else comes back. Each
+cell's records are merged in run order and summarized once. Then each
+method warns once per BCa fallback reason, with its count summed over the
+cells: built from the counts alone, the warnings are the same at any
+worker count.
 
 Method registry: _KERNELS maps every method to one kernel over the rows of
 a batch of samples, and is the only place that knows which methods exist.
@@ -48,7 +51,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-import sys
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -57,7 +59,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, _bootstrap_rows
+from .bootstrap import _FALLBACK_CATEGORY, BootstrapConfig, _bootstrap_rows
 from .core import (
     ConfidenceSpec,
     PairedSample,
@@ -449,13 +451,19 @@ def evaluate_methods(
     reached; the two ratio-bootstrap methods both yield its error if their
     distribution fails. boot_config (BootstrapConfig() if None) is read only
     by the bootstrap methods, and trim only by trimmed_index. A method may
-    be given by its name; it is yielded as its Method.
+    be given by its name; it is yielded as its Method. A bootstrap method
+    whose BCa step fell back to percentiles warns, just before it is yielded
+    (from the line that asked for it), with the reason and its category.
     """
     methods = tuple(Method(m) for m in methods)
     boot_config = boot_config or BootstrapConfig()
     batch = _Batch(sample.xs[None], sample.ys[None], spec, trim, boot_config, (boot_config.seed,))
     batch.summaries  # a summary that fails is no method's error
     for method, rows in _kernel_rows(batch, methods):
+        reason = rows.fallback[0] if rows.fallback else None
+        if reason is not None:
+            message = f"{reason}; falling back to percentiles"
+            warnings.warn(message, _FALLBACK_CATEGORY[reason], stacklevel=2)
         try:
             yield method, rows.result(method)
         except RatioCiError as exc:
@@ -497,14 +505,12 @@ class _CellRecord:
     it whole. counts is keyed (method, "covered"), (method, "unbounded"),
     (method, "dropped") for dropped replicates, (method, "failures", error
     class) and (method, "fallbacks", reason). estimates holds, per method in
-    request order, the finite estimates in run order. warnings are those a
-    worker recorded, as (message, category, filename, lineno)."""
+    request order, the finite estimates in run order."""
 
     counts: Counter[tuple]
     estimates: dict[Method, np.ndarray]
     runs: int
     redraws: int
-    warnings: list[tuple] = field(default_factory=list)
 
     @classmethod
     def merge(cls, records: Sequence[_CellRecord]) -> _CellRecord:
@@ -514,7 +520,6 @@ class _CellRecord:
             {m: np.concatenate([r.estimates[m] for r in records]) for m in records[0].estimates},
             sum(r.runs for r in records),
             sum(r.redraws for r in records),
-            [w for r in records for w in r.warnings],
         )
 
     def result(self, cell: SimCell, seed: int) -> CoverageResult:
@@ -639,23 +644,10 @@ def _cell_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([master_seed, index]).generate_state(1, np.uint64)[0])
 
 
-def _pieces(settings: tuple, cells, seeds, job) -> Iterator[_CellRecord]:
+def _job(settings: tuple, cells, seeds, job) -> list[_CellRecord]:
     """The record of each (cell index, first run, stop) piece of the job, in
     order; settings are _piece_record's (methods, boot_config, level, trim)."""
-    for i, first, stop in job:
-        yield _piece_record(*settings, cells[i], seeds[i], first, stop)
-
-
-def _recorded(settings: tuple, cells, seeds, job) -> list[_CellRecord]:
-    """The job's records, each with the warnings this process's filters let
-    through while it was made."""
-    records = []
-    for i, first, stop in job:
-        with warnings.catch_warnings(record=True) as caught:
-            record = _piece_record(*settings, cells[i], seeds[i], first, stop)
-        record.warnings += [(w.message, w.category, w.filename, w.lineno) for w in caught]
-        records.append(record)
-    return records
+    return [_piece_record(*settings, cells[i], seeds[i], first, stop) for i, first, stop in job]
 
 
 def _daemonic() -> bool:
@@ -663,21 +655,6 @@ def _daemonic() -> bool:
     from multiprocessing import current_process  # imported here, as the pool is
 
     return current_process().daemon
-
-
-def _reissue(caught: list[tuple]) -> None:
-    """Issue warnings a worker recorded again here, each from its own line and
-    module, so this process's filters and registries decide which are shown."""
-    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
-    for message, category, filename, lineno in caught:
-        module = modules.get(filename)
-        if module is None:
-            warnings.warn_explicit(message, category, filename, lineno)
-        else:
-            registry = vars(module).setdefault("__warningregistry__", {})
-            warnings.warn_explicit(
-                message, category, filename, lineno, module.__name__, registry, vars(module)
-            )
 
 
 def _simulate(
@@ -694,11 +671,11 @@ def _simulate(
     run_cell and run_grid.
 
     The jobs (_jobs) run as the module docstring says. The records come
-    back in job order: each one's warnings are issued again here, through
-    this process's filters, and each cell's records are merged in run order
-    and summarized once its last piece arrives. Any split gives the same
+    back in job order, and each cell's records are merged in run order and
+    summarized once its last piece arrives. Any split gives the same
     numbers, since every run is drawn from its own stream and every row is
-    bit-equal alone or in a block.
+    bit-equal alone or in a block. The fallback warnings name the line
+    that called run_cell or run_grid.
     """
     methods = _normalized_methods(methods)
     runs = _integer(runs, "runs")
@@ -708,16 +685,15 @@ def _simulate(
         boot_config = None
     elif boot_config is None:
         boot_config = BootstrapConfig()
-    settings = (methods, boot_config, level, trim)
+    run = partial(_job, (methods, boot_config, level, trim), cells, seeds)
     cap = thread_cap(threads)
     jobs = _jobs(cells, runs, methods, boot_config, cap)
     parts: dict[int, list[_CellRecord]] = {}
     results = []
 
-    def collect(outcomes: Iterable[Iterable[_CellRecord]]) -> None:
+    def collect(jobs, outcomes: Iterable[Iterable[_CellRecord]]) -> None:
         for job, records in zip(jobs, outcomes):
             for (i, _, stop), record in zip(job, records):
-                _reissue(record.warnings)
                 parts.setdefault(i, []).append(record)
                 if stop == runs:
                     results.append(_CellRecord.merge(parts.pop(i)).result(cells[i], seeds[i]))
@@ -728,9 +704,17 @@ def _simulate(
         from multiprocessing import get_context
 
         with ProcessPoolExecutor(min(cap, len(jobs)), mp_context=get_context("fork")) as pool:
-            collect(pool.map(partial(_recorded, settings, cells, seeds), jobs))
+            collect(jobs, pool.map(run, jobs))
     else:
-        collect(_pieces(settings, cells, seeds, job) for job in jobs)
+        # Piece by piece: a cell is summarized as soon as its last piece is made.
+        pieces = [[piece] for job in jobs for piece in job]
+        collect(pieces, map(run, pieces))
+    for method in methods:
+        fallbacks = sum((Counter(r.methods[method].fallbacks) for r in results), Counter())
+        for reason, count in sorted(fallbacks.items()):
+            message = (f"{reason} in {count} of {runs * len(cells)} {method.value} runs; "
+                       "falling back to percentiles in those runs")
+            warnings.warn(message, _FALLBACK_CATEGORY[reason], stacklevel=3)
     return results
 
 

@@ -50,6 +50,7 @@ from oracle_utils import (
     resample_pairs,
 )
 from one_sample import band_set, method_result
+from test_methods import WORKED_X, WORKED_Y
 
 HWANG = Method.HWANG_BOOTSTRAP
 RATIO_BOOT = (Method.BOOTSTRAP_PERCENTILE, Method.BOOTSTRAP_BCA)
@@ -226,26 +227,50 @@ def test_bca_reduces_to_percentile_when_unbiased_and_symmetric():
 
 
 def test_bca_fallbacks_warn_and_match_percentile():
+    # The kernel returns each reason and issues nothing; its callers warn
+    # with the reason's category (the _hwang_fallback tests below).
     dist = _dist(np.arange(1.0, 201.0))
     plain = _limits(dist, 0.95, None, None)[:2]
+    cases = [
+        # Estimate outside the resample range: z0 undefined.
+        (0.5, np.array([1.0, 2.0, 3.0]), "estimate outside the bootstrap distribution"),
+        # Constant jackknife: acceleration undefined.
+        (100.0, np.ones(5), "all jackknife values coincide"),
+        # Non-finite jackknife values.
+        (100.0, np.array([1.0, math.nan]), "non-finite jackknife values"),
+    ]
+    for estimate, jack, reason in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lower, upper, z0, a, fallback = _limits(dist, 0.95, estimate, jack)
+        assert (lower, upper, z0, a, fallback) == (*plain, None, None, reason)
+    assert bootstrap._FALLBACK_CATEGORY == {
+        "estimate outside the bootstrap distribution": RuntimeWarning,
+        "non-finite jackknife values": RuntimeWarning,
+        "all jackknife values coincide": DegenerateJackknife,
+    }
 
-    # Estimate outside the resample range: z0 undefined.
-    with pytest.warns(RuntimeWarning, match="outside the bootstrap distribution"):
-        lower, upper, _, _, fallback = _limits(dist, 0.95, 0.5, np.array([1.0, 2.0, 3.0]))
-    assert (lower, upper) == plain
-    assert fallback == "estimate outside the bootstrap distribution"
 
-    # Constant jackknife: acceleration undefined.
-    with pytest.warns(DegenerateJackknife):
-        lower, upper, _, _, fallback = _limits(dist, 0.95, 100.0, np.ones(5))
-    assert (lower, upper) == plain
-    assert fallback == "all jackknife values coincide"
-
-    # Non-finite jackknife values.
-    with pytest.warns(RuntimeWarning, match="non-finite jackknife"):
-        lower, upper, _, _, fallback = _limits(dist, 0.95, 100.0, np.array([1.0, math.nan]))
-    assert (lower, upper) == plain
-    assert fallback == "non-finite jackknife values"
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+@pytest.mark.parametrize("k", [365, -365, 600, -600])
+def test_bca_limits_follow_the_units_of_x(k):
+    # x times 2^k scales the ratio by 2^-k, and every ratio replicate and
+    # jackknife value with it exactly. The acceleration does not depend on
+    # that scale: its sums of d^2 and d^3 ran out of range, an OverflowError
+    # at k = -365, a nan acceleration at 365, a percentile fallback at +-600.
+    # (At 600 the variance of x's mean overflows, which these methods do not read.)
+    spec = ConfidenceSpec.two_sided(0.95, df=2)
+    config = BootstrapConfig(seed=3)
+    methods = (Method.BOOTSTRAP_PERCENTILE, Method.BOOTSTRAP_BCA)
+    xs, ys = np.array(WORKED_X), np.array(WORKED_Y)
+    unscaled = dict(evaluate_methods(PairedSample(xs, ys), methods, spec, config))
+    scaled = dict(evaluate_methods(PairedSample(np.ldexp(xs, k), ys), methods, spec, config))
+    for method in methods:
+        want, got = unscaled[method], scaled[method]
+        assert got.estimate == math.ldexp(want.estimate, -k)
+        assert got.confidence_set.intervals == tuple(
+            (math.ldexp(lo, -k), math.ldexp(hi, -k)) for lo, hi in want.confidence_set.intervals
+        )
 
 
 def test_bca_needs_three_pairs():

@@ -31,6 +31,7 @@ from ratio_ci import montecarlo as mc
 from ratio_ci.cli import main
 
 import scalar_reference as ref
+from test_kernels import _fallback_warnings
 from test_methods import WORKED_X, WORKED_Y
 
 
@@ -288,6 +289,41 @@ def test_ci_numeric_fields_parse_like_python_float(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err == f"error: {bad}: column 'x': could not convert string to float: 'foo'\n"
 
+
+
+ALL_METHODS = [m.value for m in Method]
+
+
+@pytest.mark.parametrize(
+    "xs, ys",
+    [
+        (WORKED_X, WORKED_Y),
+        ([1 + 0.1 * i for i in range(8)], [2 + 0.13 * i * i for i in range(8)]),
+    ],
+    ids=["worked", "quadratic"],
+)
+def test_ci_prints_the_same_bytes_in_any_units(capsys, tmp_path, xs, ys):
+    # Both columns times 2^k. Every method is free of the units and each
+    # kernel is homogeneous in the moments, so the records are the same
+    # bytes and the same warnings (none of them an overflow). Fieller's
+    # discriminant is of degree 4 in the data: it ran out of range at
+    # 2^-300, where Fieller printed an unbounded set on the worked example,
+    # and at 2^300 Fieller and Hwang exited 3.
+    def printed(k):
+        path = _write_pairs(
+            tmp_path / f"{k}.csv", [math.ldexp(x, k) for x in xs], [math.ldexp(y, k) for y in ys]
+        )
+        argv = ["ci", "--input", path, "--methods", ",".join(ALL_METHODS),
+                "--replications", "1000", "--seed", "3"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run = _run(capsys, argv)
+        return run, [(str(w.message), w.category) for w in caught]
+
+    unscaled = printed(0)
+    assert unscaled[0][0] == 0
+    for k in (300, -300, 400, -400, 500, -500):
+        assert printed(k) == unscaled, k
 
 
 def test_a_leading_byte_order_mark_is_skipped(capsys, worked_csv, tmp_path):
@@ -628,12 +664,18 @@ def test_simulate_precondition_failure_in_a_worker_exits_3(capsys, forced_pool):
 
 
 def test_simulate_prints_the_same_warnings_at_any_worker_count():
-    # At n = 4 BCa falls back on some runs of this grid; the default filters
-    # print that warning once, whichever process issued it. The grid is more
-    # than one job, so with two workers its jobs run in forked processes.
-    cells = GridSpec((0.3, 3.0), (0.1, 1.0), 4).cells()
+    # At n = 4 BCa falls back on some runs of this grid. The grid is more
+    # than one job, so with two workers its jobs run in forked processes;
+    # stderr is the same bytes either way, with one fallback warning per
+    # method and reason that states its count over the grid's runs.
+    spec, config = GridSpec((0.3, 3.0), (0.1, 1.0), 4), BootstrapConfig(100)
     methods = (Method.HWANG_BOOTSTRAP, Method.BOOTSTRAP_BCA)
-    assert len(mc._jobs(cells, 700, methods, BootstrapConfig(100), 2)) > 1
+    assert len(mc._jobs(spec.cells(), 700, methods, config, 2)) > 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        grid = mc.run_grid(spec, methods, 700, 5, config, threads=1)
+    expected = [message for message, _ in _fallback_warnings(grid.results, 2800)]
+    assert expected
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     argv = [sys.executable, "-m", "ratio_ci.cli", "simulate", "--cv-x", "0.3,3.0", "--cv-y",
             "0.1,1.0", "--n", "4", "--runs", "700", "--replications", "100", "--methods",
@@ -643,7 +685,8 @@ def test_simulate_prints_the_same_warnings_at_any_worker_count():
     )
     assert one.returncode == two.returncode == 0
     assert (one.stdout, one.stderr) == (two.stdout, two.stderr)
-    assert one.stderr.count(b"falling back to percentiles") == 1
+    lines = [line for line in one.stderr.decode().splitlines() if "falling back" in line]
+    assert [line.split("RuntimeWarning: ", 1)[1] for line in lines] == expected
 
 
 def test_simulate_axis_syntax_and_guards(capsys):

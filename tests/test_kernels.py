@@ -6,6 +6,7 @@ resamplings of the reference."""
 import itertools
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -652,6 +653,22 @@ def test_shared_resampling_peak_memory_is_bounded():
     assert peak < 64 * 2**20, peak
 
 
+def _fallback_warnings(results, runs: int) -> list[tuple]:
+    """(message, category) of the one warning per method and fallback reason
+    that the counts of the results call for, in method and reason order."""
+    expected = []
+    for method in Method:
+        counts = sum(
+            (Counter(r.methods[method].fallbacks) for r in results if method in r.methods),
+            Counter(),
+        )
+        for reason, count in sorted(counts.items()):
+            message = (f"{reason} in {count} of {runs} {method.value} runs; "
+                       "falling back to percentiles in those runs")
+            expected.append((message, bootstrap_module._FALLBACK_CATEGORY[reason]))
+    return expected
+
+
 # Samples that force each BCa fallback reason on every resampling.
 FALLBACK_SAMPLES = {
     # Every resample has the ratio 2: the estimate is below none of them.
@@ -685,7 +702,12 @@ def test_run_cell_counts_each_fallback_reason(monkeypatch, name, hwang, bca):
             monkeypatch.setattr(module, "_ratio_jackknife", constant)
     cell = SimCell(1.0, 1.0, sample.n)
     config = BootstrapConfig(replications=1000)
-    got = run_cell(cell, BOOTSTRAP, 100, seed=2, boot_config=config)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = run_cell(cell, BOOTSTRAP, 100, seed=2, boot_config=config)
+    # One warning per method and reason, with the count, from this line.
+    assert [(str(w.message), w.category) for w in caught] == _fallback_warnings([got], 100)
+    assert {w.filename for w in caught} == {__file__}
     assert got.methods[Method.HWANG_BOOTSTRAP].fallbacks == hwang
     assert got.methods[Method.BOOTSTRAP_BCA].fallbacks == bca
     assert got.methods[Method.BOOTSTRAP_PERCENTILE].fallbacks == {}

@@ -15,7 +15,13 @@ import ratio_ci.bootstrap as bootstrap
 import ratio_ci.montecarlo as mc
 import scalar_reference as ref
 from ratio_ci import cli, core, errors, methods
-from test_kernels import _assert_same_set, _replace_samples, _same, _zero_x
+from test_kernels import (
+    _assert_same_set,
+    _fallback_warnings,
+    _replace_samples,
+    _same,
+    _zero_x,
+)
 from ratio_ci import (
     BootstrapConfig,
     ConfidenceSpec,
@@ -464,7 +470,10 @@ def test_errors_survive_pickling():
 # At n = 4 the BCa step falls back on three runs of this grid.
 _FALLBACK_GRID = GridSpec((0.3, 3.0), (0.1, 1.0), 4)
 _FALLBACK_METHODS = (Method.HWANG_BOOTSTRAP, Method.BOOTSTRAP_BCA)
-_FALLBACK = "estimate outside the bootstrap distribution; falling back to percentiles"
+_FALLBACK = (
+    "estimate outside the bootstrap distribution in 3 of 400 bootstrap_bca runs; "
+    "falling back to percentiles in those runs"
+)
 
 
 def _grid_warnings(threads: int, always: bool) -> tuple[tuple, list[tuple]]:
@@ -479,16 +488,20 @@ def _grid_warnings(threads: int, always: bool) -> tuple[tuple, list[tuple]]:
 
 @pytest.mark.parametrize("always", [True, False], ids=["always", "default-filters"])
 def test_grid_warnings_reach_the_caller_whatever_the_workers(forced_pool, always):
+    # One warning per method and reason, built from the summed counts after
+    # the merge and issued from the line that called run_grid; the default
+    # filters show each of them, as their messages differ.
     results, one = _grid_warnings(1, always)
-    assert len(one) == (3 if always else 1)
-    assert one[0][0] == _FALLBACK
+    assert [w[:2] for w in one] == _fallback_warnings(results, 400) == [(_FALLBACK, RuntimeWarning)]
+    assert all(w[2] == __file__ for w in one)
+    assert not forced_pool()
     assert _grid_warnings(2, always) == (results, one)
     assert forced_pool()
 
 
 def test_a_daemonic_process_runs_its_jobs_itself(forced_pool):
     # A daemonic process cannot start one, so it makes every record of its
-    # grid of many jobs, and the default filters show the fallback once.
+    # grid of many jobs itself, and issues the same warnings.
     cells, config = _FALLBACK_GRID.cells(), BootstrapConfig(100)
     assert len(mc._jobs(cells, 100, _FALLBACK_METHODS, config, 2)) > 1
     results, caught = _grid_warnings(1, False)
@@ -501,7 +514,7 @@ def test_a_daemonic_process_runs_its_jobs_itself(forced_pool):
     got = receive.recv()
     child.join()
     assert child.exitcode == 0
-    assert got == (results, caught) and len(caught) == 1
+    assert got == (results, caught) and [w[:2] for w in caught] == [(_FALLBACK, RuntimeWarning)]
     assert forced_pool() == {child.pid}
 
 
@@ -515,6 +528,7 @@ def test_an_error_filter_raises_the_fallback_out_of_run_grid(forced_pool, thread
     assert type(raised.value) is RuntimeWarning
     assert str(raised.value) == _FALLBACK
     assert bool(forced_pool()) == (threads == 2)
+    assert multiprocessing.active_children() == []
 
 
 def test_jobs_end_where_a_block_end_meets_a_share_exactly():
@@ -525,6 +539,51 @@ def test_jobs_end_where_a_block_end_meets_a_share_exactly():
     assert len(jobs) == 14
     assert all(len(job) == 1 for job in jobs)
     assert [piece for job in jobs for piece in job][6:8] == [(0, 4914, 5000), (1, 0, 819)]
+
+
+def _jobs_ending_at(ends: list[int], runs: int) -> list[list[tuple[int, int, int]]]:
+    """The jobs, as _jobs lists them, that end after ends[k] of the runs of
+    cells of `runs` runs each, counted in cell and run order."""
+    jobs, start = [], 0
+    for end in ends:
+        job = []
+        while start < end:
+            cell, first = divmod(start, runs)
+            job.append((cell, first, min(end - cell * runs, runs)))
+            start = cell * runs + job[-1][2]
+        jobs.append(job)
+    return jobs
+
+
+def test_the_benchmark_and_acceptance_grids_keep_their_jobs():
+    # The job lists at a cap of 2 that perfbench's sim-closed and sim-boot
+    # and acceptance criteria 4 and 5 run on, as _run_seconds cuts them
+    # today; a refit of it shows here which of them it moves.
+    boot, hwang = BootstrapConfig(2000), (Method.HWANG_BOOTSTRAP,)
+    default = cli._build_parser().parse_args(["simulate"])
+    cells = GridSpec(default.cv_x, default.cv_y, default.n).cells()
+    assert mc._jobs(cells, 500, tuple(default.methods), None, 2) == [
+        [(i, 0, 500) for i in range(49)]
+    ]
+    sim_boot = GridSpec((0.3, 3.0), (0.1, 1.0), 500).cells()
+    methods = (Method.BOOTSTRAP_PERCENTILE, Method.BOOTSTRAP_BCA, Method.HWANG_BOOTSTRAP)
+    assert mc._jobs(sim_boot, 100, methods, boot, 2) == [
+        [piece] for c in range(4) for piece in ((c, 0, 64), (c, 64, 100))
+    ]
+    axes = (0.3, 1.0, 3.0)
+    assert mc._jobs(GridSpec(axes, axes, 500).cells(), 500, hwang, boot, 2) == _jobs_ending_at(
+        [96, 160, 224, 288, 352, 448, 500, 564, 660, 724, 788, 852, 916, 1000, 1064, 1128,
+         1224, 1288, 1352, 1416, 1480, 1564, 1628, 1692, 1788, 1852, 1916, 1980, 2064, 2128,
+         2192, 2256, 2352, 2416, 2480, 2532, 2628, 2692, 2756, 2820, 2884, 2980, 3032, 3096,
+         3192, 3256, 3320, 3384, 3448, 3532, 3596, 3660, 3756, 3820, 3884, 3948, 4032, 4096,
+         4160, 4224, 4320, 4384, 4448, 4500],
+        500,
+    )
+    ratio_boot = (Method.BOOTSTRAP_PERCENTILE, Method.BOOTSTRAP_BCA)
+    for cell in (SimCell(0.15, 0.10, 500), SimCell(3.0, 0.1, 500)):
+        assert mc._jobs([cell], 2000, ratio_boot, boot, 2) == _jobs_ending_at(
+            [*range(64, 1345, 64), *range(1376, 1953, 64), 2000], 2000
+        )
 
 
 def test_one_cell_grid_starts_no_process(monkeypatch):
